@@ -25,14 +25,12 @@ from .errors import (
     TransferLabError,
 )
 from .evaluation import detect_negative_transfer, is_generalist, transferability
-from .learning import Dataset, EvaluationContext
-from .measures import ConditionalMeasure, EmpiricalMeasure
-from .relations import FiniteSet, Morphism
+from .learning import EvaluationContext
+from .relations import FiniteSet
 from .scenarios import ScenarioSpec, generate_pair
 from .specio import (
     SpecDocument,
     document_digest,
-    document_dict,
     dump_document,
     load_document,
 )
@@ -162,13 +160,15 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
 
     if kind == "transferability":
         pack = _pack(doc, config, "pack")
+        epsilon_star = config.get("epsilon_star", 0.0)
+        numeric = isinstance(epsilon_star, (int, float))
+        if not numeric and epsilon_star != "target-alone":
+            raise AnalysisError(f"epsilon_star {epsilon_star!r} is not a number or 'target-alone'")
         report = transferability(
             pack,
             _universe(doc, config),
             role=config.get("role", "source"),
-            ctx=EvaluationContext(
-                pack.truth or {}, float(config.get("epsilon_star", 0.0))
-            ),
+            ctx=EvaluationContext(pack.truth or {}, float(epsilon_star) if numeric else 0.0),
             mode=config.get("mode", "empirical"),
             approach=config.get("approach", "instance"),
             seeds=int(config.get("seeds", 10)),

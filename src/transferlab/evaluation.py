@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .behavioral import behavioral_transferability, transfer_distance
+from .behavioral import behavioral_transferability
 from .errors import (
     MissingMeasure,
     TransferLabError,
@@ -41,6 +41,15 @@ from .transfer import (
 )
 
 
+def _source_knowledge(source: LearningSystem, data: Dataset, approach: str) -> Knowledge:
+    """What ``approach`` takes from the source data; parameters train the source."""
+    theta_s = None
+    if approach in ("parameter", "instance_parameter"):
+        theta_s = run_algorithm(data, source)
+    kind = "instance" if approach == "feature_representation" else approach
+    return select_knowledge(source, data, theta_s, kind)
+
+
 def build_transfer_system(
     source: SystemPack,
     target: SystemPack,
@@ -50,15 +59,10 @@ def build_transfer_system(
     latent: FeatureRepSpec | None = None,
 ) -> TransferSystem:
     """Assemble a transfer system from two packs, training the source once."""
-    theta_s = None
-    if approach in ("parameter", "instance_parameter"):
-        theta_s = run_algorithm(source.dataset, source.system)
-    kind = "instance" if approach == "feature_representation" else approach
-    knowledge = select_knowledge(source.system, source.dataset, theta_s, kind)
     return TransferSystem(
         source.system,
         target.system,
-        knowledge,
+        _source_knowledge(source.system, source.dataset, approach),
         approach,
         latent=latent,
         penalty_weight=penalty_weight,
@@ -143,12 +147,7 @@ def detect_negative_transfer(
             eval_ctx = EvaluationContext(declared_truth)
             weight = target.marginal
 
-        theta_s = None
-        if ts.approach in ("parameter", "instance_parameter"):
-            theta_s = run_algorithm(d_s, source.system)
-        kind = "instance" if ts.approach == "feature_representation" else ts.approach
-        knowledge = select_knowledge(source.system, d_s, theta_s, kind)
-        ts_i = replace(ts, knowledge=knowledge)
+        ts_i = replace(ts, knowledge=_source_knowledge(source.system, d_s, ts.approach))
 
         theta_tr, _ = run_transfer(ts_i, train_t)
         eps_with.append(
@@ -280,6 +279,8 @@ def transferability(
         }
 
     threshold = ctx.epsilon_star if epsilon_star is None else epsilon_star
+    if mode in ("structural", "behavioral") and isinstance(threshold, str):
+        raise ValidationError(f"{mode} mode needs a numeric threshold")
 
     if mode == "structural":
         rep = structural_transferability(pack, universe, role, ctx, size_bound)
@@ -289,8 +290,6 @@ def transferability(
             dict(rep.best_errors), (),
         )
     if mode == "behavioral":
-        if isinstance(threshold, str):
-            raise ValidationError("behavioral mode needs a numeric threshold")
         rep = behavioral_transferability(
             pack, universe, role, threshold, behavioral_mode, distance_kind
         )

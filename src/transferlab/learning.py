@@ -2,18 +2,28 @@
 
 A learning system couples a finite hypothesis table with an algorithm
 that selects a parameter from data by exact exhaustive minimization of
-an objective (plain empirical risk, or risk penalized by distance to an
-anchor parameter).  Because every carrier is finite, the defining
-biconditionals of the construction are checkable by enumeration, which
-is what :func:`verify_learning_axioms` does.
+an objective.  Learning and every transfer rule minimize one formula,
+scored for all parameters at once by :func:`objective_values`::
+
+    (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
+
+Values are exact (integer sums for zero-one loss, ``math.fsum`` for
+squared loss) and selection is ``np.argmin``, whose first-index
+tie-break is the canonical one.  Because every carrier is finite, the
+defining biconditionals of the construction are checkable by
+enumeration, which is what :func:`verify_learning_axioms` does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -59,6 +69,13 @@ class Dataset:
                 raise UnknownElement(f"data input {x!r} not in set {x_set.name!r}")
             if y not in y_set:
                 raise UnknownElement(f"data output {y!r} not in set {y_set.name!r}")
+
+    def counts(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
+        """``C[x, y]``: how often each pair occurs; one outside X × Y raises."""
+        matrix = np.zeros((len(x_set), len(y_set)), dtype=np.int64)
+        for (x, y), c in Counter(self.pairs).items():
+            matrix[x_set.index(x), y_set.index(y)] += c
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -106,18 +123,25 @@ class HypothesisClass:
     def output_vector(self, theta: Atom, xs: Sequence[Atom]) -> tuple[Atom, ...]:
         return tuple(self.output(theta, x) for x in xs)
 
-    def validate_against(self, x_set: FiniteSet, y_set: FiniteSet) -> None:
-        for theta in self.theta_set.elements:
-            for x in x_set.elements:
-                if (theta, x) not in self.table:
-                    raise ValidationError(
-                        f"hypothesis table is not total: missing {(theta, x)!r}"
-                    )
-                y = self.table[(theta, x)]
-                if y not in y_set:
-                    raise UnknownElement(
-                        f"hypothesis output {y!r} not in set {y_set.name!r}"
-                    )
+    def encode(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
+        """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical.
+
+        The table must be total on Θ × X with every output in ``y_set``;
+        the first entry in canonical order that is not raises.
+        """
+        table, y_index = self.table, y_set._index
+        thetas, xs = self.theta_set.elements, x_set.elements
+        try:
+            flat = [y_index[table[(theta, x)]] for theta in thetas for x in xs]
+        except KeyError:
+            for key in itertools.product(thetas, xs):
+                if key not in table:
+                    raise ValidationError(f"hypothesis table is not total: missing {key!r}")
+                if (y := table[key]) not in y_set:
+                    raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
+            raise
+        dtype = np.min_scalar_type(len(y_set) - 1)
+        return np.array(flat, dtype=dtype).reshape(len(thetas), len(xs))
 
 
 def full_function_class(
@@ -177,7 +201,7 @@ class LearningSystem:
     algorithm: AlgorithmSpec = AlgorithmSpec()
 
     def __post_init__(self) -> None:
-        self.hypotheses.validate_against(self.x_set, self.y_set)
+        self.codes  # encoding validates the table
         if self.algorithm.kind == "penalized":
             if self.algorithm.anchor not in self.hypotheses.theta_set:
                 raise UnknownElement(
@@ -187,6 +211,11 @@ class LearningSystem:
     @property
     def theta_set(self) -> FiniteSet:
         return self.hypotheses.theta_set
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The hypothesis table encoded as ``H[θ, x]`` over this system's sets."""
+        return self.hypotheses.encode(self.x_set, self.y_set)
 
 
 @dataclass(frozen=True)
@@ -245,41 +274,77 @@ class SystemPack:
 
 # -- core operations -----------------------------------------------------------
 
-def _pair_counts(pairs: Sequence[tuple[Atom, Atom]]) -> dict[tuple[Atom, Atom], int]:
-    counts: dict[tuple[Atom, Atom], int] = {}
-    for p in pairs:
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+def _loss_totals(
+    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, counts: np.ndarray
+) -> np.ndarray:
+    """Per θ, the summed loss of ``H[θ]`` on the counted pairs, exactly.
+
+    Zero-one totals are integer error counts; squared totals are the
+    ``math.fsum`` of one ``count * loss`` term per occupied cell.
+    """
+    if loss.kind == "zero_one":
+        hits = counts[np.arange(codes.shape[1]), codes].sum(axis=1)
+        return (counts.sum() - hits).astype(np.float64)
+    labels = y_set.elements
+    table = np.array([[loss.loss(y, prediction) for prediction in labels] for y in labels])
+    xs, ys = np.nonzero(counts)
+    terms = counts[xs, ys] * table[ys, codes[:, xs]]
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+def objective_values(
+    codes: np.ndarray,
+    y_set: FiniteSet,
+    loss: LossSpec,
+    counts: np.ndarray | None,
+    pooled: np.ndarray | None = None,
+    pool_weight: float = 1.0,
+    anchor: int | None = None,
+    penalty_weight: float = 0.0,
+) -> np.ndarray:
+    """The module's objective for every row θ of ``codes`` (``H[θ, x]``).
+
+    ``L(θ; C)`` sums the loss of ``H[θ]`` over the pairs counted in
+    ``C[x, y]``: the target ``counts`` (``None``: no risk term) and the
+    ``pooled`` source counts, weighted by ``pool_weight``.  ``d(θ, a)``
+    counts the inputs where ``H[θ]`` and row ``anchor`` differ (``None``:
+    no penalty term).  Float operations follow the formula's order, so
+    each value equals the one computed for its θ alone.
+    """
+    values = None
+    if counts is not None:
+        numerator = _loss_totals(codes, y_set, loss, counts)
+        denominator = int(counts.sum())
+        if pooled is not None:
+            numerator = numerator + pool_weight * _loss_totals(codes, y_set, loss, pooled)
+            denominator = denominator + pool_weight * int(pooled.sum())
+        values = numerator / denominator
+    if anchor is not None:
+        differing = (codes != codes[anchor]).sum(axis=1)
+        penalty = penalty_weight * (differing / codes.shape[1])
+        values = penalty if values is None else values + penalty
+    if values is None:
+        raise EmptyDataset("an objective without an anchor needs data")
+    return values
 
 
 def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
     """Mean loss of the hypothesis indexed by ``theta`` on the data."""
-    if len(data) == 0:
-        raise EmptyDataset("empirical risk needs at least one pair")
-    counts = _pair_counts(data.pairs)
-    loss = system.loss.loss
-    h = system.hypotheses.output
-    total = math.fsum(c * loss(y, h(theta, x)) for (x, y), c in counts.items())
-    return total / len(data)
+    counts = data.counts(system.x_set, system.y_set) if len(data) else None
+    row = system.theta_set.index(theta)
+    codes = system.codes[row : row + 1]
+    return float(objective_values(codes, system.y_set, system.loss, counts)[0])
 
 
-def output_distance(system: LearningSystem, theta: Atom, anchor: Atom) -> float:
-    """Normalized Hamming distance between two hypotheses' output vectors."""
-    xs = system.x_set.elements
-    h = system.hypotheses.output
-    differing = sum(1 for x in xs if h(theta, x) != h(anchor, x))
-    return differing / len(xs)
-
-
-def selection_objective(data: Dataset, theta: Atom, system: LearningSystem) -> float:
-    """The quantity the system's algorithm minimizes for this data."""
+def selection_values(data: Dataset, system: LearningSystem) -> np.ndarray:
+    """What the system's algorithm minimizes on this data, for every θ."""
     algo = system.algorithm
-    if algo.kind == "erm":
-        return empirical_risk(data, theta, system)
-    penalty = algo.weight * output_distance(system, theta, algo.anchor)
-    if len(data) == 0:
-        return penalty
-    return empirical_risk(data, theta, system) + penalty
+    counts = data.counts(system.x_set, system.y_set) if len(data) else None
+    anchor = None if algo.kind == "erm" else system.theta_set.index(algo.anchor)
+    return objective_values(
+        system.codes, system.y_set, system.loss, counts,
+        anchor=anchor, penalty_weight=algo.weight,
+    )
 
 
 def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
@@ -287,21 +352,13 @@ def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
 
     Ties break toward the smallest parameter index in canonical order.
     With empty data a penalized algorithm returns its anchor; plain ERM
-    raises :class:`EmptyDataset`.
+    raises :class:`EmptyDataset`.  Pairs outside the system's sample
+    space raise :class:`UnknownElement`.
     """
-    algo = system.algorithm
-    if len(data) == 0:
-        if algo.kind == "penalized":
-            return algo.anchor
-        raise EmptyDataset("exact risk minimization needs data")
-    best_theta = None
-    best_value = math.inf
-    for theta in system.theta_set.elements:
-        value = selection_objective(data, theta, system)
-        if value < best_value:
-            best_value = value
-            best_theta = theta
-    return best_theta
+    if len(data) == 0 and system.algorithm.kind == "penalized":
+        return system.algorithm.anchor
+    values = selection_values(data, system)
+    return system.theta_set.elements[int(np.argmin(values))]
 
 
 def evaluate(system: LearningSystem, theta: Atom, x: Atom) -> Atom:
@@ -378,12 +435,31 @@ class AxiomReport:
         )
 
 
-def _dataset_atom_names(datasets: Sequence[Dataset]) -> tuple[str, ...]:
-    names = []
-    for i, d in enumerate(datasets):
-        name = f"d{i}"
-        names.append(name)
-    return tuple(names)
+def _goal_seeking(
+    theta_set: FiniteSet,
+    datasets: Sequence[Dataset],
+    select_fn: Callable[[Dataset], Atom],
+    objective_fn: Callable[[Dataset], np.ndarray],
+) -> tuple[dict[str, Atom], FiniteSystem, GoalSeekingSpec]:
+    """Selections, inductive relation and goal/seeking pair; dataset ``i`` is ``d<i>``."""
+    names = tuple(f"d{i}" for i in range(len(datasets)))
+    selected = {name: select_fn(d) for name, d in zip(names, datasets)}
+    inductive = FiniteSystem(
+        (FiniteSet("datasets", names), theta_set),
+        tuple(selected.items()),
+        ((0,), (1,)),
+    )
+    goal = {
+        (name, theta): value
+        for name, d in zip(names, datasets)
+        for theta, value in zip(theta_set.elements, objective_fn(d).tolist())
+    }
+    gs = GoalSeekingSpec(
+        FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
+        goal,
+        frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
+    )
+    return selected, inductive, gs
 
 
 def verify_decomposition(
@@ -393,13 +469,15 @@ def verify_decomposition(
     output_fn: Callable[[Atom, Atom], Atom],
     datasets: Sequence[Dataset],
     select_fn: Callable[[Dataset], Atom],
-    objective_fn: Callable[[Dataset, Atom], float],
+    objective_fn: Callable[[Dataset], np.ndarray],
     functional_system: FiniteSystem | None = None,
     inductive_system: FiniteSystem | None = None,
 ) -> AxiomReport:
     """Check that selection plus hypothesis lookup form one coherent relation.
 
-    Three checks run over the sampled datasets:
+    ``objective_fn`` gives the objective of every parameter, in the
+    canonical order of ``theta_set``, for one dataset.  Three checks run
+    over the sampled datasets:
 
     1. the composition of the inductive relation (data -> parameter)
        with the functional relation (parameter, input -> output) through
@@ -416,17 +494,9 @@ def verify_decomposition(
     """
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
-    names = _dataset_atom_names(datasets)
-    d_set = FiniteSet("datasets", names)
-    by_name = dict(zip(names, datasets))
-    selected = {name: select_fn(by_name[name]) for name in names}
-
+    selected, derived, gs = _goal_seeking(theta_set, datasets, select_fn, objective_fn)
     if inductive_system is None:
-        inductive_system = FiniteSystem(
-            (d_set, theta_set),
-            tuple((name, selected[name]) for name in names),
-            ((0,), (1,)),
-        )
+        inductive_system = derived
     if functional_system is None:
         functional_system = FiniteSystem(
             (theta_set, x_set, y_set),
@@ -440,42 +510,25 @@ def verify_decomposition(
 
     composed = cascade(inductive_system, functional_system, (1, 0))
     direct = frozenset(
-        (name, x, output_fn(selected[name], x))
-        for name in names
+        (name, x, output_fn(chosen, x))
+        for name, chosen in selected.items()
         for x in x_set.elements
     )
     cascade_violations = tuple(
         sorted(direct.symmetric_difference(composed.tuple_set), key=repr)
     )
-
-    goal: dict[tuple[Atom, ...], float] = {}
-    for name in names:
-        for theta in theta_set.elements:
-            goal[(name, theta)] = objective_fn(by_name[name], theta)
-    value_order: list[float] = []
-    for v in goal.values():
-        if v not in value_order:
-            value_order.append(v)
-    gs = GoalSeekingSpec(
-        FiniteSet("objective_values", tuple(value_order)),
-        goal,
-        frozenset(
-            (name, goal[(name, selected[name])], selected[name]) for name in names
-        ),
-    )
     seeking = check_goal_seeking(None, inductive_system, gs)
 
     optimality: list[tuple[Atom, ...]] = []
-    for name in names:
-        chosen = selected[name]
-        chosen_value = goal[(name, chosen)]
+    for (name, chosen), d in zip(selected.items(), datasets):
+        chosen_value = gs.goal[(name, chosen)]
         for theta in theta_set.elements:
-            if goal[(name, theta)] < chosen_value - 1e-12:
+            if gs.goal[(name, theta)] < chosen_value - 1e-12:
                 optimality.append((name, theta))
-        if select_fn(by_name[name]) != chosen:
+        if select_fn(d) != chosen:
             optimality.append((name, "nondeterministic"))
 
-    return AxiomReport(cascade_violations, seeking, tuple(optimality), names)
+    return AxiomReport(cascade_violations, seeking, tuple(optimality), tuple(selected))
 
 
 def verify_learning_axioms(
@@ -485,8 +538,6 @@ def verify_learning_axioms(
     inductive_system: FiniteSystem | None = None,
 ) -> AxiomReport:
     """Run the decomposition checks on a learning system directly."""
-    for d in sample_datasets:
-        d.validate_against(system.x_set, system.y_set)
     return verify_decomposition(
         system.x_set,
         system.y_set,
@@ -494,7 +545,7 @@ def verify_learning_axioms(
         system.hypotheses.output,
         sample_datasets,
         lambda d: run_algorithm(d, system),
-        lambda d, theta: selection_objective(d, theta, system),
+        lambda d: selection_values(d, system),
         functional_system=functional_system,
         inductive_system=inductive_system,
     )
@@ -510,28 +561,10 @@ def as_goal_seeking(
     (data, parameter) its selection objective, and seeking contains
     exactly the selections the algorithm makes.
     """
-    for d in sample_datasets:
-        d.validate_against(system.x_set, system.y_set)
-    names = _dataset_atom_names(sample_datasets)
-    by_name = dict(zip(names, sample_datasets))
-    selected = {name: run_algorithm(by_name[name], system) for name in names}
-    inductive = FiniteSystem(
-        (FiniteSet("datasets", names), system.theta_set),
-        tuple((name, selected[name]) for name in names),
-        ((0,), (1,)),
-    )
-    goal = {
-        (name, theta): selection_objective(by_name[name], theta, system)
-        for name in names
-        for theta in system.theta_set.elements
-    }
-    value_order: list[float] = []
-    for v in goal.values():
-        if v not in value_order:
-            value_order.append(v)
-    gs = GoalSeekingSpec(
-        FiniteSet("objective_values", tuple(value_order)),
-        goal,
-        frozenset((name, goal[(name, selected[name])], selected[name]) for name in names),
+    _, inductive, gs = _goal_seeking(
+        system.theta_set,
+        sample_datasets,
+        lambda d: run_algorithm(d, system),
+        lambda d: selection_values(d, system),
     )
     return inductive, gs

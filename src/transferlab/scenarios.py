@@ -12,7 +12,6 @@ range).  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 

@@ -399,7 +399,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
                 structural_edit=block.get("structural_edit"),
                 sample_sizes=tuple(block.get("sample_sizes", (40, 10))),
                 seed=int(block.get("seed", 0)),
-                hypothesis_cap=int(block.get("hypothesis_cap", 4096)),
+                hypothesis_cap=int(block.get("hypothesis_cap", ScenarioSpec.hypothesis_cap)),
             ),
             where,
         )
@@ -580,6 +580,8 @@ def document_dict(doc: SpecDocument) -> dict:
             "sample_sizes": list(sc.sample_sizes),
             "seed": sc.seed,
         }
+        if sc.hypothesis_cap != ScenarioSpec.hypothesis_cap:  # the default stays implicit
+            out["scenario"]["hypothesis_cap"] = sc.hypothesis_cap
         if "ladder" in (doc.raw.get("scenario") or {}):
             out["scenario"]["ladder"] = doc.raw["scenario"]["ladder"]
     if doc.analysis:

@@ -16,7 +16,6 @@ which keeps the search exhaustive yet small.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -27,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .learning import (
-    Dataset,
     EvaluationContext,
     LearningSystem,
     SystemPack,

@@ -2,26 +2,30 @@
 
 A transfer system carries knowledge selected from a source system
 (data instances, a trained parameter, or both) into the training of a
-target-facing hypothesis.  Four composition rules are built in:
+target-facing hypothesis.  Four composition rules are built in, each
+minimizing the objective of :mod:`transferlab.learning` for all
+transfer parameters at once (:func:`transfer_values`):
 
-* ``instance``: exact risk minimization on the pooled data;
-* ``parameter``: risk on target data penalized by distance to the
-  source-trained anchor (with no target data the anchor is returned);
-* ``instance_parameter``: the pooled variant of the penalized rule;
-* ``feature_representation``: data is mapped into a latent learning
-  system where selection happens, and answers are mapped back to the
-  target's output set.
+* ``instance``: risk on the target data pooled with the source
+  instances, weighted ``w``: ``(L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s)``;
+* ``parameter``: target risk plus ``λ·d(θ, a) / |X|``, the distance to
+  the source-trained anchor ``a`` (with no target data, ``a`` itself);
+* ``instance_parameter``: the pooled risk plus the same penalty;
+* ``feature_representation``: risk in a latent learning system on the
+  pairs mapped into it; answers are mapped back to the target's outputs.
 
-Every rule is an exact argmin of an explicit objective, so the claim
-that the result is itself a learning system is checkable by enumeration
-(:func:`verify_transfer_is_learning_system`).
+Values are exact and ties break toward the earliest parameter, so the
+claim that the result is itself a learning system is checkable by
+enumeration (:func:`verify_transfer_is_learning_system`).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -38,12 +42,9 @@ from .learning import (
     HypothesisClass,
     LearningSystem,
     SystemPack,
-    empirical_risk,
-    output_distance,
-    run_algorithm,
+    objective_values,
     verify_decomposition,
 )
-from .measures import total_variation
 from .relations import Atom, FiniteSet
 
 APPROACHES = ("instance", "parameter", "instance_parameter", "feature_representation")
@@ -218,9 +219,10 @@ class TransferSystem:
             if self.latent is None:
                 raise ValidationError("feature-representation transfer needs latent maps")
             self.latent.validate_against(self.source, self.target)
-            derived = _composite_hypotheses(self.latent, self.target)
             if self.hypotheses_tr is None:
-                object.__setattr__(self, "hypotheses_tr", derived)
+                object.__setattr__(
+                    self, "hypotheses_tr", _composite_hypotheses(self.latent, self.target)
+                )
         else:
             if self.latent is not None:
                 raise ValidationError(
@@ -234,11 +236,18 @@ class TransferSystem:
                     raise ValidationError(
                         f"anchor {anchor!r} does not index the transfer hypotheses"
                     )
-        self.hypotheses_tr.validate_against(self.target.x_set, self.target.y_set)
+        self.codes  # encoding validates the transfer table
 
     @property
     def theta_tr_set(self) -> FiniteSet:
         return self.hypotheses_tr.theta_set
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The transfer table encoded as ``H[θ, x]`` over the target's sets."""
+        if self.hypotheses_tr is self.target.hypotheses:
+            return self.target.codes
+        return self.hypotheses_tr.encode(self.target.x_set, self.target.y_set)
 
     def predict(self, theta_tr: Atom, x: Atom) -> Atom:
         if x not in self.target.x_set:
@@ -282,25 +291,6 @@ class TransferTrace:
     selected: Atom
 
 
-def _weighted_pool_objective(
-    ts: TransferSystem, target_data: Dataset, theta: Atom, pooled: Dataset
-) -> float:
-    counts_t: dict[tuple[Atom, Atom], int] = {}
-    for p in target_data.pairs:
-        counts_t[p] = counts_t.get(p, 0) + 1
-    counts_s: dict[tuple[Atom, Atom], int] = {}
-    for p in ts.knowledge.instances.pairs:
-        counts_s[p] = counts_s.get(p, 0) + 1
-    loss = ts.target.loss.loss
-    h = ts.hypotheses_tr.output
-    w = ts.pool_weight
-    num = math.fsum(
-        c * loss(y, h(theta, x)) for (x, y), c in counts_t.items()
-    ) + w * math.fsum(c * loss(y, h(theta, x)) for (x, y), c in counts_s.items())
-    denom = len(target_data) + w * len(ts.knowledge.instances)
-    return num / denom
-
-
 def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
     """Pooled data pushed through the latent pair maps."""
     spec = ts.latent
@@ -309,73 +299,50 @@ def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
     return Dataset(tuple(mapped), "latent")
 
 
-def transfer_objective(ts: TransferSystem, target_data: Dataset, theta: Atom) -> float:
-    """The quantity the transfer rule minimizes over its parameter set."""
-    if ts.approach == "instance":
+def transfer_values(
+    ts: TransferSystem, target_data: Dataset
+) -> tuple[np.ndarray, Dataset | None, Dataset | None]:
+    """The rule's objective over ``theta_tr_set``, and its pooled or latent data."""
+    if ts.approach == "feature_representation":
+        latent_d = latent_dataset(ts, target_data)
+        if len(latent_d) == 0:
+            raise EmptyDataset("feature-representation transfer needs mapped data")
+        lat = ts.latent.latent_system
+        counts = latent_d.counts(lat.x_set, lat.y_set)
+        return objective_values(lat.codes, lat.y_set, lat.loss, counts), None, latent_d
+
+    x_set, y_set = ts.target.x_set, ts.target.y_set
+    counts = target_data.counts(x_set, y_set)
+    pooled = source = anchor = None
+    if ts.approach != "parameter":
         pooled = pool_data(ts.knowledge, target_data, ts.target)
         if len(pooled) == 0:
-            raise EmptyDataset("instance transfer needs pooled data")
-        return _weighted_pool_objective(ts, target_data, theta, pooled)
-    if ts.approach == "parameter":
-        anchor = ts.knowledge.parameters[0]
-        penalized = LearningSystem(
-            ts.target.x_set,
-            ts.target.y_set,
-            ts.hypotheses_tr,
-            ts.target.loss,
-        )
-        penalty = ts.penalty_weight * output_distance(penalized, theta, anchor)
-        if len(target_data) == 0:
-            return penalty
-        return empirical_risk(target_data, theta, penalized) + penalty
-    if ts.approach == "instance_parameter":
-        pooled = pool_data(ts.knowledge, target_data, ts.target)
-        if len(pooled) == 0:
-            raise EmptyDataset("pooled penalized transfer needs data")
-        anchor = ts.knowledge.parameters[0]
-        penalized = LearningSystem(
-            ts.target.x_set, ts.target.y_set, ts.hypotheses_tr, ts.target.loss
-        )
-        penalty = ts.penalty_weight * output_distance(penalized, theta, anchor)
-        return _weighted_pool_objective(ts, target_data, theta, pooled) + penalty
-    # feature_representation
-    data = latent_dataset(ts, target_data)
-    if len(data) == 0:
-        raise EmptyDataset("feature-representation transfer needs mapped data")
-    return empirical_risk(data, theta, ts.latent.latent_system)
+            raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
+        source = ts.knowledge.instances.counts(x_set, y_set)
+    elif len(target_data) == 0:
+        counts = None  # zero-shot: the penalty alone
+    if ts.approach != "instance":
+        anchor = ts.theta_tr_set.index(ts.knowledge.parameters[0])
+    values = objective_values(
+        ts.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
+        anchor, ts.penalty_weight,
+    )
+    return values, pooled, None
 
 
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
     """Execute the transfer rule and trace every intermediate artifact."""
     target_data.validate_against(ts.target.x_set, ts.target.y_set)
     n = len(target_data)
-    zero_shot = n == 0
-    pooled = None
-    latent_d = None
-
-    if ts.approach == "parameter" and zero_shot:
+    if ts.approach == "parameter" and n == 0:
         anchor = ts.knowledge.parameters[0]
-        trace = TransferTrace(ts.approach, 0, True, None, None, {}, anchor)
-        return anchor, trace
+        return anchor, TransferTrace(ts.approach, 0, True, None, None, {}, anchor)
 
-    if ts.approach in ("instance", "instance_parameter"):
-        pooled = pool_data(ts.knowledge, target_data, ts.target)
-        if len(pooled) == 0:
-            raise EmptyDataset("no data to pool")
-    if ts.approach == "feature_representation":
-        latent_d = latent_dataset(ts, target_data)
-        if len(latent_d) == 0:
-            raise EmptyDataset("no data reaches the latent system")
-
-    objective = {
-        theta: transfer_objective(ts, target_data, theta)
-        for theta in ts.theta_tr_set.elements
-    }
-    selected = min(
-        ts.theta_tr_set.elements,
-        key=lambda t: (objective[t], ts.theta_tr_set.index(t)),
-    )
-    trace = TransferTrace(ts.approach, n, zero_shot, pooled, latent_d, objective, selected)
+    values, pooled, latent_d = transfer_values(ts, target_data)
+    thetas = ts.theta_tr_set.elements
+    selected = thetas[int(np.argmin(values))]
+    objective = dict(zip(thetas, values.tolist()))
+    trace = TransferTrace(ts.approach, n, n == 0, pooled, latent_d, objective, selected)
     return selected, trace
 
 
@@ -512,8 +479,6 @@ def verify_transfer_is_learning_system(
             raise CapExceeded(f"{label} carrier exceeds cap {cap}")
     if len(target_datasets) > cap:
         raise CapExceeded(f"more than {cap} sampled datasets")
-    for d in target_datasets:
-        d.validate_against(ts.target.x_set, ts.target.y_set)
     return verify_decomposition(
         ts.target.x_set,
         ts.target.y_set,
@@ -521,7 +486,7 @@ def verify_transfer_is_learning_system(
         ts.hypotheses_tr.output,
         target_datasets,
         lambda d: run_transfer(ts, d)[0],
-        lambda d, theta: transfer_objective(ts, d, theta),
+        lambda d: transfer_values(ts, d)[0],
         functional_system=functional_system,
         inductive_system=inductive_system,
     )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from transferlab.errors import EmptyDataset
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
@@ -12,6 +15,7 @@ from transferlab.learning import (
     LossSpec,
 )
 from transferlab.relations import FiniteSet, FiniteSystem
+from transferlab.transfer import latent_dataset, pool_data
 
 
 def io_system(pairs, x_name="X", y_name="Y", xs=None, ys=None) -> FiniteSystem:
@@ -72,3 +76,89 @@ def random_dataset(rng: np.random.Generator, system: LearningSystem, n: int, tag
         (xs[int(rng.integers(len(xs)))], ys[int(rng.integers(len(ys)))]) for _ in range(n)
     )
     return Dataset(pairs, tag)
+
+
+# -- scalar oracle --------------------------------------------------------------
+# One θ at a time, the way the objective was first written: the dense core
+# in transferlab.learning must reproduce these values bit for bit.
+
+def pair_counts(pairs):
+    counts = {}
+    for p in pairs:
+        counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def scalar_risk(data, theta, system):
+    """Mean loss of one hypothesis, summed with ``math.fsum`` over distinct pairs."""
+    if len(data) == 0:
+        raise EmptyDataset("empirical risk needs at least one pair")
+    loss = system.loss.loss
+    h = system.hypotheses.output
+    total = math.fsum(c * loss(y, h(theta, x)) for (x, y), c in pair_counts(data.pairs).items())
+    return total / len(data)
+
+
+def output_distance(system, theta, anchor):
+    """Normalized Hamming distance between two hypotheses' output vectors."""
+    xs = system.x_set.elements
+    h = system.hypotheses.output
+    differing = sum(1 for x in xs if h(theta, x) != h(anchor, x))
+    return differing / len(xs)
+
+
+def selection_objective(data, theta, system):
+    """The quantity the system's algorithm minimizes for this data."""
+    algo = system.algorithm
+    if algo.kind == "erm":
+        return scalar_risk(data, theta, system)
+    penalty = algo.weight * output_distance(system, theta, algo.anchor)
+    if len(data) == 0:
+        return penalty
+    return scalar_risk(data, theta, system) + penalty
+
+
+def _weighted_pool_objective(ts, target_data, theta):
+    loss = ts.target.loss.loss
+    h = ts.hypotheses_tr.output
+    w = ts.pool_weight
+    counts_t = pair_counts(target_data.pairs)
+    counts_s = pair_counts(ts.knowledge.instances.pairs)
+    num = math.fsum(c * loss(y, h(theta, x)) for (x, y), c in counts_t.items()) + w * math.fsum(
+        c * loss(y, h(theta, x)) for (x, y), c in counts_s.items()
+    )
+    return num / (len(target_data) + w * len(ts.knowledge.instances))
+
+
+def transfer_objective(ts, target_data, theta):
+    """The quantity the transfer rule minimizes over its parameter set."""
+    penalized = LearningSystem(ts.target.x_set, ts.target.y_set, ts.hypotheses_tr, ts.target.loss)
+    if ts.approach in ("instance", "instance_parameter"):
+        pooled = pool_data(ts.knowledge, target_data, ts.target)
+        if len(pooled) == 0:
+            raise EmptyDataset("pooled transfer needs data")
+        value = _weighted_pool_objective(ts, target_data, theta)
+        if ts.approach == "instance":
+            return value
+        return value + ts.penalty_weight * output_distance(
+            penalized, theta, ts.knowledge.parameters[0]
+        )
+    if ts.approach == "parameter":
+        penalty = ts.penalty_weight * output_distance(penalized, theta, ts.knowledge.parameters[0])
+        if len(target_data) == 0:
+            return penalty
+        return scalar_risk(target_data, theta, penalized) + penalty
+    data = latent_dataset(ts, target_data)
+    if len(data) == 0:
+        raise EmptyDataset("feature-representation transfer needs mapped data")
+    return scalar_risk(data, theta, ts.latent.latent_system)
+
+
+def scalar_argmin(thetas, objective):
+    """The first θ in canonical order with the least objective value."""
+    best_theta, best_value = None, math.inf
+    for theta in thetas:
+        value = objective(theta)
+        if value < best_value:
+            best_theta, best_value = theta, value
+    return best_theta

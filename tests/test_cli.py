@@ -1,0 +1,80 @@
+"""Golden tests of the command-line front end, run in-process."""
+
+import json
+
+import pytest
+
+from transferlab import cli
+from transferlab.evaluation import transferability
+from transferlab.learning import EvaluationContext
+from transferlab.specio import load_document
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def emit(tmp_path, scenario):
+    """Emit one pair document from a scenario block; return its path and JSON."""
+    spec = write_json(tmp_path / "spec.json", {"version": 1, "scenario": scenario})
+    out_dir = tmp_path / "emit"
+    rc = cli.main(["scenario", spec, "--emit", str(out_dir), "--out", str(tmp_path / "s.json")])
+    assert rc == cli.EXIT_OK
+    path = out_dir / "pair_00.json"
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+SMALL = {"grid_size": 3, "label_count": 2, "posterior_flip": 0.2, "seed": 4}
+
+
+@pytest.mark.parametrize("epsilon_star", ["target-alone", 0.5])
+def test_transferability_report_passes_threshold_through(tmp_path, epsilon_star):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["transferability"] = {
+        "pack": "target", "universe": ["source", "target"], "role": "target",
+        "seeds": 2, "epsilon_star": epsilon_star,
+    }
+    write_json(path, doc)
+    out = tmp_path / "report.json"
+    rc = cli.main(["analyze", str(path), "--kind", "transferability", "--seed", "3",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert results["criterion"]["epsilon_star"] == epsilon_star
+
+    loaded = load_document(str(path))
+    target = loaded.packs["target"]
+    direct = transferability(
+        target, [loaded.packs["source"], target], role="target",
+        ctx=EvaluationContext(target.truth, 0.0 if epsilon_star == "target-alone" else 0.5),
+        seeds=2, root_seed=3, epsilon_star=epsilon_star,
+    )
+    assert results == cli._jsonable(direct)
+
+
+@pytest.mark.parametrize("epsilon_star", ["half", None])
+def test_transferability_rejects_non_numeric_threshold(tmp_path, epsilon_star):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["transferability"] = {
+        "pack": "target", "universe": ["target"], "epsilon_star": epsilon_star,
+    }
+    write_json(path, doc)
+    rc = cli.main(["analyze", str(path), "--kind", "transferability",
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == cli.EXIT_ANALYSIS
+
+
+def test_emission_above_default_cap_revalidates(tmp_path):
+    # 17^3 = 4913 hypotheses: above the parser's default cap of 4096.
+    path, doc = emit(tmp_path, {"grid_size": 3, "label_count": 17, "hypothesis_cap": 4913})
+    assert doc["scenario"]["hypothesis_cap"] == 4913
+    rc = cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")])
+    assert rc == cli.EXIT_OK
+
+
+def test_default_cap_emission_has_no_cap_key(tmp_path):
+    path, doc = emit(tmp_path, SMALL)
+    assert "hypothesis_cap" not in doc["scenario"]
+    rc = cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")])
+    assert rc == cli.EXIT_OK

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_dataset, random_learning_system
-from transferlab.errors import EmptyDataset, UnknownElement
+from helpers import random_dataset, random_learning_system, selection_objective
+from transferlab.errors import EmptyDataset, UnknownElement, ValidationError
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
@@ -18,7 +18,6 @@ from transferlab.learning import (
     full_function_class,
     generalization_error,
     run_algorithm,
-    selection_objective,
     verify_learning_axioms,
 )
 from transferlab.measures import EmpiricalMeasure
@@ -93,6 +92,11 @@ class TestRunAlgorithm:
         with pytest.raises(EmptyDataset):
             run_algorithm(Dataset(()), two_theta_system())
 
+    @pytest.mark.parametrize("pair", [("x0", 5), ("zz", 0)])
+    def test_pair_outside_sample_space_raises(self, pair):
+        with pytest.raises(UnknownElement):
+            run_algorithm(Dataset((pair,)), two_theta_system())
+
     def test_penalized_pulls_toward_anchor(self):
         base = two_theta_system()
         sys = LearningSystem(
@@ -102,6 +106,27 @@ class TestRunAlgorithm:
         d = Dataset((("x0", 0),))  # plain risk prefers t0, heavy penalty overrides
         assert run_algorithm(d, base) != run_algorithm(d, sys)
         assert run_algorithm(d, sys) == "t1"
+
+
+class TestEncoding:
+    def test_codes_index_outputs(self):
+        assert two_theta_system().codes.tolist() == [[0, 1, 0], [1, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [(("t1", "x1", 7), UnknownElement), (("t1", "x1", None), ValidationError)],
+    )
+    def test_first_defect_in_canonical_order_raises(self, entry, error):
+        base = two_theta_system()
+        table = dict(base.hypotheses.table)
+        theta, x, y = entry
+        if y is None:
+            del table[(theta, x)]
+        else:
+            table[(theta, x)] = y
+        del table[("t1", "x2")]  # a later defect that must not be the one reported
+        with pytest.raises(error, match=repr(x) if y is None else repr(y)):
+            LearningSystem(base.x_set, base.y_set, HypothesisClass(base.theta_set, table))
 
 
 class TestEvaluate:
