@@ -78,6 +78,15 @@ def _pack(doc: SpecDocument, config: dict, key: str):
     return doc.packs[name]
 
 
+def _number(config: dict, key: str, kind: type, default: Any = None) -> Any:
+    """``kind(config[key])``, ``default`` when absent; a value it rejects exits 5."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise AnalysisError(f"analysis config {key!r}: {value!r} is not {kind.__name__}") from None
+
+
 def _universe(doc: SpecDocument, config: dict):
     names = config.get("universe")
     if not names:
@@ -152,7 +161,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
             _pack(doc, config, "source"),
             _pack(doc, config, "target"),
             ts,
-            seeds=int(config.get("seeds", 1)),
+            seeds=_number(config, "seeds", int, 1),
             root_key=(seed,),
             resample=bool(config.get("resample", True)),
         )
@@ -171,7 +180,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
             ctx=EvaluationContext(pack.truth or {}, float(epsilon_star) if numeric else 0.0),
             mode=config.get("mode", "empirical"),
             approach=config.get("approach", "instance"),
-            seeds=int(config.get("seeds", 10)),
+            seeds=_number(config, "seeds", int, 10),
             root_seed=seed,
             epsilon_star=config.get("epsilon_star"),
             equivalence_mode=config.get("equivalence_mode", "raw"),
@@ -185,9 +194,9 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         report = is_generalist(
             pack,
             _universe(doc, config),
-            n=int(config.get("shots", 1)),
-            t=int(config.get("required", 1)),
-            ctx=EvaluationContext(pack.truth or {}, float(config.get("epsilon_star", 0.5))),
+            n=_number(config, "shots", int, 1),
+            t=_number(config, "required", int, 1),
+            ctx=EvaluationContext(pack.truth or {}, _number(config, "epsilon_star", float, 0.5)),
             approach=config.get("approach", "instance"),
         )
         return _jsonable(report)
@@ -218,15 +227,14 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         report = homomorphic_structures(
             truth_graph(source),
             truth_graph(target),
-            size_bound=int(config.get("size_bound", 3)),
+            size_bound=_number(config, "size_bound", int, 3),
         )
         report = valid_structures(report, target.system.y_set)
-        epsilon_star = config.get("epsilon_star")
-        if epsilon_star is not None and target.truth is not None:
+        if config.get("epsilon_star") is not None and target.truth is not None:
             report = useful_structures(
                 report,
                 feature_runner(source, target),
-                EvaluationContext(target.truth, float(epsilon_star)),
+                EvaluationContext(target.truth, _number(config, "epsilon_star", float)),
             )
         return {
             "candidates": len(report.candidates),
@@ -319,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("path", help="document to read")
     common.add_argument("--strict", action="store_true", help="reject unknown fields")
-    common.add_argument("--seed", type=int, default=0, help="root seed for seeded analyses")
+    common.add_argument("--seed", type=int, help="root seed (default: 0, or the scenario's own)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument(
         "--tolerance", type=float, default=1e-9, help="measure-equality tolerance"
@@ -381,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "analyze":
         try:
-            results = _run_analysis(doc, args.kind, args.seed, args.tolerance)
+            results = _run_analysis(doc, args.kind, args.seed or 0, args.tolerance)
         except TransferLabError as exc:
             print(f"analysis error ({args.kind}): {exc}", file=sys.stderr)
             return EXIT_ANALYSIS
@@ -390,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             "inputs_digest": document_digest(doc),
             "results": results,
             "provenance": {
-                "seed": args.seed,
+                "seed": args.seed or 0,
                 "tolerance": args.tolerance,
                 "version": __version__,
                 "tags": ["probabilities=declared-or-estimated", "order=canonical"],
@@ -404,9 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         emitted = []
         out_dir = Path(args.emit)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for index, (alpha, spec) in enumerate(
-            _scenario_documents(doc, args.seed if args.seed != 0 else None)
-        ):
+        for index, (alpha, spec) in enumerate(_scenario_documents(doc, args.seed)):
             pair_doc = _pair_document(spec)
             path = out_dir / f"pair_{index:02d}.json"
             path.write_text(dump_document(pair_doc), encoding="utf-8")

@@ -2,8 +2,10 @@
 
 A learning system couples a finite hypothesis table with an algorithm
 that selects a parameter from data by exact exhaustive minimization of
-an objective.  Learning and every transfer rule minimize one formula,
-scored for all parameters at once by :func:`objective_values`::
+an objective.  The table, the functional relation Θ × X → Y, is stored
+as one row of outputs per θ over a column order of inputs.  Learning and
+every transfer rule minimize one formula, scored for all parameters at
+once by :func:`objective_values`::
 
     (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
 
@@ -102,26 +104,67 @@ class LossSpec:
 
 ZERO_ONE = LossSpec("zero_one")
 SQUARED = LossSpec("squared")
+_MISSING = object()  # a cell the (θ, x) mapping a class was built from leaves out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypothesisClass:
-    """A total table mapping (parameter, input) to an output."""
+    """The functional relation Θ × X → Y: ``rows[θ]`` lists θ's outputs over ``columns``.
+
+    Built from rows (``columns=xs, rows=...``) or from a ``(θ, x) → y``
+    ``table``, converted to rows once; cells a table leaves out stay
+    undefined, and :meth:`encode` refuses a table that is not total.
+    """
 
     theta_set: FiniteSet
-    table: Mapping[tuple[Atom, Atom], Atom]
+    columns: tuple[Atom, ...]
+    rows: dict[Atom, tuple[Atom, ...]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", dict(self.table))
+    def __init__(
+        self, theta_set: FiniteSet, table: Mapping[tuple[Atom, Atom], Atom] | None = None, *,
+        columns: Sequence[Atom] = (), rows: Mapping[Atom, Sequence[Atom]] | None = None,
+    ) -> None:
+        columns = tuple(dict.fromkeys(x for _, x in table) if table is not None else columns)
+        position = {x: i for i, x in enumerate(columns)}
+        if table is not None:
+            rows = {}
+            for (theta, x), y in table.items():
+                rows.setdefault(theta, [_MISSING] * len(columns))[position[x]] = y
+        object.__setattr__(self, "theta_set", theta_set)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", {theta: tuple(row) for theta, row in rows.items()})
+        object.__setattr__(self, "_position", position)
+        for theta, row in self.rows.items():
+            if len(row) != len(columns):
+                raise ValidationError(f"row for {theta!r} must align with {len(columns)} columns")
+
+    @property
+    def table(self) -> dict[tuple[Atom, Atom], Atom]:
+        """The defined cells as a ``(θ, x) → y`` mapping, built on each call."""
+        cells = ((t, x, y) for t, row in self.rows.items() for x, y in zip(self.columns, row))
+        return {(theta, x): y for theta, x, y in cells if y is not _MISSING}
+
+    def _cell(self, theta: Atom, x: Atom) -> Atom:
+        try:
+            return self.rows[theta][self._position[x]]
+        except KeyError:
+            return _MISSING
 
     def output(self, theta: Atom, x: Atom) -> Atom:
-        try:
-            return self.table[(theta, x)]
-        except KeyError:
-            raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
+        if (y := self._cell(theta, x)) is _MISSING:
+            raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}")
+        return y
 
     def output_vector(self, theta: Atom, xs: Sequence[Atom]) -> tuple[Atom, ...]:
         return tuple(self.output(theta, x) for x in xs)
+
+    def rows_over(self, xs: Sequence[Atom]) -> list[tuple[Atom, ...]]:
+        """Each θ's outputs over ``xs``, θ canonical, cells unchecked; ``KeyError`` if absent."""
+        rows = [self.rows[theta] for theta in self.theta_set.elements]
+        if tuple(xs) == self.columns:
+            return rows
+        picks = [self._position[x] for x in xs]
+        return [tuple(row[i] for i in picks) for row in rows]
 
     def encode(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
         """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical.
@@ -129,19 +172,19 @@ class HypothesisClass:
         The table must be total on Θ × X with every output in ``y_set``;
         the first entry in canonical order that is not raises.
         """
-        table, y_index = self.table, y_set._index
         thetas, xs = self.theta_set.elements, x_set.elements
+        dtype = np.min_scalar_type(len(y_set) - 1)
         try:
-            flat = [y_index[table[(theta, x)]] for theta in thetas for x in xs]
+            cells = itertools.chain.from_iterable(self.rows_over(xs))
+            flat = np.fromiter(map(y_set._index.__getitem__, cells), dtype, len(thetas) * len(xs))
         except KeyError:
             for key in itertools.product(thetas, xs):
-                if key not in table:
+                if (y := self._cell(*key)) is _MISSING:
                     raise ValidationError(f"hypothesis table is not total: missing {key!r}")
-                if (y := table[key]) not in y_set:
+                if y not in y_set:
                     raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
             raise
-        dtype = np.min_scalar_type(len(y_set) - 1)
-        return np.array(flat, dtype=dtype).reshape(len(thetas), len(xs))
+        return flat.reshape(len(thetas), len(xs))
 
 
 def full_function_class(
@@ -157,14 +200,9 @@ def full_function_class(
             f"{count} functions from {x_set.name} to {y_set.name} exceed cap {max_size}"
         )
     width = max(len(str(count - 1)), 1)
-    names = []
-    table: dict[tuple[Atom, Atom], Atom] = {}
-    for i, outputs in enumerate(itertools.product(y_set.elements, repeat=len(x_set))):
-        name = f"{prefix}{i:0{width}d}"
-        names.append(name)
-        for x, y in zip(x_set.elements, outputs):
-            table[(name, x)] = y
-    return HypothesisClass(FiniteSet(f"{prefix}_params", tuple(names)), table)
+    names = tuple(f"{prefix}{i:0{width}d}" for i in range(count))
+    rows = dict(zip(names, itertools.product(y_set.elements, repeat=len(x_set))))
+    return HypothesisClass(FiniteSet(f"{prefix}_params", names), columns=x_set.elements, rows=rows)
 
 
 @dataclass(frozen=True)

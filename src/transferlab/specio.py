@@ -133,7 +133,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
     def construct(builder, where: str):
         try:
             return builder()
-        except (ParseError, ResolutionError):
+        except (ParseError, ResolutionError, InvariantViolation):
             raise
         except UnknownElement as exc:
             raise ResolutionError(f"{where}: {exc}") from exc
@@ -232,17 +232,11 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             x_set = _ref(doc.sets, block["inputs"], where)
             y_set = _ref(doc.sets, block["outputs"], where)
             thetas = FiniteSet(f"{where}.thetas", tuple(block["thetas"]))
-            table = {}
+            table = block["table"]
             for theta in thetas.elements:
-                if theta not in block["table"]:
+                if theta not in table:
                     raise InvariantViolation(f"{where}: no table row for {theta!r}")
-                row = block["table"][theta]
-                if len(row) != len(x_set):
-                    raise InvariantViolation(
-                        f"{where}: row for {theta!r} must align with {x_set.name!r}"
-                    )
-                for x, y in zip(x_set.elements, row):
-                    table[(theta, x)] = y
+            rows = {theta: table[theta] for theta in thetas.elements}
             algo_block = block.get("algorithm") or {"kind": "erm"}
             algorithm = AlgorithmSpec(
                 algo_block.get("kind", "erm"),
@@ -252,7 +246,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             return LearningSystem(
                 x_set,
                 y_set,
-                HypothesisClass(thetas, table),
+                HypothesisClass(thetas, columns=x_set.elements, rows=rows),
                 LossSpec(block.get("loss", "zero_one")),
                 algorithm,
             )
@@ -512,10 +506,10 @@ def document_dict(doc: SpecDocument) -> dict:
                 "outputs": sys_.y_set.name,
                 "thetas": list(sys_.theta_set.elements),
                 "table": {
-                    theta: [
-                        sys_.hypotheses.output(theta, x) for x in sys_.x_set.elements
-                    ]
-                    for theta in sys_.theta_set.elements
+                    theta: list(row)
+                    for theta, row in zip(
+                        sys_.theta_set.elements, sys_.hypotheses.rows_over(sys_.x_set.elements)
+                    )
                 },
                 "loss": sys_.loss.kind,
                 "algorithm": algo,

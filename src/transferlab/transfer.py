@@ -162,13 +162,11 @@ def _composite_hypotheses(
     latent: FeatureRepSpec, target: LearningSystem
 ) -> HypothesisClass:
     """The target-facing table induced by the latent system and its maps."""
-    table: dict[tuple[Atom, Atom], Atom] = {}
-    lat = latent.latent_system
-    for theta in lat.theta_set.elements:
-        for x in target.x_set.elements:
-            latent_y = lat.hypotheses.output(theta, latent.input_map[x])
-            table[(theta, x)] = latent.output_map[latent_y]
-    return HypothesisClass(lat.theta_set, table)
+    lat = latent.latent_system.hypotheses
+    latent_rows = lat.rows_over([latent.input_map[x] for x in target.x_set.elements])
+    rows = ([latent.output_map[y] for y in row] for row in latent_rows)
+    rows = dict(zip(lat.theta_set.elements, rows))
+    return HypothesisClass(lat.theta_set, columns=target.x_set.elements, rows=rows)
 
 
 @dataclass(frozen=True)

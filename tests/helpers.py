@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from transferlab.errors import EmptyDataset
+from transferlab.errors import EmptyDataset, UnknownElement, ValidationError
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
@@ -162,3 +163,38 @@ def scalar_argmin(thetas, objective):
         if value < best_value:
             best_theta, best_value = theta, value
     return best_theta
+
+
+# -- dict-backed hypothesis table oracle ------------------------------------------
+# The hypothesis class as first written, one dict entry per (θ, x) cell:
+# the row-backed HypothesisClass must give the same cells, outputs, codes
+# and errors.
+
+class DictHypothesisClass:
+    def __init__(self, theta_set, table):
+        self.theta_set = theta_set
+        self.table = dict(table)
+
+    def output(self, theta, x):
+        try:
+            return self.table[(theta, x)]
+        except KeyError:
+            raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
+
+    def output_vector(self, theta, xs):
+        return tuple(self.output(theta, x) for x in xs)
+
+    def encode(self, x_set, y_set):
+        table, y_index = self.table, y_set._index
+        thetas, xs = self.theta_set.elements, x_set.elements
+        try:
+            flat = [y_index[table[(theta, x)]] for theta in thetas for x in xs]
+        except KeyError:
+            for key in itertools.product(thetas, xs):
+                if key not in table:
+                    raise ValidationError(f"hypothesis table is not total: missing {key!r}")
+                if (y := table[key]) not in y_set:
+                    raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
+            raise
+        dtype = np.min_scalar_type(len(y_set) - 1)
+        return np.array(flat, dtype=dtype).reshape(len(thetas), len(xs))

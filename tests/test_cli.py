@@ -78,3 +78,50 @@ def test_default_cap_emission_has_no_cap_key(tmp_path):
     assert "hypothesis_cap" not in doc["scenario"]
     rc = cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")])
     assert rc == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("flags, seed", [(["--seed", "0"], 0), (["--seed", "3"], 3), ([], 7)])
+def test_scenario_seed_flag_overrides_the_document_seed(tmp_path, flags, seed):
+    spec = write_json(tmp_path / "spec.json", {"version": 1, "scenario": {**SMALL, "seed": 7}})
+    out_dir = tmp_path / "emit"
+    argv = ["scenario", spec, "--emit", str(out_dir), "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv + flags) == cli.EXIT_OK
+    doc = json.loads((out_dir / "pair_00.json").read_text(encoding="utf-8"))
+    assert doc["scenario"]["seed"] == seed
+
+
+def test_analyze_without_seed_flag_runs_with_seed_zero(tmp_path):
+    path, _ = emit(tmp_path, SMALL)
+    reports = []
+    for flags in ([], ["--seed", "0"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        argv = ["analyze", str(path), "--kind", "negative", "--out", str(out)]
+        assert cli.main(argv + flags) == cli.EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["provenance"]["seed"] == 0
+
+
+PACKS = {"source": "source", "target": "target"}
+UNIVERSE = {"pack": "target", "universe": ["source", "target"]}
+
+
+@pytest.mark.parametrize(
+    "kind, config, key",
+    [
+        ("negative", {**PACKS, "system": "tr"}, "seeds"),
+        ("transferability", UNIVERSE, "seeds"),
+        ("generalist", UNIVERSE, "shots"),
+        ("generalist", UNIVERSE, "required"),
+        ("generalist", UNIVERSE, "epsilon_star"),
+        ("structures", PACKS, "size_bound"),
+        ("structures", PACKS, "epsilon_star"),
+    ],
+)
+def test_unreadable_config_number_exits_analysis_error(tmp_path, capsys, kind, config, key):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**config, key: "many"}
+    write_json(path, doc)
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert f"analysis config {key!r}: 'many'" in capsys.readouterr().err

@@ -1,0 +1,108 @@
+"""Row-built and mapping-built hypothesis classes against the dict oracle.
+
+On random tables (|X| <= 4, |Y| <= 3) that may be non-total, hold outputs
+outside Y (one of them unhashable) and list their inputs in an order other
+than the system's X, a class built from rows, one built from the
+equivalent (θ, x) mapping and ``helpers.DictHypothesisClass`` must give
+the same ``table``, ``output``, ``output_vector`` and codes, and raise the
+same errors.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import DictHypothesisClass
+from transferlab.errors import ValidationError
+from transferlab.learning import HypothesisClass, LearningSystem
+from transferlab.relations import FiniteSet
+
+XS = ("a", "b", "c", "d")
+THETAS = ("t0", "t1", "t2")
+EXTRA_X, EXTRA_THETA = "e", "t9"
+SETTINGS = settings(max_examples=200)
+
+
+def outcome(fn):
+    """The repr of what ``fn`` returns, or the class and message of its error.
+
+    Reprs keep ``True`` and ``1.0`` apart from ``1``, which compare equal.
+    """
+    try:
+        value = fn()
+    except Exception as exc:  # the error class and message are what get compared
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.tolist()
+    return repr(value)
+
+
+def behaviour(hc, x_set, y_set):
+    probe_thetas = THETAS + (EXTRA_THETA,)
+    probe_xs = XS + (EXTRA_X,)
+    return {
+        "table": sorted(map(repr, hc.table.items())),
+        "output": [outcome(lambda: hc.output(t, x)) for t in probe_thetas for x in probe_xs],
+        "output_vector": [
+            outcome(lambda: hc.output_vector(t, x_set.elements)) for t in probe_thetas
+        ],
+        "encode": outcome(lambda: hc.encode(x_set, y_set)),
+    }
+
+
+@st.composite
+def spaces(draw):
+    x_set = FiniteSet("X", XS[: draw(st.integers(1, 4))])
+    y_set = FiniteSet("Y", tuple(range(draw(st.integers(1, 3)))))
+    theta_set = FiniteSet("T", THETAS[: draw(st.integers(1, 3))])
+    return theta_set, x_set, y_set
+
+
+def outputs(y_set):
+    """Mostly labels of Y; sometimes an outside value, an equal float or bool, or a list."""
+    return st.one_of(
+        st.sampled_from(y_set.elements),
+        st.sampled_from(y_set.elements),
+        st.sampled_from((9, "z", True, 0.0, [0])),
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_mapping_built_class_matches_dict_oracle(data):
+    theta_set, x_set, y_set = data.draw(spaces())
+    thetas, xs = theta_set.elements + (EXTRA_THETA,), x_set.elements + (EXTRA_X,)
+    cells = [(t, x) for t in thetas for x in xs]
+    keys = data.draw(st.permutations(cells))[: data.draw(st.integers(0, len(cells)))]
+    table = {key: data.draw(outputs(y_set)) for key in keys}
+
+    oracle = behaviour(DictHypothesisClass(theta_set, table), x_set, y_set)
+    assert behaviour(HypothesisClass(theta_set, table), x_set, y_set) == oracle
+
+
+@SETTINGS
+@given(st.data())
+def test_row_built_class_matches_mapping_built(data):
+    theta_set, x_set, y_set = data.draw(spaces())
+    columns = data.draw(st.permutations(x_set.elements + (EXTRA_X,)))
+    columns = columns[: data.draw(st.integers(0, len(columns)))]
+    row_thetas = data.draw(st.permutations(theta_set.elements + (EXTRA_THETA,)))
+    row_thetas = row_thetas[: data.draw(st.integers(0, len(row_thetas)))]
+    rows = {t: [data.draw(outputs(y_set)) for _ in columns] for t in row_thetas}
+    table = {(t, x): y for t, row in rows.items() for x, y in zip(columns, row)}
+
+    from_rows = HypothesisClass(theta_set, columns=columns, rows=rows)
+    expected = behaviour(DictHypothesisClass(theta_set, table), x_set, y_set)
+    assert behaviour(from_rows, x_set, y_set) == expected
+    assert behaviour(HypothesisClass(theta_set, table), x_set, y_set) == expected
+    codes = [
+        outcome(lambda: LearningSystem(x_set, y_set, hc).codes)
+        for hc in (from_rows, HypothesisClass(theta_set, table))
+    ]
+    assert codes[0] == codes[1] == expected["encode"]
+
+
+def test_rows_must_align_with_columns():
+    with pytest.raises(ValidationError, match="must align"):
+        HypothesisClass(FiniteSet("T", ("t0",)), columns=("a", "b"), rows={"t0": (0,)})

@@ -1,0 +1,98 @@
+"""The document format: emitted documents round-trip, malformed tables refuse.
+
+Emission goes through the ``scenario`` verb, as a user's does.  A table
+row is parsed as a whole, so the exit code of each malformed table (and
+the single ``learning.<name>:`` prefix of its message) is pinned here.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transferlab import cli
+from transferlab.specio import document_digest, dump_document, load_document, parse_document
+
+scenario_blocks = st.fixed_dictionaries(
+    {
+        "grid_size": st.integers(2, 5),
+        "label_count": st.integers(2, 3),
+        "marginal_shift": st.sampled_from((0.0, 0.25, 1.0)),
+        "posterior_flip": st.sampled_from((0.0, 0.1, 0.5)),
+        "structural_edit": st.sampled_from((None, "truncate_output")),
+        "seed": st.integers(0, 2**31),
+    }
+)
+
+
+def emit(directory, scenario, *flags):
+    """Run the scenario verb on ``scenario``; return the emitted documents' paths."""
+    spec = Path(directory) / "spec.json"
+    spec.write_text(json.dumps({"version": 1, "scenario": scenario}), encoding="utf-8")
+    out_dir = Path(directory) / "emit"
+    argv = ["scenario", str(spec), "--emit", str(out_dir), "--out", str(Path(directory) / "s.json")]
+    assert cli.main(argv + list(flags)) == cli.EXIT_OK
+    return sorted(out_dir.glob("pair_*.json"))
+
+
+@settings(max_examples=25)
+@given(scenario_blocks)
+def test_emitted_document_round_trips_byte_for_byte(scenario):
+    with tempfile.TemporaryDirectory() as directory:
+        (path,) = emit(directory, scenario)
+        text = path.read_text(encoding="utf-8")
+        doc = load_document(str(path))
+        assert dump_document(doc) == text
+        digest = document_digest(doc)
+        assert document_digest(load_document(str(path))) == digest
+        assert document_digest(parse_document(dump_document(doc))) == digest
+
+
+def test_outputs_equal_to_labels_are_emitted_as_written(tmp_path):
+    (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    table = doc["learning"]["source_system"]["table"]
+    theta = doc["learning"]["source_system"]["thetas"][0]
+    table[theta] = [True, 1.0, 0.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    dumped = json.loads(dump_document(load_document(str(path))))
+    assert repr(dumped["learning"]["source_system"]["table"][theta]) == "[True, 1.0, 0.0]"
+
+
+def break_missing_row(table, theta):
+    del table[theta]
+
+
+def break_short_row(table, theta):
+    table[theta].pop()
+
+
+def break_output_outside_y(table, theta):
+    table[theta][0] = 7
+
+
+def break_unhashable_output(table, theta):
+    table[theta][0] = [1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, code",
+    [
+        (break_missing_row, cli.EXIT_INVARIANT),
+        (break_short_row, cli.EXIT_INVARIANT),
+        (break_output_outside_y, cli.EXIT_RESOLUTION),
+        (break_unhashable_output, cli.EXIT_PARSE),
+    ],
+)
+def test_malformed_table_exit_codes(tmp_path, capsys, corrupt, code):
+    (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    block = doc["learning"]["source_system"]
+    corrupt(block["table"], block["thetas"][1])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")]) == code
+    assert capsys.readouterr().err.count("learning.source_system:") == 1
