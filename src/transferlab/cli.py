@@ -101,6 +101,8 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
     config = doc.analysis.get(kind)
     if config is None:
         raise AnalysisError(f"the document carries no analysis.{kind} block")
+    if not isinstance(config, dict):
+        raise AnalysisError(f"analysis.{kind} must be an object, not {type(config).__name__}")
 
     if kind == "classify":
         result = classify_setting(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -124,24 +124,23 @@ class FiniteSystem:
         object.__setattr__(self, "components", components)
 
         arity = len(components)
-        canonical = set()
+        indices = [comp._index for comp in components]
+        # Each distinct tuple (the first of equal ones) -> its per-component indices.
+        keys: dict[tuple[Atom, ...], tuple[int, ...]] = {}
         for tup in self.tuples:
             tup = tuple(tup)
             if len(tup) != arity:
                 raise ArityMismatch(
                     f"tuple {tup!r} has arity {len(tup)}, expected {arity}"
                 )
-            for coord, comp in zip(tup, components):
-                if coord not in comp:
-                    raise UnknownElement(
-                        f"tuple {tup!r}: {coord!r} not in set {comp.name!r}"
-                    )
-            canonical.add(tup)
-        ordered = sorted(
-            canonical,
-            key=lambda t: tuple(comp.index(c) for comp, c in zip(components, t)),
-        )
-        object.__setattr__(self, "tuples", tuple(ordered))
+            try:
+                keys[tup] = tuple(map(dict.__getitem__, indices, tup))
+            except KeyError:
+                coord, comp = next((c, s) for c, s in zip(tup, components) if c not in s)
+                raise UnknownElement(
+                    f"tuple {tup!r}: {coord!r} not in set {comp.name!r}"
+                ) from None
+        object.__setattr__(self, "tuples", tuple(sorted(keys, key=keys.__getitem__)))
 
         if self.io_partition is not None:
             inputs, outputs = self.io_partition
@@ -475,15 +474,17 @@ class Morphism:
         object.__setattr__(self, "source_y", tuple(self.source_y))
         object.__setattr__(self, "target_x", tuple(self.target_x))
         object.__setattr__(self, "target_y", tuple(self.target_y))
+        source_x, target_x = set(self.source_x), set(self.target_x)
+        source_y, target_y = set(self.source_y), set(self.target_y)
         for key, val in self.x_map.items():
-            if key not in set(self.source_x):
+            if key not in source_x:
                 raise UnknownElement(f"x_map key {key!r} outside the source input")
-            if val not in set(self.target_x):
+            if val not in target_x:
                 raise UnknownElement(f"x_map value {val!r} outside the target input")
         for key, val in self.y_map.items():
-            if key not in set(self.source_y):
+            if key not in source_y:
                 raise UnknownElement(f"y_map key {key!r} outside the source output")
-            if val not in set(self.target_y):
+            if val not in target_y:
                 raise UnknownElement(f"y_map value {val!r} outside the target output")
 
     def x_properties(self) -> MapProperties:
@@ -532,13 +533,31 @@ def enumerate_morphisms(
     to a related pair of ``system_prime``.  With ``reflect=True`` the
     stronger membership-reflecting variant is used: unrelated pairs must
     also map to unrelated pairs.  ``require`` names joint property flags
-    (``injective``, ``surjective``, ``invertible``, ``total``) that both
-    maps must satisfy.
+    (``injective``, ``surjective``, ``invertible``, ``total``,
+    ``partial``) that both maps must satisfy; every enumerated map is
+    total, so ``partial`` keeps nothing.
+
+    The order is canonical: x-maps in lexicographic order of their image
+    tuples over X' (the first input of X varying slowest), and for each
+    x-map its y-maps in lexicographic order over Y'.
 
     Refuses with :class:`CapExceeded` when any carrier exceeds ``cap``;
     exhaustive enumeration beyond that is not predictable desk-scale
-    work.
+    work.  An unknown flag raises :class:`ValidationError`.  Both checks
+    run at the call, before anything is enumerated.
     """
+    return tuple(_morphisms(system, system_prime, require, cap, reflect))
+
+
+def _morphisms(
+    system: FiniteSystem,
+    system_prime: FiniteSystem,
+    require: Iterable[str] | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    reflect: bool = False,
+) -> Iterator[Morphism]:
+    """:func:`enumerate_morphisms` lazily, checking at the call; each raw image
+    tuple is tested against the flags before a :class:`Morphism` is built."""
     xs, ys = system.x_values(), system.y_values()
     xps, yps = system_prime.x_values(), system_prime.y_values()
     for carrier, label in ((xs, "X"), (ys, "Y"), (xps, "X'"), (yps, "Y'")):
@@ -550,43 +569,43 @@ def enumerate_morphisms(
     for flag in required:
         if flag not in valid_flags:
             raise ValidationError(f"unknown morphism property flag {flag!r}")
+    if "partial" in required:
+        return iter(())
+    injective = "injective" in required or "invertible" in required
+    surjective = "surjective" in required or "invertible" in required
 
-    by_y_related: dict[Atom, list[Atom]] = {y: [] for y in ys}
-    for x, y in system.io_pairs():
-        by_y_related[y].append(x)
-    xs_list = list(xs)
+    def qualifies(image: tuple[Atom, ...], n_codomain: int) -> bool:
+        distinct = len(set(image))
+        onto = not surjective or distinct == n_codomain
+        return onto and (not injective or distinct == len(image))
 
-    found: list[Morphism] = []
-    for image in itertools.product(xps, repeat=len(xs_list)):
-        x_map = dict(zip(xs_list, image))
-        allowed: list[tuple[Atom, ...]] = []
-        feasible = True
-        for y in ys:
-            options = set(yps)
-            for x in by_y_related[y]:
-                options &= {yp for yp in yps if system_prime.relates(x_map[x], yp)}
+    related = {xp: {yp for yp in yps if system_prime.relates(xp, yp)} for xp in xps}
+    # Per y, the positions of the inputs it must (reflecting: must not) stay related to.
+    tied = [[i for i, x in enumerate(xs) if system.relates(x, y)] for y in ys]
+    untied = [[i for i, x in enumerate(xs) if not system.relates(x, y)] for y in ys]
+
+    def generate() -> Iterator[Morphism]:
+        for image in itertools.product(xps, repeat=len(xs)):
+            if not qualifies(image, len(xps)):
+                continue
+            allowed: list[tuple[Atom, ...]] = []
+            for y_tied, y_untied in zip(tied, untied):
+                options = set(yps)
+                for i in y_tied:
+                    options &= related[image[i]]
+                if reflect:
+                    for i in y_untied:
+                        options -= related[image[i]]
                 if not options:
                     break
-            if reflect:
-                for x in xs_list:
-                    if not system.relates(x, y):
-                        options -= {
-                            yp for yp in yps if system_prime.relates(x_map[x], yp)
-                        }
-                    if not options:
-                        break
-            if not options:
-                feasible = False
-                break
-            allowed.append(tuple(yp for yp in yps if yp in options))
-        if not feasible:
-            continue
-        for y_image in itertools.product(*allowed):
-            morphism = Morphism(x_map, dict(zip(ys, y_image)), xs, ys, xps, yps)
-            joint = morphism.joint_properties()
-            if all(getattr(joint, flag) for flag in required):
-                found.append(morphism)
-    return tuple(found)
+                allowed.append(tuple(yp for yp in yps if yp in options))
+            else:
+                x_map = dict(zip(xs, image))
+                for y_image in itertools.product(*allowed):
+                    if qualifies(y_image, len(yps)):
+                        yield Morphism(x_map, dict(zip(ys, y_image)), xs, ys, xps, yps)
+
+    return generate()
 
 
 # -- quotients ----------------------------------------------------------------

@@ -10,7 +10,10 @@ which a transfer actually generalizes.
 The shared-structure search works up to carrier renaming: a quotient of
 a carrier modulo renaming is exactly a set partition, so candidates are
 enumerated from partition pairs and reduced to a canonical labeling,
-which keeps the search exhaustive yet small.
+which keeps the search exhaustive yet small.  Many partition pairs
+induce the same block relation, so each :func:`homomorphic_structures`
+call memoizes canonical labelings in one dict that both of its systems
+share and that dies with the call: no labeling outlives its search.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .relations import (
     MapProperties,
     Morphism,
     QuotientReport,
-    enumerate_morphisms,
+    _morphisms,
     quotient,
 )
 from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer
@@ -228,12 +231,12 @@ class StructureSearchReport:
         return tuple(u.candidate_index for u in self.useful)
 
 
-def _quotient_structures(system: FiniteSystem, size_bound: int):
+def _quotient_structures(system: FiniteSystem, size_bound: int, canonical: dict):
     """Canonical images of the relation under all onto map pairs.
 
     Yields ``(key, x_map, y_map)`` where the key identifies the
     canonical structure and the maps send carrier elements to canonical
-    block indices.
+    block indices; ``canonical`` memoizes :func:`_canonical_structure`.
     """
     xs, ys = system.x_values(), system.y_values()
     pairs = system.io_pairs()
@@ -243,9 +246,10 @@ def _quotient_structures(system: FiniteSystem, size_bound: int):
         for part_y in _set_partitions(ys, size_bound):
             block_y = {el: i for i, blk in enumerate(part_y) for el in blk}
             relation = frozenset((block_x[x], block_y[y]) for x, y in pairs)
-            n_x, n_y, canon, perm_x, perm_y = _canonical_structure(
-                len(part_x), len(part_y), relation
-            )
+            args = (len(part_x), len(part_y), relation)
+            if args not in canonical:
+                canonical[args] = _canonical_structure(*args)
+            n_x, n_y, canon, perm_x, perm_y = canonical[args]
             key = (n_x, n_y, canon)
             if key not in out:
                 out[key] = (
@@ -288,8 +292,9 @@ def homomorphic_structures(
         if len(sys_.x_values()) > carrier_cap or len(sys_.y_values()) > carrier_cap:
             raise CapExceeded(f"{nm} carriers exceed the search cap {carrier_cap}")
 
-    from_source = _quotient_structures(source, size_bound)
-    from_target = _quotient_structures(target, size_bound)
+    canonical: dict = {}
+    from_source = _quotient_structures(source, size_bound, canonical)
+    from_target = _quotient_structures(target, size_bound, canonical)
 
     candidates = []
     for key in sorted(from_source.keys() & from_target.keys()):
@@ -331,19 +336,17 @@ def valid_structures(
 ) -> StructureSearchReport:
     """Keep candidates whose outputs translate back to the target outputs.
 
-    For each candidate every onto witness from the target relation is
-    re-enumerated; the candidate is valid when some witness's output
-    collapse can be inverted on the outputs the target actually
-    produces.  The resulting total map (candidate outputs to target
-    outputs) is recorded.
+    For each candidate the onto witnesses from the target relation are
+    enumerated in canonical order; the candidate is valid when some
+    witness's output collapse can be inverted on the outputs the target
+    actually produces, and the first such witness is kept with the
+    resulting total map (candidate outputs to target outputs).
     """
     used_outputs = {y for _, y in report.target_system.io_pairs()}
     fallback = target_y.elements[0]
     valid = []
     for idx, cand in enumerate(report.candidates):
-        witnesses = enumerate_morphisms(
-            report.target_system, cand.system, require=("surjective",)
-        )
+        witnesses = _morphisms(report.target_system, cand.system, require=("surjective",))
         chosen = None
         for witness in witnesses:
             images: dict[Atom, Atom] = {}

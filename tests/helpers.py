@@ -7,15 +7,19 @@ import math
 
 import numpy as np
 
-from transferlab.errors import EmptyDataset, UnknownElement, ValidationError
+from transferlab.errors import CapExceeded, EmptyDataset, UnknownElement, ValidationError
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
     HypothesisClass,
     LearningSystem,
     LossSpec,
+    SystemPack,
+    full_function_class,
 )
-from transferlab.relations import FiniteSet, FiniteSystem
+from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
+from transferlab.relations import FiniteSet, FiniteSystem, Morphism
+from transferlab.structural import _canonical_structure, _set_partitions, _structure_system
 from transferlab.transfer import latent_dataset, pool_data
 
 
@@ -47,6 +51,25 @@ def random_io_system(rng: np.random.Generator, nx: int, ny: int, name="s") -> Fi
     if not pairs:
         pairs = [(xs[0], ys[0])]
     return io_system(pairs, f"{name}_x", f"{name}_y", xs, ys)
+
+
+def binary_pack(truths, marginal=None, data=(), tag="pack", y_elements=(0, 1)):
+    xs = tuple(truths.keys())
+    x_set = FiniteSet(f"{tag}_x", xs)
+    y_set = FiniteSet(f"{tag}_y", y_elements)
+    system = LearningSystem(x_set, y_set, full_function_class(x_set, y_set))
+    marginal = EmpiricalMeasure(
+        x_set, marginal or tuple(1 / len(xs) for _ in xs)
+    )
+    rows = {}
+    for x in xs:
+        probs = [0.0] * len(y_set)
+        probs[y_set.index(truths[x])] = 1.0
+        rows[x] = EmpiricalMeasure(y_set, tuple(probs))
+    return SystemPack(
+        system, Dataset(tuple(data), tag), marginal,
+        ConditionalMeasure(x_set, rows), truths, tag,
+    )
 
 
 def random_learning_system(
@@ -198,3 +221,111 @@ class DictHypothesisClass:
             raise
         dtype = np.min_scalar_type(len(y_set) - 1)
         return np.array(flat, dtype=dtype).reshape(len(thetas), len(xs))
+
+
+# -- scalar morphism enumeration oracle --------------------------------------------
+# Every x-map, then every allowed y-map, each built as a Morphism and kept when
+# its joint properties carry the required flags: transferlab.relations'
+# lazy enumeration must yield the same morphisms in the same order.
+
+def scalar_enumerate_morphisms(system, system_prime, require=None, cap=8, reflect=False):
+    xs, ys = system.x_values(), system.y_values()
+    xps, yps = system_prime.x_values(), system_prime.y_values()
+    for carrier, label in ((xs, "X"), (ys, "Y"), (xps, "X'"), (yps, "Y'")):
+        if len(carrier) > cap:
+            raise CapExceeded(f"carrier {label} has {len(carrier)} > cap {cap} elements")
+
+    required = tuple(require) if require else ()
+    valid_flags = {"total", "partial", "injective", "surjective", "invertible"}
+    for flag in required:
+        if flag not in valid_flags:
+            raise ValidationError(f"unknown morphism property flag {flag!r}")
+
+    by_y_related = {y: [] for y in ys}
+    for x, y in system.io_pairs():
+        by_y_related[y].append(x)
+    xs_list = list(xs)
+
+    found = []
+    for image in itertools.product(xps, repeat=len(xs_list)):
+        x_map = dict(zip(xs_list, image))
+        allowed = []
+        feasible = True
+        for y in ys:
+            options = set(yps)
+            for x in by_y_related[y]:
+                options &= {yp for yp in yps if system_prime.relates(x_map[x], yp)}
+                if not options:
+                    break
+            if reflect:
+                for x in xs_list:
+                    if not system.relates(x, y):
+                        options -= {yp for yp in yps if system_prime.relates(x_map[x], yp)}
+                    if not options:
+                        break
+            if not options:
+                feasible = False
+                break
+            allowed.append(tuple(yp for yp in yps if yp in options))
+        if not feasible:
+            continue
+        for y_image in itertools.product(*allowed):
+            morphism = Morphism(x_map, dict(zip(ys, y_image)), xs, ys, xps, yps)
+            joint = morphism.joint_properties()
+            if all(getattr(joint, flag) for flag in required):
+                found.append(morphism)
+    return tuple(found)
+
+
+# -- unmemoized structure search oracle ----------------------------------------------
+# The shared-structure search with one _canonical_structure call per partition
+# pair and each candidate's first valid witness picked out of the full scalar
+# enumeration.
+
+def _scalar_quotient_structures(system, size_bound):
+    xs, ys = system.x_values(), system.y_values()
+    pairs = system.io_pairs()
+    out = {}
+    for part_x in _set_partitions(xs, size_bound):
+        block_x = {el: i for i, blk in enumerate(part_x) for el in blk}
+        for part_y in _set_partitions(ys, size_bound):
+            block_y = {el: i for i, blk in enumerate(part_y) for el in blk}
+            relation = frozenset((block_x[x], block_y[y]) for x, y in pairs)
+            n_x, n_y, canon, perm_x, perm_y = _canonical_structure(
+                len(part_x), len(part_y), relation
+            )
+            out.setdefault(
+                (n_x, n_y, canon),
+                (
+                    {el: f"u{perm_x[block_x[el]]}" for el in xs},
+                    {el: f"w{perm_y[block_y[el]]}" for el in ys},
+                ),
+            )
+    return out
+
+
+def scalar_structure_search(source, target, target_y, size_bound):
+    """``(candidates, valid)`` as plain values.
+
+    ``candidates`` lists ``(key, source maps, target maps)`` in key order;
+    ``valid`` lists ``(candidate index, witness x_map, witness y_map,
+    output_map)``.
+    """
+    from_source = _scalar_quotient_structures(source, size_bound)
+    from_target = _scalar_quotient_structures(target, size_bound)
+    keys = sorted(from_source.keys() & from_target.keys())
+    candidates = [(key, from_source[key], from_target[key]) for key in keys]
+
+    used_outputs = {y for _, y in target.io_pairs()}
+    valid = []
+    for idx, key in enumerate(keys):
+        latent = _structure_system(key)[2]
+        for witness in scalar_enumerate_morphisms(target, latent, require=("surjective",)):
+            images = {}
+            if all(images.setdefault(witness.y_map[y], y) == y for y in used_outputs):
+                output_map = {
+                    w: images.get(w, target_y.elements[0]) for w in latent.y_values()
+                }
+                valid.append((idx, witness.x_map, witness.y_map, output_map))
+                break
+    return candidates, valid

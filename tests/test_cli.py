@@ -125,3 +125,16 @@ def test_unreadable_config_number_exits_analysis_error(tmp_path, capsys, kind, c
     rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
     assert rc == cli.EXIT_ANALYSIS
     assert f"analysis config {key!r}: 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, type_name", [(["tr"], "list"), ("tr", "str"), (3, "int")])
+def test_config_that_is_not_an_object_exits_analysis_error(tmp_path, capsys, config, type_name):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["negative"] = config
+    write_json(path, doc)
+    rc = cli.main(["analyze", str(path), "--kind", "negative", "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        f"analysis error (negative): analysis.negative must be an object, not {type_name}\n"
+    )
+    assert not (tmp_path / "r.json").exists()

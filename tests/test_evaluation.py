@@ -1,0 +1,70 @@
+"""Structural-mode transferability: reproducible reports, indices that follow the universe."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import binary_pack
+from transferlab.evaluation import NeighborhoodReport, transferability
+from transferlab.learning import EvaluationContext
+from transferlab.structural import structural_transferability
+
+TRUTH = {"a": 0, "b": 1, "c": 0, "d": 1}
+# The pack's data disagrees with its truth on c and d, so the shared
+# structures generalize with different, mostly non-zero, target errors.
+PACK = binary_pack(TRUTH, data=[("a", 0), ("b", 1), ("c", 1), ("d", 0), ("c", 1)], tag="p")
+UNIVERSE = (
+    binary_pack(TRUTH, data=[("a", 0)], tag="m0"),
+    binary_pack(
+        {"a": 0, "b": 1, "c": 1, "d": 1}, marginal=(0.1, 0.2, 0.3, 0.4), data=[("b", 1)],
+        tag="m1",
+    ),
+    binary_pack({"a": 0, "b": 0, "c": 0, "d": 1}, tag="m2"),
+    binary_pack({"u": 0, "v": 1, "w": 1}, marginal=(0.5, 0.25, 0.25), data=[("u", 0)], tag="m3"),
+    binary_pack(
+        {"u": 0, "v": 1, "w": 2}, data=[("u", 0), ("v", 1), ("w", 2)], tag="m4",
+        y_elements=(0, 1, 2),
+    ),
+)
+CASES = [("source", 0.5), ("target", 0.3)]
+
+
+def structural(universe, role, epsilon_star):
+    return transferability(
+        PACK, universe, role, EvaluationContext(PACK.truth, epsilon_star),
+        mode="structural", size_bound=3,
+    )
+
+
+@pytest.mark.parametrize("role, epsilon_star", CASES)
+def test_best_errors_differ(role, epsilon_star):
+    report = structural(UNIVERSE, role, epsilon_star)
+    assert isinstance(report, NeighborhoodReport)
+    assert 0 < report.cardinality < len(UNIVERSE)
+    assert len(set(report.values.values())) > 1
+    assert any(error > 0 for error in report.values.values())
+
+
+@pytest.mark.parametrize("role, epsilon_star", CASES)
+def test_rerun_gives_an_identical_report(role, epsilon_star):
+    first = structural(UNIVERSE, role, epsilon_star)
+    again = structural(UNIVERSE, role, epsilon_star)
+    assert again == first
+    assert repr(again) == repr(first)
+
+    ctx = EvaluationContext(PACK.truth, epsilon_star)
+    direct = structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3)
+    assert structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3) == direct
+    assert (direct.members, dict(direct.best_errors)) == (first.members, first.values)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(range(len(UNIVERSE))), st.sampled_from(CASES))
+def test_permuting_the_universe_permutes_members_and_errors(order, case):
+    role, epsilon_star = case
+    base = structural(UNIVERSE, role, epsilon_star)
+    permuted = structural([UNIVERSE[i] for i in order], role, epsilon_star)
+    # Position j of the permuted universe holds member order[j].
+    assert permuted.members == tuple(j for j, i in enumerate(order) if i in base.members)
+    assert permuted.values == {j: base.values[i] for j, i in enumerate(order) if i in base.values}
+    assert permuted.cardinality == base.cardinality

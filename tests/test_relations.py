@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import io_system, random_io_system
+from helpers import io_system, random_io_system, scalar_enumerate_morphisms
 from transferlab.errors import (
     ArityMismatch,
     CapExceeded,
@@ -14,12 +14,14 @@ from transferlab.errors import (
     NoPartition,
     NotAPartition,
     UnknownElement,
+    ValidationError,
 )
 from transferlab.relations import (
     FiniteSet,
     FiniteSystem,
     GoalSeekingSpec,
     Morphism,
+    _morphisms,
     as_input_output,
     cascade,
     check_goal_seeking,
@@ -422,3 +424,33 @@ def test_identity_morphism_enumerated_on_self(system):
 def test_identity_quotient_cardinality(system):
     q = quotient(system, identity_morphism(system))
     assert q.cardinalities["s_classes"] == len(system.io_pairs())
+
+
+FLAGS = ("total", "partial", "injective", "surjective", "invertible")
+REQUIREMENTS = [
+    combo for k in range(len(FLAGS) + 1) for combo in itertools.combinations(FLAGS, k)
+]
+
+
+def morphism_maps(morphisms):
+    return [(tuple(m.x_map.items()), tuple(m.y_map.items())) for m in morphisms]
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_io_systems(), small_io_systems(), st.booleans())
+def test_enumeration_matches_scalar_oracle_in_order(system, system_prime, reflect):
+    for require in REQUIREMENTS:
+        fast = enumerate_morphisms(system, system_prime, require, reflect=reflect)
+        slow = scalar_enumerate_morphisms(system, system_prime, require, reflect=reflect)
+        assert morphism_maps(fast) == morphism_maps(slow), require
+        assert fast == slow
+
+
+def test_enumeration_checks_run_at_the_call():
+    s = io_system([("x1", "y1"), ("x2", "y2")])
+    big = io_system([(f"x{i}", 0) for i in range(9)], ys=[0])
+    for call in (enumerate_morphisms, _morphisms):
+        with pytest.raises(CapExceeded):
+            call(big, big)
+        with pytest.raises(ValidationError, match="'onto'"):
+            call(s, s, require=("surjective", "onto"))

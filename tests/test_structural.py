@@ -3,17 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import io_system, random_io_system
+from helpers import binary_pack, io_system, random_io_system, scalar_structure_search
 from transferlab.errors import CapExceeded, IncompatibleMorphism
-from transferlab.learning import (
-    Dataset,
-    EvaluationContext,
-    LearningSystem,
-    SystemPack,
-    full_function_class,
-)
-from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
+from transferlab.learning import EvaluationContext
 from transferlab.relations import (
     FiniteSet,
     FiniteSystem,
@@ -179,25 +174,6 @@ class TestHomomorphicStructures:
             homomorphic_structures(s, s, size_bound=5)
 
 
-def binary_pack(truths, marginal=None, data=(), tag="pack", y_elements=(0, 1)):
-    xs = tuple(truths.keys())
-    x_set = FiniteSet(f"{tag}_x", xs)
-    y_set = FiniteSet(f"{tag}_y", y_elements)
-    system = LearningSystem(x_set, y_set, full_function_class(x_set, y_set))
-    marginal = EmpiricalMeasure(
-        x_set, marginal or tuple(1 / len(xs) for _ in xs)
-    )
-    rows = {}
-    for x in xs:
-        probs = [0.0] * len(y_set)
-        probs[y_set.index(truths[x])] = 1.0
-        rows[x] = EmpiricalMeasure(y_set, tuple(probs))
-    return SystemPack(
-        system, Dataset(tuple(data), tag), marginal,
-        ConditionalMeasure(x_set, rows), truths, tag,
-    )
-
-
 class TestValidAndUseful:
     def test_identity_output_structure_is_valid(self):
         s = io_system([("a", 0), ("b", 1)])
@@ -330,3 +306,40 @@ class TestAsymmetryPattern:
         backward = enumerate_morphisms(t, s, require=("surjective",))
         assert len(forward) >= 1
         assert len(backward) == 0
+
+
+@st.composite
+def truth_graph_pairs(draw):
+    def graph(name):
+        nx, ny = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+        labels = draw(st.lists(st.integers(0, ny - 1), min_size=nx, max_size=nx))
+        xs = tuple(f"{name}{i}" for i in range(nx))
+        return io_system(list(zip(xs, labels)), xs=xs, ys=tuple(range(ny)))
+
+    return graph("s"), graph("t"), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth_graph_pairs())
+def test_structure_search_matches_scalar_oracle(graphs):
+    source, target, bound = graphs
+    target_y = target.components[1]
+    report = valid_structures(homomorphic_structures(source, target, bound), target_y)
+    candidates, valid = scalar_structure_search(source, target, target_y, bound)
+
+    def key(c):
+        blocks = tuple((c.x_set.index(x), c.y_set.index(y)) for x, y in c.system.tuples)
+        return len(c.x_set), len(c.y_set), blocks
+
+    assert [
+        (
+            key(c),
+            (c.source_witness.x_map, c.source_witness.y_map),
+            (c.target_witness.x_map, c.target_witness.y_map),
+        )
+        for c in report.candidates
+    ] == candidates
+    assert [
+        (v.candidate_index, v.target_witness.x_map, v.target_witness.y_map, v.output_map)
+        for v in report.valid
+    ] == valid
