@@ -71,11 +71,16 @@ def _jsonable(obj: Any) -> Any:
     return repr(obj)
 
 
+def _resolve(blocks: dict, name: Any) -> Any:
+    """The block a reference names; ``None`` unless ``name`` is a string key of ``blocks``."""
+    return blocks.get(name) if isinstance(name, str) else None
+
+
 def _pack(doc: SpecDocument, config: dict, key: str):
-    name = config.get(key)
-    if name is None or name not in doc.packs:
+    pack = _resolve(doc.packs, config.get(key))
+    if pack is None:
         raise AnalysisError(f"analysis needs a resolvable pack reference {key!r}")
-    return doc.packs[name]
+    return pack
 
 
 def _number(config: dict, key: str, kind: type, default: Any = None) -> Any:
@@ -89,9 +94,9 @@ def _number(config: dict, key: str, kind: type, default: Any = None) -> Any:
 
 def _universe(doc: SpecDocument, config: dict):
     names = config.get("universe")
-    if not names:
+    if not names or isinstance(names, (int, float)):
         raise AnalysisError("analysis needs a non-empty universe of pack references")
-    missing = [n for n in names if n not in doc.packs]
+    missing = [n for n in names if _resolve(doc.packs, n) is None]
     if missing:
         raise AnalysisError(f"universe member {missing[0]!r} does not resolve")
     return [doc.packs[n] for n in names]
@@ -113,7 +118,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
     if kind == "distance":
         align = None
         if config.get("align"):
-            ts = doc.transfer.get(config["align"])
+            ts = _resolve(doc.transfer, config["align"])
             if ts is None or ts.latent is None:
                 raise AnalysisError("align must reference a transfer block with latent maps")
             align = ts.latent
@@ -127,23 +132,21 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         return {"on": config.get("on", "x"), "kind": config.get("kind", "tv"), "value": value}
 
     if kind == "roughness":
-        for key in ("source", "target"):
-            if config.get(key) not in doc.relations:
+        relations = [_resolve(doc.relations, config.get(key)) for key in ("source", "target")]
+        for key, relation in zip(("source", "target"), relations):
+            if relation is None:
                 raise AnalysisError(f"roughness needs relation reference {key!r}")
-        if config.get("morphism") not in doc.morphisms:
+        morphism = _resolve(doc.morphisms, config.get("morphism"))
+        if morphism is None:
             raise AnalysisError("roughness needs a morphism reference")
-        report = transfer_roughness(
-            doc.relations[config["source"]],
-            doc.relations[config["target"]],
-            doc.morphisms[config["morphism"]],
-        )
+        report = transfer_roughness(*relations, morphism)
         out = _jsonable(report)
         out["tags"] = ["ratio=quotient-cardinality-summary"]
         return out
 
     if kind == "transfer":
-        ts = doc.transfer.get(config.get("system"))
-        data = doc.datasets.get(config.get("data"))
+        ts = _resolve(doc.transfer, config.get("system"))
+        data = _resolve(doc.datasets, config.get("data"))
         if ts is None or data is None:
             raise AnalysisError("transfer needs system and data references")
         theta, trace = run_transfer(ts, data)
@@ -156,7 +159,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         }
 
     if kind == "negative":
-        ts = doc.transfer.get(config.get("system"))
+        ts = _resolve(doc.transfer, config.get("system"))
         if ts is None:
             raise AnalysisError("negative needs a transfer system reference")
         outcome = detect_negative_transfer(
@@ -204,7 +207,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         return _jsonable(report)
 
     if kind == "bound":
-        ts = doc.transfer.get(config.get("system"))
+        ts = _resolve(doc.transfer, config.get("system"))
         if ts is None:
             raise AnalysisError("bound needs a transfer system reference")
         source = _pack(doc, config, "source")

@@ -478,8 +478,11 @@ def _goal_seeking(
     datasets: Sequence[Dataset],
     select_fn: Callable[[Dataset], Atom],
     objective_fn: Callable[[Dataset], np.ndarray],
-) -> tuple[dict[str, Atom], FiniteSystem, GoalSeekingSpec]:
-    """Selections, inductive relation and goal/seeking pair; dataset ``i`` is ``d<i>``."""
+) -> tuple[dict[str, Atom], list[np.ndarray], FiniteSystem, GoalSeekingSpec]:
+    """Selections, objective vectors, inductive relation and goal/seeking pair.
+
+    Dataset ``i`` is ``d<i>``; each objective vector is computed once.
+    """
     names = tuple(f"d{i}" for i in range(len(datasets)))
     selected = {name: select_fn(d) for name, d in zip(names, datasets)}
     inductive = FiniteSystem(
@@ -487,17 +490,17 @@ def _goal_seeking(
         tuple(selected.items()),
         ((0,), (1,)),
     )
-    goal = {
-        (name, theta): value
-        for name, d in zip(names, datasets)
-        for theta, value in zip(theta_set.elements, objective_fn(d).tolist())
-    }
+    values = [objective_fn(d) for d in datasets]
+    goal = dict(zip(
+        itertools.product(names, theta_set.elements),
+        itertools.chain.from_iterable(v.tolist() for v in values),
+    ))
     gs = GoalSeekingSpec(
         FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
         goal,
         frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
     )
-    return selected, inductive, gs
+    return selected, values, inductive, gs
 
 
 def verify_decomposition(
@@ -528,19 +531,25 @@ def verify_decomposition(
 
     ``functional_system`` / ``inductive_system`` override the derived
     relations so hand-built (possibly corrupted) representations can be
-    audited against the system's behavior.
+    audited against the system's behavior.  The derived functional
+    relation holds only the rows of the parameters in Θ that the
+    inductive relation's tuples couple: the cascade joins on the
+    parameter, so no other row can reach the composed relation, which
+    is therefore the one the full Θ × X relation gives.
     """
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
-    selected, derived, gs = _goal_seeking(theta_set, datasets, select_fn, objective_fn)
+    selected, values, derived, gs = _goal_seeking(theta_set, datasets, select_fn, objective_fn)
     if inductive_system is None:
         inductive_system = derived
     if functional_system is None:
+        # t[1:2]: a relation too short to couple is refused by the cascade itself.
+        coupled = {theta for t in inductive_system.tuples for theta in t[1:2] if theta in theta_set}
         functional_system = FiniteSystem(
             (theta_set, x_set, y_set),
             tuple(
                 (theta, x, output_fn(theta, x))
-                for theta in theta_set.elements
+                for theta in sorted(coupled, key=theta_set.index)
                 for x in x_set.elements
             ),
             ((0, 1), (2,)),
@@ -558,11 +567,9 @@ def verify_decomposition(
     seeking = check_goal_seeking(None, inductive_system, gs)
 
     optimality: list[tuple[Atom, ...]] = []
-    for (name, chosen), d in zip(selected.items(), datasets):
-        chosen_value = gs.goal[(name, chosen)]
-        for theta in theta_set.elements:
-            if gs.goal[(name, theta)] < chosen_value - 1e-12:
-                optimality.append((name, theta))
+    for (name, chosen), objective, d in zip(selected.items(), values, datasets):
+        better = np.flatnonzero(objective < objective[theta_set.index(chosen)] - 1e-12)
+        optimality.extend((name, theta_set.elements[i]) for i in better)
         if select_fn(d) != chosen:
             optimality.append((name, "nondeterministic"))
 
@@ -599,7 +606,7 @@ def as_goal_seeking(
     (data, parameter) its selection objective, and seeking contains
     exactly the selections the algorithm makes.
     """
-    _, inductive, gs = _goal_seeking(
+    _, _, inductive, gs = _goal_seeking(
         system.theta_set,
         sample_datasets,
         lambda d: run_algorithm(d, system),

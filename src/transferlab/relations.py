@@ -323,7 +323,7 @@ class GoalSeekingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal", dict(self.goal))
         object.__setattr__(self, "seek", frozenset(tuple(t) for t in self.seek))
-        arities = {len(k) for k in self.goal}
+        arities = set(map(len, self.goal))
         if len(arities) > 1:
             raise IncompatibleCarriers(f"goal keys have mixed arities {arities}")
         if arities:
@@ -367,37 +367,44 @@ def check_goal_seeking(
     * membership of ``base + (parameter,)`` in ``sg`` exactly when
       ``base + (goal value, parameter)`` is in the seeking relation.
 
+    A point gets at most one violation, the first of ``goal_not_total``,
+    ``goal_value`` and ``seek_missing``/``seek_extra`` that holds, and
+    violations come in canonical carrier order (the parameter varying
+    fastest).  Every point counts as checked, though only those in
+    ``sg`` or under a seeking tuple can break the biconditional, so only
+    those are visited for it.
+
     When both ``sf`` (the functional relation, parameter first) and
     ``system`` (the composite input-output relation) are supplied, the
     decomposition biconditional is checked as well: a carrier tuple
     belongs to ``system`` exactly when some parameter witnesses it in
-    both ``sf`` and ``sg``.
+    both ``sf`` and ``sg``; these violations follow, in canonical order
+    of ``system``'s carrier.
     """
     if len(sg.output_indices) != 1:
         raise IncompatibleCarriers("the inductive relation must output one parameter")
-    theta_index = sg.output_indices[0]
-    theta_set = sg.components[theta_index]
-    base_components = sg.input_components
-
-    violations: list[GoalSeekViolation] = []
-    checked = 0
-    for base in itertools.product(*(c.elements for c in base_components)):
-        for theta in theta_set.elements:
-            checked += 1
-            key = base + (theta,)
-            if key not in gs.goal:
-                violations.append(GoalSeekViolation("goal_not_total", key))
-                continue
-            value = gs.goal[key]
-            if value not in gs.value_set:
-                violations.append(GoalSeekViolation("goal_value", key))
-                continue
-            in_sg = key in sg.tuple_set
-            in_seek = base + (value, theta) in gs.seek
-            if in_sg and not in_seek:
-                violations.append(GoalSeekViolation("seek_missing", key))
-            elif in_seek and not in_sg:
-                violations.append(GoalSeekViolation("seek_extra", key))
+    theta_set = sg.components[sg.output_indices[0]]
+    carrier = sg.input_components + (theta_set,)
+    keys = list(itertools.product(*(c.elements for c in carrier)))
+    goal, value_set, seek = gs.goal, gs.value_set, gs.seek
+    found = dict.fromkeys(itertools.filterfalse(goal.__contains__, keys), "goal_not_total")
+    present = list(filter(goal.__contains__, keys)) if found else keys
+    inside = list(map(value_set._index.__contains__, map(goal.__getitem__, present)))
+    if not all(inside):
+        found.update((key, "goal_value") for key, ok in zip(present, inside) if not ok)
+    # A seek violation needs the key in sg or a seek tuple at it; each candidate
+    # is read back through the carrier's own atoms, as the keys above are.
+    indexes = [c._index for c in carrier]
+    for candidate in sg.tuple_set | {t[:-2] + t[-1:] for t in seek}:
+        if len(candidate) != len(carrier) or not all(map(dict.__contains__, indexes, candidate)):
+            continue
+        position = map(dict.__getitem__, indexes, candidate)
+        key = tuple(c.elements[i] for c, i in zip(carrier, position))
+        if key not in found and (key in sg.tuple_set) != (key[:-1] + (goal[key], key[-1]) in seek):
+            found[key] = "seek_missing" if key in sg.tuple_set else "seek_extra"
+    order = sorted(found, key=lambda key: tuple(map(dict.__getitem__, indexes, key)))
+    violations = [GoalSeekViolation(found[key], key) for key in order]
+    checked = len(keys)
 
     if sf is not None and system is not None:
         expected = (theta_set,) + tuple(system.components)

@@ -86,6 +86,21 @@ def _check_keys(block: Mapping, allowed: set[str], where: str, strict: bool, war
         warnings.append(msg)
 
 
+def _object(value, where: str) -> dict:
+    """A block that must be a JSON object; ``null`` reads as an absent (empty) one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _blocks(raw: dict, kind: str):
+    """``(name, where, block)`` for each named block of a section, all objects."""
+    for name, block in _object(raw.get(kind), kind).items():
+        yield name, f"{kind}.{name}", _object(block, f"{kind}.{name}")
+
+
 def _prob(value) -> float:
     if isinstance(value, str):
         try:
@@ -142,15 +157,13 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}: malformed block ({exc})") from exc
 
-    for name, block in (raw.get("sets") or {}).items():
-        where = f"sets.{name}"
+    for name, where, block in _blocks(raw, "sets"):
         _check_keys(block, {"elements"}, where, strict, doc.warnings)
         doc.sets[name] = construct(
             lambda: FiniteSet(name, tuple(block["elements"])), where
         )
 
-    for name, block in (raw.get("relations") or {}).items():
-        where = f"relations.{name}"
+    for name, where, block in _blocks(raw, "relations"):
         _check_keys(block, {"components", "tuples", "inputs"}, where, strict, doc.warnings)
 
         def build_relation(block=block, where=where):
@@ -162,8 +175,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.relations[name] = construct(build_relation, where)
 
-    for name, block in (raw.get("morphisms") or {}).items():
-        where = f"morphisms.{name}"
+    for name, where, block in _blocks(raw, "morphisms"):
         _check_keys(block, {"source", "target", "x_map", "y_map"}, where, strict, doc.warnings)
 
         def build_morphism(block=block, where=where):
@@ -180,8 +192,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.morphisms[name] = construct(build_morphism, where)
 
-    for name, block in (raw.get("measures") or {}).items():
-        where = f"measures.{name}"
+    for name, where, block in _blocks(raw, "measures"):
         _check_keys(block, {"support", "probs"}, where, strict, doc.warnings)
 
         def build_measure(block=block, where=where):
@@ -190,8 +201,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.measures[name] = construct(build_measure, where)
 
-    for name, block in (raw.get("conditionals") or {}).items():
-        where = f"conditionals.{name}"
+    for name, where, block in _blocks(raw, "conditionals"):
         _check_keys(block, {"given", "over", "rows"}, where, strict, doc.warnings)
 
         def build_conditional(block=block, where=where):
@@ -208,8 +218,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.conditionals[name] = construct(build_conditional, where)
 
-    for name, block in (raw.get("datasets") or {}).items():
-        where = f"datasets.{name}"
+    for name, where, block in _blocks(raw, "datasets"):
         _check_keys(block, {"pairs", "tag"}, where, strict, doc.warnings)
         doc.datasets[name] = construct(
             lambda block=block: Dataset(
@@ -218,8 +227,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             where,
         )
 
-    for name, block in (raw.get("learning") or {}).items():
-        where = f"learning.{name}"
+    for name, where, block in _blocks(raw, "learning"):
         _check_keys(
             block,
             {"inputs", "outputs", "thetas", "table", "loss", "algorithm"},
@@ -237,7 +245,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
                 if theta not in table:
                     raise InvariantViolation(f"{where}: no table row for {theta!r}")
             rows = {theta: table[theta] for theta in thetas.elements}
-            algo_block = block.get("algorithm") or {"kind": "erm"}
+            algo_block = _object(block.get("algorithm"), f"{where}.algorithm")
             algorithm = AlgorithmSpec(
                 algo_block.get("kind", "erm"),
                 algo_block.get("anchor"),
@@ -253,8 +261,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.learning[name] = construct(build_learning, where)
 
-    for name, block in (raw.get("packs") or {}).items():
-        where = f"packs.{name}"
+    for name, where, block in _blocks(raw, "packs"):
         _check_keys(
             block,
             {"learning", "dataset", "marginal", "posterior", "truth", "tag"},
@@ -290,8 +297,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.packs[name] = construct(build_pack, where)
 
-    for name, block in (raw.get("transfer") or {}).items():
-        where = f"transfer.{name}"
+    for name, where, block in _blocks(raw, "transfer"):
         _check_keys(
             block,
             {
@@ -311,7 +317,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         def build_transfer(block=block, where=where):
             source = _ref(doc.learning, block["source"], where)
             target = _ref(doc.learning, block["target"], where)
-            know_block = block.get("knowledge") or {}
+            know_block = _object(block.get("knowledge"), f"{where}.knowledge")
             _check_keys(
                 know_block, {"instances", "parameters"}, f"{where}.knowledge", strict, doc.warnings
             )
@@ -329,7 +335,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             )
             latent = None
             if block.get("latent") is not None:
-                lat = block["latent"]
+                lat = _object(block["latent"], f"{where}.latent")
                 _check_keys(
                     lat,
                     {
@@ -363,7 +369,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         doc.transfer[name] = construct(build_transfer, where)
 
     if raw.get("scenario") is not None:
-        block = raw["scenario"]
+        block = _object(raw["scenario"], "scenario")
         where = "scenario"
         _check_keys(
             block,
@@ -398,10 +404,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             where,
         )
 
-    analysis = raw.get("analysis") or {}
-    if not isinstance(analysis, dict):
-        raise ParseError("analysis must be an object keyed by analysis kind")
-    doc.analysis = analysis
+    doc.analysis = _object(raw.get("analysis"), "analysis")
     return doc
 
 

@@ -7,20 +7,37 @@ import math
 
 import numpy as np
 
-from transferlab.errors import CapExceeded, EmptyDataset, UnknownElement, ValidationError
+from transferlab.errors import (
+    CapExceeded,
+    EmptyDataset,
+    IncompatibleCarriers,
+    UnknownElement,
+    ValidationError,
+)
 from transferlab.learning import (
     AlgorithmSpec,
+    AxiomReport,
     Dataset,
     HypothesisClass,
     LearningSystem,
     LossSpec,
     SystemPack,
     full_function_class,
+    run_algorithm,
+    selection_values,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
-from transferlab.relations import FiniteSet, FiniteSystem, Morphism
+from transferlab.relations import (
+    FiniteSet,
+    FiniteSystem,
+    GoalSeekingSpec,
+    GoalSeekReport,
+    GoalSeekViolation,
+    Morphism,
+    cascade,
+)
 from transferlab.structural import _canonical_structure, _set_partitions, _structure_system
-from transferlab.transfer import latent_dataset, pool_data
+from transferlab.transfer import latent_dataset, pool_data, run_transfer, transfer_values
 
 
 def io_system(pairs, x_name="X", y_name="Y", xs=None, ys=None) -> FiniteSystem:
@@ -329,3 +346,130 @@ def scalar_structure_search(source, target, target_y, size_bound):
                 valid.append((idx, witness.x_map, witness.y_map, output_map))
                 break
     return candidates, valid
+
+
+# -- scalar axiom-audit oracle -----------------------------------------------------
+# The decomposition and goal-seeking checks as first written: the full
+# |Θ|·|X| functional relation built one output() call per cell, and every
+# carrier point of the inductive relation visited one by one.  The
+# set-based checks in transferlab must give the same reports and raise
+# the same exceptions.
+
+def scalar_check_goal_seeking(sf, sg, gs, system=None) -> GoalSeekReport:
+    if len(sg.output_indices) != 1:
+        raise IncompatibleCarriers("the inductive relation must output one parameter")
+    theta_index = sg.output_indices[0]
+    theta_set = sg.components[theta_index]
+    base_components = sg.input_components
+
+    violations = []
+    checked = 0
+    for base in itertools.product(*(c.elements for c in base_components)):
+        for theta in theta_set.elements:
+            checked += 1
+            key = base + (theta,)
+            if key not in gs.goal:
+                violations.append(GoalSeekViolation("goal_not_total", key))
+                continue
+            value = gs.goal[key]
+            if value not in gs.value_set:
+                violations.append(GoalSeekViolation("goal_value", key))
+                continue
+            in_sg = key in sg.tuple_set
+            in_seek = base + (value, theta) in gs.seek
+            if in_sg and not in_seek:
+                violations.append(GoalSeekViolation("seek_missing", key))
+            elif in_seek and not in_sg:
+                violations.append(GoalSeekViolation("seek_extra", key))
+
+    if sf is not None and system is not None:
+        expected = (theta_set,) + tuple(system.components)
+        if len(sf.components) != len(expected) or not all(
+            a.same_elements(b) for a, b in zip(sf.components, expected)
+        ):
+            raise IncompatibleCarriers(
+                "functional relation must range over the parameter set followed "
+                "by the composite system's components"
+            )
+        for combo in itertools.product(*(c.elements for c in system.components)):
+            checked += 1
+            lhs = combo in system.tuple_set
+            rhs = any(
+                (theta,) + combo in sf.tuple_set and combo + (theta,) in sg.tuple_set
+                for theta in theta_set.elements
+            )
+            if lhs != rhs:
+                violations.append(GoalSeekViolation("io_mismatch", combo))
+
+    return GoalSeekReport(tuple(violations), checked)
+
+
+def scalar_verify_decomposition(
+    x_set, y_set, theta_set, output_fn, datasets, select_fn, objective_fn,
+    functional_system=None, inductive_system=None,
+) -> AxiomReport:
+    if not datasets:
+        raise EmptyDataset("axiom verification needs at least one sampled dataset")
+    names = tuple(f"d{i}" for i in range(len(datasets)))
+    selected = {name: select_fn(d) for name, d in zip(names, datasets)}
+    derived = FiniteSystem(
+        (FiniteSet("datasets", names), theta_set), tuple(selected.items()), ((0,), (1,))
+    )
+    goal = {
+        (name, theta): value
+        for name, d in zip(names, datasets)
+        for theta, value in zip(theta_set.elements, objective_fn(d).tolist())
+    }
+    gs = GoalSeekingSpec(
+        FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
+        goal,
+        frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
+    )
+    if inductive_system is None:
+        inductive_system = derived
+    if functional_system is None:
+        functional_system = FiniteSystem(
+            (theta_set, x_set, y_set),
+            tuple(
+                (theta, x, output_fn(theta, x))
+                for theta in theta_set.elements
+                for x in x_set.elements
+            ),
+            ((0, 1), (2,)),
+        )
+
+    composed = cascade(inductive_system, functional_system, (1, 0))
+    direct = frozenset(
+        (name, x, output_fn(chosen, x))
+        for name, chosen in selected.items()
+        for x in x_set.elements
+    )
+    cascade_violations = tuple(sorted(direct.symmetric_difference(composed.tuple_set), key=repr))
+    seeking = scalar_check_goal_seeking(None, inductive_system, gs)
+
+    optimality = []
+    for (name, chosen), d in zip(selected.items(), datasets):
+        chosen_value = gs.goal[(name, chosen)]
+        for theta in theta_set.elements:
+            if gs.goal[(name, theta)] < chosen_value - 1e-12:
+                optimality.append((name, theta))
+        if select_fn(d) != chosen:
+            optimality.append((name, "nondeterministic"))
+
+    return AxiomReport(cascade_violations, seeking, tuple(optimality), tuple(selected))
+
+
+def scalar_learning_axioms(system, datasets, **overrides) -> AxiomReport:
+    """:func:`transferlab.learning.verify_learning_axioms`, scalar."""
+    return scalar_verify_decomposition(
+        system.x_set, system.y_set, system.theta_set, system.hypotheses.output, datasets,
+        lambda d: run_algorithm(d, system), lambda d: selection_values(d, system), **overrides,
+    )
+
+
+def scalar_transfer_axioms(ts, datasets, **overrides) -> AxiomReport:
+    """:func:`transferlab.transfer.verify_transfer_is_learning_system`, scalar, without caps."""
+    return scalar_verify_decomposition(
+        ts.target.x_set, ts.target.y_set, ts.theta_tr_set, ts.hypotheses_tr.output, datasets,
+        lambda d: run_transfer(ts, d)[0], lambda d: transfer_values(ts, d)[0], **overrides,
+    )

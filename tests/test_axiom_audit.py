@@ -1,0 +1,313 @@
+"""The axiom audit against the scalar oracle in ``helpers``.
+
+``verify_learning_axioms`` and ``verify_transfer_is_learning_system``
+build the functional relation only from the parameters the inductive
+relation couples, and ``check_goal_seeking`` visits only the carrier
+points that can fail.  On random small systems, corrupted and foreign
+overrides, and random goal/seeking specs, each must return the oracle's
+report (equal and repr-equal) or raise the oracle's exception with the
+oracle's message.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    scalar_check_goal_seeking,
+    scalar_learning_axioms,
+    scalar_transfer_axioms,
+)
+from test_objective_core import datasets, losses, penalty_weights, systems, transfer_systems
+from transferlab.errors import CouplingMismatch
+from transferlab.learning import (
+    AlgorithmSpec,
+    Dataset,
+    HypothesisClass,
+    LearningSystem,
+    verify_learning_axioms,
+)
+from transferlab.relations import FiniteSet, FiniteSystem, GoalSeekingSpec, check_goal_seeking
+from transferlab.transfer import verify_transfer_is_learning_system
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def assert_same_outcome(fast, oracle):
+    """``fast()`` returns what ``oracle()`` returns, or raises its error class and message."""
+    try:
+        expected = oracle()
+    except Exception as exc:  # the oracle's error is the expected outcome
+        with pytest.raises(Exception) as info:
+            fast()
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    got = fast()
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@st.composite
+def learning_systems(draw):
+    system = draw(systems("", loss=draw(losses)))
+    if draw(st.booleans()):
+        anchor = draw(st.sampled_from(system.theta_set.elements))
+        system = LearningSystem(
+            system.x_set, system.y_set, system.hypotheses, system.loss,
+            AlgorithmSpec("penalized", anchor=anchor, weight=draw(penalty_weights)),
+        )
+    return system
+
+
+def sample_datasets(draw, system):
+    xs, ys = system.x_set.elements, system.y_set.elements
+    return [draw(datasets(xs, ys)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def functional_overrides(draw, system):
+    """The system's functional relation with cells dropped, changed and added."""
+    thetas, xs, ys = system.theta_set, system.x_set, system.y_set
+    cells = []
+    for theta, x in itertools.product(thetas.elements, xs.elements):
+        fate = draw(st.sampled_from(("keep", "keep", "keep", "drop", "change")))
+        if fate != "drop":
+            y = system.hypotheses.output(theta, x)
+            cells.append((theta, x, draw(st.sampled_from(ys.elements)) if fate == "change" else y))
+    extra = st.tuples(*(st.sampled_from(c.elements) for c in (thetas, xs, ys)))
+    cells += draw(st.lists(extra, max_size=3))
+    if draw(st.integers(0, 5)) == 0:  # a coupling set with other elements
+        thetas = FiniteSet("T+", thetas.elements + ("foreign",))
+    return FiniteSystem((thetas, xs, ys), tuple(cells), ((0, 1), (2,)))
+
+
+@st.composite
+def inductive_overrides(draw, thetas, n_datasets):
+    """Sparse selections over a smaller, equal or larger dataset carrier."""
+    names = tuple(f"d{i}" for i in range(draw(st.integers(1, n_datasets + 2))))
+    if draw(st.integers(0, 3)) == 0:  # a coupling set with other elements
+        thetas = FiniteSet("T+", thetas.elements + ("foreign",))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(thetas.elements))
+    # one in three has Θ on the input side, which the cascade refuses
+    partition = draw(st.sampled_from((((0,), (1,)), ((0,), (1,)), ((1,), (0,)))))
+    tuples = draw(st.lists(pairs, max_size=2 * len(names)))
+    return FiniteSystem((FiniteSet("datasets", names), thetas), tuple(tuples), partition)
+
+
+@SETTINGS
+@given(st.data())
+def test_learning_axioms_match_oracle(data):
+    system = data.draw(learning_systems())
+    samples = sample_datasets(data.draw, system)
+    assert_same_outcome(
+        lambda: verify_learning_axioms(system, samples),
+        lambda: scalar_learning_axioms(system, samples),
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_corrupted_functional_override_matches_oracle(data):
+    system = data.draw(learning_systems())
+    samples = sample_datasets(data.draw, system)
+    override = data.draw(functional_overrides(system))
+    assert_same_outcome(
+        lambda: verify_learning_axioms(system, samples, functional_system=override),
+        lambda: scalar_learning_axioms(system, samples, functional_system=override),
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_inductive_override_matches_oracle(data):
+    system = data.draw(learning_systems())
+    samples = sample_datasets(data.draw, system)
+    override = data.draw(inductive_overrides(system.theta_set, len(samples)))
+    assert_same_outcome(
+        lambda: verify_learning_axioms(system, samples, inductive_system=override),
+        lambda: scalar_learning_axioms(system, samples, inductive_system=override),
+    )
+
+
+def test_foreign_coupling_set_is_refused_by_the_cascade():
+    x, y = FiniteSet("X", ("x0", "x1")), FiniteSet("Y", (0, 1))
+    thetas = FiniteSet("T", ("t0", "t1"))
+    rows = {"t0": (0, 0), "t1": (0, 1)}
+    system = LearningSystem(x, y, HypothesisClass(thetas, columns=x.elements, rows=rows))
+    samples = [Dataset((("x1", 1),))]
+    foreign = FiniteSet("T+", ("t0", "t1", "foreign"))
+    override = FiniteSystem(
+        (FiniteSet("datasets", ("d0",)), foreign), (("d0", "foreign"),), ((0,), (1,))
+    )
+    with pytest.raises(CouplingMismatch):
+        verify_learning_axioms(system, samples, inductive_system=override)
+    assert_same_outcome(
+        lambda: verify_learning_axioms(system, samples, inductive_system=override),
+        lambda: scalar_learning_axioms(system, samples, inductive_system=override),
+    )
+
+
+def test_witnesses_keep_the_tables_own_atoms():
+    # True and 1.0 encode as the labels 1 and 0, but a witness shows the table's atom.
+    x, y = FiniteSet("X", ("x0", "x1")), FiniteSet("Y", (0, 1))
+    thetas = FiniteSet("T", ("t0", "t1"))
+    rows = {"t0": (True, 0.0), "t1": (0, 1)}
+    system = LearningSystem(x, y, HypothesisClass(thetas, columns=x.elements, rows=rows))
+    samples = [Dataset((("x0", 1), ("x1", 0)))]
+    override = FiniteSystem(
+        (FiniteSet("datasets", ("d0",)), thetas), (("d0", "t1"),), ((0,), (1,))
+    )
+    report = verify_learning_axioms(system, samples, inductive_system=override)
+    assert "('d0', 'x0', True)" in repr(report.cascade_violations)
+    expected = scalar_learning_axioms(system, samples, inductive_system=override)
+    assert repr(report) == repr(expected)
+
+
+@SETTINGS
+@given(st.data())
+def test_transfer_axioms_match_oracle(data):
+    ts = data.draw(transfer_systems(data.draw(losses)))
+    samples = [
+        data.draw(datasets(ts.target.x_set.elements, ts.target.y_set.elements))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    overrides = {}
+    if data.draw(st.booleans()):
+        override = inductive_overrides(ts.theta_tr_set, len(samples))
+        overrides["inductive_system"] = data.draw(override)
+    assert_same_outcome(
+        lambda: verify_transfer_is_learning_system(ts, samples, cap=64, **overrides),
+        lambda: scalar_transfer_axioms(ts, samples, **overrides),
+    )
+
+
+def test_every_transfer_rule_is_covered():
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def collect(data):
+        seen.add(data.draw(transfer_systems("zero_one")).approach)
+
+    collect()
+    assert seen == {"instance", "parameter", "instance_parameter", "feature_representation"}
+
+
+# -- check_goal_seeking ----------------------------------------------------------
+
+NAN = float("nan")
+OTHER_NAN = float("nan")  # equal to nothing, NAN included
+VALUES = (0.0, 0.5, 1, NAN, "v")
+GOAL_VALUES = VALUES + ("outside", OTHER_NAN)
+
+
+@st.composite
+def goal_seeking_cases(draw):
+    """An inductive relation (Θ at any component position) and a goal/seeking pair."""
+    bases = [
+        FiniteSet(f"B{i}", tuple(f"b{i}{j}" for j in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    thetas = FiniteSet("T", tuple(f"t{j}" for j in range(draw(st.integers(1, 3)))))
+    at = draw(st.integers(0, len(bases)))
+    components = tuple(bases[:at]) + (thetas,) + tuple(bases[at:])
+    inputs = tuple(i for i in range(len(components)) if i != at)
+    keys = list(itertools.product(*(c.elements for c in bases), thetas.elements))
+    # sg tuples are in component order, goal keys are inputs then Θ
+    chosen = [k for k in keys if draw(st.booleans())]
+    sg = FiniteSystem(
+        components, tuple(k[:at] + k[-1:] + k[at:-1] for k in chosen), (inputs, (at,))
+    )
+    goal = {}
+    for key in keys:
+        if draw(st.integers(0, 5)):
+            goal[key] = draw(st.sampled_from(GOAL_VALUES))
+    if draw(st.booleans()):  # keys outside the carrier are ignored
+        goal[("elsewhere",) * len(bases) + (thetas.elements[0],)] = draw(st.sampled_from(VALUES))
+    seek = set()
+    for key in keys:
+        if draw(st.integers(0, 2)) == 0:
+            value = goal.get(key) if draw(st.booleans()) else draw(st.sampled_from(GOAL_VALUES))
+            seek.add(key[:-1] + (value, key[-1]))
+    if draw(st.booleans()):
+        seek.add(("elsewhere",) * len(bases) + (0.0, thetas.elements[0]))
+    declared = draw(st.lists(st.sampled_from(VALUES), min_size=1, unique=True))
+    value_set = FiniteSet("V", tuple(declared))
+    return sg, GoalSeekingSpec(value_set, goal, frozenset(seek))
+
+
+@settings(max_examples=300, deadline=None)
+@given(goal_seeking_cases())
+def test_goal_seeking_matches_oracle(case):
+    sg, gs = case
+    assert_same_outcome(
+        lambda: check_goal_seeking(None, sg, gs),
+        lambda: scalar_check_goal_seeking(None, sg, gs),
+    )
+
+
+def test_each_point_reports_its_first_failing_condition():
+    d_set, thetas = FiniteSet("D", ("d0", "d1")), FiniteSet("T", ("t0", "t1"))
+    # every point is in sg, so each would also be seek_missing
+    sg = FiniteSystem((d_set, thetas), tuple(itertools.product(d_set, thetas)), ((0,), (1,)))
+    goal = {("d0", "t1"): "outside", ("d1", "t0"): 0.0, ("d1", "t1"): 0.0}
+    gs = GoalSeekingSpec(FiniteSet("V", (0.0,)), goal, frozenset({("d1", 0.0, "t1")}))
+    report = check_goal_seeking(None, sg, gs)
+    assert [(v.kind, v.witness) for v in report.violations] == [
+        ("goal_not_total", ("d0", "t0")),
+        ("goal_value", ("d0", "t1")),
+        ("seek_missing", ("d1", "t0")),
+    ]
+    assert report.checked == 4
+    assert report == scalar_check_goal_seeking(None, sg, gs)
+
+
+def test_goal_seeking_cases_reach_every_violation_kind():
+    kinds = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(goal_seeking_cases())
+    def collect(case):
+        sg, gs = case
+        kinds.update(v.kind for v in check_goal_seeking(None, sg, gs).violations)
+
+    collect()
+    assert kinds == {"goal_not_total", "goal_value", "seek_missing", "seek_extra"}
+
+
+@st.composite
+def decomposition_cases(draw):
+    """sf over (Θ, X, Y), sg over (X, Y, Θ) and a composite system over (X, Y)."""
+    x = FiniteSet("X", tuple(f"x{i}" for i in range(draw(st.integers(1, 3)))))
+    y = FiniteSet("Y", tuple(range(draw(st.integers(1, 3)))))
+    thetas = FiniteSet("T", tuple(f"t{j}" for j in range(draw(st.integers(1, 3)))))
+
+    def relation(components, partition):
+        cells = itertools.product(*(c.elements for c in components))
+        return FiniteSystem(
+            components, tuple(c for c in cells if draw(st.booleans())), partition
+        )
+
+    system = relation((x, y), ((0,), (1,)))
+    sf_components = (thetas, x, y) if draw(st.integers(0, 5)) else (thetas, x)
+    sf = relation(sf_components, ((0, 1), (2,)) if len(sf_components) == 3 else ((0,), (1,)))
+    sg = relation((x, y, thetas), ((0, 1), (2,)))
+    goal = {
+        key: draw(st.sampled_from((0.0, 1.0)))
+        for key in itertools.product(x.elements, y.elements, thetas.elements)
+    }
+    seek = frozenset(k[:-1] + (goal[k], k[-1]) for k in sg.tuples if draw(st.integers(0, 4)))
+    return sf, sg, GoalSeekingSpec(FiniteSet("V", (0.0, 1.0)), goal, seek), system
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposition_cases())
+def test_goal_seeking_with_decomposition_matches_oracle(case):
+    sf, sg, gs, system = case
+    assert_same_outcome(
+        lambda: check_goal_seeking(sf, sg, gs, system=system),
+        lambda: scalar_check_goal_seeking(sf, sg, gs, system=system),
+    )

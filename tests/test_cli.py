@@ -138,3 +138,46 @@ def test_config_that_is_not_an_object_exits_analysis_error(tmp_path, capsys, con
         f"analysis error (negative): analysis.negative must be an object, not {type_name}\n"
     )
     assert not (tmp_path / "r.json").exists()
+
+
+NEGATIVE = {**PACKS, "system": "tr"}
+
+
+@pytest.mark.parametrize(
+    "kind, config, message",
+    [
+        ("negative", {**NEGATIVE, "source": ["a"]},
+         "analysis needs a resolvable pack reference 'source'"),
+        ("distance", {**PACKS, "source": {}},
+         "analysis needs a resolvable pack reference 'source'"),
+        ("negative", {**NEGATIVE, "system": {}}, "negative needs a transfer system reference"),
+        ("bound", {**NEGATIVE, "system": ["tr"]}, "bound needs a transfer system reference"),
+        ("transfer", {"system": ["tr"], "data": "target_data"},
+         "transfer needs system and data references"),
+        ("transfer", {"system": "tr", "data": {"target_data": 1}},
+         "transfer needs system and data references"),
+        ("distance", {**PACKS, "align": ["tr"]},
+         "align must reference a transfer block with latent maps"),
+        ("transferability", {**UNIVERSE, "universe": [["source"]]},
+         "universe member ['source'] does not resolve"),
+        ("transferability", {**UNIVERSE, "universe": 5},
+         "analysis needs a non-empty universe of pack references"),
+        ("generalist", {**UNIVERSE, "pack": {}},
+         "analysis needs a resolvable pack reference 'pack'"),
+        ("roughness", {"source": ["r"], "target": "r", "morphism": "m"},
+         "roughness needs relation reference 'source'"),
+        ("roughness", {"source": "r", "target": "r", "morphism": {}},
+         "roughness needs a morphism reference"),
+    ],
+)
+def test_unhashable_reference_exits_analysis_error(tmp_path, capsys, kind, config, message):
+    path, doc = emit(tmp_path, SMALL)
+    inputs, outputs = (doc["learning"]["source_system"][k] for k in ("inputs", "outputs"))
+    doc["relations"] = {"r": {"components": [inputs, outputs], "tuples": [], "inputs": [0]}}
+    doc["analysis"][kind] = config
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == f"analysis error ({kind}): {message}\n"
+    assert not (tmp_path / "r.json").exists()

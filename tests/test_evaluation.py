@@ -1,11 +1,24 @@
-"""Structural-mode transferability: reproducible reports, indices that follow the universe."""
+"""Transferability and negative-transfer reports: reproducible, indices that follow the universe.
+
+Permutation-equivariance is checked in structural mode only: empirical
+mode keys each member's randomness by its index, so permuting the
+universe reseeds the members.
+"""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import binary_pack
-from transferlab.evaluation import NeighborhoodReport, transferability
+from transferlab.evaluation import (
+    NeighborhoodReport,
+    build_transfer_system,
+    detect_negative_transfer,
+    is_generalist,
+    transferability,
+)
 from transferlab.learning import EvaluationContext
 from transferlab.structural import structural_transferability
 
@@ -68,3 +81,38 @@ def test_permuting_the_universe_permutes_members_and_errors(order, case):
     assert permuted.members == tuple(j for j, i in enumerate(order) if i in base.members)
     assert permuted.values == {j: base.values[i] for j, i in enumerate(order) if i in base.values}
     assert permuted.cardinality == base.cardinality
+
+
+def assert_rerun_identical(run):
+    first, again = run(), run()
+    assert again == first
+    assert repr(again) == repr(first)
+    return first
+
+
+@pytest.mark.parametrize("role, epsilon_star", CASES + [("source", "target-alone")])
+def test_empirical_transferability_rerun_is_identical(role, epsilon_star):
+    report = assert_rerun_identical(lambda: transferability(
+        PACK, UNIVERSE, role, EvaluationContext(PACK.truth, 0.5),
+        mode="empirical", seeds=3, root_seed=11, epsilon_star=epsilon_star,
+    ))
+    assert report.mode == "empirical" and report.values
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+def test_negative_transfer_rerun_is_identical(holdout):
+    source = UNIVERSE[1]
+    target = dataclasses.replace(PACK, truth=None) if holdout else PACK  # held out: half the data
+    ts = build_transfer_system(source, target, "instance")
+    outcome = assert_rerun_identical(
+        lambda: detect_negative_transfer(source, target, ts, seeds=4, root_key=(11,))
+    )
+    assert outcome.error_mode == ("holdout" if holdout else "truth-table")
+    assert len(outcome.per_seed_with) == 4
+
+
+def test_generalist_rerun_is_identical():
+    report = assert_rerun_identical(
+        lambda: is_generalist(PACK, UNIVERSE[:3], 2, 1, EvaluationContext(PACK.truth, 0.5))
+    )
+    assert set(report.evidence) == {0, 1, 2}

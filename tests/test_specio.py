@@ -96,3 +96,49 @@ def test_malformed_table_exit_codes(tmp_path, capsys, corrupt, code):
     capsys.readouterr()
     assert cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")]) == code
     assert capsys.readouterr().err.count("learning.source_system:") == 1
+
+
+def set_section(name, value):
+    return lambda doc: doc.__setitem__(name, value)
+
+
+def set_field(section, block, name, value):
+    return lambda doc: doc[section][block].__setitem__(name, value)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (set_section("sets", [1]), "sets must be an object, not list"),
+        (set_section("sets", []), "sets must be an object, not list"),
+        (set_section("learning", 5), "learning must be an object, not int"),
+        (set_section("datasets", {"x": 7}), "datasets.x must be an object, not int"),
+        (set_section("scenario", [1]), "scenario must be an object, not list"),
+        (set_field("transfer", "tr", "knowledge", ["a"]),
+         "transfer.tr.knowledge must be an object, not list"),
+        (set_field("learning", "source_system", "algorithm", [1]),
+         "learning.source_system.algorithm must be an object, not list"),
+    ],
+)
+def test_non_object_block_is_a_parse_error(tmp_path, capsys, corrupt, message):
+    (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "v.json"
+    assert cli.main(["validate", str(path), "--out", str(report)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert not report.exists()
+
+
+def test_null_blocks_read_as_absent(tmp_path):
+    (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(relations=None, morphisms=None, scenario=None)
+    doc["learning"]["source_system"]["algorithm"] = None
+    doc["transfer"]["tr"]["latent"] = None
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    parsed = load_document(str(path))
+    assert parsed.relations == {} and parsed.scenario is None
+    assert parsed.learning["source_system"].algorithm.kind == "erm"
