@@ -2,15 +2,16 @@
 
 Exit codes are part of the contract: 0 clean, 2 parse failure, 3 broken
 reference, 4 construction-invariant violation, 5 analysis-time failure.
-Reports are JSON with sorted keys; with a fixed ``--seed`` the results
-section is byte-identical across runs.
+Reports are JSON with sorted keys and a 2-space indent, written by the
+same writer as emitted documents (:func:`transferlab.specio.json_text`);
+with a fixed ``--seed`` the results section is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import sys
 from pathlib import Path
 from typing import Any
@@ -32,6 +33,7 @@ from .specio import (
     SpecDocument,
     document_digest,
     dump_document,
+    json_text,
     load_document,
 )
 from .structural import (
@@ -94,8 +96,8 @@ def _number(config: dict, key: str, kind: type, default: Any = None) -> Any:
 
 def _universe(doc: SpecDocument, config: dict):
     names = config.get("universe")
-    if not names or isinstance(names, (int, float)):
-        raise AnalysisError("analysis needs a non-empty universe of pack references")
+    if not isinstance(names, list) or not names:
+        raise AnalysisError("analysis needs a non-empty list of pack references")
     missing = [n for n in names if _resolve(doc.packs, n) is None]
     if missing:
         raise AnalysisError(f"universe member {missing[0]!r} does not resolve")
@@ -262,7 +264,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json_text(report) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -321,7 +323,9 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
     return doc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser; built once, since it depends on nothing a call passes."""
     parser = argparse.ArgumentParser(
         prog="transferlab",
         description="Model learning and transfer between finite learning systems.",
@@ -357,8 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     scenario = sub.add_parser("scenario", parents=[common], help="materialize generated pairs")
     scenario.add_argument("--emit", default=".", help="directory for emitted documents")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         doc = load_document(args.path, strict=args.strict)

@@ -467,8 +467,7 @@ def divergence(
     kernel: Callable[[Atom, Atom], float] | str | None = None,
 ) -> float:
     """Dispatch to one of kl / hellinger / tv / w1 / mmd."""
-    try:
-        fn = _DIVERGENCES[kind.lower()]
-    except KeyError:
-        raise ValidationError(f"unknown divergence kind {kind!r}") from None
+    fn = _DIVERGENCES.get(kind.lower()) if isinstance(kind, str) else None
+    if fn is None:
+        raise ValidationError(f"unknown divergence kind {kind!r}")
     return fn(p, q, coords, kernel)

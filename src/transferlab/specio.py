@@ -11,11 +11,21 @@ Failures are staged: malformed structure raises :class:`ParseError`,
 dangling or unknown references raise :class:`ResolutionError`, and
 construction invariants of the resolved objects raise
 :class:`InvariantViolation`.
+
+Emission has one form: keys sorted, a 2-space indent, non-ASCII and
+control characters as ``\\u`` escapes -- byte for byte the text
+``json.dumps(obj, sort_keys=True, indent=2)`` writes, here produced by
+:func:`json_text` at the speed of the stdlib's C encoder.  Reports of the
+CLI use the same writer.  :func:`document_digest` hashes the compact
+form (``separators=(",", ":")``, keys sorted), so the digest does not
+depend on layout.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -389,6 +399,14 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             strict,
             doc.warnings,
         )
+        ladder = block.get("ladder")
+        if ladder is not None and not isinstance(ladder, list):
+            raise ParseError(
+                f"scenario.ladder must be a list of numbers, not {type(ladder).__name__}"
+            )
+        for alpha in ladder or ():
+            if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+                raise ParseError(f"scenario.ladder entry {alpha!r} is not a number")
         doc.scenario = construct(
             lambda: ScenarioSpec(
                 grid_size=int(block.get("grid_size", 4)),
@@ -494,7 +512,7 @@ def document_dict(doc: SpecDocument) -> dict:
         }
     if doc.datasets:
         out["datasets"] = {
-            name: {"pairs": [list(p) for p in d.pairs], "tag": d.source_tag}
+            name: {"pairs": d.pairs, "tag": d.source_tag}
             for name, d in doc.datasets.items()
         }
     if doc.learning:
@@ -507,13 +525,10 @@ def document_dict(doc: SpecDocument) -> dict:
             out["learning"][name] = {
                 "inputs": sys_.x_set.name,
                 "outputs": sys_.y_set.name,
-                "thetas": list(sys_.theta_set.elements),
-                "table": {
-                    theta: list(row)
-                    for theta, row in zip(
-                        sys_.theta_set.elements, sys_.hypotheses.rows_over(sys_.x_set.elements)
-                    )
-                },
+                "thetas": sys_.theta_set.elements,
+                "table": dict(
+                    zip(sys_.theta_set.elements, sys_.hypotheses.rows_over(sys_.x_set.elements))
+                ),
                 "loss": sys_.loss.kind,
                 "algorithm": algo,
             }
@@ -586,8 +601,103 @@ def document_dict(doc: SpecDocument) -> dict:
     return out
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(separator: str, key_separator: str = ": ") -> json.JSONEncoder:
+    return json.JSONEncoder(sort_keys=True, separators=(separator, key_separator))
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    Any indent sends the stdlib to its pure-Python encoder, so this lays
+    out only the lines and leaves the values to the compact C encoder.
+    A container of non-empty scalar rows (table rows, probability rows,
+    dataset pairs) is one call, with the cells' separator; its rows are
+    then re-laid at each ``],`` + newline, which only a row's end writes,
+    since encoded text holds no raw newline and no scalar's text ends in
+    ``]``.  A string key or member is one call of its own, which the
+    encoder answers without set-up.  One more call, with a newline as the
+    item separator, encodes every other scalar and every container of
+    scalars; splitting its text at the newlines gives each scalar's text
+    and each member line of a container of scalars.
+    """
+    chunks: list = []
+    slots: list[tuple] = []
+    leaves: list = []
+    _lay_out(value, 0, chunks, slots, leaves)
+    lines = iter(_encoder("\n").encode(leaves)[1:-1].split("\n") if leaves else ())
+    for slot, count, inner, outer in slots:
+        if count:  # a container of scalars, its brackets on its first and last line
+            text = ("," + inner).join(itertools.islice(lines, count))
+            chunks[slot] = "".join((text[0], inner, text[1:-1], outer, text[-1]))
+        else:
+            chunks[slot] = next(lines)
+    return "".join(chunks)
+
+
+def _lay_out(value: Any, level: int, chunks: list, slots: list[tuple], leaves: list) -> None:
+    """Append ``value``'s text, ``level`` indents deep, to ``chunks``.
+
+    What the shared call encodes is queued in ``leaves``, and where its
+    text goes in ``slots``: the chunk's index, the container's member
+    count (0 for a scalar) and its inner and outer indent.
+    """
+    if isinstance(value, dict):
+        values, opening, closing = list(value.values()), "{", "}"
+    elif isinstance(value, (list, tuple)):
+        values, opening, closing = value, "[", "]"
+    else:
+        slots.append((len(chunks), 0, None, None))
+        chunks.append(None)
+        leaves.append(value)
+        return
+    if not values:
+        chunks.append(opening + closing)
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    types = set(map(type, values))
+    if types <= _SCALARS:
+        slots.append((len(chunks), len(values), inner, outer))
+        chunks.append(None)
+        leaves.append(value)
+        return
+    cells = itertools.chain.from_iterable(values)
+    if types <= {list, tuple} and all(values) and set(map(type, cells)) <= _SCALARS:
+        cell = inner + "  "
+        text = _encoder("," + cell, ":\n").encode(value)
+        if opening == "{":  # the key separator is the other raw newline; keys open with '"'
+            text = text.replace(":\n[", ": [" + cell)
+            text = text.replace("]," + cell + '"', inner + "]," + inner + '"')
+            chunks += (opening, inner, text[1:-2])
+        else:
+            text = text.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
+            chunks += (opening, inner, "[", cell, text[2:-2])
+        chunks += (inner, "]", outer, closing)
+        return
+    separator = opening + inner
+    members = sorted(value.items()) if opening == "{" else enumerate(value)
+    encode = _encoder("\n").encode
+    for key, member in members:
+        chunks.append(separator)
+        separator = "," + inner
+        if opening == "{":  # a non-string key converted as the encoder converts it
+            chunks += (encode(key) if isinstance(key, str) else encode({key: 0})[1:-4], ": ")
+        if type(member) is str:
+            chunks.append(encode(member))
+        elif type(member) in _SCALARS:  # inlined: small reports are mostly scalar members
+            slots.append((len(chunks), 0, None, None))
+            chunks.append(None)
+            leaves.append(member)
+        else:
+            _lay_out(member, level + 1, chunks, slots, leaves)
+    chunks += (outer, closing)
+
+
 def dump_document(doc: SpecDocument) -> str:
-    return json.dumps(document_dict(doc), sort_keys=True, indent=2) + "\n"
+    return json_text(document_dict(doc)) + "\n"
 
 
 def document_digest(doc: SpecDocument) -> str:

@@ -161,7 +161,7 @@ NEGATIVE = {**PACKS, "system": "tr"}
         ("transferability", {**UNIVERSE, "universe": [["source"]]},
          "universe member ['source'] does not resolve"),
         ("transferability", {**UNIVERSE, "universe": 5},
-         "analysis needs a non-empty universe of pack references"),
+         "analysis needs a non-empty list of pack references"),
         ("generalist", {**UNIVERSE, "pack": {}},
          "analysis needs a resolvable pack reference 'pack'"),
         ("roughness", {"source": ["r"], "target": "r", "morphism": "m"},
@@ -181,3 +181,84 @@ def test_unhashable_reference_exits_analysis_error(tmp_path, capsys, kind, confi
     assert rc == cli.EXIT_ANALYSIS
     assert capsys.readouterr().err == f"analysis error ({kind}): {message}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("universe", ["source", {"source": 1, "target": 2}, []])
+@pytest.mark.parametrize("kind", ["transferability", "generalist"])
+def test_universe_must_be_a_list_of_pack_names(tmp_path, capsys, kind, universe):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**UNIVERSE, "universe": universe}
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        f"analysis error ({kind}): analysis needs a non-empty list of pack references\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value", [5, None, ["tv"], {"tv": 1}], ids=["int", "null", "list", "object"]
+)
+@pytest.mark.parametrize("kind, config", [("distance", PACKS), ("bound", NEGATIVE)])
+def test_non_string_divergence_kind_exits_analysis_error(tmp_path, capsys, kind, config, value):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**config, "kind": value}
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        f"analysis error ({kind}): unknown divergence kind {value!r}\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+ANALYSES = {
+    "classify": PACKS,
+    "distance": {**PACKS, "kind": "hellinger"},
+    "transfer": {"system": "tr", "data": "target_data"},
+    "negative": {**NEGATIVE, "seeds": 2},
+    "bound": NEGATIVE,
+    "transferability": {**UNIVERSE, "role": "target", "seeds": 2, "epsilon_star": 0.5},
+    "generalist": {**UNIVERSE, "shots": 2, "epsilon_star": 0.5},
+    "structures": {**PACKS, "size_bound": 3, "epsilon_star": 0.5},
+}
+
+
+def test_every_report_is_the_stdlib_indent_2_form(tmp_path):
+    path, doc = emit(tmp_path, {**SMALL, "ladder": [0.0, 0.5]})
+    doc["analysis"].update(ANALYSES)
+    write_json(path, doc)
+    reports = [tmp_path / "s.json"]
+    argvs = [["validate", str(path)]]
+    argvs += [["analyze", str(path), "--kind", kind, "--seed", "2"] for kind in ANALYSES]
+    for index, argv in enumerate(argvs):
+        reports.append(tmp_path / f"report{index}.json")
+        assert cli.main(argv + ["--out", str(reports[-1])]) == cli.EXIT_OK
+    for report in reports:
+        text = report.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_in_process_calls_do_not_share_flags(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    doc["unknown"] = 1
+    write_json(path, doc)
+    strict_out = tmp_path / "strict.json"
+    assert cli.main(["validate", str(path), "--strict", "--out", str(strict_out)]) == cli.EXIT_PARSE
+    assert not strict_out.exists()
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is True
+    assert captured.err == "warning: unknown field(s) ['unknown'] in document root\n"
+    assert not strict_out.exists()
+
+    seeded = tmp_path / "seeded.json"
+    argv = ["analyze", str(path), "--kind", "negative"]
+    assert cli.main(argv + ["--seed", "3", "--out", str(seeded)]) == cli.EXIT_OK
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 0
+    assert json.loads(seeded.read_text(encoding="utf-8"))["provenance"]["seed"] == 3

@@ -3,6 +3,8 @@
 Emission goes through the ``scenario`` verb, as a user's does.  A table
 row is parsed as a whole, so the exit code of each malformed table (and
 the single ``learning.<name>:`` prefix of its message) is pinned here.
+The writer's oracle is the stdlib: ``json_text`` must equal
+``json.dumps(value, sort_keys=True, indent=2)`` for every JSON value.
 """
 
 import json
@@ -10,11 +12,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transferlab import cli
-from transferlab.specio import document_digest, dump_document, load_document, parse_document
+from transferlab.specio import (
+    document_digest,
+    dump_document,
+    json_text,
+    load_document,
+    parse_document,
+)
 
 scenario_blocks = st.fixed_dictionaries(
     {
@@ -44,6 +52,7 @@ def test_emitted_document_round_trips_byte_for_byte(scenario):
     with tempfile.TemporaryDirectory() as directory:
         (path,) = emit(directory, scenario)
         text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
         doc = load_document(str(path))
         assert dump_document(doc) == text
         digest = document_digest(doc)
@@ -142,3 +151,92 @@ def test_null_blocks_read_as_absent(tmp_path):
     parsed = load_document(str(path))
     assert parsed.relations == {} and parsed.scenario is None
     assert parsed.learning["source_system"].algorithm.kind == "erm"
+
+
+# Text built from the pieces the writer's layout cuts at, plus quotes,
+# backslashes, control and non-ASCII characters, which all travel escaped.
+texts = st.lists(
+    st.sampled_from(
+        ["a", "]", "],", "],\n  ", ":\n[", ": [", '"', "\\", "\n", ",", "é", "☃", "\x00"]
+    ),
+    max_size=4,
+).map("".join)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1.0, 2**70, True]),
+    texts,
+)
+rows = st.lists(scalars, min_size=1, max_size=4)
+json_values = st.recursive(
+    st.one_of(scalars, rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(texts, inner, max_size=4),
+        st.lists(st.one_of(rows, rows.map(tuple)), max_size=4),
+        st.dictionaries(texts, st.one_of(rows, rows.map(tuple)), max_size=4),
+        st.dictionaries(st.integers(-3, 3) | st.sampled_from([0.5, -0.0]), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400)
+@given(json_values)
+@example({"a": [1, "]"], "b": ("],\n      x", -0.0)})
+@example([[float("nan")], ("x",), [[]], [True, 1.0]])
+@example({'k": [': [1], "k": [2, 3], "": (float("-inf"),)})
+def test_json_text_equals_the_stdlib_indent_2_form(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def emitted_bytes(directory, scenario):
+    directory.mkdir()
+    return [path.read_bytes() for path in emit(directory, scenario)]
+
+
+LADDER_BASE = {"grid_size": 3, "label_count": 2, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        (5, "scenario.ladder must be a list of numbers, not int"),
+        ("0.5", "scenario.ladder must be a list of numbers, not str"),
+        ({"a": 0.5}, "scenario.ladder must be a list of numbers, not dict"),
+        (["a"], "scenario.ladder entry 'a' is not a number"),
+        ([0.5, True], "scenario.ladder entry True is not a number"),
+        ([[0.5]], "scenario.ladder entry [0.5] is not a number"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["validate", "scenario"])
+def test_malformed_ladder_is_a_parse_error(tmp_path, capsys, verb, ladder, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"version": 1, "scenario": {**LADDER_BASE, "ladder": ladder}}))
+    report = tmp_path / "r.json"
+    argv = [verb, str(spec), "--out", str(report)]
+    if verb == "scenario":
+        argv += ["--emit", str(tmp_path / "emit")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("ladder", [None, []])
+def test_empty_ladder_emits_the_marginal_shift(tmp_path, ladder):
+    scenario = {**LADDER_BASE, "marginal_shift": 0.25}
+    assert emitted_bytes(tmp_path / "a", {**scenario, "ladder": ladder}) == emitted_bytes(
+        tmp_path / "b", scenario
+    )
+
+
+def test_ladder_emits_one_document_per_shift(tmp_path):
+    emitted = emitted_bytes(tmp_path / "ladder", {**LADDER_BASE, "ladder": [0, 0.5]})
+    assert emitted == [
+        *emitted_bytes(tmp_path / "a", {**LADDER_BASE, "marginal_shift": 0.0}),
+        *emitted_bytes(tmp_path / "b", {**LADDER_BASE, "marginal_shift": 0.5}),
+    ]
