@@ -2,6 +2,10 @@
 
 Exit codes are part of the contract: 0 clean, 2 parse failure, 3 broken
 reference, 4 construction-invariant violation, 5 analysis-time failure.
+``analyze --kind <kind>`` runs the document's ``analysis.<kind>`` block;
+each kind's keys, their defaults and how each is read are the table
+:data:`transferlab.specio.ANALYSES`.  Unknown keys, there as in any
+block, print a warning on every verb, and ``--strict`` rejects them.
 Reports are JSON with sorted keys and a 2-space indent, written by the
 same writer as emitted documents (:func:`transferlab.specio.json_text`);
 with a fixed ``--seed`` the results section is byte-identical across runs.
@@ -30,7 +34,9 @@ from .learning import EvaluationContext
 from .relations import FiniteSet
 from .scenarios import ScenarioSpec, generate_pair
 from .specio import (
+    ANALYSES,
     SpecDocument,
+    analysis_config,
     document_digest,
     dump_document,
     json_text,
@@ -73,183 +79,102 @@ def _jsonable(obj: Any) -> Any:
     return repr(obj)
 
 
-def _resolve(blocks: dict, name: Any) -> Any:
-    """The block a reference names; ``None`` unless ``name`` is a string key of ``blocks``."""
-    return blocks.get(name) if isinstance(name, str) else None
-
-
-def _pack(doc: SpecDocument, config: dict, key: str):
-    pack = _resolve(doc.packs, config.get(key))
-    if pack is None:
-        raise AnalysisError(f"analysis needs a resolvable pack reference {key!r}")
-    return pack
-
-
-def _number(config: dict, key: str, kind: type, default: Any = None) -> Any:
-    """``kind(config[key])``, ``default`` when absent; a value it rejects exits 5."""
-    value = config.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise AnalysisError(f"analysis config {key!r}: {value!r} is not {kind.__name__}") from None
-
-
-def _universe(doc: SpecDocument, config: dict):
-    names = config.get("universe")
-    if not isinstance(names, list) or not names:
-        raise AnalysisError("analysis needs a non-empty list of pack references")
-    missing = [n for n in names if _resolve(doc.packs, n) is None]
-    if missing:
-        raise AnalysisError(f"universe member {missing[0]!r} does not resolve")
-    return [doc.packs[n] for n in names]
-
-
 def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> dict:
-    config = doc.analysis.get(kind)
-    if config is None:
-        raise AnalysisError(f"the document carries no analysis.{kind} block")
-    if not isinstance(config, dict):
-        raise AnalysisError(f"analysis.{kind} must be an object, not {type(config).__name__}")
-
+    config = analysis_config(doc, kind)
     if kind == "classify":
-        result = classify_setting(
-            _pack(doc, config, "source"), _pack(doc, config, "target"), tolerance
-        )
-        return _jsonable(result)
-
-    if kind == "distance":
-        align = None
-        if config.get("align"):
-            ts = _resolve(doc.transfer, config["align"])
-            if ts is None or ts.latent is None:
-                raise AnalysisError("align must reference a transfer block with latent maps")
-            align = ts.latent
+        result = classify_setting(config["source"], config["target"], tolerance)
+    elif kind == "distance":
         value = transfer_distance(
-            _pack(doc, config, "source"),
-            _pack(doc, config, "target"),
-            on=config.get("on", "x"),
-            kind=config.get("kind", "tv"),
-            align=align,
+            config["source"],
+            config["target"],
+            on=config["on"],
+            kind=config["kind"],
+            align=config["align"],
         )
-        return {"on": config.get("on", "x"), "kind": config.get("kind", "tv"), "value": value}
-
-    if kind == "roughness":
-        relations = [_resolve(doc.relations, config.get(key)) for key in ("source", "target")]
-        for key, relation in zip(("source", "target"), relations):
-            if relation is None:
-                raise AnalysisError(f"roughness needs relation reference {key!r}")
-        morphism = _resolve(doc.morphisms, config.get("morphism"))
-        if morphism is None:
-            raise AnalysisError("roughness needs a morphism reference")
-        report = transfer_roughness(*relations, morphism)
-        out = _jsonable(report)
-        out["tags"] = ["ratio=quotient-cardinality-summary"]
-        return out
-
-    if kind == "transfer":
-        ts = _resolve(doc.transfer, config.get("system"))
-        data = _resolve(doc.datasets, config.get("data"))
-        if ts is None or data is None:
-            raise AnalysisError("transfer needs system and data references")
-        theta, trace = run_transfer(ts, data)
-        return {
-            "selected": _jsonable(theta),
+        result = {"on": config["on"], "kind": config["kind"], "value": value}
+    elif kind == "roughness":
+        report = transfer_roughness(config["source"], config["target"], config["morphism"])
+        result = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        result["tags"] = ["ratio=quotient-cardinality-summary"]
+    elif kind == "transfer":
+        theta, trace = run_transfer(config["system"], config["data"])
+        result = {
+            "selected": theta,
             "approach": trace.approach,
             "n_target": trace.n_target,
             "zero_shot": trace.zero_shot,
-            "objective": _jsonable(dict(trace.objective)),
+            "objective": dict(trace.objective),
         }
-
-    if kind == "negative":
-        ts = _resolve(doc.transfer, config.get("system"))
-        if ts is None:
-            raise AnalysisError("negative needs a transfer system reference")
-        outcome = detect_negative_transfer(
-            _pack(doc, config, "source"),
-            _pack(doc, config, "target"),
-            ts,
-            seeds=_number(config, "seeds", int, 1),
+    elif kind == "negative":
+        result = detect_negative_transfer(
+            config["source"],
+            config["target"],
+            config["system"],
+            seeds=config["seeds"],
             root_key=(seed,),
-            resample=bool(config.get("resample", True)),
+            resample=config["resample"],
         )
-        return _jsonable(outcome)
-
-    if kind == "transferability":
-        pack = _pack(doc, config, "pack")
-        epsilon_star = config.get("epsilon_star", 0.0)
-        numeric = isinstance(epsilon_star, (int, float))
-        if not numeric and epsilon_star != "target-alone":
-            raise AnalysisError(f"epsilon_star {epsilon_star!r} is not a number or 'target-alone'")
-        report = transferability(
-            pack,
-            _universe(doc, config),
-            role=config.get("role", "source"),
-            ctx=EvaluationContext(pack.truth or {}, float(epsilon_star) if numeric else 0.0),
-            mode=config.get("mode", "empirical"),
-            approach=config.get("approach", "instance"),
-            seeds=_number(config, "seeds", int, 10),
+    elif kind == "transferability":
+        epsilon_star = config["epsilon_star"]
+        result = transferability(
+            config["pack"],
+            config["universe"],
+            role=config["role"],
+            ctx=EvaluationContext(
+                config["pack"].truth or {},
+                0.0 if epsilon_star == "target-alone" else float(epsilon_star),
+            ),
+            mode=config["mode"],
+            approach=config["approach"],
+            seeds=config["seeds"],
             root_seed=seed,
-            epsilon_star=config.get("epsilon_star"),
-            equivalence_mode=config.get("equivalence_mode", "raw"),
+            epsilon_star=epsilon_star,
+            equivalence_mode=config["equivalence_mode"],
         )
-        if isinstance(report, dict):
-            return {k: _jsonable(v) for k, v in report.items()}
-        return _jsonable(report)
-
-    if kind == "generalist":
-        pack = _pack(doc, config, "pack")
-        report = is_generalist(
-            pack,
-            _universe(doc, config),
-            n=_number(config, "shots", int, 1),
-            t=_number(config, "required", int, 1),
-            ctx=EvaluationContext(pack.truth or {}, _number(config, "epsilon_star", float, 0.5)),
-            approach=config.get("approach", "instance"),
+    elif kind == "generalist":
+        result = is_generalist(
+            config["pack"],
+            config["universe"],
+            n=config["shots"],
+            t=config["required"],
+            ctx=EvaluationContext(config["pack"].truth or {}, config["epsilon_star"]),
+            approach=config["approach"],
         )
-        return _jsonable(report)
-
-    if kind == "bound":
-        ts = _resolve(doc.transfer, config.get("system"))
-        if ts is None:
-            raise AnalysisError("bound needs a transfer system reference")
-        source = _pack(doc, config, "source")
-        target = _pack(doc, config, "target")
+    elif kind == "bound":
+        source, target = config["source"], config["target"]
         if source.truth is None or target.truth is None:
             raise AnalysisError("bound needs declared truth tables on both packs")
-        report = bound_check(
-            ts,
+        result = bound_check(
+            config["system"],
             source.dataset,
             target.dataset,
             EvaluationContext(source.truth),
             EvaluationContext(target.truth),
-            kind=config.get("kind", "tv"),
+            kind=config["kind"],
             source_weight=source.marginal,
             target_weight=target.marginal,
         )
-        return _jsonable(report)
-
-    if kind == "structures":
-        source = _pack(doc, config, "source")
-        target = _pack(doc, config, "target")
+    else:  # structures
+        source, target = config["source"], config["target"]
         report = homomorphic_structures(
             truth_graph(source),
             truth_graph(target),
-            size_bound=_number(config, "size_bound", int, 3),
+            size_bound=config["size_bound"],
         )
         report = valid_structures(report, target.system.y_set)
-        if config.get("epsilon_star") is not None and target.truth is not None:
+        if config["epsilon_star"] is not None and target.truth is not None:
             report = useful_structures(
                 report,
                 feature_runner(source, target),
-                EvaluationContext(target.truth, _number(config, "epsilon_star", float)),
+                EvaluationContext(target.truth, config["epsilon_star"]),
             )
-        return {
+        result = {
             "candidates": len(report.candidates),
             "structures": [
                 {
                     "x_size": len(c.x_set),
                     "y_size": len(c.y_set),
-                    "relation": _jsonable(c.system.tuples),
+                    "relation": c.system.tuples,
                     "function_type": c.function_type,
                 }
                 for c in report.candidates
@@ -259,8 +184,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
                 {"index": u.candidate_index, "error": u.error} for u in report.useful
             ],
         }
-
-    raise AnalysisError(f"unknown analysis kind {kind!r}")
+    return _jsonable(result)
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -277,32 +201,27 @@ def _scenario_documents(doc: SpecDocument, seed: int | None):
     spec = doc.scenario
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    ladder = (doc.raw.get("scenario") or {}).get("ladder")
-    alphas = ladder if ladder else [spec.marginal_shift]
-    for alpha in alphas:
+    for alpha in doc.ladder or [spec.marginal_shift]:
         yield float(alpha), dataclasses.replace(spec, marginal_shift=float(alpha))
 
 
 def _pair_document(spec: ScenarioSpec) -> SpecDocument:
     source, target, facts = generate_pair(spec)
-    doc = SpecDocument(raw={})
-    for s in (
-        source.system.x_set,
-        source.system.y_set,
-        target.system.x_set,
-        target.system.y_set,
-    ):
-        doc.sets[s.name] = s
-    doc.learning["source_system"] = source.system
-    doc.learning["target_system"] = target.system
-    doc.datasets["source_data"] = source.dataset
-    doc.datasets["target_data"] = target.dataset
-    doc.measures["source_marginal"] = source.marginal
-    doc.measures["target_marginal"] = target.marginal
-    doc.conditionals["source_posterior"] = source.posterior
-    doc.conditionals["target_posterior"] = target.posterior
-    doc.packs["source"] = source
-    doc.packs["target"] = target
+    doc = SpecDocument()
+    for role, pack in (("source", source), ("target", target)):
+        doc.sets[pack.system.x_set.name] = pack.system.x_set
+        doc.sets[pack.system.y_set.name] = pack.system.y_set
+        refs = doc.refs[f"packs.{role}"] = {
+            "learning": f"{role}_system",
+            "dataset": f"{role}_data",
+            "marginal": f"{role}_marginal",
+            "posterior": f"{role}_posterior",
+        }
+        doc.learning[refs["learning"]] = pack.system
+        doc.datasets[refs["dataset"]] = pack.dataset
+        doc.measures[refs["marginal"]] = pack.marginal
+        doc.conditionals[refs["posterior"]] = pack.posterior
+        doc.packs[role] = pack
     from .transfer import Knowledge, TransferSystem  # local to avoid cycle at import
 
     if facts.input_spaces_equal and facts.output_spaces_equal:
@@ -312,6 +231,9 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
             Knowledge(instances=source.dataset),
             "instance",
         )
+        doc.refs["transfer.tr"] = {
+            "source": "source_system", "target": "target_system", "instances": "source_data"
+        }
         doc.analysis = {
             "classify": {"source": "source", "target": "target"},
             "distance": {"source": "source", "target": "target", "on": "x", "kind": "tv"},
@@ -344,21 +266,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", parents=[common], help="parse, resolve and check a document")
     analyze = sub.add_parser("analyze", parents=[common], help="run one analysis")
-    analyze.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "classify",
-            "distance",
-            "roughness",
-            "transfer",
-            "negative",
-            "transferability",
-            "generalist",
-            "bound",
-            "structures",
-        ],
-    )
+    analyze.add_argument("--kind", required=True, choices=list(ANALYSES))
     scenario = sub.add_parser("scenario", parents=[common], help="materialize generated pairs")
     scenario.add_argument("--emit", default=".", help="directory for emitted documents")
     return parser
@@ -382,9 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    for warning in doc.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
     if args.command == "validate":
-        for warning in doc.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
         counts = {
             "sets": len(doc.sets),
             "relations": len(doc.relations),

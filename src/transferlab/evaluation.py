@@ -17,6 +17,7 @@ import numpy as np
 
 from .behavioral import behavioral_transferability
 from .errors import (
+    CapExceeded,
     MissingMeasure,
     TransferLabError,
     ValidationError,
@@ -39,6 +40,9 @@ from .transfer import (
     run_transfer,
     select_knowledge,
 )
+
+#: The most seeds one comparison runs; a few milliseconds each at the hypothesis cap.
+SEED_CAP = 1000
 
 
 def _source_knowledge(source: LearningSystem, data: Dataset, approach: str) -> Knowledge:
@@ -114,8 +118,11 @@ def detect_negative_transfer(
     data in a single run).  Both pipelines are evaluated against the
     same reference: the target truth table under the target marginal
     when one is declared (or supplied via ``ctx``), otherwise a seeded
-    50% hold-out split of the target data.
+    50% hold-out split of the target data.  More than :data:`SEED_CAP`
+    seeds raise :class:`CapExceeded`.
     """
+    if seeds > SEED_CAP:
+        raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
     if seeds < 1:
         raise ValidationError("at least one seed is required")
     if not resample:
@@ -300,6 +307,8 @@ def transferability(
         )
     if mode != "empirical":
         raise ValidationError(f"unknown transferability mode {mode!r}")
+    if seeds > SEED_CAP:
+        raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
 
     members: list[int] = []
     values: dict[int, float] = {}

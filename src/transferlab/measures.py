@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -62,10 +61,6 @@ class EmpiricalMeasure:
 
     def as_dict(self) -> dict[Atom, float]:
         return dict(zip(self.support.elements, self.probs))
-
-    @cached_property
-    def _nonzero(self) -> tuple[Atom, ...]:
-        return tuple(e for e, p in zip(self.support.elements, self.probs) if p > 0)
 
     @staticmethod
     def uniform(support: FiniteSet) -> "EmpiricalMeasure":

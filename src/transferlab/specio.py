@@ -10,7 +10,12 @@ refer to, which keeps atom types (including integer labels) intact.
 Failures are staged: malformed structure raises :class:`ParseError`,
 dangling or unknown references raise :class:`ResolutionError`, and
 construction invariants of the resolved objects raise
-:class:`InvariantViolation`.
+:class:`InvariantViolation`.  Unknown keys warn, or raise
+:class:`ParseError` when strict.  The keys of each ``analysis.<kind>``
+block, with the reader and default of each, are the table
+:data:`ANALYSES`, which :func:`analysis_config` reads a block through.
+Reference names travel on the document: each pack, transfer and morphism
+block keeps the names it was built with, and emission writes them back.
 
 Emission has one form: keys sorted, a 2-space indent, non-ASCII and
 control characters as ``\\u`` escapes -- byte for byte the text
@@ -28,9 +33,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import (
+    AnalysisError,
     InvariantViolation,
     ParseError,
     ResolutionError,
@@ -67,12 +73,33 @@ _TOP_LEVEL_KEYS = {
     "analysis",
 }
 
+#: The keys of each section's named blocks, of the blocks nested in a
+#: transfer block, and of the scenario block.
+_KEYS = {
+    "sets": {"elements"},
+    "relations": {"components", "tuples", "inputs"},
+    "morphisms": {"source", "target", "x_map", "y_map"},
+    "measures": {"support", "probs"},
+    "conditionals": {"given", "over", "rows"},
+    "datasets": {"pairs", "tag"},
+    "learning": {"inputs", "outputs", "thetas", "table", "loss", "algorithm"},
+    "packs": {"learning", "dataset", "marginal", "posterior", "truth", "tag"},
+    "transfer": {
+        "source", "target", "approach", "knowledge", "penalty_weight", "pool_weight", "latent"
+    },
+    "knowledge": {"instances", "parameters"},
+    "latent": {"learning", "pair_map_target", "pair_map_source", "input_map", "output_map"},
+    "scenario": {
+        "grid_size", "grid_arity", "label_count", "marginal_shift", "posterior_flip",
+        "structural_edit", "sample_sizes", "seed", "hypothesis_cap", "ladder",
+    },
+}
+
 
 @dataclass
 class SpecDocument:
-    """A parsed document: the normalized dict plus resolved objects."""
+    """A parsed document: resolved objects by block name."""
 
-    raw: dict
     sets: dict[str, FiniteSet] = field(default_factory=dict)
     relations: dict[str, FiniteSystem] = field(default_factory=dict)
     morphisms: dict[str, Morphism] = field(default_factory=dict)
@@ -84,11 +111,17 @@ class SpecDocument:
     transfer: dict[str, TransferSystem] = field(default_factory=dict)
     scenario: ScenarioSpec | None = None
     analysis: dict[str, dict] = field(default_factory=dict)
+    # What emission writes back: the names each pack, transfer and morphism block
+    # references, by "<section>.<name>", and scenario.ladder as written (False if absent).
+    refs: dict[str, dict[str, Any]] = field(default_factory=dict)
+    ladder: list | None | bool = False
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_keys(block: Mapping, allowed: set[str], where: str, strict: bool, warnings: list[str]) -> None:
-    unknown = set(block) - allowed
+def _check_keys(
+    block: Mapping, allowed: Iterable[str], where: str, strict: bool, warnings: list[str]
+) -> None:
+    unknown = set(block).difference(allowed)
     if unknown:
         msg = f"unknown field(s) {sorted(unknown)} in {where}"
         if strict:
@@ -105,10 +138,13 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _blocks(raw: dict, kind: str):
-    """``(name, where, block)`` for each named block of a section, all objects."""
+def _blocks(raw: dict, kind: str, strict: bool, warnings: list[str]):
+    """``(name, where, block)`` for each named block of a section, all objects, keys checked."""
     for name, block in _object(raw.get(kind), kind).items():
-        yield name, f"{kind}.{name}", _object(block, f"{kind}.{name}")
+        where = f"{kind}.{name}"
+        block = _object(block, where)
+        _check_keys(block, _KEYS[kind], where, strict, warnings)
+        yield name, where, block
 
 
 def _prob(value) -> float:
@@ -144,12 +180,12 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
     """Parse and resolve a document from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a too long integer, or too deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("the document root must be an object")
 
-    doc = SpecDocument(raw=raw)
+    doc = SpecDocument()
     _check_keys(raw, _TOP_LEVEL_KEYS, "document root", strict, doc.warnings)
     version = raw.get("version")
     if version != SCHEMA_VERSION:
@@ -164,18 +200,15 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             raise ResolutionError(f"{where}: {exc}") from exc
         except TransferLabError as exc:
             raise InvariantViolation(f"{where}: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: malformed block ({exc})") from exc
 
-    for name, where, block in _blocks(raw, "sets"):
-        _check_keys(block, {"elements"}, where, strict, doc.warnings)
+    for name, where, block in _blocks(raw, "sets", strict, doc.warnings):
         doc.sets[name] = construct(
             lambda: FiniteSet(name, tuple(block["elements"])), where
         )
 
-    for name, where, block in _blocks(raw, "relations"):
-        _check_keys(block, {"components", "tuples", "inputs"}, where, strict, doc.warnings)
-
+    for name, where, block in _blocks(raw, "relations", strict, doc.warnings):
         def build_relation(block=block, where=where):
             comps = [_ref(doc.sets, ref, where) for ref in block["components"]]
             system = make_system(comps, [tuple(t) for t in block["tuples"]])
@@ -185,12 +218,11 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.relations[name] = construct(build_relation, where)
 
-    for name, where, block in _blocks(raw, "morphisms"):
-        _check_keys(block, {"source", "target", "x_map", "y_map"}, where, strict, doc.warnings)
-
+    for name, where, block in _blocks(raw, "morphisms", strict, doc.warnings):
         def build_morphism(block=block, where=where):
             src = _ref(doc.relations, block["source"], where)
             tgt = _ref(doc.relations, block["target"], where)
+            doc.refs[where] = {"source": block["source"], "target": block["target"]}
             return Morphism(
                 _pair_list_to_map(block["x_map"], where),
                 _pair_list_to_map(block["y_map"], where),
@@ -202,18 +234,14 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.morphisms[name] = construct(build_morphism, where)
 
-    for name, where, block in _blocks(raw, "measures"):
-        _check_keys(block, {"support", "probs"}, where, strict, doc.warnings)
-
+    for name, where, block in _blocks(raw, "measures", strict, doc.warnings):
         def build_measure(block=block, where=where):
             support = _ref(doc.sets, block["support"], where)
             return EmpiricalMeasure(support, tuple(_prob(p) for p in block["probs"]))
 
         doc.measures[name] = construct(build_measure, where)
 
-    for name, where, block in _blocks(raw, "conditionals"):
-        _check_keys(block, {"given", "over", "rows"}, where, strict, doc.warnings)
-
+    for name, where, block in _blocks(raw, "conditionals", strict, doc.warnings):
         def build_conditional(block=block, where=where):
             given = _ref(doc.sets, block["given"], where)
             over = _ref(doc.sets, block["over"], where)
@@ -228,8 +256,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.conditionals[name] = construct(build_conditional, where)
 
-    for name, where, block in _blocks(raw, "datasets"):
-        _check_keys(block, {"pairs", "tag"}, where, strict, doc.warnings)
+    for name, where, block in _blocks(raw, "datasets", strict, doc.warnings):
         doc.datasets[name] = construct(
             lambda block=block: Dataset(
                 tuple(tuple(p) for p in block["pairs"]), block.get("tag", "data")
@@ -237,15 +264,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             where,
         )
 
-    for name, where, block in _blocks(raw, "learning"):
-        _check_keys(
-            block,
-            {"inputs", "outputs", "thetas", "table", "loss", "algorithm"},
-            where,
-            strict,
-            doc.warnings,
-        )
-
+    for name, where, block in _blocks(raw, "learning", strict, doc.warnings):
         def build_learning(block=block, where=where):
             x_set = _ref(doc.sets, block["inputs"], where)
             y_set = _ref(doc.sets, block["outputs"], where)
@@ -271,28 +290,18 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.learning[name] = construct(build_learning, where)
 
-    for name, where, block in _blocks(raw, "packs"):
-        _check_keys(
-            block,
-            {"learning", "dataset", "marginal", "posterior", "truth", "tag"},
-            where,
-            strict,
-            doc.warnings,
-        )
-
+    for name, where, block in _blocks(raw, "packs", strict, doc.warnings):
         def build_pack(block=block, where=where, name=name):
             system = _ref(doc.learning, block["learning"], where)
             dataset = _ref(doc.datasets, block["dataset"], where)
-            marginal = (
-                _ref(doc.measures, block["marginal"], where)
-                if block.get("marginal")
-                else None
-            )
-            posterior = (
-                _ref(doc.conditionals, block["posterior"], where)
-                if block.get("posterior")
-                else None
-            )
+            refs = doc.refs[where] = {
+                "learning": block["learning"],
+                "dataset": block["dataset"],
+                "marginal": block["marginal"] if block.get("marginal") else None,
+                "posterior": block["posterior"] if block.get("posterior") else None,
+            }
+            marginal = refs["marginal"] and _ref(doc.measures, refs["marginal"], where)
+            posterior = refs["posterior"] and _ref(doc.conditionals, refs["posterior"], where)
             truth = None
             if block.get("truth") is not None:
                 row = block["truth"]
@@ -307,36 +316,19 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
 
         doc.packs[name] = construct(build_pack, where)
 
-    for name, where, block in _blocks(raw, "transfer"):
-        _check_keys(
-            block,
-            {
-                "source",
-                "target",
-                "approach",
-                "knowledge",
-                "penalty_weight",
-                "pool_weight",
-                "latent",
-            },
-            where,
-            strict,
-            doc.warnings,
-        )
-
+    for name, where, block in _blocks(raw, "transfer", strict, doc.warnings):
         def build_transfer(block=block, where=where):
             source = _ref(doc.learning, block["source"], where)
             target = _ref(doc.learning, block["target"], where)
             know_block = _object(block.get("knowledge"), f"{where}.knowledge")
-            _check_keys(
-                know_block, {"instances", "parameters"}, f"{where}.knowledge", strict, doc.warnings
-            )
+            _check_keys(know_block, _KEYS["knowledge"], f"{where}.knowledge", strict, doc.warnings)
+            refs = doc.refs[where] = {
+                "source": block["source"],
+                "target": block["target"],
+                "instances": know_block["instances"] if know_block.get("instances") else None,
+            }
             knowledge = Knowledge(
-                instances=(
-                    _ref(doc.datasets, know_block["instances"], where)
-                    if know_block.get("instances")
-                    else None
-                ),
+                instances=refs["instances"] and _ref(doc.datasets, refs["instances"], where),
                 parameters=(
                     tuple(know_block["parameters"])
                     if know_block.get("parameters")
@@ -346,19 +338,8 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
             latent = None
             if block.get("latent") is not None:
                 lat = _object(block["latent"], f"{where}.latent")
-                _check_keys(
-                    lat,
-                    {
-                        "learning",
-                        "pair_map_target",
-                        "pair_map_source",
-                        "input_map",
-                        "output_map",
-                    },
-                    f"{where}.latent",
-                    strict,
-                    doc.warnings,
-                )
+                _check_keys(lat, _KEYS["latent"], f"{where}.latent", strict, doc.warnings)
+                refs["latent"] = lat["learning"]
                 latent = FeatureRepSpec(
                     _ref(doc.learning, lat["learning"], where),
                     _pair_list_to_map(lat["pair_map_target"], where),
@@ -381,24 +362,7 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
     if raw.get("scenario") is not None:
         block = _object(raw["scenario"], "scenario")
         where = "scenario"
-        _check_keys(
-            block,
-            {
-                "grid_size",
-                "grid_arity",
-                "label_count",
-                "marginal_shift",
-                "posterior_flip",
-                "structural_edit",
-                "sample_sizes",
-                "seed",
-                "hypothesis_cap",
-                "ladder",
-            },
-            where,
-            strict,
-            doc.warnings,
-        )
+        _check_keys(block, _KEYS["scenario"], where, strict, doc.warnings)
         ladder = block.get("ladder")
         if ladder is not None and not isinstance(ladder, list):
             raise ParseError(
@@ -407,6 +371,8 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         for alpha in ladder or ():
             if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
                 raise ParseError(f"scenario.ladder entry {alpha!r} is not a number")
+            construct(lambda: float(alpha), "scenario.ladder")
+        doc.ladder = block.get("ladder", False)
         doc.scenario = construct(
             lambda: ScenarioSpec(
                 grid_size=int(block.get("grid_size", 4)),
@@ -423,12 +389,156 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         )
 
     doc.analysis = _object(raw.get("analysis"), "analysis")
+    _check_keys(doc.analysis, ANALYSES, "analysis", strict, doc.warnings)
+    for kind, config in doc.analysis.items():
+        if kind in ANALYSES and isinstance(config, dict):
+            _check_keys(config, ANALYSES[kind], f"analysis.{kind}", strict, doc.warnings)
     return doc
 
 
 def load_document(path: str, strict: bool = False) -> SpecDocument:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_document(handle.read(), strict)
+
+
+# -- analysis configs ---------------------------------------------------------------
+
+def _coerce(kind: type):
+    """A reader of ``kind(value)``; a value ``kind`` rejects raises, naming the key."""
+
+    def read(doc: SpecDocument, key: str, value: Any) -> Any:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            message = f"analysis config {key!r}: {value!r} is not {kind.__name__}"
+            raise AnalysisError(message) from None
+
+    return read
+
+
+_FLOAT = _coerce(float)
+
+
+def _reference(section: str, message: str):
+    """A reader of a block name in ``doc.<section>``; ``message`` when it names none."""
+
+    def read(doc: SpecDocument, key: str, value: Any) -> Any:
+        block = getattr(doc, section).get(value) if isinstance(value, str) else None
+        if block is None:
+            raise AnalysisError(message.format(key=key))
+        return block
+
+    return read
+
+
+def _as_written(doc: SpecDocument, key: str, value: Any) -> Any:
+    return value
+
+
+def _optional_float(doc: SpecDocument, key: str, value: Any) -> float | None:
+    return None if value is None else _FLOAT(doc, key, value)
+
+
+def _threshold(doc: SpecDocument, key: str, value: Any) -> float | str:
+    """A number, or ``"target-alone"``; returned as written."""
+    if value != "target-alone":
+        if not isinstance(value, (int, float)):
+            raise AnalysisError(f"epsilon_star {value!r} is not a number or 'target-alone'")
+        _FLOAT(doc, key, value)  # refuses a number no float holds, as other config values
+    return value
+
+
+def _universe(doc: SpecDocument, key: str, value: Any) -> list[SystemPack]:
+    if not isinstance(value, list) or not value:
+        raise AnalysisError("analysis needs a non-empty list of pack references")
+    missing = [n for n in value if not isinstance(n, str) or n not in doc.packs]
+    if missing:
+        raise AnalysisError(f"universe member {missing[0]!r} does not resolve")
+    return [doc.packs[n] for n in value]
+
+
+def _align(doc: SpecDocument, key: str, value: Any) -> FeatureRepSpec | None:
+    if not value:
+        return None
+    ts = doc.transfer.get(value) if isinstance(value, str) else None
+    if ts is None or ts.latent is None:
+        raise AnalysisError("align must reference a transfer block with latent maps")
+    return ts.latent
+
+
+_PACK = _reference("packs", "analysis needs a resolvable pack reference {key!r}")
+_PACKS = {"source": (_PACK, None), "target": (_PACK, None)}
+_RELATION = _reference("relations", "roughness needs relation reference {key!r}")
+_SYSTEM_AND_DATA = "transfer needs system and data references"
+
+
+#: Each analysis kind's config keys, in the order they are read, with the
+#: reader of each value and the default an absent key reads as.
+ANALYSES: dict[str, dict[str, tuple]] = {
+    "classify": _PACKS,
+    "distance": {
+        "align": (_align, None),
+        **_PACKS,
+        "on": (_as_written, "x"),
+        "kind": (_as_written, "tv"),
+    },
+    "roughness": {
+        "source": (_RELATION, None),
+        "target": (_RELATION, None),
+        "morphism": (_reference("morphisms", "roughness needs a morphism reference"), None),
+    },
+    "transfer": {
+        "system": (_reference("transfer", _SYSTEM_AND_DATA), None),
+        "data": (_reference("datasets", _SYSTEM_AND_DATA), None),
+    },
+    "negative": {
+        "system": (_reference("transfer", "negative needs a transfer system reference"), None),
+        **_PACKS,
+        "seeds": (_coerce(int), 1),
+        "resample": (_coerce(bool), True),
+    },
+    "transferability": {
+        "pack": (_PACK, None),
+        "epsilon_star": (_threshold, 0.0),
+        "universe": (_universe, None),
+        "role": (_as_written, "source"),
+        "mode": (_as_written, "empirical"),
+        "approach": (_as_written, "instance"),
+        "seeds": (_coerce(int), 10),
+        "equivalence_mode": (_as_written, "raw"),
+    },
+    "generalist": {
+        "pack": (_PACK, None),
+        "universe": (_universe, None),
+        "shots": (_coerce(int), 1),
+        "required": (_coerce(int), 1),
+        "epsilon_star": (_FLOAT, 0.5),
+        "approach": (_as_written, "instance"),
+    },
+    "bound": {
+        "system": (_reference("transfer", "bound needs a transfer system reference"), None),
+        **_PACKS,
+        "kind": (_as_written, "tv"),
+    },
+    "structures": {
+        **_PACKS,
+        "size_bound": (_coerce(int), 3),
+        "epsilon_star": (_optional_float, None),
+    },
+}
+
+
+def analysis_config(doc: SpecDocument, kind: str) -> dict[str, Any]:
+    """``analysis.<kind>`` read through :data:`ANALYSES`, key by key in table order."""
+    config = doc.analysis.get(kind)
+    if config is None:
+        raise AnalysisError(f"the document carries no analysis.{kind} block")
+    if not isinstance(config, dict):
+        raise AnalysisError(f"analysis.{kind} must be an object, not {type(config).__name__}")
+    return {
+        key: read(doc, key, config.get(key, default))
+        for key, (read, default) in ANALYSES[kind].items()
+    }
 
 
 # -- emission -----------------------------------------------------------------------
@@ -465,32 +575,14 @@ def document_dict(doc: SpecDocument) -> dict:
             for name, rel in doc.relations.items()
         }
     if doc.morphisms:
-        out["morphisms"] = {}
-        for name, m in doc.morphisms.items():
-            src_name = next(
-                (
-                    rname
-                    for rname, rel in doc.relations.items()
-                    if rel.x_values() == tuple(m.source_x)
-                    and rel.y_values() == tuple(m.source_y)
-                ),
-                None,
-            )
-            tgt_name = next(
-                (
-                    rname
-                    for rname, rel in doc.relations.items()
-                    if rel.x_values() == tuple(m.target_x)
-                    and rel.y_values() == tuple(m.target_y)
-                ),
-                None,
-            )
-            out["morphisms"][name] = {
-                "source": src_name,
-                "target": tgt_name,
+        out["morphisms"] = {
+            name: {
+                **doc.refs[f"morphisms.{name}"],
                 "x_map": _map_to_pair_list(m.x_map),
                 "y_map": _map_to_pair_list(m.y_map),
             }
+            for name, m in doc.morphisms.items()
+        }
     if doc.measures:
         out["measures"] = {
             name: {
@@ -533,17 +625,9 @@ def document_dict(doc: SpecDocument) -> dict:
                 "algorithm": algo,
             }
     if doc.packs:
-        out["packs"] = {}
-        learning_names = {id(sys_): n for n, sys_ in doc.learning.items()}
-        dataset_names = {id(d): n for n, d in doc.datasets.items()}
-        measure_names = {id(m): n for n, m in doc.measures.items()}
-        conditional_names = {id(c): n for n, c in doc.conditionals.items()}
-        for name, pack in doc.packs.items():
-            out["packs"][name] = {
-                "learning": learning_names.get(id(pack.system)),
-                "dataset": dataset_names.get(id(pack.dataset)),
-                "marginal": measure_names.get(id(pack.marginal)),
-                "posterior": conditional_names.get(id(pack.posterior)),
+        out["packs"] = {
+            name: {
+                **doc.refs[f"packs.{name}"],
                 "truth": (
                     [pack.truth[x] for x in pack.system.x_set.elements]
                     if pack.truth is not None
@@ -551,17 +635,18 @@ def document_dict(doc: SpecDocument) -> dict:
                 ),
                 "tag": pack.tag,
             }
+            for name, pack in doc.packs.items()
+        }
     if doc.transfer:
         out["transfer"] = {}
-        learning_names = {id(sys_): n for n, sys_ in doc.learning.items()}
-        dataset_names = {id(d): n for n, d in doc.datasets.items()}
         for name, ts in doc.transfer.items():
+            refs = doc.refs[f"transfer.{name}"]
             block: dict[str, Any] = {
-                "source": learning_names.get(id(ts.source)),
-                "target": learning_names.get(id(ts.target)),
+                "source": refs["source"],
+                "target": refs["target"],
                 "approach": ts.approach,
                 "knowledge": {
-                    "instances": dataset_names.get(id(ts.knowledge.instances)),
+                    "instances": refs["instances"],
                     "parameters": (
                         list(ts.knowledge.parameters)
                         if ts.knowledge.parameters is not None
@@ -573,7 +658,7 @@ def document_dict(doc: SpecDocument) -> dict:
             }
             if ts.latent is not None:
                 block["latent"] = {
-                    "learning": learning_names.get(id(ts.latent.latent_system)),
+                    "learning": refs["latent"],
                     "pair_map_target": _map_to_pair_list(ts.latent.pair_map_target),
                     "pair_map_source": _map_to_pair_list(ts.latent.pair_map_source),
                     "input_map": _map_to_pair_list(ts.latent.input_map),
@@ -594,8 +679,8 @@ def document_dict(doc: SpecDocument) -> dict:
         }
         if sc.hypothesis_cap != ScenarioSpec.hypothesis_cap:  # the default stays implicit
             out["scenario"]["hypothesis_cap"] = sc.hypothesis_cap
-        if "ladder" in (doc.raw.get("scenario") or {}):
-            out["scenario"]["ladder"] = doc.raw["scenario"]["ladder"]
+        if doc.ladder is not False:
+            out["scenario"]["ladder"] = doc.ladder
     if doc.analysis:
         out["analysis"] = doc.analysis
     return out

@@ -1,11 +1,15 @@
 """Golden tests of the command-line front end, run in-process."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transferlab import cli
-from transferlab.evaluation import transferability
+from transferlab import cli, specio
+from transferlab.evaluation import SEED_CAP, transferability
 from transferlab.learning import EvaluationContext
 from transferlab.specio import load_document
 
@@ -262,3 +266,121 @@ def test_in_process_calls_do_not_share_flags(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 0
     assert json.loads(seeded.read_text(encoding="utf-8"))["provenance"]["seed"] == 3
+
+
+def test_unknown_config_key_warns_and_strict_rejects_it(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["negative"]["seed"] = 3
+    write_json(path, doc)
+    report = tmp_path / "r.json"
+    warning = "unknown field(s) ['seed'] in analysis.negative"
+    capsys.readouterr()
+    assert cli.main(["validate", str(path), "--out", str(report)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    report.unlink()
+    for argv in (["validate"], ["analyze", "--kind", "negative"]):
+        assert cli.main(argv + [str(path), "--strict", "--out", str(report)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {warning}\n"
+        assert not report.exists()
+    argv = ["analyze", str(path), "--kind", "negative", "--out", str(report)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+
+
+def test_unknown_analysis_kind_warns(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["negativ"] = {}
+    write_json(path, doc)
+    capsys.readouterr()
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == "warning: unknown field(s) ['negativ'] in analysis\n"
+    assert cli.main(["validate", str(path), "--strict"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("kind, config", [("negative", NEGATIVE), ("transferability", UNIVERSE)])
+def test_seeds_above_the_cap_exit_analysis_error(tmp_path, capsys, kind, config):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**config, "seeds": SEED_CAP + 1}
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        f"analysis error ({kind}): {SEED_CAP + 1} seeds exceed the cap of {SEED_CAP}\n"
+    )
+
+
+# A config of every analysis kind that runs on the fuzz document; roughness
+# runs on the relation and morphism the fixture adds to it.
+RUNNING = {**ANALYSES, "roughness": {"source": "r", "target": "r", "morphism": "m"}}
+# JSON texts: 1e400 reads as inf, and the 400-digit integer fits no float.
+FUZZ_VALUES = [
+    "null", "true", "-1", "0", "2", "1.5", "1e400", "1" + "0" * 399, '"x"', "[]", '["source"]', "{}"
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_document(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    _, doc = emit(directory, SMALL)
+    system = doc["learning"]["source_system"]
+    xs, ys = (doc["sets"][system[key]]["elements"] for key in ("inputs", "outputs"))
+    tuples = [[x, y] for x, y in zip(xs, doc["packs"]["source"]["truth"])]
+    doc["relations"] = {
+        "r": {"components": [system["inputs"], system["outputs"]], "tuples": tuples, "inputs": [0]}
+    }
+    doc["morphisms"] = {
+        "m": {
+            "source": "r",
+            "target": "r",
+            "x_map": [[x, x] for x in xs],
+            "y_map": [[y, y] for y in ys],
+        }
+    }
+    return directory, doc
+
+
+def analyze_with(directory, doc, kind, changes, *flags):
+    """Run analyze with ``changes`` (key to JSON text) in the config; check the exit contract."""
+    config = {**RUNNING[kind], **{key: f"@{key}@" for key in changes}}
+    text = json.dumps({**doc, "analysis": {kind: config}})
+    for key, value in changes.items():
+        text = text.replace(f'"@{key}@"', value)
+    path, report = directory / "fuzz.json", directory / "fuzz-report.json"
+    path.write_text(text, encoding="utf-8")
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(report), *flags])
+    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err.getvalue()
+    assert report.exists() == (rc == cli.EXIT_OK)
+    if "unknown" in changes and not flags:
+        assert analyze_with(directory, doc, kind, changes, "--strict") == cli.EXIT_PARSE
+    return rc
+
+
+def test_every_config_key_and_value_exits_by_contract(fuzz_document):
+    for kind, keys in specio.ANALYSES.items():
+        assert analyze_with(*fuzz_document, kind, {}) == cli.EXIT_OK
+        for key in [*keys, "unknown"]:
+            for value in FUZZ_VALUES:
+                analyze_with(*fuzz_document, kind, {key: value})
+
+
+config_changes = st.sampled_from(list(specio.ANALYSES)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.dictionaries(
+            st.sampled_from([*specio.ANALYSES[kind], "unknown"]),
+            st.sampled_from(FUZZ_VALUES),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=150)
+@given(config_changes)
+def test_fuzzed_configs_exit_by_contract(fuzz_document, case):
+    analyze_with(*fuzz_document, *case)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import binary_pack
+from transferlab.errors import CapExceeded
 from transferlab.evaluation import (
+    SEED_CAP,
     NeighborhoodReport,
     build_transfer_system,
     detect_negative_transfer,
@@ -116,3 +118,12 @@ def test_generalist_rerun_is_identical():
         lambda: is_generalist(PACK, UNIVERSE[:3], 2, 1, EvaluationContext(PACK.truth, 0.5))
     )
     assert set(report.evidence) == {0, 1, 2}
+
+
+def test_seeds_above_the_cap_are_refused():
+    target = UNIVERSE[0]
+    ts = build_transfer_system(PACK, target)
+    with pytest.raises(CapExceeded):
+        detect_negative_transfer(PACK, target, ts, seeds=SEED_CAP + 1)
+    with pytest.raises(CapExceeded):
+        transferability(PACK, UNIVERSE, "source", EvaluationContext(TRUTH), seeds=10**400)

@@ -7,6 +7,8 @@ The writer's oracle is the stdlib: ``json_text`` must equal
 ``json.dumps(value, sort_keys=True, indent=2)`` for every JSON value.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -240,3 +242,89 @@ def test_ladder_emits_one_document_per_shift(tmp_path):
         *emitted_bytes(tmp_path / "a", {**LADDER_BASE, "marginal_shift": 0.0}),
         *emitted_bytes(tmp_path / "b", {**LADDER_BASE, "marginal_shift": 0.5}),
     ]
+
+
+BIG = "1" + "0" * 399  # an integer literal no float holds
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"version": 1, "sets": {"s": {"elements": [%s]}}}' % ("7" * 4301),
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+        ('{"version": 1, "x": %s}' % ("[" * 100_000 + "]" * 100_000),
+         "invalid JSON: maximum recursion depth exceeded"),
+        ('{"version": 1, "scenario": {"grid_size": 2, "marginal_shift": %s}}' % BIG,
+         "scenario: malformed block (int too large to convert to float)"),
+        ('{"version": 1, "scenario": {"grid_size": 1e400}}',
+         "scenario: malformed block (cannot convert float infinity to integer)"),
+        ('{"version": 1, "scenario": {"grid_size": 2, "ladder": [0.5, %s]}}' % BIG,
+         "scenario.ladder: malformed block (int too large to convert to float)"),
+    ],
+    ids=["4301-digit-int", "deep-nesting", "marginal-shift", "grid-size", "ladder-entry"],
+)
+@pytest.mark.parametrize("verb", ["validate", "scenario"])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, verb, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    report = tmp_path / "r.json"
+    argv = [verb, str(spec), "--out", str(report)]
+    if verb == "scenario":
+        argv += ["--emit", str(tmp_path / "emit")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: {message}")
+    assert not report.exists()
+
+
+def morphism_document(relation):
+    """Two relations on the same carriers, and a morphism from ``relation`` to itself."""
+    return {
+        "version": 1,
+        "sets": {"X": {"elements": [0, 1]}, "Y": {"elements": ["a", "b"]}},
+        "relations": {
+            "r1": {"components": ["X", "Y"], "tuples": [[0, "a"], [1, "b"]], "inputs": [0]},
+            "r2": {"components": ["X", "Y"], "tuples": [[0, "b"], [1, "a"]], "inputs": [0]},
+        },
+        "morphisms": {
+            "m": {
+                "source": relation,
+                "target": relation,
+                "x_map": [[0, 0], [1, 1]],
+                "y_map": [["a", "a"], ["b", "b"]],
+            }
+        },
+    }
+
+
+def test_morphism_dumps_with_its_own_relation_names(tmp_path):
+    digests = []
+    for relation in ("r1", "r2"):
+        text = json.dumps(morphism_document(relation))
+        morphism = json.loads(dump_document(parse_document(text)))["morphisms"]["m"]
+        assert (morphism["source"], morphism["target"]) == (relation, relation)
+        path, report = tmp_path / f"{relation}.json", tmp_path / "v.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path), "--strict", "--out", str(report)]) == cli.EXIT_OK
+        digests.append(json.loads(report.read_text(encoding="utf-8"))["inputs_digest"])
+    assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("ladder", [None, [], [0, 0.5]], ids=["null", "empty", "shifts"])
+def test_ladder_dumps_as_written(ladder):
+    doc = parse_document(json.dumps({"version": 1, "scenario": {**LADDER_BASE, "ladder": ladder}}))
+    assert repr(json.loads(dump_document(doc))["scenario"]["ladder"]) == repr(ladder)
+    absent = parse_document(json.dumps({"version": 1, "scenario": LADDER_BASE}))
+    assert "ladder" not in json.loads(dump_document(absent))["scenario"]
+
+
+@settings(max_examples=10)
+@given(scenario_blocks)
+def test_emitted_documents_validate_strictly_without_warnings(scenario):
+    with tempfile.TemporaryDirectory() as directory:
+        for path in emit(directory, {**scenario, "ladder": [0.0, 0.5]}):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                argv = ["validate", str(path), "--strict", "--out", str(Path(directory) / "v.json")]
+                assert cli.main(argv) == cli.EXIT_OK
+            assert err.getvalue() == ""
