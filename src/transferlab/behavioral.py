@@ -14,20 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    HeterogeneousSetting,
-    MissingMeasure,
-    SupportMismatch,
-    ValidationError,
-)
+from .errors import HeterogeneousSetting, SupportMismatch, ValidationError
 from .learning import (
     Dataset,
     EvaluationContext,
     LearningSystem,
     SystemPack,
-    prediction_error,
-    run_algorithm,
     generalization_error,
+    pairings,
+    run_algorithm,
 )
 from .measures import (
     ConditionalMeasure,
@@ -39,7 +34,7 @@ from .measures import (
     pushforward,
 )
 from .relations import Atom, FiniteSet
-from .transfer import FeatureRepSpec, TransferSystem, run_transfer
+from .transfer import FeatureRepSpec, TransferSystem, run_transfer, transfer_error
 
 #: Additive smoothing applied to estimated measures inside pipelines,
 #: so ratio-based divergences never see an accidental zero cell.
@@ -47,12 +42,6 @@ PIPELINE_SMOOTHING = 1e-9
 
 #: Confidence parameter of the finite-class complexity term.
 DEFAULT_ETA = 0.05
-
-
-def _declared(pack: SystemPack) -> tuple[EmpiricalMeasure, ConditionalMeasure]:
-    if pack.marginal is None or pack.posterior is None:
-        raise MissingMeasure(f"pack {pack.tag!r} declares no measures")
-    return pack.marginal, pack.posterior
 
 
 def _pair_map_pushforward(
@@ -105,8 +94,8 @@ def transfer_distance(
     shared latent space) first; without it the comparison raises
     :class:`SupportMismatch`.
     """
-    s_marg, s_post = _declared(source)
-    t_marg, t_post = _declared(target)
+    s_marg, s_post = source.measures()
+    t_marg, t_post = target.measures()
 
     if align is not None:
         latent = align.latent_system
@@ -199,23 +188,14 @@ def bound_check(
     from the two datasets; the complexity term is the closed-form
     finite-class expression recorded in the report.
     """
-    if not (
-        ts.source.x_set.same_elements(ts.target.x_set)
-        and ts.source.y_set.same_elements(ts.target.y_set)
-    ):
+    if not ts.source.same_space(ts.target):
         raise HeterogeneousSetting("the bound decomposition needs equal sample spaces")
 
     theta_s = run_algorithm(source_data, ts.source)
     eps_s = generalization_error(ts.source, theta_s, source_ctx, source_weight)
 
     theta_tr, _ = run_transfer(ts, target_data)
-    eps_t = prediction_error(
-        lambda x: ts.predict(theta_tr, x),
-        target_ctx,
-        ts.target.loss,
-        weight=target_weight,
-        x_set=ts.target.x_set,
-    )
+    eps_t = transfer_error(ts, theta_tr, target_ctx, target_weight)
 
     p_s = estimate_measure(source_data, "x", smoothing, ts.source.x_set)
     p_t = estimate_measure(target_data, "x", smoothing, ts.source.x_set)
@@ -268,20 +248,15 @@ def behavioral_transferability(
     mode admits it when source error + distance + complexity is strictly
     below it.  Heterogeneous pairings are skipped and reported.
     """
-    if role not in ("source", "target"):
-        raise ValidationError(f"role must be source or target, got {role!r}")
+    pairs = pairings(pack, universe, role)
     if mode not in ("distance", "bound"):
         raise ValidationError(f"mode must be distance or bound, got {mode!r}")
 
     members: list[int] = []
     values: dict[int, float] = {}
     skipped: list[int] = []
-    for idx, member in enumerate(universe):
-        src, tgt = (pack, member) if role == "source" else (member, pack)
-        homogeneous = src.system.x_set.same_elements(
-            tgt.system.x_set
-        ) and src.system.y_set.same_elements(tgt.system.y_set)
-        if not homogeneous:
+    for idx, src, tgt in pairs:
+        if not src.system.same_space(tgt.system):
             skipped.append(idx)
             continue
         delta = transfer_distance(src, tgt, on=on, kind=kind)

@@ -50,7 +50,7 @@ from .structural import (
     useful_structures,
     valid_structures,
 )
-from .transfer import classify_setting, run_transfer
+from .transfer import Knowledge, TransferSystem, classify_setting, run_transfer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -222,7 +222,6 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
         doc.measures[refs["marginal"]] = pack.marginal
         doc.conditionals[refs["posterior"]] = pack.posterior
         doc.packs[role] = pack
-    from .transfer import Knowledge, TransferSystem  # local to avoid cycle at import
 
     if facts.input_spaces_equal and facts.output_spaces_equal:
         doc.transfer["tr"] = TransferSystem(

@@ -27,7 +27,8 @@ from .learning import (
     EvaluationContext,
     LearningSystem,
     SystemPack,
-    prediction_error,
+    generalization_error,
+    pairings,
     run_algorithm,
 )
 from .measures import total_variation
@@ -37,8 +38,10 @@ from .transfer import (
     FeatureRepSpec,
     Knowledge,
     TransferSystem,
+    _consumed,
     run_transfer,
     select_knowledge,
+    transfer_error,
 )
 
 #: The most seeds one comparison runs; a few milliseconds each at the hypothesis cap.
@@ -47,11 +50,8 @@ SEED_CAP = 1000
 
 def _source_knowledge(source: LearningSystem, data: Dataset, approach: str) -> Knowledge:
     """What ``approach`` takes from the source data; parameters train the source."""
-    theta_s = None
-    if approach in ("parameter", "instance_parameter"):
-        theta_s = run_algorithm(data, source)
-    kind = "instance" if approach == "feature_representation" else approach
-    return select_knowledge(source, data, theta_s, kind)
+    theta_s = run_algorithm(data, source) if _consumed(approach)[1] else None
+    return select_knowledge(source, data, theta_s, approach)
 
 
 def build_transfer_system(
@@ -128,9 +128,10 @@ def detect_negative_transfer(
     if not resample:
         seeds = 1
 
-    declared_truth = ctx.truth if ctx is not None else target.truth
-    holdout_mode = declared_truth is None or isinstance(declared_truth, Dataset)
-    error_mode = "holdout" if holdout_mode else "truth-table"
+    truth = ctx.truth if ctx is not None else target.truth
+    reference = None if truth is None else EvaluationContext(truth)
+    error_mode = "holdout" if reference is None else reference.mode
+    weight = target.marginal if error_mode == "truth-table" else None
 
     eps_with: list[float] = []
     eps_without: list[float] = []
@@ -141,42 +142,16 @@ def detect_negative_transfer(
             d_t = resample_pack(target, len(target.dataset), rng, "target")
         else:
             d_s, d_t = source.dataset, target.dataset
-
-        if holdout_mode:
-            if isinstance(declared_truth, Dataset):
-                train_t, eval_ctx = d_t, EvaluationContext(declared_truth)
-            else:
-                train_t, held = _split_holdout(d_t, rng)
-                eval_ctx = EvaluationContext(held)
-            weight = None
-        else:
-            train_t = d_t
-            eval_ctx = EvaluationContext(declared_truth)
-            weight = target.marginal
+        train_t, eval_ctx = d_t, reference
+        if reference is None:  # nothing declared: hold out half the target data
+            train_t, held = _split_holdout(d_t, rng)
+            eval_ctx = EvaluationContext(held)
 
         ts_i = replace(ts, knowledge=_source_knowledge(source.system, d_s, ts.approach))
-
         theta_tr, _ = run_transfer(ts_i, train_t)
-        eps_with.append(
-            prediction_error(
-                lambda x: ts_i.predict(theta_tr, x),
-                eval_ctx,
-                ts.target.loss,
-                weight=weight,
-                x_set=ts.target.x_set,
-            )
-        )
-
+        eps_with.append(transfer_error(ts_i, theta_tr, eval_ctx, weight))
         theta_alone = run_algorithm(train_t, target.system)
-        eps_without.append(
-            prediction_error(
-                lambda x: target.system.hypotheses.output(theta_alone, x),
-                eval_ctx,
-                target.system.loss,
-                weight=weight,
-                x_set=target.system.x_set,
-            )
-        )
+        eps_without.append(generalization_error(target.system, theta_alone, eval_ctx, weight))
 
     mean_with = math.fsum(eps_with) / seeds
     mean_without = math.fsum(eps_without) / seeds
@@ -220,17 +195,16 @@ def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
     reps: list[int] = []
     labels: list[int] = []
     for i, pack in enumerate(packs):
-        if pack.marginal is None or pack.posterior is None:
-            raise MissingMeasure(f"pack {pack.tag!r} declares no measures")
+        marginal, posterior = pack.measures()
         assigned = None
         for cluster, rep_idx in enumerate(reps):
             rep = packs[rep_idx]
-            if not rep.marginal.support.same_elements(pack.marginal.support):
+            if not rep.marginal.support.same_elements(marginal.support):
                 continue
-            if total_variation(rep.marginal, pack.marginal) > tau:
+            if total_variation(rep.marginal, marginal) > tau:
                 continue
             row_gap = max(
-                total_variation(rep.posterior.row(x), pack.posterior.row(x))
+                total_variation(rep.posterior.row(x), posterior.row(x))
                 for x in rep.posterior.given.elements
             )
             if row_gap > tau:
@@ -273,8 +247,7 @@ def transferability(
     modes delegate to the corresponding analyses, and ``all`` returns
     the three reports side by side.
     """
-    if role not in ("source", "target"):
-        raise ValidationError(f"role must be source or target, got {role!r}")
+    pairs = pairings(pack, universe, role)
     if mode == "all":
         return {
             m: transferability(
@@ -309,12 +282,13 @@ def transferability(
         raise ValidationError(f"unknown transferability mode {mode!r}")
     if seeds > SEED_CAP:
         raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
+    if seeds < 1:
+        raise ValidationError("at least one seed is required")
 
     members: list[int] = []
     values: dict[int, float] = {}
     skipped: list[int] = []
-    for idx, member in enumerate(universe):
-        src, tgt = (pack, member) if role == "source" else (member, pack)
+    for idx, src, tgt in pairs:
         try:
             ts = build_transfer_system(
                 src, tgt, approach, penalty_weight, pool_weight
@@ -390,6 +364,8 @@ def is_generalist(
     deterministically, and the member qualifies when the measured target
     error is strictly below the context threshold.
     """
+    if n < 0 or t < 0:
+        raise ValidationError("shot budget and required count must be non-negative")
     qualifying: list[int] = []
     evidence: dict[int, float] = {}
     for idx, member in enumerate(universe):
@@ -401,13 +377,7 @@ def is_generalist(
             theta_tr, _ = run_transfer(ts, shots)
         except TransferLabError:
             continue
-        error = prediction_error(
-            lambda x: ts.predict(theta_tr, x),
-            EvaluationContext(member.truth),
-            member.system.loss,
-            weight=member.marginal,
-            x_set=member.system.x_set,
-        )
+        error = transfer_error(ts, theta_tr, EvaluationContext(member.truth), member.marginal)
         evidence[idx] = error
         if error < ctx.epsilon_star:
             qualifying.append(idx)

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     EmptyDataset,
+    MissingMeasure,
     SupportMismatch,
     UnknownElement,
     ValidationError,
@@ -255,6 +256,10 @@ class LearningSystem:
         """The hypothesis table encoded as ``H[θ, x]`` over this system's sets."""
         return self.hypotheses.encode(self.x_set, self.y_set)
 
+    def same_space(self, other: LearningSystem) -> bool:
+        """Whether both systems have the same sample space X × Y, as sets of atoms."""
+        return self.x_set.same_elements(other.x_set) and self.y_set.same_elements(other.y_set)
+
 
 @dataclass(frozen=True)
 class EvaluationContext:
@@ -308,6 +313,24 @@ class SystemPack:
         if self.truth is None:
             raise ValidationError(f"pack {self.tag!r} declares no truth table")
         return EvaluationContext(self.truth, epsilon_star)
+
+    def measures(self) -> tuple[EmpiricalMeasure, ConditionalMeasure]:
+        """The declared marginal and posterior; :class:`MissingMeasure` if either is absent."""
+        if self.marginal is None or self.posterior is None:
+            raise MissingMeasure(f"pack {self.tag!r} declares no measures")
+        return self.marginal, self.posterior
+
+
+def pairings(
+    pack: SystemPack, universe: Sequence[SystemPack], role: str
+) -> list[tuple[int, SystemPack, SystemPack]]:
+    """Each member's index with its (source, target) pair, ``pack`` playing ``role``."""
+    if role not in ("source", "target"):
+        raise ValidationError(f"role must be source or target, got {role!r}")
+    return [
+        (idx, *((pack, member) if role == "source" else (member, pack)))
+        for idx, member in enumerate(universe)
+    ]
 
 
 # -- core operations -----------------------------------------------------------

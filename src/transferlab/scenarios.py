@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingMeasure
+from .errors import InvalidSpec
 from .learning import (
     AlgorithmSpec,
     Dataset,
@@ -152,9 +152,7 @@ def sample_dataset(
 
 
 def resample_pack(pack: SystemPack, size: int, rng: np.random.Generator, tag: str) -> Dataset:
-    if pack.marginal is None or pack.posterior is None:
-        raise MissingMeasure(f"pack {pack.tag!r} declares no measures to sample from")
-    return sample_dataset(pack.marginal, pack.posterior, size, rng, tag)
+    return sample_dataset(*pack.measures(), size, rng, tag)
 
 
 def generate_pair(spec: ScenarioSpec) -> tuple[SystemPack, SystemPack, ScenarioFacts]:

@@ -33,7 +33,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     AnalysisError,
@@ -403,20 +403,24 @@ def load_document(path: str, strict: bool = False) -> SpecDocument:
 
 # -- analysis configs ---------------------------------------------------------------
 
-def _coerce(kind: type):
-    """A reader of ``kind(value)``; a value ``kind`` rejects raises, naming the key."""
+def _coerce(kind: type, accepts: Callable[[Any], bool] = lambda value: True):
+    """A reader of ``kind(value)`` for the values ``accepts``; others raise, naming the key."""
 
     def read(doc: SpecDocument, key: str, value: Any) -> Any:
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            message = f"analysis config {key!r}: {value!r} is not {kind.__name__}"
-            raise AnalysisError(message) from None
+        if accepts(value):
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise AnalysisError(f"analysis config {key!r}: {value!r} is not {kind.__name__}")
 
     return read
 
 
 _FLOAT = _coerce(float)
+# A count is a JSON integer or an integral float (2.0 reads as 2), never a bool.
+_COUNT = _coerce(int, lambda v: type(v) is int or isinstance(v, float) and v.is_integer())
+_FLAG = _coerce(bool, lambda v: isinstance(v, bool))
 
 
 def _reference(section: str, message: str):
@@ -494,8 +498,8 @@ ANALYSES: dict[str, dict[str, tuple]] = {
     "negative": {
         "system": (_reference("transfer", "negative needs a transfer system reference"), None),
         **_PACKS,
-        "seeds": (_coerce(int), 1),
-        "resample": (_coerce(bool), True),
+        "seeds": (_COUNT, 1),
+        "resample": (_FLAG, True),
     },
     "transferability": {
         "pack": (_PACK, None),
@@ -504,14 +508,14 @@ ANALYSES: dict[str, dict[str, tuple]] = {
         "role": (_as_written, "source"),
         "mode": (_as_written, "empirical"),
         "approach": (_as_written, "instance"),
-        "seeds": (_coerce(int), 10),
+        "seeds": (_COUNT, 10),
         "equivalence_mode": (_as_written, "raw"),
     },
     "generalist": {
         "pack": (_PACK, None),
         "universe": (_universe, None),
-        "shots": (_coerce(int), 1),
-        "required": (_coerce(int), 1),
+        "shots": (_COUNT, 1),
+        "required": (_COUNT, 1),
         "epsilon_star": (_FLOAT, 0.5),
         "approach": (_as_written, "instance"),
     },
@@ -522,7 +526,7 @@ ANALYSES: dict[str, dict[str, tuple]] = {
     },
     "structures": {
         **_PACKS,
-        "size_bound": (_coerce(int), 3),
+        "size_bound": (_COUNT, 3),
         "epsilon_star": (_optional_float, None),
     },
 }

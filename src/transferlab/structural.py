@@ -33,7 +33,7 @@ from .learning import (
     LearningSystem,
     SystemPack,
     full_function_class,
-    prediction_error,
+    pairings,
 )
 from .relations import (
     Atom,
@@ -43,9 +43,10 @@ from .relations import (
     Morphism,
     QuotientReport,
     _morphisms,
+    is_function_type,
     quotient,
 )
-from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer
+from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer, transfer_error
 
 
 def truth_graph(pack: SystemPack) -> FiniteSystem:
@@ -296,36 +297,30 @@ def homomorphic_structures(
     from_source = _quotient_structures(source, size_bound, canonical)
     from_target = _quotient_structures(target, size_bound, canonical)
 
+    def witness(
+        system: FiniteSystem, maps: tuple[dict, dict], x_set: FiniteSet, y_set: FiniteSet
+    ) -> Morphism:
+        x_map, y_map = maps
+        return Morphism(
+            {el: f"u{i}" for el, i in x_map.items()},
+            {el: f"w{i}" for el, i in y_map.items()},
+            system.x_values(),
+            system.y_values(),
+            x_set.elements,
+            y_set.elements,
+        )
+
     candidates = []
     for key in sorted(from_source.keys() & from_target.keys()):
         x_set, y_set, system = _structure_system(key)
-        sx_map, sy_map = from_source[key]
-        tx_map, ty_map = from_target[key]
-        s_witness = Morphism(
-            {el: f"u{i}" for el, i in sx_map.items()},
-            {el: f"w{i}" for el, i in sy_map.items()},
-            source.x_values(),
-            source.y_values(),
-            x_set.elements,
-            y_set.elements,
-        )
-        t_witness = Morphism(
-            {el: f"u{i}" for el, i in tx_map.items()},
-            {el: f"w{i}" for el, i in ty_map.items()},
-            target.x_values(),
-            target.y_values(),
-            x_set.elements,
-            y_set.elements,
-        )
         candidates.append(
             CandidateStructure(
                 x_set,
                 y_set,
                 system,
-                s_witness,
-                t_witness,
-                function_type=len({a for a, _ in system.io_pairs()})
-                == len(system.io_pairs()),
+                witness(source, from_source[key], x_set, y_set),
+                witness(target, from_target[key], x_set, y_set),
+                function_type=is_function_type(system),
             )
         )
     return StructureSearchReport(source, target, tuple(candidates))
@@ -347,7 +342,6 @@ def valid_structures(
     valid = []
     for idx, cand in enumerate(report.candidates):
         witnesses = _morphisms(report.target_system, cand.system, require=("surjective",))
-        chosen = None
         for witness in witnesses:
             images: dict[Atom, Atom] = {}
             ok = True
@@ -361,10 +355,8 @@ def valid_structures(
                 output_map = {
                     w: images.get(w, fallback) for w in cand.y_set.elements
                 }
-                chosen = ValidStructure(idx, witness, output_map)
+                valid.append(ValidStructure(idx, witness, output_map))
                 break
-        if chosen is not None:
-            valid.append(chosen)
     return replace(report, valid=tuple(valid), useful=())
 
 
@@ -437,13 +429,7 @@ def feature_runner(
             latent=spec,
         )
         theta, _ = run_transfer(ts, target_pack.dataset)
-        return prediction_error(
-            lambda x: ts.predict(theta, x),
-            EvaluationContext(target_pack.truth),
-            target_pack.system.loss,
-            weight=target_pack.marginal,
-            x_set=target_pack.system.x_set,
-        )
+        return transfer_error(ts, theta, EvaluationContext(target_pack.truth), target_pack.marginal)
 
     return run
 
@@ -475,12 +461,9 @@ def structural_transferability(
     qualifies when the search over shared structures leaves at least one
     that generalizes under the context threshold.
     """
-    if role not in ("source", "target"):
-        raise ValidationError(f"role must be source or target, got {role!r}")
     members = []
     best: dict[int, float] = {}
-    for idx, member in enumerate(universe):
-        src, tgt = (pack, member) if role == "source" else (member, pack)
+    for idx, src, tgt in pairings(pack, universe, role):
         report = homomorphic_structures(
             truth_graph(src), truth_graph(tgt), size_bound, carrier_cap
         )

@@ -14,9 +14,11 @@ transfer parameters at once (:func:`transfer_values`):
 * ``feature_representation``: risk in a latent learning system on the
   pairs mapped into it; answers are mapped back to the target's outputs.
 
-Values are exact and ties break toward the earliest parameter, so the
-claim that the result is itself a learning system is checkable by
-enumeration (:func:`verify_transfer_is_learning_system`).
+What each rule takes from the source (instances, parameters or both) is
+said in one place, :data:`CONSUMES`.  Values are exact and ties break
+toward the earliest parameter, so the claim that the result is itself a
+learning system is checkable by enumeration
+(:func:`verify_transfer_is_learning_system`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     CapExceeded,
     EmptyDataset,
     IncompatibleSupport,
-    MissingMeasure,
     MissingSourceArtifact,
     UnknownElement,
     ValidationError,
@@ -39,15 +40,25 @@ from .errors import (
 from .learning import (
     AxiomReport,
     Dataset,
+    EvaluationContext,
     HypothesisClass,
     LearningSystem,
     SystemPack,
     objective_values,
+    prediction_error,
     verify_decomposition,
 )
+from .measures import EmpiricalMeasure
 from .relations import Atom, FiniteSet
 
-APPROACHES = ("instance", "parameter", "instance_parameter", "feature_representation")
+#: What each approach consumes from the source: (instances, parameters).
+CONSUMES = {
+    "instance": (True, False),
+    "parameter": (False, True),
+    "instance_parameter": (True, True),
+    "feature_representation": (True, False),
+}
+APPROACHES = tuple(CONSUMES)
 
 #: Tolerance for declared-measure equality when classifying a setting.
 MEASURE_EQUALITY_TOL = 1e-9
@@ -67,6 +78,32 @@ class Knowledge:
             raise ValidationError("knowledge must carry instances or parameters")
 
 
+def _consumed(approach: str) -> tuple[bool, bool]:
+    """``CONSUMES[approach]``; a tuple test first, so an unhashable approach is refused too."""
+    if approach not in APPROACHES:
+        raise ValidationError(f"unknown transfer approach {approach!r}")
+    return CONSUMES[approach]
+
+
+def _check_knowledge(
+    source: LearningSystem,
+    approach: str,
+    instances: Dataset | None,
+    parameters: tuple[Atom, ...] | None,
+) -> None:
+    """Refuse a piece ``approach`` consumes that is missing, and any piece outside ``source``."""
+    needs_instances, needs_parameters = _consumed(approach)
+    if needs_instances and instances is None:
+        raise MissingSourceArtifact(f"{approach} transfer needs source instances")
+    if needs_parameters and parameters is None:
+        raise MissingSourceArtifact(f"{approach} transfer needs a source parameter")
+    if instances is not None:
+        instances.validate_against(source.x_set, source.y_set)
+    for theta in parameters or ():
+        if theta not in source.theta_set:
+            raise UnknownElement(f"{theta!r} is not a source parameter")
+
+
 def select_knowledge(
     source: LearningSystem,
     source_data: Dataset | None,
@@ -74,27 +111,11 @@ def select_knowledge(
     kind: str,
 ) -> Knowledge:
     """Pick the knowledge pieces an approach consumes from the source."""
-    if kind in ("instance", "feature_representation"):
-        if source_data is None:
-            raise MissingSourceArtifact(f"{kind} transfer needs source data")
-        source_data.validate_against(source.x_set, source.y_set)
-        return Knowledge(instances=source_data)
-    if kind == "parameter":
-        if source_theta is None:
-            raise MissingSourceArtifact("parameter transfer needs a source parameter")
-        if source_theta not in source.theta_set:
-            raise UnknownElement(f"{source_theta!r} is not a source parameter")
-        return Knowledge(parameters=(source_theta,))
-    if kind == "instance_parameter":
-        if source_data is None or source_theta is None:
-            raise MissingSourceArtifact(
-                "instance_parameter transfer needs source data and a parameter"
-            )
-        source_data.validate_against(source.x_set, source.y_set)
-        if source_theta not in source.theta_set:
-            raise UnknownElement(f"{source_theta!r} is not a source parameter")
-        return Knowledge(instances=source_data, parameters=(source_theta,))
-    raise ValidationError(f"unknown transfer approach {kind!r}")
+    takes_instances, takes_parameters = _consumed(kind)
+    instances = source_data if takes_instances else None
+    parameters = (source_theta,) if takes_parameters and source_theta is not None else None
+    _check_knowledge(source, kind, instances, parameters)
+    return Knowledge(instances, parameters)
 
 
 @dataclass(frozen=True)
@@ -189,29 +210,11 @@ class TransferSystem:
     pool_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.approach not in APPROACHES:
-            raise ValidationError(f"unknown transfer approach {self.approach!r}")
         if self.pool_weight <= 0:
             raise ValidationError("pool weight must be positive")
-
-        needs_instances = self.approach in (
-            "instance",
-            "instance_parameter",
-            "feature_representation",
+        _check_knowledge(
+            self.source, self.approach, self.knowledge.instances, self.knowledge.parameters
         )
-        needs_parameters = self.approach in ("parameter", "instance_parameter")
-        if needs_instances and self.knowledge.instances is None:
-            raise MissingSourceArtifact(f"{self.approach} transfer needs source instances")
-        if needs_parameters and self.knowledge.parameters is None:
-            raise MissingSourceArtifact(f"{self.approach} transfer needs a source parameter")
-        if self.knowledge.instances is not None:
-            self.knowledge.instances.validate_against(
-                self.source.x_set, self.source.y_set
-            )
-        if self.knowledge.parameters is not None:
-            for theta in self.knowledge.parameters:
-                if theta not in self.source.theta_set:
-                    raise UnknownElement(f"{theta!r} is not a source parameter")
 
         if self.approach == "feature_representation":
             if self.latent is None:
@@ -228,7 +231,7 @@ class TransferSystem:
                 )
             if self.hypotheses_tr is None:
                 object.__setattr__(self, "hypotheses_tr", self.target.hypotheses)
-            if needs_parameters:
+            if CONSUMES[self.approach][1]:
                 anchor = self.knowledge.parameters[0]
                 if anchor not in self.hypotheses_tr.theta_set:
                     raise ValidationError(
@@ -312,14 +315,15 @@ def transfer_values(
     x_set, y_set = ts.target.x_set, ts.target.y_set
     counts = target_data.counts(x_set, y_set)
     pooled = source = anchor = None
-    if ts.approach != "parameter":
+    takes_instances, takes_parameters = CONSUMES[ts.approach]
+    if takes_instances:
         pooled = pool_data(ts.knowledge, target_data, ts.target)
         if len(pooled) == 0:
             raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
         source = ts.knowledge.instances.counts(x_set, y_set)
     elif len(target_data) == 0:
         counts = None  # zero-shot: the penalty alone
-    if ts.approach != "instance":
+    if takes_parameters:
         anchor = ts.theta_tr_set.index(ts.knowledge.parameters[0])
     values = objective_values(
         ts.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
@@ -344,6 +348,18 @@ def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, Transf
     return selected, trace
 
 
+def transfer_error(
+    ts: TransferSystem,
+    theta_tr: Atom,
+    ctx: EvaluationContext,
+    weight: EmpiricalMeasure | None = None,
+) -> float:
+    """Expected loss of the transferred hypothesis ``theta_tr`` against the context."""
+    return prediction_error(
+        lambda x: ts.predict(theta_tr, x), ctx, ts.target.loss, weight, ts.target.x_set
+    )
+
+
 def latent_path_prediction(ts: TransferSystem, theta: Atom, x: Atom) -> Atom:
     """Predict by explicitly routing through the latent maps.
 
@@ -365,13 +381,8 @@ def classify_approach(ts: TransferSystem) -> str:
     """Label the rule by which knowledge pieces and maps it consumes."""
     if ts.latent is not None:
         return "feature_representation"
-    has_instances = ts.knowledge.instances is not None
-    has_parameters = ts.knowledge.parameters is not None
-    if has_instances and has_parameters:
-        return "instance_parameter"
-    if has_instances:
-        return "instance"
-    return "parameter"
+    carried = (ts.knowledge.instances is not None, ts.knowledge.parameters is not None)
+    return next(approach for approach, pieces in CONSUMES.items() if pieces == carried)
 
 
 @dataclass(frozen=True)
@@ -414,15 +425,13 @@ def classify_setting(
     posterior differs, and ``both`` when the two kinds of difference
     coincide.
     """
-    if source.marginal is None or source.posterior is None:
-        raise MissingMeasure(f"pack {source.tag!r} declares no measures")
-    if target.marginal is None or target.posterior is None:
-        raise MissingMeasure(f"pack {target.tag!r} declares no measures")
+    s_marg, s_post = source.measures()
+    t_marg, t_post = target.measures()
 
     input_eq = source.system.x_set.same_elements(target.system.x_set)
     output_eq = source.system.y_set.same_elements(target.system.y_set)
-    marginal_eq = _measures_equal(source.marginal, target.marginal, tol)
-    posterior_eq = _posteriors_equal(source.posterior, target.posterior, tol)
+    marginal_eq = _measures_equal(s_marg, t_marg, tol)
+    posterior_eq = _posteriors_equal(s_post, t_post, tol)
 
     structural = "homogeneous" if (input_eq and output_eq) else "heterogeneous"
     transductive = not marginal_eq
@@ -516,10 +525,5 @@ def latent_case(ts: TransferSystem) -> LatentCaseReport:
     lat = ts.latent.latent_system
     t_id = ts.latent.target_pair_is_identity()
     s_id = ts.latent.source_pair_is_identity()
-    eq_target = lat.x_set.same_elements(ts.target.x_set) and lat.y_set.same_elements(
-        ts.target.y_set
-    )
-    eq_source = lat.x_set.same_elements(ts.source.x_set) and lat.y_set.same_elements(
-        ts.source.y_set
-    )
+    eq_target, eq_source = lat.same_space(ts.target), lat.same_space(ts.source)
     return LatentCaseReport(t_id, s_id, eq_target, eq_source, t_id and s_id)

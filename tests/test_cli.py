@@ -310,6 +310,57 @@ def test_seeds_above_the_cap_exit_analysis_error(tmp_path, capsys, kind, config)
     )
 
 
+@pytest.mark.parametrize(
+    "kind, config, message",
+    [
+        ("transferability", {**UNIVERSE, "seeds": 0},
+         "analysis error (transferability): at least one seed is required"),
+        ("transferability", {**UNIVERSE, "seeds": -1},
+         "analysis error (transferability): at least one seed is required"),
+        ("generalist", {**UNIVERSE, "shots": -1},
+         "analysis error (generalist): shot budget and required count must be non-negative"),
+        ("generalist", {**UNIVERSE, "required": -1},
+         "analysis error (generalist): shot budget and required count must be non-negative"),
+        ("negative", {**NEGATIVE, "seeds": 2.7},
+         "analysis error (negative): analysis config 'seeds': 2.7 is not int"),
+        ("negative", {**NEGATIVE, "seeds": True},
+         "analysis error (negative): analysis config 'seeds': True is not int"),
+        ("structures", {**PACKS, "size_bound": 1.5},
+         "analysis error (structures): analysis config 'size_bound': 1.5 is not int"),
+        ("negative", {**NEGATIVE, "resample": "false"},
+         "analysis error (negative): analysis config 'resample': 'false' is not bool"),
+        ("negative", {**NEGATIVE, "resample": 0},
+         "analysis error (negative): analysis config 'resample': 0 is not bool"),
+    ],
+)
+def test_counts_and_flags_out_of_range_exit_analysis_error(tmp_path, capsys, kind, config, message):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = config
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, config, key",
+    [("negative", NEGATIVE, "seeds"), ("transferability", UNIVERSE, "seeds"),
+     ("generalist", UNIVERSE, "shots"), ("structures", PACKS, "size_bound")],
+)
+def test_an_integral_float_count_reads_as_its_integer(tmp_path, kind, config, key):
+    path, doc = emit(tmp_path, SMALL)
+    results = []
+    for value in (2, 2.0):
+        doc["analysis"][kind] = {**config, key: value}
+        write_json(path, doc)
+        out = tmp_path / f"r{len(results)}.json"
+        assert cli.main(["analyze", str(path), "--kind", kind, "--out", str(out)]) == cli.EXIT_OK
+        results.append(json.loads(out.read_text(encoding="utf-8"))["results"])
+    assert results[0] == results[1]
+
+
 # A config of every analysis kind that runs on the fuzz document; roughness
 # runs on the relation and morphism the fixture adds to it.
 RUNNING = {**ANALYSES, "roughness": {"source": "r", "target": "r", "morphism": "m"}}

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import binary_pack
-from transferlab.errors import CapExceeded
+from transferlab.behavioral import behavioral_transferability
+from transferlab.errors import CapExceeded, ValidationError
 from transferlab.evaluation import (
     SEED_CAP,
     NeighborhoodReport,
@@ -127,3 +128,35 @@ def test_seeds_above_the_cap_are_refused():
         detect_negative_transfer(PACK, target, ts, seeds=SEED_CAP + 1)
     with pytest.raises(CapExceeded):
         transferability(PACK, UNIVERSE, "source", EvaluationContext(TRUTH), seeds=10**400)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda role: transferability(PACK, [], role, EvaluationContext(TRUTH)),
+        lambda role: structural_transferability(PACK, [], role, EvaluationContext(TRUTH)),
+        lambda role: behavioral_transferability(PACK, [], role, 0.5),
+    ],
+    ids=["transferability", "structural", "behavioral"],
+)
+def test_a_bad_role_is_refused_even_on_an_empty_universe(scan):
+    assert scan("source").members == ()
+    with pytest.raises(ValidationError, match="role must be source or target, got 'both'"):
+        scan("both")
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_seeds_below_one_are_refused_not_skipped(seeds):
+    with pytest.raises(ValidationError, match="at least one seed is required"):
+        transferability(PACK, UNIVERSE, "source", EvaluationContext(TRUTH), seeds=seeds)
+
+
+@pytest.mark.parametrize("n, t", [(-1, 1), (1, -1)])
+def test_negative_shot_budget_or_required_count_is_refused(n, t):
+    with pytest.raises(ValidationError, match="must be non-negative"):
+        is_generalist(PACK, UNIVERSE[:1], n, t, EvaluationContext(TRUTH, 0.5))
+
+
+def test_zero_shots_and_zero_required_still_run():
+    report = is_generalist(PACK, UNIVERSE[:2], 0, 0, EvaluationContext(TRUTH, 0.5))
+    assert report.is_generalist and report.shot_budget == 0 and report.required == 0

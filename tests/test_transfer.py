@@ -3,24 +3,30 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_dataset, random_learning_system
+from helpers import binary_pack, random_dataset, random_learning_system
 from transferlab.errors import (
     IncompatibleSupport,
     MissingMeasure,
     MissingSourceArtifact,
+    UnknownElement,
     ValidationError,
 )
+from transferlab.evaluation import build_transfer_system
 from transferlab.learning import (
     Dataset,
+    EvaluationContext,
     HypothesisClass,
     LearningSystem,
     SystemPack,
     full_function_class,
+    prediction_error,
     run_algorithm,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
 from transferlab.relations import FiniteSet, FiniteSystem
 from transferlab.transfer import (
+    APPROACHES,
+    CONSUMES,
     FeatureRepSpec,
     Knowledge,
     TransferSystem,
@@ -32,6 +38,7 @@ from transferlab.transfer import (
     pool_data,
     run_transfer,
     select_knowledge,
+    transfer_error,
     verify_transfer_is_learning_system,
 )
 
@@ -416,3 +423,87 @@ class TestFeatureRepresentation:
                 systems[0], systems[1], Knowledge(instances=source_data),
                 "feature_representation",
             )
+
+
+# -- one table of what each rule consumes, one check of it -----------------------------
+
+
+def knowledge_refusals(systems, source_data):
+    """(approach, source data, source θ, error): one piece the approach consumes is spoiled."""
+    theta = run_algorithm(source_data, systems[0])
+    outside = Dataset((("x0", 0), ("zz", 1)), "outside")
+    for approach, (takes_instances, takes_parameters) in CONSUMES.items():
+        if takes_instances:
+            yield approach, None, theta, MissingSourceArtifact
+            yield approach, outside, theta, UnknownElement
+        if takes_parameters:
+            yield approach, source_data, None, MissingSourceArtifact
+            yield approach, source_data, "not-a-theta", UnknownElement
+    for approach in ("bogus", ["instance"]):
+        yield approach, source_data, theta, ValidationError
+
+
+def test_consumes_lists_every_approach_once():
+    assert APPROACHES == tuple(CONSUMES) == (
+        "instance", "parameter", "instance_parameter", "feature_representation"
+    )
+    assert all(any(pieces) for pieces in CONSUMES.values())
+
+
+def test_select_knowledge_and_transfer_system_refuse_alike(systems, source_data):
+    cases = list(knowledge_refusals(systems, source_data))
+    assert {approach for approach, *_ in cases if isinstance(approach, str)} >= set(APPROACHES)
+    for approach, data, theta, error in cases:
+        with pytest.raises(error):
+            select_knowledge(systems[0], data, theta, approach)
+        knowledge = Knowledge(data, None if theta is None else (theta,))
+        with pytest.raises(error):
+            TransferSystem(systems[0], systems[1], knowledge, approach)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_select_knowledge_keeps_only_what_the_approach_consumes(systems, source_data, approach):
+    theta = run_algorithm(source_data, systems[0])
+    knowledge = select_knowledge(systems[0], source_data, theta, approach)
+    takes_instances, takes_parameters = CONSUMES[approach]
+    assert (knowledge.instances is not None, knowledge.parameters is not None) == (
+        takes_instances, takes_parameters
+    )
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_classify_approach_recovers_the_built_approach(approach):
+    truth = {"a": 0, "b": 1, "c": 1}
+    source = binary_pack(truth, data=[("a", 0), ("b", 1)], tag="s")
+    target = binary_pack(truth, data=[("c", 1)], tag="t")
+    x, y = target.system.x_set, target.system.y_set
+    pairs = {(a, b): (a, b) for a in x.elements for b in y.elements}
+    latent = None
+    if approach == "feature_representation":
+        latent = FeatureRepSpec(
+            target.system, pairs, pairs, {a: a for a in x.elements}, {b: b for b in y.elements}
+        )
+    ts = build_transfer_system(source, target, approach, latent=latent)
+    assert classify_approach(ts) == approach
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+@pytest.mark.parametrize("approach", ["instance", "parameter"])
+def test_transfer_error_is_the_prediction_error_of_the_transferred_hypothesis(
+    systems, source_data, target_data, approach, holdout
+):
+    theta_s = run_algorithm(source_data, systems[0])
+    knowledge = select_knowledge(systems[0], source_data, theta_s, approach)
+    ts = TransferSystem(systems[0], systems[1], knowledge, approach)
+    theta, _ = run_transfer(ts, target_data)
+    if holdout:
+        ctx, weight = EvaluationContext(Dataset((("x1", 1), ("x2", 1), ("x1", 0)))), None
+    else:
+        ctx = EvaluationContext({"x0": 0, "x1": 1, "x2": 1, "x3": 0})
+        weight = EmpiricalMeasure(systems[1].x_set, (0.1, 0.2, 0.3, 0.4))
+    by_hand = prediction_error(
+        lambda x: ts.predict(theta, x), ctx, ts.target.loss, weight=weight,
+        x_set=ts.target.x_set,
+    )
+    assert transfer_error(ts, theta, ctx, weight) == by_hand
+    assert 0 < by_hand < 1
