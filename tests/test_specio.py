@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transferlab import cli
+from transferlab.errors import ParseError, ResolutionError
 from transferlab.specio import (
     document_digest,
     dump_document,
@@ -328,3 +329,163 @@ def test_emitted_documents_validate_strictly_without_warnings(scenario):
                 argv = ["validate", str(path), "--strict", "--out", str(Path(directory) / "v.json")]
                 assert cli.main(argv) == cli.EXIT_OK
             assert err.getvalue() == ""
+
+
+# -- every block kind -----------------------------------------------------------------
+
+XY = [[x, y] for x in ("x0", "x1", "x2") for y in (0, 1)]
+EVERY_BLOCK = {
+    "version": 1,
+    "sets": {
+        "X": {"elements": ["x0", "x1", "x2"]},
+        "Y": {"elements": [0, 1]},
+        "U": {"elements": ["u0", "u1"]},
+    },
+    "relations": {
+        "io": {"components": ["X", "Y"], "tuples": [["x0", 0], ["x1", 1]], "inputs": [0]},
+        "onto": {"components": ["X", "Y"], "tuples": [["x2", 1]], "inputs": [0]},
+        "plain": {"components": ["Y", "X"], "tuples": [[1, "x2"]]},
+    },
+    "morphisms": {
+        "m": {
+            "source": "io",
+            "target": "onto",
+            "x_map": [["x0", "x2"], ["x1", "x2"]],
+            "y_map": [[0, 1], [1, 1]],
+        }
+    },
+    "measures": {"mx": {"support": "X", "probs": ["0.5", "0.25", "0.25"]}},
+    "conditionals": {
+        "post": {"given": "X", "over": "Y", "rows": [["1.0", "0.0"], ["0.0", "1.0"], ["0.5", "0.5"]]}
+    },
+    "datasets": {
+        "source_data": {"pairs": [["x0", 0], ["x1", 1], ["x2", 1]], "tag": "src"},
+        "target_data": {"pairs": [["x2", 1]]},
+    },
+    "learning": {
+        "src": {
+            "inputs": "X",
+            "outputs": "Y",
+            "thetas": ["a", "b"],
+            "table": {"a": [0, 1, 1], "b": [1, 1, 0]},
+        },
+        "tgt": {
+            "inputs": "X",
+            "outputs": "Y",
+            "thetas": ["a", "b", "c"],
+            "table": {"a": [0, 1, 1], "b": [1, 1, 0], "c": [0, 0, 0]},
+            "loss": "squared",
+            "algorithm": {"kind": "penalized", "anchor": "a", "weight": 0.25},
+        },
+        "lat": {
+            "inputs": "U",
+            "outputs": "Y",
+            "thetas": ["p", "q"],
+            "table": {"p": [0, 1], "q": [1, 1]},
+            "algorithm": {"kind": "erm"},
+        },
+    },
+    "packs": {
+        "source": {
+            "learning": "src",
+            "dataset": "source_data",
+            "marginal": "mx",
+            "posterior": "post",
+            "truth": [0, 1, 1],
+            "tag": "the source",
+        },
+        "target": {"learning": "tgt", "dataset": "target_data"},
+    },
+    "transfer": {
+        "inst": {
+            "source": "src",
+            "target": "tgt",
+            "approach": "instance",
+            "knowledge": {"instances": "source_data"},
+            "pool_weight": 2.0,
+        },
+        "param": {
+            "source": "src",
+            "target": "tgt",
+            "approach": "parameter",
+            "knowledge": {"parameters": ["a"]},
+            "penalty_weight": 0.3,
+        },
+        "feat": {
+            "source": "src",
+            "target": "tgt",
+            "approach": "feature_representation",
+            "knowledge": {"instances": "source_data"},
+            "latent": {
+                "learning": "lat",
+                "pair_map_target": [[p, ["u0" if p[0] == "x0" else "u1", p[1]]] for p in XY],
+                "pair_map_source": [[p, ["u0", p[1]]] for p in XY],
+                "input_map": [["x0", "u0"], ["x1", "u1"], ["x2", "u1"]],
+                "output_map": [[0, 0], [1, 1]],
+            },
+        },
+    },
+    "scenario": {
+        "grid_size": 3,
+        "label_count": 2,
+        "marginal_shift": 0.25,
+        "posterior_flip": 0.1,
+        "sample_sizes": [20, 5],
+        "seed": 3,
+        "hypothesis_cap": 100,
+        "ladder": [0.0, 0.5],
+    },
+    "analysis": {
+        "classify": {"source": "source", "target": "target"},
+        "negative": {"system": "inst", "source": "source", "target": "target", "seeds": 2},
+    },
+}
+GOLDEN = Path(__file__).parent / "golden" / "every_block.json"
+EVERY_BLOCK_DIGEST = "11081c90117b6ca4cb7e3dc0bce7ddbcfd672811dafe10bf7d26c00ef8fe79ac"
+
+
+def test_every_block_kind_dumps_to_its_golden():
+    doc = parse_document(json.dumps(EVERY_BLOCK), strict=True)
+    assert doc.warnings == []
+    text = dump_document(doc)
+    assert text == GOLDEN.read_text(encoding="utf-8")
+    again = parse_document(text, strict=True)
+    assert again.warnings == []
+    assert dump_document(again) == text
+    assert document_digest(doc) == document_digest(again) == EVERY_BLOCK_DIGEST
+
+
+def with_block(section, name, block):
+    return json.dumps({**EVERY_BLOCK, section: {**EVERY_BLOCK[section], name: block}})
+
+
+def test_the_earlier_section_fails_first():
+    bad_measure = {"support": "X", "probs": ["0.5", "half", "0.5"]}
+    bad_transfer = {**EVERY_BLOCK["transfer"]["inst"], "source": "nowhere"}
+    text = with_block("measures", "bad", bad_measure)
+    both = json.loads(text)
+    both["transfer"]["bad"] = bad_transfer
+    with pytest.raises(ParseError, match="bad probability literal 'half'"):
+        parse_document(json.dumps(both))
+    with pytest.raises(ResolutionError, match="transfer.bad: reference 'nowhere'"):
+        parse_document(with_block("transfer", "bad", bad_transfer))
+
+
+def test_unknown_keys_warn_in_section_order():
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    doc["zz"] = doc["analysis"]["classify"]["zz"] = doc["scenario"]["zz"] = 1
+    for section, name in [("transfer", "feat"), ("sets", "X"), ("packs", "target"),
+                          ("relations", "io"), ("learning", "lat")]:
+        doc[section][name]["zz"] = 1
+    doc["transfer"]["feat"]["latent"]["zz"] = doc["transfer"]["param"]["knowledge"]["zz"] = 1
+    warnings = parse_document(json.dumps(doc)).warnings
+    assert warnings == [
+        f"unknown field(s) ['zz'] in {where}"
+        for where in [
+            "document root", "sets.X", "relations.io", "learning.lat", "packs.target",
+            "transfer.param.knowledge", "transfer.feat", "transfer.feat.latent",
+            "scenario", "analysis.classify",
+        ]
+    ]
+    with pytest.raises(ParseError, match=r"in document root"):
+        parse_document(json.dumps(doc), strict=True)
