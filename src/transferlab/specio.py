@@ -3,9 +3,14 @@
 Documents are versioned JSON with one named block per object kind
 (sets, relations, morphisms, measures, conditionals, datasets, learning
 systems, packs, transfer systems, a scenario, and analysis configs).
-Probabilities travel as decimal strings so fixtures stay diffable and
-bit-stable; vectors are aligned to the canonical order of the set they
-refer to, which keeps atom types (including integer labels) intact.
+Each block's format is stated in one place: the table :data:`_SECTIONS`
+holds each section's block keys with the reader and the writer of its
+blocks, in resolution order, and :data:`_SCENARIO` holds the scenario
+block's fields with the reader of each.  A number is a JSON number,
+never a bool or a string; probabilities may also travel as decimal
+strings, so fixtures stay diffable and bit-stable.  Vectors are aligned
+to the canonical order of the set they refer to, which keeps atom types
+(including integer labels) intact.
 
 Failures are staged: malformed structure raises :class:`ParseError`,
 dangling or unknown references raise :class:`ResolutionError`, and
@@ -58,43 +63,6 @@ from .transfer import FeatureRepSpec, Knowledge, TransferSystem
 
 SCHEMA_VERSION = 1
 
-_TOP_LEVEL_KEYS = {
-    "version",
-    "sets",
-    "relations",
-    "morphisms",
-    "measures",
-    "conditionals",
-    "datasets",
-    "learning",
-    "packs",
-    "transfer",
-    "scenario",
-    "analysis",
-}
-
-#: The keys of each section's named blocks, of the blocks nested in a
-#: transfer block, and of the scenario block.
-_KEYS = {
-    "sets": {"elements"},
-    "relations": {"components", "tuples", "inputs"},
-    "morphisms": {"source", "target", "x_map", "y_map"},
-    "measures": {"support", "probs"},
-    "conditionals": {"given", "over", "rows"},
-    "datasets": {"pairs", "tag"},
-    "learning": {"inputs", "outputs", "thetas", "table", "loss", "algorithm"},
-    "packs": {"learning", "dataset", "marginal", "posterior", "truth", "tag"},
-    "transfer": {
-        "source", "target", "approach", "knowledge", "penalty_weight", "pool_weight", "latent"
-    },
-    "knowledge": {"instances", "parameters"},
-    "latent": {"learning", "pair_map_target", "pair_map_source", "input_map", "output_map"},
-    "scenario": {
-        "grid_size", "grid_arity", "label_count", "marginal_shift", "posterior_flip",
-        "structural_edit", "sample_sizes", "seed", "hypothesis_cap", "ladder",
-    },
-}
-
 
 @dataclass
 class SpecDocument:
@@ -138,13 +106,52 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _blocks(raw: dict, kind: str, strict: bool, warnings: list[str]):
+def _blocks(raw: dict, section: str, keys: Iterable[str], strict: bool, warnings: list[str]):
     """``(name, where, block)`` for each named block of a section, all objects, keys checked."""
-    for name, block in _object(raw.get(kind), kind).items():
-        where = f"{kind}.{name}"
+    for name, block in _object(raw.get(section), section).items():
+        where = f"{section}.{name}"
         block = _object(block, where)
-        _check_keys(block, _KEYS[kind], where, strict, warnings)
+        _check_keys(block, keys, where, strict, warnings)
         yield name, where, block
+
+
+def _construct(build: Callable[[], Any], where: str):
+    """``build()``, its failures raised as the stage they belong to, located at ``where``."""
+    try:
+        return build()
+    except (ParseError, ResolutionError, InvariantViolation):
+        raise
+    except UnknownElement as exc:
+        raise ResolutionError(f"{where}: {exc}") from exc
+    except TransferLabError as exc:
+        raise InvariantViolation(f"{where}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: malformed block ({exc})") from exc
+
+
+def _number(value) -> bool:
+    """A JSON number: an int or a float, never a bool (converting it may still overflow)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    """A JSON integer, or a float of integral value (2.0 reads as 2); ``int`` raises on inf."""
+    return _number(value) and int(value) == value
+
+
+def _field(accepts: Callable[[Any], bool], convert: Callable, what: str):
+    """A reader of ``convert(value)`` for the values ``accepts``; others raise, naming the key."""
+
+    def read(value: Any, where: str) -> Any:
+        if not accepts(value):
+            raise ParseError(f"{where} must be {what}, not {value!r}")
+        return convert(value)
+
+    return read
+
+
+_NUMBER = _field(_number, float, "a number")
+_INTEGER = _field(_integer, int, "an integer")
 
 
 def _prob(value) -> float:
@@ -153,7 +160,7 @@ def _prob(value) -> float:
             return float(value)
         except ValueError:
             raise ParseError(f"bad probability literal {value!r}") from None
-    if isinstance(value, (int, float)):
+    if _number(value):
         return float(value)
     raise ParseError(f"bad probability value {value!r}")
 
@@ -176,6 +183,262 @@ def _pair_list_to_map(entries, where: str) -> dict:
     return mapping
 
 
+def _map_to_pair_list(mapping: Mapping) -> list:
+    return [[k, v] for k, v in mapping.items()]  # a tuple atom is written as a list
+
+
+# -- sections: each block kind's reader and writer, side by side --------------------
+# A reader builds a block's object from the document resolved so far; a writer
+# emits the block back from the object and the reference names it was read with.
+
+def _read_set(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    return FiniteSet(name, tuple(block["elements"]))
+
+
+def _write_set(s: FiniteSet, refs) -> dict:
+    return {"elements": s.elements}
+
+
+def _read_relation(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    comps = [_ref(doc.sets, ref, where) for ref in block["components"]]
+    system = make_system(comps, [tuple(t) for t in block["tuples"]])
+    if block.get("inputs") is not None:
+        system = as_input_output(system, tuple(block["inputs"]))
+    return system
+
+
+def _write_relation(rel: FiniteSystem, refs) -> dict:
+    inputs = {} if rel.io_partition is None else {"inputs": rel.io_partition[0]}
+    return {"components": [c.name for c in rel.components], "tuples": rel.tuples, **inputs}
+
+
+def _read_morphism(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    src = _ref(doc.relations, block["source"], where)
+    tgt = _ref(doc.relations, block["target"], where)
+    doc.refs[where] = {"source": block["source"], "target": block["target"]}
+    maps = [_pair_list_to_map(block[key], where) for key in ("x_map", "y_map")]
+    return Morphism(*maps, src.x_values(), src.y_values(), tgt.x_values(), tgt.y_values())
+
+
+def _write_morphism(m: Morphism, refs) -> dict:
+    return {**refs, "x_map": _map_to_pair_list(m.x_map), "y_map": _map_to_pair_list(m.y_map)}
+
+
+def _read_measure(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    support = _ref(doc.sets, block["support"], where)
+    return EmpiricalMeasure(support, tuple(_prob(p) for p in block["probs"]))
+
+
+def _write_measure(m: EmpiricalMeasure, refs) -> dict:
+    return {"support": m.support.name, "probs": [repr(float(p)) for p in m.probs]}
+
+
+def _read_conditional(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    given = _ref(doc.sets, block["given"], where)
+    over = _ref(doc.sets, block["over"], where)
+    rows_raw = block["rows"]
+    if len(rows_raw) != len(given):
+        raise InvariantViolation(f"{where}: one row per conditioning element")
+    rows = {
+        x: EmpiricalMeasure(over, tuple(_prob(p) for p in row))
+        for x, row in zip(given.elements, rows_raw)
+    }
+    return ConditionalMeasure(given, rows)
+
+
+def _write_conditional(c: ConditionalMeasure, refs) -> dict:
+    return {
+        "given": c.given.name,
+        "over": c.output_support.name,
+        "rows": [[repr(float(p)) for p in c.row(x).probs] for x in c.given.elements],
+    }
+
+
+def _read_dataset(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    return Dataset(tuple(tuple(p) for p in block["pairs"]), block.get("tag", "data"))
+
+
+def _write_dataset(d: Dataset, refs) -> dict:
+    return {"pairs": d.pairs, "tag": d.source_tag}
+
+
+def _read_learning(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    x_set = _ref(doc.sets, block["inputs"], where)
+    y_set = _ref(doc.sets, block["outputs"], where)
+    thetas = FiniteSet(f"{where}.thetas", tuple(block["thetas"]))
+    table = block["table"]
+    for theta in thetas.elements:
+        if theta not in table:
+            raise InvariantViolation(f"{where}: no table row for {theta!r}")
+    rows = {theta: table[theta] for theta in thetas.elements}
+    algo = _object(block.get("algorithm"), f"{where}.algorithm")
+    weight = _NUMBER(algo.get("weight", 0.1), f"{where}.algorithm.weight")
+    algorithm = AlgorithmSpec(algo.get("kind", "erm"), algo.get("anchor"), weight)
+    hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
+    loss = LossSpec(block.get("loss", "zero_one"))
+    return LearningSystem(x_set, y_set, hypotheses, loss, algorithm)
+
+
+def _write_learning(sys_: LearningSystem, refs) -> dict:
+    algo: dict[str, Any] = {"kind": sys_.algorithm.kind}
+    if sys_.algorithm.kind == "penalized":
+        algo.update(anchor=sys_.algorithm.anchor, weight=sys_.algorithm.weight)
+    rows = sys_.hypotheses.rows_over(sys_.x_set.elements)
+    return {
+        "inputs": sys_.x_set.name,
+        "outputs": sys_.y_set.name,
+        "thetas": sys_.theta_set.elements,
+        "table": dict(zip(sys_.theta_set.elements, rows)),
+        "loss": sys_.loss.kind,
+        "algorithm": algo,
+    }
+
+
+def _read_pack(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    system = _ref(doc.learning, block["learning"], where)
+    dataset = _ref(doc.datasets, block["dataset"], where)
+    refs = doc.refs[where] = {
+        "learning": block["learning"],
+        "dataset": block["dataset"],
+        "marginal": block.get("marginal") or None,
+        "posterior": block.get("posterior") or None,
+    }
+    marginal = refs["marginal"] and _ref(doc.measures, refs["marginal"], where)
+    posterior = refs["posterior"] and _ref(doc.conditionals, refs["posterior"], where)
+    truth = None
+    if block.get("truth") is not None:
+        row = block["truth"]
+        if len(row) != len(system.x_set):
+            raise InvariantViolation(f"{where}: truth must align with the input set")
+        truth = dict(zip(system.x_set.elements, row))
+    return SystemPack(system, dataset, marginal, posterior, truth, block.get("tag", name))
+
+
+def _write_pack(pack: SystemPack, refs) -> dict:
+    truth = None if pack.truth is None else [pack.truth[x] for x in pack.system.x_set.elements]
+    return {**refs, "truth": truth, "tag": pack.tag}
+
+
+_KNOWLEDGE_KEYS = ("instances", "parameters")
+_LATENT_MAPS = ("pair_map_target", "pair_map_source", "input_map", "output_map")
+
+
+def _read_transfer(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
+    source = _ref(doc.learning, block["source"], where)
+    target = _ref(doc.learning, block["target"], where)
+    know = _object(block.get("knowledge"), f"{where}.knowledge")
+    _check_keys(know, _KNOWLEDGE_KEYS, f"{where}.knowledge", strict, doc.warnings)
+    refs = doc.refs[where] = {"source": block["source"], "target": block["target"]}
+    refs["instances"] = know.get("instances") or None
+    knowledge = Knowledge(
+        instances=refs["instances"] and _ref(doc.datasets, refs["instances"], where),
+        parameters=tuple(know["parameters"]) if know.get("parameters") else None,
+    )
+    latent = None
+    if block.get("latent") is not None:
+        lat = _object(block["latent"], f"{where}.latent")
+        _check_keys(lat, ("learning", *_LATENT_MAPS), f"{where}.latent", strict, doc.warnings)
+        refs["latent"] = lat["learning"]
+        latent = FeatureRepSpec(
+            _ref(doc.learning, lat["learning"], where),
+            *(_pair_list_to_map(lat[key], where) for key in _LATENT_MAPS),
+        )
+    approach = block.get("approach", "instance")
+    penalty = _NUMBER(block.get("penalty_weight", 0.1), f"{where}.penalty_weight")
+    pool = _NUMBER(block.get("pool_weight", 1.0), f"{where}.pool_weight")
+    return TransferSystem(
+        source, target, knowledge, approach,
+        latent=latent, penalty_weight=penalty, pool_weight=pool,
+    )
+
+
+def _write_transfer(ts: TransferSystem, refs) -> dict:
+    block: dict[str, Any] = {
+        "source": refs["source"],
+        "target": refs["target"],
+        "approach": ts.approach,
+        "knowledge": {"instances": refs["instances"], "parameters": ts.knowledge.parameters},
+        "penalty_weight": ts.penalty_weight,
+        "pool_weight": ts.pool_weight,
+    }
+    if ts.latent is not None:
+        block["latent"] = {"learning": refs["latent"]}
+        for key in _LATENT_MAPS:
+            block["latent"][key] = _map_to_pair_list(getattr(ts.latent, key))
+    return block
+
+
+#: Each section of a document, in resolution order (a block may reference the
+#: blocks of earlier sections): the keys of its named blocks, their reader and
+#: their writer.  This is the one place each block kind's format is stated.
+_SECTIONS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
+    "sets": (("elements",), _read_set, _write_set),
+    "relations": (("components", "tuples", "inputs"), _read_relation, _write_relation),
+    "morphisms": (("source", "target", "x_map", "y_map"), _read_morphism, _write_morphism),
+    "measures": (("support", "probs"), _read_measure, _write_measure),
+    "conditionals": (("given", "over", "rows"), _read_conditional, _write_conditional),
+    "datasets": (("pairs", "tag"), _read_dataset, _write_dataset),
+    "learning": (
+        ("inputs", "outputs", "thetas", "table", "loss", "algorithm"),
+        _read_learning,
+        _write_learning,
+    ),
+    "packs": (
+        ("learning", "dataset", "marginal", "posterior", "truth", "tag"), _read_pack, _write_pack
+    ),
+    "transfer": (
+        ("source", "target", "approach", "knowledge", "penalty_weight", "pool_weight", "latent"),
+        _read_transfer,
+        _write_transfer,
+    ),
+}
+
+
+def _sample_sizes(value: Any, where: str) -> tuple[int, int]:
+    if isinstance(value, list) and len(value) == 2 and all(map(_integer, value)):
+        return tuple(map(int, value))
+    raise ParseError(f"{where} must be a list of two integers, not {value!r}")
+
+
+#: The scenario block's fields, in :class:`ScenarioSpec`'s order, with the reader
+#: of each; an absent field keeps the dataclass default.  ``ladder`` rides along.
+_SCENARIO: dict[str, Callable[[Any, str], Any]] = {
+    "grid_size": _INTEGER,
+    "grid_arity": _INTEGER,
+    "label_count": _INTEGER,
+    "marginal_shift": _NUMBER,
+    "posterior_flip": _NUMBER,
+    "structural_edit": lambda value, where: value,
+    "sample_sizes": _sample_sizes,
+    "seed": _INTEGER,
+    "hypothesis_cap": _INTEGER,
+}
+
+
+def _read_scenario(doc: SpecDocument, block: dict) -> ScenarioSpec:
+    ladder = block.get("ladder")
+    if ladder is not None and not isinstance(ladder, list):
+        raise ParseError(f"scenario.ladder must be a list of numbers, not {type(ladder).__name__}")
+    for alpha in ladder or ():
+        if not _number(alpha):
+            raise ParseError(f"scenario.ladder entry {alpha!r} is not a number")
+        _construct(lambda: float(alpha), "scenario.ladder")
+    doc.ladder = block.get("ladder", False)
+    fields = {
+        key: read(block[key], f"scenario.{key}") for key, read in _SCENARIO.items() if key in block
+    }
+    return ScenarioSpec(**fields)
+
+
+def _write_scenario(doc: SpecDocument) -> dict:
+    block = {key: getattr(doc.scenario, key) for key in _SCENARIO}
+    if doc.scenario.hypothesis_cap == ScenarioSpec.hypothesis_cap:  # the default stays implicit
+        del block["hypothesis_cap"]
+    if doc.ladder is not False:
+        block["ladder"] = doc.ladder
+    return block
+
+
 def parse_document(text: str, strict: bool = False) -> SpecDocument:
     """Parse and resolve a document from JSON text."""
     try:
@@ -186,207 +449,21 @@ def parse_document(text: str, strict: bool = False) -> SpecDocument:
         raise ParseError("the document root must be an object")
 
     doc = SpecDocument()
-    _check_keys(raw, _TOP_LEVEL_KEYS, "document root", strict, doc.warnings)
+    root_keys = ("version", *_SECTIONS, "scenario", "analysis")
+    _check_keys(raw, root_keys, "document root", strict, doc.warnings)
     version = raw.get("version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {version!r}")
 
-    def construct(builder, where: str):
-        try:
-            return builder()
-        except (ParseError, ResolutionError, InvariantViolation):
-            raise
-        except UnknownElement as exc:
-            raise ResolutionError(f"{where}: {exc}") from exc
-        except TransferLabError as exc:
-            raise InvariantViolation(f"{where}: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where}: malformed block ({exc})") from exc
-
-    for name, where, block in _blocks(raw, "sets", strict, doc.warnings):
-        doc.sets[name] = construct(
-            lambda: FiniteSet(name, tuple(block["elements"])), where
-        )
-
-    for name, where, block in _blocks(raw, "relations", strict, doc.warnings):
-        def build_relation(block=block, where=where):
-            comps = [_ref(doc.sets, ref, where) for ref in block["components"]]
-            system = make_system(comps, [tuple(t) for t in block["tuples"]])
-            if "inputs" in block and block["inputs"] is not None:
-                system = as_input_output(system, tuple(block["inputs"]))
-            return system
-
-        doc.relations[name] = construct(build_relation, where)
-
-    for name, where, block in _blocks(raw, "morphisms", strict, doc.warnings):
-        def build_morphism(block=block, where=where):
-            src = _ref(doc.relations, block["source"], where)
-            tgt = _ref(doc.relations, block["target"], where)
-            doc.refs[where] = {"source": block["source"], "target": block["target"]}
-            return Morphism(
-                _pair_list_to_map(block["x_map"], where),
-                _pair_list_to_map(block["y_map"], where),
-                src.x_values(),
-                src.y_values(),
-                tgt.x_values(),
-                tgt.y_values(),
-            )
-
-        doc.morphisms[name] = construct(build_morphism, where)
-
-    for name, where, block in _blocks(raw, "measures", strict, doc.warnings):
-        def build_measure(block=block, where=where):
-            support = _ref(doc.sets, block["support"], where)
-            return EmpiricalMeasure(support, tuple(_prob(p) for p in block["probs"]))
-
-        doc.measures[name] = construct(build_measure, where)
-
-    for name, where, block in _blocks(raw, "conditionals", strict, doc.warnings):
-        def build_conditional(block=block, where=where):
-            given = _ref(doc.sets, block["given"], where)
-            over = _ref(doc.sets, block["over"], where)
-            rows_raw = block["rows"]
-            if len(rows_raw) != len(given):
-                raise InvariantViolation(f"{where}: one row per conditioning element")
-            rows = {
-                x: EmpiricalMeasure(over, tuple(_prob(p) for p in row))
-                for x, row in zip(given.elements, rows_raw)
-            }
-            return ConditionalMeasure(given, rows)
-
-        doc.conditionals[name] = construct(build_conditional, where)
-
-    for name, where, block in _blocks(raw, "datasets", strict, doc.warnings):
-        doc.datasets[name] = construct(
-            lambda block=block: Dataset(
-                tuple(tuple(p) for p in block["pairs"]), block.get("tag", "data")
-            ),
-            where,
-        )
-
-    for name, where, block in _blocks(raw, "learning", strict, doc.warnings):
-        def build_learning(block=block, where=where):
-            x_set = _ref(doc.sets, block["inputs"], where)
-            y_set = _ref(doc.sets, block["outputs"], where)
-            thetas = FiniteSet(f"{where}.thetas", tuple(block["thetas"]))
-            table = block["table"]
-            for theta in thetas.elements:
-                if theta not in table:
-                    raise InvariantViolation(f"{where}: no table row for {theta!r}")
-            rows = {theta: table[theta] for theta in thetas.elements}
-            algo_block = _object(block.get("algorithm"), f"{where}.algorithm")
-            algorithm = AlgorithmSpec(
-                algo_block.get("kind", "erm"),
-                algo_block.get("anchor"),
-                float(algo_block.get("weight", 0.1)),
-            )
-            return LearningSystem(
-                x_set,
-                y_set,
-                HypothesisClass(thetas, columns=x_set.elements, rows=rows),
-                LossSpec(block.get("loss", "zero_one")),
-                algorithm,
-            )
-
-        doc.learning[name] = construct(build_learning, where)
-
-    for name, where, block in _blocks(raw, "packs", strict, doc.warnings):
-        def build_pack(block=block, where=where, name=name):
-            system = _ref(doc.learning, block["learning"], where)
-            dataset = _ref(doc.datasets, block["dataset"], where)
-            refs = doc.refs[where] = {
-                "learning": block["learning"],
-                "dataset": block["dataset"],
-                "marginal": block["marginal"] if block.get("marginal") else None,
-                "posterior": block["posterior"] if block.get("posterior") else None,
-            }
-            marginal = refs["marginal"] and _ref(doc.measures, refs["marginal"], where)
-            posterior = refs["posterior"] and _ref(doc.conditionals, refs["posterior"], where)
-            truth = None
-            if block.get("truth") is not None:
-                row = block["truth"]
-                if len(row) != len(system.x_set):
-                    raise InvariantViolation(
-                        f"{where}: truth must align with the input set"
-                    )
-                truth = dict(zip(system.x_set.elements, row))
-            return SystemPack(
-                system, dataset, marginal, posterior, truth, block.get("tag", name)
-            )
-
-        doc.packs[name] = construct(build_pack, where)
-
-    for name, where, block in _blocks(raw, "transfer", strict, doc.warnings):
-        def build_transfer(block=block, where=where):
-            source = _ref(doc.learning, block["source"], where)
-            target = _ref(doc.learning, block["target"], where)
-            know_block = _object(block.get("knowledge"), f"{where}.knowledge")
-            _check_keys(know_block, _KEYS["knowledge"], f"{where}.knowledge", strict, doc.warnings)
-            refs = doc.refs[where] = {
-                "source": block["source"],
-                "target": block["target"],
-                "instances": know_block["instances"] if know_block.get("instances") else None,
-            }
-            knowledge = Knowledge(
-                instances=refs["instances"] and _ref(doc.datasets, refs["instances"], where),
-                parameters=(
-                    tuple(know_block["parameters"])
-                    if know_block.get("parameters")
-                    else None
-                ),
-            )
-            latent = None
-            if block.get("latent") is not None:
-                lat = _object(block["latent"], f"{where}.latent")
-                _check_keys(lat, _KEYS["latent"], f"{where}.latent", strict, doc.warnings)
-                refs["latent"] = lat["learning"]
-                latent = FeatureRepSpec(
-                    _ref(doc.learning, lat["learning"], where),
-                    _pair_list_to_map(lat["pair_map_target"], where),
-                    _pair_list_to_map(lat["pair_map_source"], where),
-                    _pair_list_to_map(lat["input_map"], where),
-                    _pair_list_to_map(lat["output_map"], where),
-                )
-            return TransferSystem(
-                source,
-                target,
-                knowledge,
-                block.get("approach", "instance"),
-                latent=latent,
-                penalty_weight=float(block.get("penalty_weight", 0.1)),
-                pool_weight=float(block.get("pool_weight", 1.0)),
-            )
-
-        doc.transfer[name] = construct(build_transfer, where)
+    for section, (keys, read, _) in _SECTIONS.items():
+        objects = getattr(doc, section)
+        for name, where, block in _blocks(raw, section, keys, strict, doc.warnings):
+            objects[name] = _construct(lambda: read(doc, name, where, block, strict), where)
 
     if raw.get("scenario") is not None:
         block = _object(raw["scenario"], "scenario")
-        where = "scenario"
-        _check_keys(block, _KEYS["scenario"], where, strict, doc.warnings)
-        ladder = block.get("ladder")
-        if ladder is not None and not isinstance(ladder, list):
-            raise ParseError(
-                f"scenario.ladder must be a list of numbers, not {type(ladder).__name__}"
-            )
-        for alpha in ladder or ():
-            if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-                raise ParseError(f"scenario.ladder entry {alpha!r} is not a number")
-            construct(lambda: float(alpha), "scenario.ladder")
-        doc.ladder = block.get("ladder", False)
-        doc.scenario = construct(
-            lambda: ScenarioSpec(
-                grid_size=int(block.get("grid_size", 4)),
-                grid_arity=int(block.get("grid_arity", 1)),
-                label_count=int(block.get("label_count", 2)),
-                marginal_shift=float(block.get("marginal_shift", 0.0)),
-                posterior_flip=float(block.get("posterior_flip", 0.0)),
-                structural_edit=block.get("structural_edit"),
-                sample_sizes=tuple(block.get("sample_sizes", (40, 10))),
-                seed=int(block.get("seed", 0)),
-                hypothesis_cap=int(block.get("hypothesis_cap", ScenarioSpec.hypothesis_cap)),
-            ),
-            where,
-        )
+        _check_keys(block, (*_SCENARIO, "ladder"), "scenario", strict, doc.warnings)
+        doc.scenario = _construct(lambda: _read_scenario(doc, block), "scenario")
 
     doc.analysis = _object(raw.get("analysis"), "analysis")
     _check_keys(doc.analysis, ANALYSES, "analysis", strict, doc.warnings)
@@ -403,23 +480,22 @@ def load_document(path: str, strict: bool = False) -> SpecDocument:
 
 # -- analysis configs ---------------------------------------------------------------
 
-def _coerce(kind: type, accepts: Callable[[Any], bool] = lambda value: True):
+def _coerce(kind: type, accepts: Callable[[Any], bool]):
     """A reader of ``kind(value)`` for the values ``accepts``; others raise, naming the key."""
 
     def read(doc: SpecDocument, key: str, value: Any) -> Any:
-        if accepts(value):
-            try:
+        try:
+            if accepts(value):
                 return kind(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
+        except (TypeError, ValueError, OverflowError):
+            pass
         raise AnalysisError(f"analysis config {key!r}: {value!r} is not {kind.__name__}")
 
     return read
 
 
-_FLOAT = _coerce(float)
-# A count is a JSON integer or an integral float (2.0 reads as 2), never a bool.
-_COUNT = _coerce(int, lambda v: type(v) is int or isinstance(v, float) and v.is_integer())
+_FLOAT = _coerce(float, _number)
+_COUNT = _coerce(int, _integer)
 _FLAG = _coerce(bool, lambda v: isinstance(v, bool))
 
 
@@ -446,7 +522,7 @@ def _optional_float(doc: SpecDocument, key: str, value: Any) -> float | None:
 def _threshold(doc: SpecDocument, key: str, value: Any) -> float | str:
     """A number, or ``"target-alone"``; returned as written."""
     if value != "target-alone":
-        if not isinstance(value, (int, float)):
+        if not _number(value):
             raise AnalysisError(f"epsilon_star {value!r} is not a number or 'target-alone'")
         _FLOAT(doc, key, value)  # refuses a number no float holds, as other config values
     return value
@@ -547,144 +623,17 @@ def analysis_config(doc: SpecDocument, kind: str) -> dict[str, Any]:
 
 # -- emission -----------------------------------------------------------------------
 
-def _prob_str(p: float) -> str:
-    return repr(float(p))
-
-
-def _map_to_pair_list(mapping: Mapping) -> list:
-    return [
-        [list(k) if isinstance(k, tuple) else k, list(v) if isinstance(v, tuple) else v]
-        for k, v in mapping.items()
-    ]
-
-
 def document_dict(doc: SpecDocument) -> dict:
     """Serialize resolved objects back to a normalized document dict."""
     out: dict[str, Any] = {"version": SCHEMA_VERSION}
-    if doc.sets:
-        out["sets"] = {
-            name: {"elements": list(s.elements)} for name, s in doc.sets.items()
-        }
-    if doc.relations:
-        out["relations"] = {
-            name: {
-                "components": [c.name for c in rel.components],
-                "tuples": [list(t) for t in rel.tuples],
-                **(
-                    {"inputs": list(rel.io_partition[0])}
-                    if rel.io_partition is not None
-                    else {}
-                ),
+    for section, (_, _, write) in _SECTIONS.items():
+        if objects := getattr(doc, section):
+            out[section] = {
+                name: write(obj, doc.refs.get(f"{section}.{name}"))
+                for name, obj in objects.items()
             }
-            for name, rel in doc.relations.items()
-        }
-    if doc.morphisms:
-        out["morphisms"] = {
-            name: {
-                **doc.refs[f"morphisms.{name}"],
-                "x_map": _map_to_pair_list(m.x_map),
-                "y_map": _map_to_pair_list(m.y_map),
-            }
-            for name, m in doc.morphisms.items()
-        }
-    if doc.measures:
-        out["measures"] = {
-            name: {
-                "support": m.support.name,
-                "probs": [_prob_str(p) for p in m.probs],
-            }
-            for name, m in doc.measures.items()
-        }
-    if doc.conditionals:
-        out["conditionals"] = {
-            name: {
-                "given": c.given.name,
-                "over": c.output_support.name,
-                "rows": [
-                    [_prob_str(p) for p in c.row(x).probs] for x in c.given.elements
-                ],
-            }
-            for name, c in doc.conditionals.items()
-        }
-    if doc.datasets:
-        out["datasets"] = {
-            name: {"pairs": d.pairs, "tag": d.source_tag}
-            for name, d in doc.datasets.items()
-        }
-    if doc.learning:
-        out["learning"] = {}
-        for name, sys_ in doc.learning.items():
-            algo: dict[str, Any] = {"kind": sys_.algorithm.kind}
-            if sys_.algorithm.kind == "penalized":
-                algo["anchor"] = sys_.algorithm.anchor
-                algo["weight"] = sys_.algorithm.weight
-            out["learning"][name] = {
-                "inputs": sys_.x_set.name,
-                "outputs": sys_.y_set.name,
-                "thetas": sys_.theta_set.elements,
-                "table": dict(
-                    zip(sys_.theta_set.elements, sys_.hypotheses.rows_over(sys_.x_set.elements))
-                ),
-                "loss": sys_.loss.kind,
-                "algorithm": algo,
-            }
-    if doc.packs:
-        out["packs"] = {
-            name: {
-                **doc.refs[f"packs.{name}"],
-                "truth": (
-                    [pack.truth[x] for x in pack.system.x_set.elements]
-                    if pack.truth is not None
-                    else None
-                ),
-                "tag": pack.tag,
-            }
-            for name, pack in doc.packs.items()
-        }
-    if doc.transfer:
-        out["transfer"] = {}
-        for name, ts in doc.transfer.items():
-            refs = doc.refs[f"transfer.{name}"]
-            block: dict[str, Any] = {
-                "source": refs["source"],
-                "target": refs["target"],
-                "approach": ts.approach,
-                "knowledge": {
-                    "instances": refs["instances"],
-                    "parameters": (
-                        list(ts.knowledge.parameters)
-                        if ts.knowledge.parameters is not None
-                        else None
-                    ),
-                },
-                "penalty_weight": ts.penalty_weight,
-                "pool_weight": ts.pool_weight,
-            }
-            if ts.latent is not None:
-                block["latent"] = {
-                    "learning": refs["latent"],
-                    "pair_map_target": _map_to_pair_list(ts.latent.pair_map_target),
-                    "pair_map_source": _map_to_pair_list(ts.latent.pair_map_source),
-                    "input_map": _map_to_pair_list(ts.latent.input_map),
-                    "output_map": _map_to_pair_list(ts.latent.output_map),
-                }
-            out["transfer"][name] = block
     if doc.scenario is not None:
-        sc = doc.scenario
-        out["scenario"] = {
-            "grid_size": sc.grid_size,
-            "grid_arity": sc.grid_arity,
-            "label_count": sc.label_count,
-            "marginal_shift": sc.marginal_shift,
-            "posterior_flip": sc.posterior_flip,
-            "structural_edit": sc.structural_edit,
-            "sample_sizes": list(sc.sample_sizes),
-            "seed": sc.seed,
-        }
-        if sc.hypothesis_cap != ScenarioSpec.hypothesis_cap:  # the default stays implicit
-            out["scenario"]["hypothesis_cap"] = sc.hypothesis_cap
-        if doc.ladder is not False:
-            out["scenario"]["ladder"] = doc.ladder
+        out["scenario"] = _write_scenario(doc)
     if doc.analysis:
         out["analysis"] = doc.analysis
     return out
