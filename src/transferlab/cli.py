@@ -244,6 +244,17 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
     return doc
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as seeding a generator needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, not {seed}")
+    return seed
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser; built once, since it depends on nothing a call passes."""
@@ -257,7 +268,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("path", help="document to read")
     common.add_argument("--strict", action="store_true", help="reject unknown fields")
-    common.add_argument("--seed", type=int, help="root seed (default: 0, or the scenario's own)")
+    common.add_argument("--seed", type=_seed, help="root seed (default: 0, or the scenario's own)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument(
         "--tolerance", type=float, default=1e-9, help="measure-equality tolerance"

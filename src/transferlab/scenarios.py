@@ -30,6 +30,8 @@ from .measures import ConditionalMeasure, EmpiricalMeasure
 from .relations import Atom, FiniteSet
 
 _COMPONENT_LETTERS = "abcdefgh"
+#: The most pairs a scenario draws for one side; a larger sample size is refused.
+SAMPLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,17 @@ class ScenarioSpec:
             raise InvalidSpec("dropping an input component needs arity >= 2")
         if any(n < 0 for n in self.sample_sizes):
             raise InvalidSpec("sample sizes must be non-negative")
+        if any(n > SAMPLE_CAP for n in self.sample_sizes):
+            raise InvalidSpec(f"sample sizes are capped at {SAMPLE_CAP} pairs per side")
+        if self.seed < 0:
+            raise InvalidSpec("the seed must be non-negative")
         size = self.grid_size ** self.grid_arity
-        if self.label_count ** size > self.hypothesis_cap:
+        # label_count >= 2, so a size of at least the cap's bit length exceeds the cap:
+        # refused before the power is built.
+        cap = self.hypothesis_cap
+        if size >= cap.bit_length() or self.label_count ** size > cap:
             raise InvalidSpec(
-                f"{self.label_count}^{size} hypotheses exceed the cap "
-                f"{self.hypothesis_cap}; shrink the grid"
+                f"{self.label_count}^{size} hypotheses exceed the cap {cap}; shrink the grid"
             )
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -435,3 +436,105 @@ config_changes = st.sampled_from(list(specio.ANALYSES)).flatmap(
 @given(config_changes)
 def test_fuzzed_configs_exit_by_contract(fuzz_document, case):
     analyze_with(*fuzz_document, *case)
+
+
+# -- scenario blocks and seeds ----------------------------------------------------------
+
+SCENARIO_KEYS = [*specio._SCENARIO, "ladder"]
+
+
+def scenario_exits(directory, changes):
+    """Exit codes of validate and scenario on SMALL with ``changes`` (key to JSON text)."""
+    text = json.dumps({"version": 1, "scenario": {**SMALL, **{k: f"@{k}@" for k in changes}}})
+    for key, value in changes.items():
+        text = text.replace(f'"@{key}@"', value)
+    path = directory / "scenario-fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    codes = []
+    for verb, flags in (("validate", []), ("scenario", ["--emit", str(directory / "emit")])):
+        report = directory / f"{verb}-report.json"
+        report.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([verb, str(path), "--out", str(report), *flags])
+        assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err.getvalue()
+        assert report.exists() == (rc == cli.EXIT_OK)
+        codes.append(rc)
+    if codes[0] == cli.EXIT_OK:
+        assert codes[1] == cli.EXIT_OK
+    return codes
+
+
+def test_every_scenario_key_and_value_exits_by_contract(tmp_path):
+    for key in SCENARIO_KEYS:
+        for value in FUZZ_VALUES:
+            scenario_exits(tmp_path, {key: value})
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(st.sampled_from(SCENARIO_KEYS), st.sampled_from(FUZZ_VALUES),
+                       min_size=2, max_size=4))
+def test_fuzzed_scenarios_exit_by_contract(tmp_path_factory, changes):
+    scenario_exits(tmp_path_factory.mktemp("scenario"), changes)
+
+
+@pytest.mark.parametrize(
+    "changes, code",
+    [
+        ({"sample_sizes": "[1" + "0" * 399 + ", 10]"}, cli.EXIT_INVARIANT),
+        ({"sample_sizes": "[100001, 10]"}, cli.EXIT_INVARIANT),
+        ({"seed": "-1"}, cli.EXIT_INVARIANT),
+        # Building 3^(3000^2) to compare it with the cap takes seconds.
+        ({"grid_size": "3000", "grid_arity": "2", "label_count": "3"}, cli.EXIT_INVARIANT),
+    ],
+    ids=["400-digit-sample", "sample-above-cap", "negative-seed", "grid-3000-arity-2"],
+)
+def test_scenario_refusals_are_quick(tmp_path, changes, code):
+    started = time.perf_counter()
+    assert scenario_exits(tmp_path, changes) == [code, code]
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["scenario", "--emit", "emit"], ["analyze", "--kind", "negative"]],
+    ids=["validate", "scenario", "analyze"],
+)
+@pytest.mark.parametrize(
+    "seed, message",
+    [("-5", "the seed must be non-negative, not -5"), ("abc", "invalid int value: 'abc'")],
+)
+def test_seed_flag_takes_a_non_negative_integer(tmp_path, capsys, argv, seed, message):
+    path, _ = emit(tmp_path, SMALL)
+    verb, *flags = argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([verb, str(path), *flags, "--seed", seed, "--out", str(tmp_path / "r.json")])
+    assert exit_info.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, config, value, message",
+    [
+        ("generalist", UNIVERSE, '"0.9"', "analysis config 'epsilon_star': '0.9' is not float"),
+        ("generalist", UNIVERSE, "true", "analysis config 'epsilon_star': True is not float"),
+        ("structures", PACKS, '"0.5"', "analysis config 'epsilon_star': '0.5' is not float"),
+        ("structures", PACKS, "false", "analysis config 'epsilon_star': False is not float"),
+        ("transferability", UNIVERSE, "true",
+         "epsilon_star True is not a number or 'target-alone'"),
+        ("transferability", UNIVERSE, '"0.5"',
+         "epsilon_star '0.5' is not a number or 'target-alone'"),
+    ],
+)
+def test_string_or_bool_threshold_exits_analysis_error(tmp_path, capsys, kind, config, value,
+                                                       message):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**config, "epsilon_star": "@value@"}
+    path.write_text(json.dumps(doc).replace('"@value@"', value), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == f"analysis error ({kind}): {message}\n"
+    assert not (tmp_path / "r.json").exists()

@@ -489,3 +489,89 @@ def test_unknown_keys_warn_in_section_order():
     ]
     with pytest.raises(ParseError, match=r"in document root"):
         parse_document(json.dumps(doc), strict=True)
+
+
+# -- numbers are JSON numbers -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sample_sizes", [40.5, 10], "a list of two integers, not [40.5, 10]"),
+        ("sample_sizes", [True, 10], "a list of two integers, not [True, 10]"),
+        ("sample_sizes", [40, 10, 5], "a list of two integers, not [40, 10, 5]"),
+        ("sample_sizes", [40], "a list of two integers, not [40]"),
+        ("sample_sizes", "40", "a list of two integers, not '40'"),
+        ("grid_size", 4.7, "an integer, not 4.7"),
+        ("grid_arity", True, "an integer, not True"),
+        ("label_count", "2", "an integer, not '2'"),
+        ("seed", "12", "an integer, not '12'"),
+        ("seed", None, "an integer, not None"),
+        ("hypothesis_cap", 4096.9, "an integer, not 4096.9"),
+        ("marginal_shift", True, "a number, not True"),
+        ("posterior_flip", "0.1", "a number, not '0.1'"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["validate", "scenario"])
+def test_scenario_values_are_read_as_written(tmp_path, capsys, verb, key, value, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"version": 1, "scenario": {**LADDER_BASE, key: value}}))
+    report = tmp_path / "r.json"
+    argv = [verb, str(spec), "--out", str(report)]
+    if verb == "scenario":
+        argv += ["--emit", str(tmp_path / "emit")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: scenario.{key} must be {message}\n"
+    assert not report.exists()
+
+
+def test_integral_floats_read_as_their_integers(tmp_path):
+    floats = {"grid_size": 3.0, "label_count": 2.0, "seed": 1.0, "sample_sizes": [40.0, 10.0],
+              "hypothesis_cap": 4096.0, "marginal_shift": 0}
+    as_ints = {**LADDER_BASE, "sample_sizes": [40, 10], "marginal_shift": 0.0}
+    assert emitted_bytes(tmp_path / "a", floats) == emitted_bytes(tmp_path / "b", as_ints)
+
+
+def set_weight(section, name, *path):
+    def corrupt(doc, value):
+        block = doc[section][name]
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize("value", ["0.3", True], ids=["string", "bool"])
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (set_weight("learning", "tgt", "algorithm", "weight"), "learning.tgt.algorithm.weight"),
+        (set_weight("transfer", "param", "penalty_weight"), "transfer.param.penalty_weight"),
+        (set_weight("transfer", "inst", "pool_weight"), "transfer.inst.pool_weight"),
+    ],
+)
+def test_a_weight_is_a_json_number(corrupt, where, value):
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    corrupt(doc, value)
+    with pytest.raises(ParseError) as info:
+        parse_document(json.dumps(doc))
+    assert str(info.value) == f"{where} must be a number, not {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_probability_is_refused(value):
+    measure, conditional = (json.loads(json.dumps(EVERY_BLOCK)) for _ in range(2))
+    measure["measures"]["mx"]["probs"][1] = value
+    conditional["conditionals"]["post"]["rows"][0][0] = value
+    for doc in (measure, conditional):
+        with pytest.raises(ParseError) as info:
+            parse_document(json.dumps(doc))
+        assert str(info.value) == f"bad probability value {value!r}"
+
+
+def test_numbers_and_decimal_strings_stay_probabilities():
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    doc["measures"]["mx"]["probs"] = [0.5, "0.25", 0.25]
+    parsed = parse_document(json.dumps(doc))
+    assert parsed.measures["mx"].probs == (0.5, 0.25, 0.25)
