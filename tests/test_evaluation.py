@@ -6,12 +6,14 @@ universe reseeds the members.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import binary_pack
+from transferlab import cli
 from transferlab.behavioral import behavioral_transferability
 from transferlab.errors import CapExceeded, ValidationError
 from transferlab.evaluation import (
@@ -23,6 +25,7 @@ from transferlab.evaluation import (
     transferability,
 )
 from transferlab.learning import EvaluationContext
+from transferlab.specio import json_text
 from transferlab.structural import structural_transferability
 
 TRUTH = {"a": 0, "b": 1, "c": 0, "d": 1}
@@ -84,6 +87,35 @@ def test_permuting_the_universe_permutes_members_and_errors(order, case):
     assert permuted.members == tuple(j for j, i in enumerate(order) if i in base.members)
     assert permuted.values == {j: base.values[i] for j, i in enumerate(order) if i in base.values}
     assert permuted.cardinality == base.cardinality
+
+
+MODES = ("empirical", "structural", "behavioral")
+GOLDEN = Path(__file__).parent / "golden" / "transferability.json"
+
+
+def every_mode(role, epsilon_star, mode):
+    # Member m2 has no data to train as a source, which bound mode needs.
+    return transferability(
+        PACK, UNIVERSE, role, EvaluationContext(PACK.truth, epsilon_star),
+        mode=mode, seeds=3, root_seed=11, size_bound=3,
+        behavioral_mode="bound" if role == "source" else "distance",
+    )
+
+
+def test_every_mode_and_role_reports_its_golden():
+    reports = {
+        f"{role}.{mode}": cli._jsonable(every_mode(role, epsilon_star, mode))
+        for role, epsilon_star in CASES
+        for mode in (*MODES, "all")
+    }
+    assert json_text(reports) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("role, epsilon_star", CASES)
+def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
+    assert every_mode(role, epsilon_star, "all") == {
+        mode: every_mode(role, epsilon_star, mode) for mode in MODES
+    }
 
 
 def assert_rerun_identical(run):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from transferlab import cli
 from transferlab.errors import (
     EmptyDataset,
     EstimationError,
@@ -29,6 +32,7 @@ from transferlab.measures import (
     wasserstein1,
 )
 from transferlab.relations import FiniteSet
+from transferlab.specio import json_text
 
 
 def measure(probs, elements=None, name="s"):
@@ -57,6 +61,23 @@ def lp_transport_cost(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     result = linprog(cost, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None))
     assert result.success
     return result.fun
+
+
+ESTIMATE_GOLDEN = Path(__file__).parent / "golden" / "estimate_measure.json"
+
+
+def test_marginal_estimates_match_their_golden():
+    pairs = [("b", 1), ("a", 0), ("b", 0), ("c", 1), ("a", 0)]
+    sup_x = FiniteSet("sx", ("a", "b", "c", "d"))
+    sup_y = FiniteSet("sy", (0, 1, 2))
+    supports = {"x": sup_x, "y": sup_y, "xy": (sup_x, sup_y)}
+    estimates = {
+        f"{over}.{'declared' if declared else 'observed'}.{smoothing!r}": cli._jsonable(
+            estimate_measure(pairs, over, smoothing, supports[over] if declared else None)
+        )
+        for over, declared, smoothing in itertools.product(supports, (False, True), (0.0, 1e-9))
+    }
+    assert json_text(estimates) + "\n" == ESTIMATE_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestEstimation:

@@ -68,6 +68,33 @@ class TestRoughness:
         with pytest.raises(IncompatibleMorphism):
             transfer_roughness(s, t, m)
 
+    def test_minimal_flags_match_their_golden(self):
+        s = io_system([("a", 0), ("b", 1)])
+        onto = io_system([("u", 0), ("v", 1)])
+        larger = io_system([("u", 0), ("v", 1), ("u", 1)])
+
+        def morphism(target, x_map, y_map):
+            return Morphism(x_map, y_map, s.x_values(), s.y_values(), target.x_values(),
+                            target.y_values())
+
+        cases = {
+            "identity": (s, identity_morphism(s)),
+            # Preserving: both pairs land on u's pairs in the larger relation.
+            "non-injective": (larger, morphism(larger, {"a": "u", "b": "u"}, {0: 0, 1: 1})),
+            "non-preserving-bijection": (onto, morphism(onto, {"a": "u", "b": "v"}, {0: 1, 1: 0})),
+            "preserving-bijection-onto-larger": (
+                larger, morphism(larger, {"a": "u", "b": "v"}, {0: 0, 1: 1})
+            ),
+        }
+        minimal = {name: transfer_roughness(s, t, m).minimal for name, (t, m) in cases.items()}
+        assert minimal == {
+            "identity": True,
+            "non-injective": False,
+            "non-preserving-bijection": False,
+            "preserving-bijection-onto-larger": False,
+        }
+        assert transfer_roughness(s, onto, morphism(onto, {"a": "u", "b": "v"}, {0: 0, 1: 1})).minimal
+
     def test_ratio_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
