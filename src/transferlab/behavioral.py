@@ -19,6 +19,7 @@ from .learning import (
     Dataset,
     EvaluationContext,
     LearningSystem,
+    NeighborhoodReport,
     SystemPack,
     generalization_error,
     pairings,
@@ -57,18 +58,12 @@ def _pair_map_pushforward(
         tuple((x, y) for x in latent.x_set.elements for y in latent.y_set.elements),
     )
     mapped = pushforward(joint, {p: tuple(pair_map[p]) for p in joint.support.elements}, latent_pairs)
-    x_mass: dict[Atom, float] = {x: 0.0 for x in latent.x_set.elements}
-    for (x, _), p in zip(mapped.support.elements, mapped.probs):
-        x_mass[x] += p
-    marg = EmpiricalMeasure(
-        latent.x_set, tuple(x_mass[x] for x in latent.x_set.elements)
-    )
+    marg = pushforward(mapped, {(x, y): x for x, y in latent_pairs.elements}, latent.x_set)
     rows = {}
     for x in latent.x_set.elements:
-        if x_mass[x] > 0:
-            weights = [
-                mapped.prob((x, y)) / x_mass[x] for y in latent.y_set.elements
-            ]
+        x_mass = marg.prob(x)
+        if x_mass > 0:
+            weights = [mapped.prob((x, y)) / x_mass for y in latent.y_set.elements]
         else:
             weights = [1.0 / len(latent.y_set)] * len(latent.y_set)
         total = math.fsum(weights)
@@ -220,17 +215,6 @@ def bound_check(
 
 # -- behavioral transferability ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BehavioralTransferabilityReport:
-    role: str
-    mode: str
-    threshold: float
-    members: tuple[int, ...]
-    cardinality: int
-    values: Mapping[int, float]
-    skipped: tuple[int, ...]
-
-
 def behavioral_transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
@@ -240,13 +224,16 @@ def behavioral_transferability(
     kind: str = "tv",
     on: str = "x",
     eta: float = DEFAULT_ETA,
-) -> BehavioralTransferabilityReport:
+) -> NeighborhoodReport:
     """Count universe members within a behavioral threshold of the pack.
 
     ``distance`` mode admits a member when the transfer distance between
     the declared measures is strictly below the threshold; ``bound``
     mode admits it when source error + distance + complexity is strictly
-    below it.  Heterogeneous pairings are skipped and reported.
+    below it.  The scan returns a ``behavioral``
+    :class:`~transferlab.learning.NeighborhoodReport` whose criterion
+    records the threshold, mode and divergence kind; heterogeneous
+    pairings are skipped and listed there.
     """
     pairs = pairings(pack, universe, role)
     if mode not in ("distance", "bound"):
@@ -274,6 +261,7 @@ def behavioral_transferability(
         values[idx] = value
         if value < threshold:
             members.append(idx)
-    return BehavioralTransferabilityReport(
-        role, mode, threshold, tuple(members), len(members), values, tuple(skipped)
+    return NeighborhoodReport(
+        role, "behavioral", tuple(members), len(members),
+        {"threshold": threshold, "mode": mode, "kind": kind}, values, tuple(skipped),
     )

@@ -26,6 +26,7 @@ from .learning import (
     Dataset,
     EvaluationContext,
     LearningSystem,
+    NeighborhoodReport,
     SystemPack,
     generalization_error,
     pairings,
@@ -171,25 +172,6 @@ def detect_negative_transfer(
 
 # -- transferability neighborhoods ---------------------------------------------------
 
-@dataclass(frozen=True)
-class NeighborhoodReport:
-    """Members of a finite universe within reach of a system.
-
-    The universe is an explicit argument of every scan: the counts are
-    only meaningful relative to it, and the criterion block records the
-    thresholds, mode and seeds needed to reproduce them.
-    """
-
-    role: str
-    mode: str
-    members: tuple[int, ...]
-    cardinality: int
-    criterion: Mapping[str, object]
-    values: Mapping[int, float]
-    skipped: tuple[int, ...]
-    equivalence_mode: str = "raw"
-
-
 def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
     """Greedy clustering of packs whose declared measures are tau-close."""
     reps: list[int] = []
@@ -244,8 +226,9 @@ def transferability(
     threshold; passing ``epsilon_star="target-alone"`` instead admits
     members where transfer was not negative, turning the neighborhood
     into the positive-transfer set.  ``structural`` and ``behavioral``
-    modes delegate to the corresponding analyses, and ``all`` returns
-    the three reports side by side.
+    modes return the report of the corresponding scan, run against the
+    same numeric threshold, and ``all`` returns the three reports side
+    by side.
     """
     pairs = pairings(pack, universe, role)
     if mode == "all":
@@ -263,20 +246,11 @@ def transferability(
         raise ValidationError(f"{mode} mode needs a numeric threshold")
 
     if mode == "structural":
-        rep = structural_transferability(pack, universe, role, ctx, size_bound)
-        return NeighborhoodReport(
-            role, mode, rep.members, rep.cardinality,
-            {"epsilon_star": ctx.epsilon_star, "size_bound": size_bound},
-            dict(rep.best_errors), (),
-        )
+        structural_ctx = replace(ctx, epsilon_star=float(threshold))
+        return structural_transferability(pack, universe, role, structural_ctx, size_bound)
     if mode == "behavioral":
-        rep = behavioral_transferability(
+        return behavioral_transferability(
             pack, universe, role, threshold, behavioral_mode, distance_kind
-        )
-        return NeighborhoodReport(
-            role, mode, rep.members, rep.cardinality,
-            {"threshold": threshold, "mode": behavioral_mode, "kind": distance_kind},
-            dict(rep.values), rep.skipped,
         )
     if mode != "empirical":
         raise ValidationError(f"unknown transferability mode {mode!r}")

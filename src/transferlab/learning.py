@@ -333,6 +333,25 @@ def pairings(
     ]
 
 
+@dataclass(frozen=True)
+class NeighborhoodReport:
+    """Members of a finite universe within reach of a system.
+
+    The universe is an explicit argument of every scan: the counts are
+    only meaningful relative to it, and the criterion block records the
+    thresholds, mode and seeds needed to reproduce them.
+    """
+
+    role: str
+    mode: str
+    members: tuple[int, ...]
+    cardinality: int
+    criterion: Mapping[str, object]
+    values: Mapping[int, float]
+    skipped: tuple[int, ...]
+    equivalence_mode: str = "raw"
+
+
 # -- core operations -----------------------------------------------------------
 
 def _loss_totals(

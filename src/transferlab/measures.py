@@ -9,6 +9,7 @@ feature-representation pushforward helpers in :mod:`transferlab.behavioral`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -206,9 +207,12 @@ def pushforward(
 
 # -- estimation ---------------------------------------------------------------
 
-def _extract_pairs(data) -> tuple[tuple[Atom, Atom], ...]:
-    pairs = tuple(getattr(data, "pairs", data))
-    return pairs
+#: What each marginal estimate counts of an input-output pair.
+_PROJECTIONS: dict[str, Callable[[Atom, Atom], Atom]] = {
+    "x": lambda x, y: x,
+    "y": lambda x, y: y,
+    "xy": lambda x, y: (x, y),
+}
 
 
 def estimate_measure(
@@ -226,46 +230,23 @@ def estimate_measure(
     observed values (in first appearance order) form it.  Each cell
     receives ``smoothing`` additive mass before renormalization.
     """
-    pairs = _extract_pairs(data)
+    pairs = tuple(getattr(data, "pairs", data))
     if not pairs:
         raise EmptyDataset("cannot estimate a measure from an empty dataset")
 
     def observed(values: Iterable[Atom], name: str) -> FiniteSet:
-        seen: list[Atom] = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        return FiniteSet(name, tuple(seen))
+        return FiniteSet(name, tuple(dict.fromkeys(values)))
 
-    if over == "x":
-        sup = support or observed((p[0] for p in pairs), "x")
-        counts: dict[Atom, float] = {}
-        for x, _ in pairs:
-            counts[x] = counts.get(x, 0) + 1
-        return EmpiricalMeasure.from_counts(sup, counts, smoothing)
-
-    if over == "y":
-        sup = support or observed((p[1] for p in pairs), "y")
-        counts = {}
-        for _, y in pairs:
-            counts[y] = counts.get(y, 0) + 1
-        return EmpiricalMeasure.from_counts(sup, counts, smoothing)
-
-    if over == "xy":
-        if support is None:
-            sup = observed(((x, y) for x, y in pairs), "xy")
-        elif isinstance(support, FiniteSet):
-            sup = support
-        else:
+    if over in _PROJECTIONS:
+        keys = [_PROJECTIONS[over](x, y) for x, y in pairs]
+        if over == "xy" and not (support is None or isinstance(support, FiniteSet)):
             sx, sy = support
-            sup = FiniteSet(
+            support = FiniteSet(
                 f"{sx.name}*{sy.name}",
                 tuple((x, y) for x in sx.elements for y in sy.elements),
             )
-        counts = {}
-        for pair in pairs:
-            counts[tuple(pair)] = counts.get(tuple(pair), 0) + 1
-        return EmpiricalMeasure.from_counts(sup, counts, smoothing)
+        sup = support or observed(keys, over)
+        return EmpiricalMeasure.from_counts(sup, Counter(keys), smoothing)
 
     if over == "y_given_x":
         if support is None:

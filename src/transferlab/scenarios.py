@@ -32,6 +32,8 @@ from .relations import Atom, FiniteSet
 _COMPONENT_LETTERS = "abcdefgh"
 #: The most pairs a scenario draws for one side; a larger sample size is refused.
 SAMPLE_CAP = 100_000
+#: The largest ``hypothesis_cap`` a scenario takes: 2^16 rows, a grid of 16 with 2 labels.
+MAX_HYPOTHESIS_CAP = 65_536
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class ScenarioSpec:
             raise InvalidSpec(f"sample sizes are capped at {SAMPLE_CAP} pairs per side")
         if self.seed < 0:
             raise InvalidSpec("the seed must be non-negative")
+        if self.hypothesis_cap > MAX_HYPOTHESIS_CAP:
+            raise InvalidSpec(f"hypothesis_cap is capped at {MAX_HYPOTHESIS_CAP}")
         size = self.grid_size ** self.grid_arity
         # label_count >= 2, so a size of at least the cap's bit length exceeds the cap:
         # refused before the power is built.

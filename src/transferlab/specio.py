@@ -37,7 +37,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -422,12 +422,14 @@ def _read_scenario(doc: SpecDocument, block: dict) -> ScenarioSpec:
     for alpha in ladder or ():
         if not _number(alpha):
             raise ParseError(f"scenario.ladder entry {alpha!r} is not a number")
-        _construct(lambda: float(alpha), "scenario.ladder")
     doc.ladder = block.get("ladder", False)
     fields = {
         key: read(block[key], f"scenario.{key}") for key, read in _SCENARIO.items() if key in block
     }
-    return ScenarioSpec(**fields)
+    spec = ScenarioSpec(**fields)
+    for alpha in ladder or ():  # each rung is the spec at that shift, so generation can run it
+        _construct(lambda: replace(spec, marginal_shift=float(alpha)), "scenario.ladder")
+    return spec
 
 
 def _write_scenario(doc: SpecDocument) -> dict:

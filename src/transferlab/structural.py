@@ -31,6 +31,7 @@ from .errors import (
 from .learning import (
     EvaluationContext,
     LearningSystem,
+    NeighborhoodReport,
     SystemPack,
     full_function_class,
     pairings,
@@ -85,23 +86,6 @@ class RoughnessReport:
     direction: str = "source->target"
 
 
-def _is_isomorphism(m: Morphism, source: FiniteSystem, target: FiniteSystem) -> bool:
-    joint = m.joint_properties()
-    if not (joint.total and joint.invertible):
-        return False
-    if not m.preserves(source, target):
-        return False
-    inverse = Morphism(
-        {v: k for k, v in m.x_map.items()},
-        {v: k for k, v in m.y_map.items()},
-        m.target_x,
-        m.target_y,
-        m.source_x,
-        m.source_y,
-    )
-    return inverse.preserves(target, source)
-
-
 def transfer_roughness(
     source: FiniteSystem, target: FiniteSystem, morphism: Morphism
 ) -> RoughnessReport:
@@ -122,6 +106,9 @@ def transfer_roughness(
         morphism.joint_properties(),
     )
     preserving = morphism.preserves(source, target)
+    # A preserving bijection carries the source pairs one-to-one into the
+    # target's, so its inverse preserves exactly when nothing is left over.
+    minimal = preserving and joint.invertible and len(source.tuples) == len(target.tuples)
     return RoughnessReport(
         morphism=morphism,
         quotient=q,
@@ -131,7 +118,7 @@ def transfer_roughness(
         joint_properties=joint,
         relation_preserving=preserving,
         onto=preserving and joint.total and joint.surjective,
-        minimal=_is_isomorphism(morphism, source, target),
+        minimal=minimal,
     )
 
 
@@ -436,14 +423,6 @@ def feature_runner(
 
 # -- structural transferability ----------------------------------------------------
 
-@dataclass(frozen=True)
-class StructuralTransferabilityReport:
-    role: str
-    members: tuple[int, ...]
-    cardinality: int
-    best_errors: Mapping[int, float]
-
-
 def structural_transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
@@ -454,12 +433,14 @@ def structural_transferability(
     runner_factory: Callable[
         [SystemPack, SystemPack], Callable[[CandidateStructure, ValidStructure], float]
     ] = feature_runner,
-) -> StructuralTransferabilityReport:
+) -> NeighborhoodReport:
     """Count universe members sharing a useful structure with the pack.
 
     ``role`` fixes which side of each pairing the pack plays; a member
     qualifies when the search over shared structures leaves at least one
-    that generalizes under the context threshold.
+    that generalizes under the context threshold.  The scan returns a
+    ``structural`` :class:`~transferlab.learning.NeighborhoodReport`
+    whose values are each member's best measured error; it skips none.
     """
     members = []
     best: dict[int, float] = {}
@@ -472,4 +453,7 @@ def structural_transferability(
         if report.useful:
             members.append(idx)
             best[idx] = report.useful[0].error
-    return StructuralTransferabilityReport(role, tuple(members), len(members), best)
+    return NeighborhoodReport(
+        role, "structural", tuple(members), len(members),
+        {"epsilon_star": ctx.epsilon_star, "size_bound": size_bound}, best, (),
+    )

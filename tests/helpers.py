@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -472,4 +473,42 @@ def scalar_transfer_axioms(ts, datasets, **overrides) -> AxiomReport:
     return scalar_verify_decomposition(
         ts.target.x_set, ts.target.y_set, ts.theta_tr_set, ts.hypotheses_tr.output, datasets,
         lambda d: run_transfer(ts, d)[0], lambda d: transfer_values(ts, d)[0], **overrides,
+    )
+
+
+# -- roughness and estimation oracles ------------------------------------------------
+# transferlab.structural decides minimality by counting relation pairs and
+# transferlab.measures counts every marginal through one path; these are the
+# direct versions they replaced.
+
+def scalar_is_isomorphism(m, source, target) -> bool:
+    """A total bijective preserving morphism whose inverse preserves too."""
+    joint = m.joint_properties()
+    if not (joint.total and joint.invertible):
+        return False
+    if not m.preserves(source, target):
+        return False
+    inverse = Morphism(
+        {v: k for k, v in m.x_map.items()},
+        {v: k for k, v in m.y_map.items()},
+        m.target_x,
+        m.target_y,
+        m.source_x,
+        m.source_y,
+    )
+    return inverse.preserves(target, source)
+
+
+def scalar_estimate_measure(pairs, over, smoothing=0.0, support=None) -> EmpiricalMeasure:
+    """``estimate_measure`` over ``x``, ``y`` or ``xy``, from a ``Counter`` of projections."""
+    keys = [{"x": x, "y": y, "xy": (x, y)}[over] for x, y in pairs]
+    counts = Counter(keys)
+    if support is None:
+        support = FiniteSet(over, tuple(sorted(counts, key=keys.index)))
+    elif over == "xy" and not isinstance(support, FiniteSet):
+        sx, sy = support
+        support = FiniteSet(f"{sx.name}*{sy.name}", tuple(itertools.product(sx, sy)))
+    total = sum(counts.values()) + len(support) * smoothing
+    return EmpiricalMeasure(
+        support, tuple((counts[el] + smoothing) / total for el in support.elements)
     )

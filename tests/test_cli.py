@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferlab import cli, specio
+from transferlab.errors import InvalidSpec
 from transferlab.evaluation import SEED_CAP, transferability
 from transferlab.learning import EvaluationContext
+from transferlab.scenarios import MAX_HYPOTHESIS_CAP, ScenarioSpec
 from transferlab.specio import load_document
 
 
@@ -493,6 +495,38 @@ def test_scenario_refusals_are_quick(tmp_path, changes, code):
     started = time.perf_counter()
     assert scenario_exits(tmp_path, changes) == [code, code]
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"grid_size": 3, "ladder": [0.5, 2]},
+         "scenario.ladder: marginal_shift must lie in [0, 1]"),
+        # Generation would build 2^29 rows.
+        ({"grid_size": 29, "hypothesis_cap": 10**9},
+         f"scenario: hypothesis_cap is capped at {MAX_HYPOTHESIS_CAP}"),
+    ],
+    ids=["ladder-rung-above-1", "cap-above-ceiling"],
+)
+def test_a_scenario_generation_cannot_run_is_refused_before_writing(
+    tmp_path, capsys, scenario, message
+):
+    spec = write_json(tmp_path / "spec.json", {"version": 1, "scenario": scenario})
+    for verb, flags in (("validate", []), ("scenario", ["--emit", str(tmp_path / "emit")])):
+        started = time.perf_counter()
+        rc = cli.main([verb, spec, "--out", str(tmp_path / "r.json"), *flags])
+        assert time.perf_counter() - started < 1.0
+        assert rc == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+    assert not list(tmp_path.glob("**/pair_*.json"))
+
+
+def test_the_hypothesis_cap_ceiling_and_the_caps_in_use_are_accepted():
+    ScenarioSpec(grid_size=16, hypothesis_cap=MAX_HYPOTHESIS_CAP)
+    ScenarioSpec(grid_size=8, label_count=3, hypothesis_cap=6561)
+    with pytest.raises(InvalidSpec, match="hypothesis_cap is capped at 65536"):
+        ScenarioSpec(grid_size=2, hypothesis_cap=MAX_HYPOTHESIS_CAP + 1)
 
 
 @pytest.mark.parametrize(

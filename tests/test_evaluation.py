@@ -74,7 +74,7 @@ def test_rerun_gives_an_identical_report(role, epsilon_star):
     ctx = EvaluationContext(PACK.truth, epsilon_star)
     direct = structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3)
     assert structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3) == direct
-    assert (direct.members, dict(direct.best_errors)) == (first.members, first.values)
+    assert (direct.members, dict(direct.values)) == (first.members, first.values)
 
 
 @settings(max_examples=8, deadline=None)
@@ -116,6 +116,15 @@ def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
     assert every_mode(role, epsilon_star, "all") == {
         mode: every_mode(role, epsilon_star, mode) for mode in MODES
     }
+
+
+def test_structural_mode_scores_against_an_explicit_threshold():
+    report = transferability(
+        PACK, UNIVERSE, "source", EvaluationContext(TRUTH, 1.0),
+        mode="structural", epsilon_star=0.0,
+    )
+    assert report.members == ()
+    assert report.criterion == {"epsilon_star": 0.0, "size_bound": 3}
 
 
 def assert_rerun_identical(run):

@@ -1,8 +1,9 @@
-"""Every module under ``src/transferlab`` uses each name it imports.
+"""Every module under ``src/transferlab`` uses each name it imports, and
+every private top-level name is used somewhere in the package.
 
-No linter ships with the project, so this stdlib-``ast`` scan stands in
-for one.  ``__init__.py`` is left out: its imports are the re-exported
-public interface.
+No linter ships with the project, so these stdlib-``ast`` scans stand in
+for one.  ``__init__.py`` is left out of the import scan: its imports are
+the re-exported public interface.
 """
 
 import ast
@@ -36,3 +37,35 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` definitions that no module of ``sources`` refers to."""
+    defined: list[str] = []
+    used: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [name for name in defined if name.startswith("_") and name not in used]
+
+
+def test_the_scan_sees_a_dead_private_name():
+    sources = ["_A = 1\n_b: int = 2\ndef _c(): return _A\nclass _D: pass\n", "from m import _b\n"]
+    assert dead_private_names(sources) == ["_c", "_D"]
+
+
+def test_every_private_name_is_used():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert dead_private_names(sources) == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from helpers import scalar_estimate_measure
 from transferlab import cli
 from transferlab.errors import (
     EmptyDataset,
@@ -78,6 +79,20 @@ def test_marginal_estimates_match_their_golden():
         for over, declared, smoothing in itertools.product(supports, (False, True), (0.0, 1e-9))
     }
     assert json_text(estimates) + "\n" == ESTIMATE_GOLDEN.read_text(encoding="utf-8")
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)), min_size=1, max_size=12),
+    st.sampled_from(["x", "y", "xy"]),
+    st.booleans(),
+    st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_marginal_estimates_match_the_counter_oracle(pairs, over, declared, smoothing):
+    sup_x, sup_y = FiniteSet("sx", ("a", "b", "c", "d")), FiniteSet("sy", (0, 1, 2))
+    support = {"x": sup_x, "y": sup_y, "xy": (sup_x, sup_y)}[over] if declared else None
+    estimate = estimate_measure(pairs, over, smoothing, support)
+    assert estimate == scalar_estimate_measure(pairs, over, smoothing, support)
 
 
 class TestEstimation:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_pack, io_system, random_io_system, scalar_structure_search
+from helpers import (
+    binary_pack,
+    io_system,
+    random_io_system,
+    scalar_is_isomorphism,
+    scalar_structure_search,
+)
 from transferlab.errors import CapExceeded, IncompatibleMorphism
 from transferlab.learning import EvaluationContext
 from transferlab.relations import (
@@ -370,3 +376,48 @@ def test_structure_search_matches_scalar_oracle(graphs):
         (v.candidate_index, v.target_witness.x_map, v.target_witness.y_map, v.output_map)
         for v in report.valid
     ] == valid
+
+
+REQUIRE_SUBSETS = [
+    flags
+    for size in range(6)
+    for flags in itertools.combinations(
+        ("total", "partial", "injective", "surjective", "invertible"), size
+    )
+]
+
+
+@st.composite
+def small_relation_pairs(draw):
+    """Two relations with |X|, |Y| <= 3; half the time the target renames the source,
+    with or without one extra pair, so isomorphisms come up."""
+
+    def relation(xs, ys):
+        cells = list(itertools.product(xs, ys))
+        return io_system(draw(st.lists(st.sampled_from(cells), min_size=1, unique=True)),
+                         xs=xs, ys=ys)
+
+    def carriers(name):
+        return tuple(f"{name}{i}" for i in range(draw(st.integers(1, 3)))), tuple(
+            range(draw(st.integers(1, 3)))
+        )
+
+    source = relation(*carriers("s"))
+    if draw(st.booleans()):
+        return source, relation(*carriers("t"))
+    xs, ys = tuple("t" + x[1:] for x in source.x_values()), source.y_values()
+    pairs = [("t" + x[1:], y) for x, y in source.io_pairs()]
+    if draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(list(itertools.product(xs, ys)))))
+    return source, io_system(pairs, xs=xs, ys=ys)
+
+
+@settings(max_examples=40)
+@given(small_relation_pairs())
+def test_minimal_matches_the_scalar_isomorphism_oracle(relations):
+    source, target = relations
+    for require in REQUIRE_SUBSETS:
+        for m in enumerate_morphisms(source, target, require=require):
+            assert transfer_roughness(source, target, m).minimal == scalar_is_isomorphism(
+                m, source, target
+            )
