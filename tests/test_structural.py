@@ -389,18 +389,20 @@ REQUIRE_SUBSETS = [
 
 @st.composite
 def small_relation_pairs(draw):
-    """Two relations with |X|, |Y| <= 3; half the time the target renames the source,
-    with or without one extra pair, so isomorphisms come up."""
+    """Two relations with |X|, |Y| <= 3.
+
+    Half the time the target renames the source, with or without one
+    extra pair, so isomorphisms come up.
+    """
 
     def relation(xs, ys):
         cells = list(itertools.product(xs, ys))
-        return io_system(draw(st.lists(st.sampled_from(cells), min_size=1, unique=True)),
-                         xs=xs, ys=ys)
+        pairs = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+        return io_system(pairs, xs=xs, ys=ys)
 
     def carriers(name):
-        return tuple(f"{name}{i}" for i in range(draw(st.integers(1, 3)))), tuple(
-            range(draw(st.integers(1, 3)))
-        )
+        xs = tuple(f"{name}{i}" for i in range(draw(st.integers(1, 3))))
+        return xs, tuple(range(draw(st.integers(1, 3))))
 
     source = relation(*carriers("s"))
     if draw(st.booleans()):
