@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import HeterogeneousSetting, SupportMismatch, ValidationError
+from .errors import HeterogeneousSetting, SupportMismatch, TransferLabError, ValidationError
 from .learning import (
     Dataset,
     EvaluationContext,
@@ -50,7 +50,7 @@ def _pair_map_pushforward(
     posterior: ConditionalMeasure,
     pair_map: Mapping[tuple[Atom, Atom], tuple[Atom, Atom]],
     latent: LearningSystem,
-) -> tuple[EmpiricalMeasure, ConditionalMeasure, EmpiricalMeasure]:
+) -> tuple[EmpiricalMeasure, ConditionalMeasure]:
     """Push a joint through a pair map and refactor it over the latent space."""
     joint = joint_measure(marginal, posterior)
     latent_pairs = FiniteSet(
@@ -68,7 +68,7 @@ def _pair_map_pushforward(
             weights = [1.0 / len(latent.y_set)] * len(latent.y_set)
         total = math.fsum(weights)
         rows[x] = EmpiricalMeasure(latent.y_set, tuple(w / total for w in weights))
-    return marg, ConditionalMeasure(latent.x_set, rows), mapped
+    return marg, ConditionalMeasure(latent.x_set, rows)
 
 
 def transfer_distance(
@@ -94,10 +94,10 @@ def transfer_distance(
 
     if align is not None:
         latent = align.latent_system
-        s_marg, s_post, _ = _pair_map_pushforward(
+        s_marg, s_post = _pair_map_pushforward(
             s_marg, s_post, align.pair_map_source, latent
         )
-        t_marg, t_post, _ = _pair_map_pushforward(
+        t_marg, t_post = _pair_map_pushforward(
             t_marg, t_post, align.pair_map_target, latent
         )
 
@@ -149,10 +149,6 @@ class BoundReport:
     holds: bool
     n_source: int
     n_target: int
-
-    @property
-    def bound_value(self) -> float:
-        return self.epsilon_s + self.delta_t + self.complexity_c
 
 
 def finite_class_complexity(n_hypotheses: int, n_samples: int, eta: float = DEFAULT_ETA) -> float:
@@ -232,8 +228,11 @@ def behavioral_transferability(
     mode admits it when source error + distance + complexity is strictly
     below it.  The scan returns a ``behavioral``
     :class:`~transferlab.learning.NeighborhoodReport` whose criterion
-    records the threshold, mode and divergence kind; heterogeneous
-    pairings are skipped and listed there.
+    records the threshold, mode and divergence kind.  Heterogeneous
+    pairings are skipped and listed in ``skipped``, and so, in ``bound``
+    mode, is a pairing whose source cannot be trained or scored (a
+    :class:`~transferlab.errors.TransferLabError`, such as a source with
+    no data), as empirical transferability skips one.
     """
     pairs = pairings(pack, universe, role)
     if mode not in ("distance", "bound"):
@@ -250,14 +249,17 @@ def behavioral_transferability(
         if mode == "distance":
             value = delta
         else:
-            theta_s = run_algorithm(src.dataset, src.system)
-            eps_s = generalization_error(
-                src.system, theta_s, src.context(), weight=src.marginal
-            )
-            n = len(src.dataset) + len(tgt.dataset)
-            value = eps_s + delta + finite_class_complexity(
-                len(tgt.system.theta_set), n, eta
-            )
+            try:
+                theta_s = run_algorithm(src.dataset, src.system)
+                eps_s = generalization_error(
+                    src.system, theta_s, src.context(), weight=src.marginal
+                )
+                n = len(src.dataset) + len(tgt.dataset)
+                complexity = finite_class_complexity(len(tgt.system.theta_set), n, eta)
+            except TransferLabError:
+                skipped.append(idx)
+                continue
+            value = eps_s + delta + complexity
         values[idx] = value
         if value < threshold:
             members.append(idx)

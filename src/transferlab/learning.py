@@ -104,7 +104,6 @@ class LossSpec:
 
 
 ZERO_ONE = LossSpec("zero_one")
-SQUARED = LossSpec("squared")
 _MISSING = object()  # a cell the (θ, x) mapping a class was built from leaves out
 
 
@@ -139,12 +138,6 @@ class HypothesisClass:
             if len(row) != len(columns):
                 raise ValidationError(f"row for {theta!r} must align with {len(columns)} columns")
 
-    @property
-    def table(self) -> dict[tuple[Atom, Atom], Atom]:
-        """The defined cells as a ``(θ, x) → y`` mapping, built on each call."""
-        cells = ((t, x, y) for t, row in self.rows.items() for x, y in zip(self.columns, row))
-        return {(theta, x): y for theta, x, y in cells if y is not _MISSING}
-
     def _cell(self, theta: Atom, x: Atom) -> Atom:
         try:
             return self.rows[theta][self._position[x]]
@@ -155,9 +148,6 @@ class HypothesisClass:
         if (y := self._cell(theta, x)) is _MISSING:
             raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}")
         return y
-
-    def output_vector(self, theta: Atom, xs: Sequence[Atom]) -> tuple[Atom, ...]:
-        return tuple(self.output(theta, x) for x in xs)
 
     def rows_over(self, xs: Sequence[Atom]) -> list[tuple[Atom, ...]]:
         """Each θ's outputs over ``xs``, θ canonical, cells unchecked; ``KeyError`` if absent."""
@@ -309,10 +299,10 @@ class SystemPack:
                     raise UnknownElement(f"truth value {truth[x]!r} outside outputs")
             object.__setattr__(self, "truth", truth)
 
-    def context(self, epsilon_star: float = math.inf) -> EvaluationContext:
+    def context(self) -> EvaluationContext:
         if self.truth is None:
             raise ValidationError(f"pack {self.tag!r} declares no truth table")
-        return EvaluationContext(self.truth, epsilon_star)
+        return EvaluationContext(self.truth)
 
     def measures(self) -> tuple[EmpiricalMeasure, ConditionalMeasure]:
         """The declared marginal and posterior; :class:`MissingMeasure` if either is absent."""
@@ -636,22 +626,3 @@ def verify_learning_axioms(
         functional_system=functional_system,
         inductive_system=inductive_system,
     )
-
-
-def as_goal_seeking(
-    system: LearningSystem, sample_datasets: Sequence[Dataset]
-) -> tuple[FiniteSystem, GoalSeekingSpec]:
-    """Materialize the inductive relation and its goal/seeking pair.
-
-    The returned pieces feed :func:`transferlab.relations.check_goal_seeking`
-    directly: dataset atoms form the base carrier, the goal assigns each
-    (data, parameter) its selection objective, and seeking contains
-    exactly the selections the algorithm makes.
-    """
-    _, _, inductive, gs = _goal_seeking(
-        system.theta_set,
-        sample_datasets,
-        lambda d: run_algorithm(d, system),
-        lambda d: selection_values(d, system),
-    )
-    return inductive, gs

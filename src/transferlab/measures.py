@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     EmptyDataset,
@@ -25,16 +25,6 @@ from .errors import (
 from .relations import Atom, FiniteSet
 
 NORMALIZATION_TOL = 1e-12
-
-#: Which divergence kinds are metrics on the simplex (symmetry, identity
-#: of indiscernibles, triangle inequality).  KL is a divergence only.
-DIVERGENCE_IS_METRIC = {
-    "tv": True,
-    "hellinger": True,
-    "w1": True,
-    "mmd": True,
-    "kl": False,
-}
 
 
 @dataclass(frozen=True)
@@ -74,18 +64,6 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(
             support, tuple(1.0 if i == idx else 0.0 for i in range(len(support)))
         )
-
-    @staticmethod
-    def from_weights(support: FiniteSet, weights: Sequence[float]) -> "EmpiricalMeasure":
-        weights = [float(w) for w in weights]
-        if len(weights) != len(support):
-            raise ValidationError("one weight per support element required")
-        if any(w < 0 for w in weights):
-            raise ValidationError("weights must be non-negative")
-        total = math.fsum(weights)
-        if total <= 0:
-            raise ValidationError("weights must have positive total mass")
-        return EmpiricalMeasure(support, tuple(w / total for w in weights))
 
     @staticmethod
     def from_counts(

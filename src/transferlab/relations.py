@@ -147,6 +147,8 @@ class FiniteSystem:
             inputs = tuple(inputs)
             outputs = tuple(outputs)
             indices = set(range(arity))
+            if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
+                raise NotAPartition(f"duplicate indices in {inputs}/{outputs}")
             if set(inputs) | set(outputs) != indices or set(inputs) & set(outputs):
                 raise NotAPartition(
                     f"indices {inputs}/{outputs} do not partition 0..{arity - 1}"
@@ -231,8 +233,6 @@ def as_input_output(system: FiniteSystem, input_indices: Iterable[int]) -> Finit
     trivially (duplicates, out of range) or leave either side empty.
     """
     inputs = tuple(input_indices)
-    if len(set(inputs)) != len(inputs):
-        raise NotAPartition(f"duplicate input indices in {inputs}")
     if any(i < 0 or i >= system.arity for i in inputs):
         raise NotAPartition(f"input indices {inputs} out of range")
     outputs = tuple(i for i in range(system.arity) if i not in set(inputs))

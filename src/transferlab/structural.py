@@ -49,6 +49,9 @@ from .relations import (
 )
 from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer, transfer_error
 
+#: Largest input or output carrier the shared-structure search accepts.
+CARRIER_CAP = 6
+
 
 def truth_graph(pack: SystemPack) -> FiniteSystem:
     """The input-output relation induced by a pack's declared truth."""
@@ -214,10 +217,6 @@ class StructureSearchReport:
     def valid_indices(self) -> tuple[int, ...]:
         return tuple(v.candidate_index for v in self.valid)
 
-    @property
-    def useful_indices(self) -> tuple[int, ...]:
-        return tuple(u.candidate_index for u in self.useful)
-
 
 def _quotient_structures(system: FiniteSystem, size_bound: int, canonical: dict):
     """Canonical images of the relation under all onto map pairs.
@@ -263,7 +262,6 @@ def homomorphic_structures(
     source: FiniteSystem,
     target: FiniteSystem,
     size_bound: int = 3,
-    carrier_cap: int = 6,
 ) -> StructureSearchReport:
     """Structures onto which both relations map, up to carrier renaming.
 
@@ -277,8 +275,8 @@ def homomorphic_structures(
     if size_bound < 1:
         raise ValidationError("size_bound must be at least 1")
     for sys_, nm in ((source, "source"), (target, "target")):
-        if len(sys_.x_values()) > carrier_cap or len(sys_.y_values()) > carrier_cap:
-            raise CapExceeded(f"{nm} carriers exceed the search cap {carrier_cap}")
+        if len(sys_.x_values()) > CARRIER_CAP or len(sys_.y_values()) > CARRIER_CAP:
+            raise CapExceeded(f"{nm} carriers exceed the search cap {CARRIER_CAP}")
 
     canonical: dict = {}
     from_source = _quotient_structures(source, size_bound, canonical)
@@ -372,9 +370,8 @@ def useful_structures(
 def feature_runner(
     source_pack: SystemPack,
     target_pack: SystemPack,
-    max_latent_hypotheses: int = 4096,
 ) -> Callable[[CandidateStructure, ValidStructure], float]:
-    """Default structure runner: latent exhaustive-risk transfer, measured error.
+    """The structure runner: latent exhaustive-risk transfer, measured error.
 
     The latent learning system carries every function between the
     candidate carriers; data is mapped through the witness morphisms,
@@ -388,7 +385,7 @@ def feature_runner(
         latent_sys = LearningSystem(
             cand.x_set,
             cand.y_set,
-            full_function_class(cand.x_set, cand.y_set, max_size=max_latent_hypotheses),
+            full_function_class(cand.x_set, cand.y_set),
             target_pack.system.loss,
         )
         t_wit = entry.target_witness
@@ -429,10 +426,6 @@ def structural_transferability(
     role: str,
     ctx: EvaluationContext,
     size_bound: int = 3,
-    carrier_cap: int = 6,
-    runner_factory: Callable[
-        [SystemPack, SystemPack], Callable[[CandidateStructure, ValidStructure], float]
-    ] = feature_runner,
 ) -> NeighborhoodReport:
     """Count universe members sharing a useful structure with the pack.
 
@@ -446,10 +439,10 @@ def structural_transferability(
     best: dict[int, float] = {}
     for idx, src, tgt in pairings(pack, universe, role):
         report = homomorphic_structures(
-            truth_graph(src), truth_graph(tgt), size_bound, carrier_cap
+            truth_graph(src), truth_graph(tgt), size_bound
         )
         report = valid_structures(report, tgt.system.y_set)
-        report = useful_structures(report, runner_factory(src, tgt), ctx)
+        report = useful_structures(report, feature_runner(src, tgt), ctx)
         if report.useful:
             members.append(idx)
             best[idx] = report.useful[0].error

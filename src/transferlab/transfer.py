@@ -144,12 +144,6 @@ class FeatureRepSpec:
         object.__setattr__(self, "input_map", dict(self.input_map))
         object.__setattr__(self, "output_map", dict(self.output_map))
 
-    def target_pair_is_identity(self) -> bool:
-        return all(k == v for k, v in self.pair_map_target.items())
-
-    def source_pair_is_identity(self) -> bool:
-        return all(k == v for k, v in self.pair_map_source.items())
-
     def validate_against(self, source: LearningSystem, target: LearningSystem) -> None:
         latent = self.latent_system
         for x in target.x_set.elements:
@@ -360,21 +354,6 @@ def transfer_error(
     )
 
 
-def latent_path_prediction(ts: TransferSystem, theta: Atom, x: Atom) -> Atom:
-    """Predict by explicitly routing through the latent maps.
-
-    This is the composed route (input map, latent hypothesis, output
-    map); it must agree with :meth:`TransferSystem.predict` on every
-    input, which is what the construction guarantees and the test suite
-    checks.
-    """
-    if ts.latent is None:
-        raise ValidationError("no latent maps on this transfer system")
-    lat = ts.latent
-    latent_y = lat.latent_system.hypotheses.output(theta, lat.input_map[x])
-    return lat.output_map[latent_y]
-
-
 # -- classification -------------------------------------------------------------
 
 def classify_approach(ts: TransferSystem) -> str:
@@ -497,33 +476,3 @@ def verify_transfer_is_learning_system(
         functional_system=functional_system,
         inductive_system=inductive_system,
     )
-
-
-# -- latent case analysis ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatentCaseReport:
-    """Which latent maps are identities and the space equalities they imply."""
-
-    target_map_identity: bool
-    source_map_identity: bool
-    latent_equals_target_space: bool
-    latent_equals_source_space: bool
-    implies_homogeneous: bool
-
-
-def latent_case(ts: TransferSystem) -> LatentCaseReport:
-    """Relate identity structure of the pair maps to sample-space equalities.
-
-    When the target pair map is the identity the latent space is the
-    target sample space; when the source pair map is, it is the source
-    sample space; when both are, source and target spaces coincide and
-    the transfer is homogeneous.
-    """
-    if ts.latent is None:
-        raise ValidationError("no latent maps on this transfer system")
-    lat = ts.latent.latent_system
-    t_id = ts.latent.target_pair_is_identity()
-    s_id = ts.latent.source_pair_is_identity()
-    eq_target, eq_source = lat.same_space(ts.target), lat.same_space(ts.source)
-    return LatentCaseReport(t_id, s_id, eq_target, eq_source, t_id and s_id)

@@ -23,6 +23,8 @@ from transferlab.learning import (
     LearningSystem,
     LossSpec,
     SystemPack,
+    _goal_seeking,
+    _MISSING,
     full_function_class,
     run_algorithm,
     selection_values,
@@ -221,9 +223,6 @@ class DictHypothesisClass:
             return self.table[(theta, x)]
         except KeyError:
             raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
-
-    def output_vector(self, theta, xs):
-        return tuple(self.output(theta, x) for x in xs)
 
     def encode(self, x_set, y_set):
         table, y_index = self.table, y_set._index
@@ -512,3 +511,48 @@ def scalar_estimate_measure(pairs, over, smoothing=0.0, support=None) -> Empiric
     return EmpiricalMeasure(
         support, tuple((counts[el] + smoothing) / total for el in support.elements)
     )
+
+
+# -- test-side views and oracles -----------------------------------------------------
+# Only tests need these: a hypothesis class as a (θ, x) → y mapping, the inductive
+# relation with its goal/seeking pair, the latent route a feature-representation
+# prediction must agree with, and which divergences are metrics.
+
+#: Which divergence kinds are metrics on the simplex (symmetry, identity
+#: of indiscernibles, triangle inequality).  KL is a divergence only.
+DIVERGENCE_IS_METRIC = {
+    "tv": True,
+    "hellinger": True,
+    "w1": True,
+    "mmd": True,
+    "kl": False,
+}
+
+
+def hypothesis_table(hc: HypothesisClass) -> dict:
+    """The defined cells of ``hc`` as a ``(θ, x) → y`` mapping."""
+    cells = ((t, x, y) for t, row in hc.rows.items() for x, y in zip(hc.columns, row))
+    return {(theta, x): y for theta, x, y in cells if y is not _MISSING}
+
+
+def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingSpec]:
+    """The inductive relation and its goal/seeking pair, as the axiom audit builds them.
+
+    Dataset atoms form the base carrier, the goal assigns each (data,
+    parameter) its selection objective, and seeking holds exactly the
+    selections the algorithm makes.
+    """
+    _, _, inductive, gs = _goal_seeking(
+        system.theta_set,
+        sample_datasets,
+        lambda d: run_algorithm(d, system),
+        lambda d: selection_values(d, system),
+    )
+    return inductive, gs
+
+
+def latent_path_prediction(ts, theta, x):
+    """Predict through the latent maps: input map, latent hypothesis, output map."""
+    lat = ts.latent
+    latent_y = lat.latent_system.hypotheses.output(theta, lat.input_map[x])
+    return lat.output_map[latent_y]

@@ -94,7 +94,8 @@ GOLDEN = Path(__file__).parent / "golden" / "transferability.json"
 
 
 def every_mode(role, epsilon_star, mode):
-    # Member m2 has no data to train as a source, which bound mode needs.
+    # Role target keeps the distance mode the golden was recorded with: bound
+    # mode skips member m2, which has no data to train as a source (next test).
     return transferability(
         PACK, UNIVERSE, role, EvaluationContext(PACK.truth, epsilon_star),
         mode=mode, seeds=3, root_seed=11, size_bound=3,
@@ -109,6 +110,12 @@ def test_every_mode_and_role_reports_its_golden():
         for mode in (*MODES, "all")
     }
     assert json_text(reports) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_bound_mode_skips_a_source_it_cannot_train():
+    report = behavioral_transferability(PACK, UNIVERSE, "target", 10.0, "bound")
+    assert report.skipped == (2, 3, 4)  # m2 has no data; m3 and m4 are heterogeneous
+    assert report.members == (0, 1) and set(report.values) == {0, 1}
 
 
 @pytest.mark.parametrize("role, epsilon_star", CASES)

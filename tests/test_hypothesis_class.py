@@ -4,7 +4,7 @@ On random tables (|X| <= 4, |Y| <= 3) that may be non-total, hold outputs
 outside Y (one of them unhashable) and list their inputs in an order other
 than the system's X, a class built from rows, one built from the
 equivalent (θ, x) mapping and ``helpers.DictHypothesisClass`` must give
-the same ``table``, ``output``, ``output_vector`` and codes, and raise the
+the same cells, outputs (one at a time and over X) and codes, and raise the
 same errors.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DictHypothesisClass
+from helpers import DictHypothesisClass, hypothesis_table
 from transferlab.errors import ValidationError
 from transferlab.learning import HypothesisClass, LearningSystem
 from transferlab.relations import FiniteSet
@@ -41,11 +41,13 @@ def outcome(fn):
 def behaviour(hc, x_set, y_set):
     probe_thetas = THETAS + (EXTRA_THETA,)
     probe_xs = XS + (EXTRA_X,)
+    table = hc.table if isinstance(hc, DictHypothesisClass) else hypothesis_table(hc)
     return {
-        "table": sorted(map(repr, hc.table.items())),
+        "table": sorted(map(repr, table.items())),
         "output": [outcome(lambda: hc.output(t, x)) for t in probe_thetas for x in probe_xs],
-        "output_vector": [
-            outcome(lambda: hc.output_vector(t, x_set.elements)) for t in probe_thetas
+        "outputs over X": [
+            outcome(lambda: tuple(hc.output(t, x) for x in x_set.elements))
+            for t in probe_thetas
         ],
         "encode": outcome(lambda: hc.encode(x_set, y_set)),
     }

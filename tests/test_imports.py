@@ -1,5 +1,6 @@
-"""Every module under ``src/transferlab`` uses each name it imports, and
-every private top-level name is used somewhere in the package.
+"""Every module under ``src/transferlab`` uses each name it imports, every
+private top-level name is used somewhere in the package, and every public
+name is used there or exported from it.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -39,33 +40,104 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_names(sources: list[str]) -> list[str]:
-    """Top-level ``_name`` definitions that no module of ``sources`` refers to."""
+def references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names ``tree`` reads; an imported name counts as read."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names, attributes
+
+
+def top_level_names(tree: ast.Module) -> list[str]:
+    """Functions, classes and assigned names defined at the top of ``tree``."""
     defined: list[str] = []
-    used: set[str] = set()
-    for source in sources:
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [t.id for t in targets if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return [name for name in defined if name.startswith("_") and name not in used]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    return defined
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` definitions, dunders aside, that no module of ``sources`` reads."""
+    trees = [ast.parse(source) for source in sources]
+    used = set().union(*(names | attributes for names, attributes in map(references, trees)))
+    return [
+        name
+        for tree in trees
+        for name in top_level_names(tree)
+        if name.startswith("_") and not name.endswith("__") and name not in used
+    ]
 
 
 def test_the_scan_sees_a_dead_private_name():
-    sources = ["_A = 1\n_b: int = 2\ndef _c(): return _A\nclass _D: pass\n", "from m import _b\n"]
-    assert dead_private_names(sources) == ["_c", "_D"]
+    sources = [
+        "_A = 1\n_b: int = 2\ndef _c(): return _A\nclass _D: pass\n_E = 3\n__all__ = []\n",
+        "from m import _b\n",
+    ]
+    assert dead_private_names(sources) == ["_c", "_D", "_E"]
 
 
 def test_every_private_name_is_used():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert dead_private_names(sources) == []
+
+
+def unreachable_public_names(sources: list[str], exported: set[str]) -> list[str]:
+    """Public top-level names and methods that nothing in ``sources`` reads or ``exported`` lists.
+
+    A top-level name is read as a bare name, a module attribute or an
+    import; a method or property only as an attribute, since nothing else
+    reaches it.  Dunder methods are called by the language and count as read.
+    """
+    trees = [ast.parse(source) for source in sources]
+    reads = list(map(references, trees))
+    names = set().union(*(n for n, _ in reads))
+    attributes = set().union(*(a for _, a in reads))
+    unreachable: list[str] = []
+    for tree in trees:
+        unreachable += [
+            name
+            for name in top_level_names(tree)
+            if not name.startswith("_") and name not in names | attributes | exported
+        ]
+        unreachable += [
+            f"{cls.name}.{method.name}"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not method.name.startswith("_")
+            and method.name not in attributes
+        ]
+    return unreachable
+
+
+def test_the_scan_sees_an_unreachable_public_name():
+    sources = [
+        "A = 1\nB = 2\ndef f(): return A\ndef g(): pass\n"
+        "class C:\n    def m(self): pass\n    def n(self): pass\n"
+        "    def __len__(self): return 0\n",
+        "from a import f\ndef h(c, m): return c.n(m)\n",
+    ]
+    assert unreachable_public_names(sources, exported={"C", "h"}) == ["B", "g", "C.m"]
+
+
+def test_every_public_name_is_reachable():
+    """Every public name in ``src/transferlab`` is read there or exported from the package."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unreachable_public_names(sources, set(exported)) == []

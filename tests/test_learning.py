@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_dataset, random_learning_system, selection_objective
+from helpers import (
+    as_goal_seeking,
+    hypothesis_table,
+    random_dataset,
+    random_learning_system,
+    selection_objective,
+)
 from transferlab.errors import EmptyDataset, UnknownElement, ValidationError
 from transferlab.learning import (
     AlgorithmSpec,
@@ -12,7 +18,6 @@ from transferlab.learning import (
     HypothesisClass,
     LearningSystem,
     LossSpec,
-    as_goal_seeking,
     empirical_risk,
     evaluate,
     full_function_class,
@@ -118,7 +123,7 @@ class TestEncoding:
     )
     def test_first_defect_in_canonical_order_raises(self, entry, error):
         base = two_theta_system()
-        table = dict(base.hypotheses.table)
+        table = hypothesis_table(base.hypotheses)
         theta, x, y = entry
         if y is None:
             del table[(theta, x)]
@@ -144,7 +149,7 @@ class TestEvaluate:
             for t in sys.theta_set.elements
             for x in sys.x_set.elements
         }
-        assert seen == dict(sys.hypotheses.table)
+        assert seen == hypothesis_table(sys.hypotheses)
 
 
 class TestGeneralizationError:
@@ -161,7 +166,7 @@ class TestGeneralizationError:
         truth = {"a": 0, "b": 0, "c": 0, "d": 0}
         theta = next(
             t for t in hc.theta_set.elements
-            if hc.output_vector(t, x.elements) == (0, 0, 0, 1)
+            if tuple(hc.output(t, el) for el in x.elements) == (0, 0, 0, 1)
         )
         assert generalization_error(sys, theta, EvaluationContext(truth)) == 0.25
 
@@ -271,7 +276,7 @@ class TestAlgorithmProperties:
             permuted = LearningSystem(
                 sys.x_set,
                 sys.y_set,
-                HypothesisClass(FiniteSet("T", tuple(perm)), dict(sys.hypotheses.table)),
+                HypothesisClass(FiniteSet("T", tuple(perm)), hypothesis_table(sys.hypotheses)),
                 sys.loss,
                 sys.algorithm,
             )

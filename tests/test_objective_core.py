@@ -9,14 +9,13 @@ be the oracle's first minimizer, and both must raise the same errors.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scalar_argmin, selection_objective, transfer_objective
+from helpers import as_goal_seeking, scalar_argmin, selection_objective, transfer_objective
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
     HypothesisClass,
     LearningSystem,
     LossSpec,
-    as_goal_seeking,
     run_algorithm,
     selection_values,
 )

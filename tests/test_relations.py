@@ -91,6 +91,19 @@ class TestInputOutput:
         with pytest.raises(NotAPartition):
             as_input_output(s, [0, 5])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda comps: FiniteSystem(comps, (("a", 0),), ((0, 0), (1,))),
+            lambda comps: FiniteSystem(comps, (("a", 0),), ((0,), (1, 1))),
+            lambda comps: as_input_output(make_system(comps, [("a", 0)]), [0, 0]),
+        ],
+        ids=["inputs", "outputs", "as_input_output"],
+    )
+    def test_a_repeated_index_is_refused_on_either_side(self, build):
+        with pytest.raises(NotAPartition, match="duplicate indices"):
+            build((FiniteSet("A", ("a",)), FiniteSet("B", (0,))))
+
 
 class TestFunctionType:
     def test_function(self):

@@ -23,6 +23,7 @@ from transferlab.relations import (
     identity_morphism,
 )
 from transferlab.structural import (
+    CARRIER_CAP,
     feature_runner,
     homomorphic_structures,
     structural_transferability,
@@ -205,6 +206,10 @@ class TestHomomorphicStructures:
         s = io_system([("a", 0)])
         with pytest.raises(CapExceeded):
             homomorphic_structures(s, s, size_bound=5)
+        wide = io_system([(i, 0) for i in range(CARRIER_CAP + 1)])
+        message = f"target carriers exceed the search cap {CARRIER_CAP}"
+        with pytest.raises(CapExceeded, match=message):
+            homomorphic_structures(s, wide, size_bound=2)
 
 
 class TestValidAndUseful:
@@ -240,8 +245,7 @@ class TestValidAndUseful:
         done = useful_structures(
             report, feature_runner(src, tgt), EvaluationContext(tgt.truth, math.inf)
         )
-        assert set(done.useful_indices) == set(done.valid_indices)
-        assert set(done.useful_indices) <= set(done.valid_indices)
+        assert {u.candidate_index for u in done.useful} == set(done.valid_indices)
         assert {u.candidate_index for u in done.useful} <= {
             i for i in range(len(done.candidates))
         }
@@ -263,14 +267,15 @@ class TestValidAndUseful:
             for v in report.valid
             if len(report.candidates[v.candidate_index].x_set) == 1
         ]
-        assert all(i not in done.useful_indices for i in collapsed)
+        useful = {u.candidate_index for u in done.useful}
+        assert all(i not in useful for i in collapsed)
         # the faithful structure is kept
         faithful = [
             v.candidate_index
             for v in report.valid
             if len(report.candidates[v.candidate_index].x_set) > 1
         ]
-        assert any(i in done.useful_indices for i in faithful)
+        assert any(i in useful for i in faithful)
 
     def test_errors_sorted_ascending(self):
         truths = {"a": 0, "b": 1, "c": 0}

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import binary_pack, random_dataset, random_learning_system
+from helpers import binary_pack, latent_path_prediction, random_dataset, random_learning_system
 from transferlab.errors import (
     IncompatibleSupport,
     MissingMeasure,
@@ -32,8 +32,6 @@ from transferlab.transfer import (
     TransferSystem,
     classify_approach,
     classify_setting,
-    latent_case,
-    latent_path_prediction,
     n_shot,
     pool_data,
     run_transfer,
@@ -364,19 +362,25 @@ class TestFeatureRepresentation:
             assert ts.predict(theta, x) == latent_path_prediction(ts, theta, x)
 
     def test_latent_cases(self, spaces):
+        """An identity pair map puts the latent space on that side's sample space."""
         x, y = spaces
         source, target, spec = self.build_relabeled(spaces)
         d_s = Dataset((("x0", 0),), "src")
+
+        def case(ts):
+            """Target and source pair maps are identities; latent space is target's, source's."""
+            maps = (ts.latent.pair_map_target, ts.latent.pair_map_source)
+            latent = ts.latent.latent_system
+            identities = tuple(all(k == v for k, v in m.items()) for m in maps)
+            return identities + (latent.same_space(ts.target), latent.same_space(ts.source))
 
         # source map is the identity: latent space is the source space
         ts = TransferSystem(
             source, target, Knowledge(instances=d_s),
             "feature_representation", latent=spec,
         )
-        case = latent_case(ts)
-        assert case.source_map_identity and not case.target_map_identity
-        assert case.latent_equals_source_space
-        assert not case.implies_homogeneous
+        assert case(ts) == (False, True, False, True)
+        assert not ts.source.same_space(ts.target)
 
         # both identities: homogeneous, latent space equals both
         identity_pairs = {(a, b): (a, b) for a in x.elements for b in y.elements}
@@ -390,9 +394,8 @@ class TestFeatureRepresentation:
                 {a: a for a in x.elements}, {b: b for b in y.elements},
             ),
         )
-        case = latent_case(hom)
-        assert case.implies_homogeneous
-        assert case.latent_equals_source_space and case.latent_equals_target_space
+        assert case(hom) == (True, True, True, True)
+        assert hom.source.same_space(hom.target)
 
         # target map is the identity: latent space is the target space
         rev = TransferSystem(
@@ -414,8 +417,7 @@ class TestFeatureRepresentation:
                 {b: b for b in y.elements},
             ),
         )
-        case = latent_case(rev)
-        assert case.target_map_identity and case.latent_equals_target_space
+        assert case(rev) == (True, True, True, True)
 
     def test_feature_requires_latent(self, systems, source_data):
         with pytest.raises(ValidationError):
