@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import HeterogeneousSetting, SupportMismatch, TransferLabError, ValidationError
+from .errors import HeterogeneousSetting, SupportMismatch, ValidationError
 from .learning import (
     Dataset,
     EvaluationContext,
@@ -22,8 +22,8 @@ from .learning import (
     NeighborhoodReport,
     SystemPack,
     generalization_error,
-    pairings,
     run_algorithm,
+    scan,
 )
 from .measures import (
     ConditionalMeasure,
@@ -211,6 +211,11 @@ def bound_check(
 
 # -- behavioral transferability ---------------------------------------------------------
 
+def _check_behavioral_mode(mode: str) -> None:
+    if mode not in ("distance", "bound"):
+        raise ValidationError(f"mode must be distance or bound, got {mode!r}")
+
+
 def behavioral_transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
@@ -218,52 +223,32 @@ def behavioral_transferability(
     threshold: float,
     mode: str = "distance",
     kind: str = "tv",
-    on: str = "x",
-    eta: float = DEFAULT_ETA,
 ) -> NeighborhoodReport:
     """Count universe members within a behavioral threshold of the pack.
 
     ``distance`` mode admits a member when the transfer distance between
-    the declared measures is strictly below the threshold; ``bound``
-    mode admits it when source error + distance + complexity is strictly
-    below it.  The scan returns a ``behavioral``
+    the declared input marginals is strictly below the threshold;
+    ``bound`` mode admits it when source error + distance + complexity
+    is strictly below it.  The scan returns a ``behavioral``
     :class:`~transferlab.learning.NeighborhoodReport` whose criterion
-    records the threshold, mode and divergence kind.  Heterogeneous
-    pairings are skipped and listed in ``skipped``, and so, in ``bound``
-    mode, is a pairing whose source cannot be trained or scored (a
-    :class:`~transferlab.errors.TransferLabError`, such as a source with
-    no data), as empirical transferability skips one.
+    records the threshold, mode and divergence kind.  Members are
+    skipped by the one rule of :func:`~transferlab.learning.scan`: a
+    heterogeneous pairing, a member that declares no measures and, in
+    ``bound`` mode, a source that cannot be trained or scored.
     """
-    pairs = pairings(pack, universe, role)
-    if mode not in ("distance", "bound"):
-        raise ValidationError(f"mode must be distance or bound, got {mode!r}")
+    _check_behavioral_mode(mode)
 
-    members: list[int] = []
-    values: dict[int, float] = {}
-    skipped: list[int] = []
-    for idx, src, tgt in pairs:
+    def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
         if not src.system.same_space(tgt.system):
-            skipped.append(idx)
-            continue
-        delta = transfer_distance(src, tgt, on=on, kind=kind)
+            raise HeterogeneousSetting("behavioral distances need equal sample spaces")
+        delta = transfer_distance(src, tgt, kind=kind)
         if mode == "distance":
-            value = delta
-        else:
-            try:
-                theta_s = run_algorithm(src.dataset, src.system)
-                eps_s = generalization_error(
-                    src.system, theta_s, src.context(), weight=src.marginal
-                )
-                n = len(src.dataset) + len(tgt.dataset)
-                complexity = finite_class_complexity(len(tgt.system.theta_set), n, eta)
-            except TransferLabError:
-                skipped.append(idx)
-                continue
-            value = eps_s + delta + complexity
-        values[idx] = value
-        if value < threshold:
-            members.append(idx)
-    return NeighborhoodReport(
-        role, "behavioral", tuple(members), len(members),
-        {"threshold": threshold, "mode": mode, "kind": kind}, values, tuple(skipped),
-    )
+            return delta, delta < threshold
+        theta_s = run_algorithm(src.dataset, src.system)
+        eps_s = generalization_error(src.system, theta_s, src.context(), weight=src.marginal)
+        n = len(src.dataset) + len(tgt.dataset)
+        value = eps_s + delta + finite_class_complexity(len(tgt.system.theta_set), n)
+        return value, value < threshold
+
+    criterion = {"threshold": threshold, "mode": mode, "kind": kind}
+    return scan(pack, universe, role, "behavioral", criterion, judge)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .behavioral import bound_check, transfer_distance
@@ -244,15 +245,27 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
     return doc
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as seeding a generator needs."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"the seed must be non-negative, not {seed}")
-    return seed
+def _flag_type(kind: type, accepts: Callable[[Any], bool], refusal: str):
+    """An argparse type reading ``kind(text)`` and refusing values ``accepts`` rejects."""
+
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{refusal}, not {value}")
+        return value
+
+    return read
+
+
+#: A ``--seed`` value: a non-negative integer, as seeding a generator needs.
+_seed = _flag_type(int, lambda seed: seed >= 0, "the seed must be non-negative")
+#: A ``--tolerance`` value: a finite number, as comparing measures needs, and never negative.
+_tolerance = _flag_type(
+    float, lambda tol: 0 <= tol < math.inf, "the tolerance must be a non-negative finite number"
+)
 
 
 @functools.cache
@@ -271,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_seed, help="root seed (default: 0, or the scenario's own)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument(
-        "--tolerance", type=float, default=1e-9, help="measure-equality tolerance"
+        "--tolerance", type=_tolerance, default=1e-9, help="measure-equality tolerance"
     )
 
     sub.add_parser("validate", parents=[common], help="parse, resolve and check a document")

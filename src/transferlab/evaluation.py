@@ -15,13 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .behavioral import behavioral_transferability
-from .errors import (
-    CapExceeded,
-    MissingMeasure,
-    TransferLabError,
-    ValidationError,
-)
+from .behavioral import _check_behavioral_mode, behavioral_transferability
+from .errors import CapExceeded, MissingMeasure, ValidationError
 from .learning import (
     Dataset,
     EvaluationContext,
@@ -29,12 +24,12 @@ from .learning import (
     NeighborhoodReport,
     SystemPack,
     generalization_error,
-    pairings,
     run_algorithm,
+    scan,
 )
 from .measures import total_variation
 from .scenarios import resample_pack
-from .structural import structural_transferability
+from .structural import _check_size_bound, structural_transferability
 from .transfer import (
     FeatureRepSpec,
     Knowledge,
@@ -48,6 +43,12 @@ from .transfer import (
 #: The most seeds one comparison runs; a few milliseconds each at the hypothesis cap.
 SEED_CAP = 1000
 
+#: Total-variation radius within which ``behavior-signature`` equivalence merges two packs.
+SIGNATURE_TAU = 1e-6
+
+#: The three readings of transferability, in the order mode ``all`` reports them.
+_NOTIONS = ("empirical", "structural", "behavioral")
+
 
 def _source_knowledge(source: LearningSystem, data: Dataset, approach: str) -> Knowledge:
     """What ``approach`` takes from the source data; parameters train the source."""
@@ -59,8 +60,6 @@ def build_transfer_system(
     source: SystemPack,
     target: SystemPack,
     approach: str = "instance",
-    penalty_weight: float = 0.1,
-    pool_weight: float = 1.0,
     latent: FeatureRepSpec | None = None,
 ) -> TransferSystem:
     """Assemble a transfer system from two packs, training the source once."""
@@ -70,8 +69,6 @@ def build_transfer_system(
         _source_knowledge(source.system, source.dataset, approach),
         approach,
         latent=latent,
-        penalty_weight=penalty_weight,
-        pool_weight=pool_weight,
     )
 
 
@@ -103,11 +100,17 @@ def _split_holdout(data: Dataset, rng: np.random.Generator) -> tuple[Dataset, Da
     return Dataset(train, data.source_tag), Dataset(held, "holdout")
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds > SEED_CAP:
+        raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
+    if seeds < 1:
+        raise ValidationError("at least one seed is required")
+
+
 def detect_negative_transfer(
     source: SystemPack,
     target: SystemPack,
     ts: TransferSystem,
-    ctx: EvaluationContext | None = None,
     seeds: int = 1,
     root_key: tuple[int, ...] = (0,),
     resample: bool = True,
@@ -118,19 +121,15 @@ def detect_negative_transfer(
     their declared measures (``resample=False`` reuses the packs' own
     data in a single run).  Both pipelines are evaluated against the
     same reference: the target truth table under the target marginal
-    when one is declared (or supplied via ``ctx``), otherwise a seeded
-    50% hold-out split of the target data.  More than :data:`SEED_CAP`
-    seeds raise :class:`CapExceeded`.
+    when one is declared, otherwise a seeded 50% hold-out split of the
+    target data.  More than :data:`SEED_CAP` seeds raise
+    :class:`CapExceeded`.
     """
-    if seeds > SEED_CAP:
-        raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
-    if seeds < 1:
-        raise ValidationError("at least one seed is required")
+    _check_seeds(seeds)
     if not resample:
         seeds = 1
 
-    truth = ctx.truth if ctx is not None else target.truth
-    reference = None if truth is None else EvaluationContext(truth)
+    reference = None if target.truth is None else EvaluationContext(target.truth)
     error_mode = "holdout" if reference is None else reference.mode
     weight = target.marginal if error_mode == "truth-table" else None
 
@@ -173,30 +172,33 @@ def detect_negative_transfer(
 # -- transferability neighborhoods ---------------------------------------------------
 
 def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
-    """Greedy clustering of packs whose declared measures are tau-close."""
+    """Each pack's class, named by its representative: greedy over tau-close declared measures.
+
+    A pack that declares no measures is a class of its own and never a
+    representative.
+    """
     reps: list[int] = []
     labels: list[int] = []
     for i, pack in enumerate(packs):
-        marginal, posterior = pack.measures()
-        assigned = None
-        for cluster, rep_idx in enumerate(reps):
+        if pack.marginal is None or pack.posterior is None:
+            labels.append(i)
+            continue
+        for rep_idx in reps:
             rep = packs[rep_idx]
-            if not rep.marginal.support.same_elements(marginal.support):
+            if not rep.marginal.support.same_elements(pack.marginal.support):
                 continue
-            if total_variation(rep.marginal, marginal) > tau:
+            if total_variation(rep.marginal, pack.marginal) > tau:
                 continue
             row_gap = max(
-                total_variation(rep.posterior.row(x), posterior.row(x))
+                total_variation(rep.posterior.row(x), pack.posterior.row(x))
                 for x in rep.posterior.given.elements
             )
-            if row_gap > tau:
-                continue
-            assigned = cluster
-            break
-        if assigned is None:
+            if row_gap <= tau:
+                labels.append(rep_idx)
+                break
+        else:
             reps.append(i)
-            assigned = len(reps) - 1
-        labels.append(assigned)
+            labels.append(i)
     return labels
 
 
@@ -211,13 +213,9 @@ def transferability(
     root_seed: int = 0,
     epsilon_star: float | str | None = None,
     equivalence_mode: str = "raw",
-    tau: float = 1e-6,
-    distance_kind: str = "tv",
     behavioral_mode: str = "bound",
     size_bound: int = 3,
-    penalty_weight: float = 0.1,
-    pool_weight: float = 1.0,
-):
+) -> NeighborhoodReport | dict[str, NeighborhoodReport]:
     """Count universe members to or from which transfer generalizes.
 
     ``empirical`` mode actually runs every pairwise transfer
@@ -228,86 +226,57 @@ def transferability(
     into the positive-transfer set.  ``structural`` and ``behavioral``
     modes return the report of the corresponding scan, run against the
     same numeric threshold, and ``all`` returns the three reports side
-    by side.
+    by side.  Every argument is checked, whichever mode reads it, before
+    any member is judged; members are then skipped by the one rule of
+    :func:`~transferlab.learning.scan`.
     """
-    pairs = pairings(pack, universe, role)
+    threshold = ctx.epsilon_star if epsilon_star is None else epsilon_star
+    if mode not in (*_NOTIONS, "all"):
+        raise ValidationError(f"unknown transferability mode {mode!r}")
+    if isinstance(threshold, str) and (mode != "empirical" or threshold != "target-alone"):
+        raise ValidationError(f"{mode} mode cannot take the threshold {threshold!r}")
+    if equivalence_mode not in ("raw", "behavior-signature"):
+        raise ValidationError(f"unknown equivalence mode {equivalence_mode!r}")
+    _check_seeds(seeds)
+    _check_size_bound(size_bound)
+    _check_behavioral_mode(behavioral_mode)
+    _consumed(approach)  # refuses an unknown approach
+
     if mode == "all":
         return {
             m: transferability(
                 pack, universe, role, ctx, m, approach, seeds, root_seed,
-                epsilon_star, equivalence_mode, tau, distance_kind,
-                behavioral_mode, size_bound, penalty_weight, pool_weight,
+                epsilon_star, equivalence_mode, behavioral_mode, size_bound,
             )
-            for m in ("empirical", "structural", "behavioral")
+            for m in _NOTIONS
         }
-
-    threshold = ctx.epsilon_star if epsilon_star is None else epsilon_star
-    if mode in ("structural", "behavioral") and isinstance(threshold, str):
-        raise ValidationError(f"{mode} mode needs a numeric threshold")
-
     if mode == "structural":
         structural_ctx = replace(ctx, epsilon_star=float(threshold))
         return structural_transferability(pack, universe, role, structural_ctx, size_bound)
     if mode == "behavioral":
-        return behavioral_transferability(
-            pack, universe, role, threshold, behavioral_mode, distance_kind
-        )
-    if mode != "empirical":
-        raise ValidationError(f"unknown transferability mode {mode!r}")
-    if seeds > SEED_CAP:
-        raise CapExceeded(f"{seeds} seeds exceed the cap of {SEED_CAP}")
-    if seeds < 1:
-        raise ValidationError("at least one seed is required")
+        return behavioral_transferability(pack, universe, role, threshold, behavioral_mode)
 
-    members: list[int] = []
-    values: dict[int, float] = {}
-    skipped: list[int] = []
-    for idx, src, tgt in pairs:
-        try:
-            ts = build_transfer_system(
-                src, tgt, approach, penalty_weight, pool_weight
-            )
-            outcome = detect_negative_transfer(
-                src, tgt, ts,
-                ctx=None,
-                seeds=seeds,
-                root_key=(root_seed, idx),
-            )
-        except TransferLabError:
-            skipped.append(idx)
-            continue
-        values[idx] = outcome.epsilon_with
+    def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
+        ts = build_transfer_system(src, tgt, approach)
+        outcome = detect_negative_transfer(src, tgt, ts, seeds=seeds, root_key=(root_seed, idx))
         if threshold == "target-alone":
-            qualifies = not outcome.negative
-        else:
-            qualifies = outcome.epsilon_with <= threshold
-        if qualifies:
-            members.append(idx)
+            return outcome.epsilon_with, not outcome.negative
+        return outcome.epsilon_with, outcome.epsilon_with <= threshold
 
-    if equivalence_mode == "behavior-signature":
-        labels = _signature_clusters(list(universe), tau)
-        cardinality = len({labels[i] for i in members})
-    elif equivalence_mode == "raw":
-        cardinality = len(members)
-    else:
-        raise ValidationError(f"unknown equivalence mode {equivalence_mode!r}")
-
-    return NeighborhoodReport(
-        role,
-        mode,
-        tuple(members),
-        cardinality,
-        {
-            "epsilon_star": threshold,
-            "approach": approach,
-            "seeds": seeds,
-            "root_seed": root_seed,
-            "tau": tau if equivalence_mode == "behavior-signature" else None,
-        },
-        values,
-        tuple(skipped),
-        equivalence_mode,
-    )
+    signature = equivalence_mode == "behavior-signature"
+    criterion = {
+        "epsilon_star": threshold,
+        "approach": approach,
+        "seeds": seeds,
+        "root_seed": root_seed,
+        "tau": SIGNATURE_TAU if signature else None,
+    }
+    report = scan(pack, universe, role, mode, criterion, judge)
+    if signature:
+        labels = _signature_clusters(universe, SIGNATURE_TAU)
+        cardinality = len({labels[i] for i in report.members})
+        report = replace(report, cardinality=cardinality, equivalence_mode=equivalence_mode)
+    return report
 
 
 # -- generalists -----------------------------------------------------------------------
@@ -328,37 +297,36 @@ def is_generalist(
     t: int,
     ctx: EvaluationContext,
     approach: str = "instance",
-    penalty_weight: float = 0.1,
-    pool_weight: float = 1.0,
 ) -> GeneralistReport:
     """Does the pack transfer to at least ``t`` targets within ``n`` shots?
 
     Each member's own dataset is truncated to its first ``n`` pairs (the
     nesting makes shot budgets monotone), the transfer runs once,
     deterministically, and the member qualifies when the measured target
-    error is strictly below the context threshold.
+    error is strictly below the context threshold.  A member without a
+    truth table is refused before the scan; the scan skips members by the
+    one rule of :func:`~transferlab.learning.scan`, and the report, which
+    has no field for them, leaves them out.
     """
     if n < 0 or t < 0:
         raise ValidationError("shot budget and required count must be non-negative")
-    qualifying: list[int] = []
-    evidence: dict[int, float] = {}
+    _consumed(approach)  # refuses an unknown approach
     for idx, member in enumerate(universe):
         if member.truth is None:
             raise MissingMeasure(f"universe member {idx} declares no truth table")
-        try:
-            ts = build_transfer_system(pack, member, approach, penalty_weight, pool_weight)
-            shots = Dataset(member.dataset.pairs[:n], f"{member.dataset.source_tag}[:{n}]")
-            theta_tr, _ = run_transfer(ts, shots)
-        except TransferLabError:
-            continue
+
+    def judge(idx: int, src: SystemPack, member: SystemPack) -> tuple[float, bool]:
+        ts = build_transfer_system(src, member, approach)
+        shots = Dataset(member.dataset.pairs[:n], f"{member.dataset.source_tag}[:{n}]")
+        theta_tr, _ = run_transfer(ts, shots)
         error = transfer_error(ts, theta_tr, EvaluationContext(member.truth), member.marginal)
-        evidence[idx] = error
-        if error < ctx.epsilon_star:
-            qualifying.append(idx)
+        return error, error < ctx.epsilon_star
+
+    scanned = scan(pack, universe, "source", "generalist", {}, judge)
     return GeneralistReport(
-        is_generalist=len(qualifying) >= t,
-        qualifying=tuple(qualifying),
+        is_generalist=scanned.cardinality >= t,
+        qualifying=scanned.members,
         required=t,
         shot_budget=n,
-        evidence=evidence,
+        evidence=scanned.values,
     )

@@ -32,6 +32,7 @@ from .errors import (
     EmptyDataset,
     MissingMeasure,
     SupportMismatch,
+    TransferLabError,
     UnknownElement,
     ValidationError,
 )
@@ -311,18 +312,6 @@ class SystemPack:
         return self.marginal, self.posterior
 
 
-def pairings(
-    pack: SystemPack, universe: Sequence[SystemPack], role: str
-) -> list[tuple[int, SystemPack, SystemPack]]:
-    """Each member's index with its (source, target) pair, ``pack`` playing ``role``."""
-    if role not in ("source", "target"):
-        raise ValidationError(f"role must be source or target, got {role!r}")
-    return [
-        (idx, *((pack, member) if role == "source" else (member, pack)))
-        for idx, member in enumerate(universe)
-    ]
-
-
 @dataclass(frozen=True)
 class NeighborhoodReport:
     """Members of a finite universe within reach of a system.
@@ -340,6 +329,45 @@ class NeighborhoodReport:
     values: Mapping[int, float]
     skipped: tuple[int, ...]
     equivalence_mode: str = "raw"
+
+
+def scan(
+    pack: SystemPack,
+    universe: Sequence[SystemPack],
+    role: str,
+    mode: str,
+    criterion: Mapping[str, object],
+    judge: Callable[[int, SystemPack, SystemPack], tuple[float, bool] | None],
+) -> NeighborhoodReport:
+    """Judge the pack against each universe member; the one skip rule of every scan.
+
+    ``pack`` plays ``role`` (``source`` or ``target``) and each member
+    the other side; ``judge(index, source, target)`` returns the
+    member's value and admission, or ``None`` for no value.  A member
+    whose judging raises :class:`~transferlab.errors.TransferLabError`
+    is skipped, so every argument the judge depends on must be checked
+    before the scan.  Members, values and skipped members are listed in
+    universe order.
+    """
+    if role not in ("source", "target"):
+        raise ValidationError(f"role must be source or target, got {role!r}")
+    members: list[int] = []
+    values: dict[int, float] = {}
+    skipped: list[int] = []
+    for idx, member in enumerate(universe):
+        source, target = (pack, member) if role == "source" else (member, pack)
+        try:
+            verdict = judge(idx, source, target)
+        except TransferLabError:
+            skipped.append(idx)
+            continue
+        if verdict is not None:
+            values[idx], admitted = verdict
+            if admitted:
+                members.append(idx)
+    return NeighborhoodReport(
+        role, mode, tuple(members), len(members), criterion, values, tuple(skipped)
+    )
 
 
 # -- core operations -----------------------------------------------------------

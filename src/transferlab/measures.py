@@ -41,8 +41,8 @@ class EmpiricalMeasure:
             raise ValidationError(
                 f"{len(probs)} probabilities for {len(self.support)} support elements"
             )
-        if any(p < 0 for p in probs):
-            raise ValidationError("probabilities must be non-negative")
+        if not all(p >= 0 for p in probs):  # NaN fails the test too
+            raise ValidationError("probabilities must be non-negative numbers")
         total = math.fsum(probs)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")

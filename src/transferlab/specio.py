@@ -441,10 +441,15 @@ def _write_scenario(doc: SpecDocument) -> dict:
     return block
 
 
+def _not_json(constant: str):
+    """``json.loads``'s ``parse_constant``: ``NaN`` and ``Infinity`` are not JSON."""
+    raise ParseError(f"invalid JSON: {constant} is not a JSON value")
+
+
 def parse_document(text: str, strict: bool = False) -> SpecDocument:
     """Parse and resolve a document from JSON text."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_not_json)
     except (ValueError, RecursionError) as exc:  # also a too long integer, or too deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -34,7 +34,7 @@ from .learning import (
     NeighborhoodReport,
     SystemPack,
     full_function_class,
-    pairings,
+    scan,
 )
 from .relations import (
     Atom,
@@ -258,6 +258,13 @@ def _structure_system(key) -> tuple[FiniteSet, FiniteSet, FiniteSystem]:
     return x_set, y_set, system
 
 
+def _check_size_bound(size_bound: int) -> None:
+    if size_bound > 4:
+        raise CapExceeded("exhaustive structure search is capped at 4-element carriers")
+    if size_bound < 1:
+        raise ValidationError("size_bound must be at least 1")
+
+
 def homomorphic_structures(
     source: FiniteSystem,
     target: FiniteSystem,
@@ -270,10 +277,7 @@ def homomorphic_structures(
     the source and the target both induce it exactly.  Witness morphisms
     (one per side, in canonical labels) are attached to each candidate.
     """
-    if size_bound > 4:
-        raise CapExceeded("exhaustive structure search is capped at 4-element carriers")
-    if size_bound < 1:
-        raise ValidationError("size_bound must be at least 1")
+    _check_size_bound(size_bound)
     for sys_, nm in ((source, "source"), (target, "target")):
         if len(sys_.x_values()) > CARRIER_CAP or len(sys_.y_values()) > CARRIER_CAP:
             raise CapExceeded(f"{nm} carriers exceed the search cap {CARRIER_CAP}")
@@ -433,20 +437,16 @@ def structural_transferability(
     qualifies when the search over shared structures leaves at least one
     that generalizes under the context threshold.  The scan returns a
     ``structural`` :class:`~transferlab.learning.NeighborhoodReport`
-    whose values are each member's best measured error; it skips none.
+    whose values are each member's best measured error; members are
+    skipped by the one rule of :func:`~transferlab.learning.scan`.
     """
-    members = []
-    best: dict[int, float] = {}
-    for idx, src, tgt in pairings(pack, universe, role):
-        report = homomorphic_structures(
-            truth_graph(src), truth_graph(tgt), size_bound
-        )
+    _check_size_bound(size_bound)
+
+    def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool] | None:
+        report = homomorphic_structures(truth_graph(src), truth_graph(tgt), size_bound)
         report = valid_structures(report, tgt.system.y_set)
         report = useful_structures(report, feature_runner(src, tgt), ctx)
-        if report.useful:
-            members.append(idx)
-            best[idx] = report.useful[0].error
-    return NeighborhoodReport(
-        role, "structural", tuple(members), len(members),
-        {"epsilon_star": ctx.epsilon_star, "size_bound": size_bound}, best, (),
-    )
+        return (report.useful[0].error, True) if report.useful else None
+
+    criterion = {"epsilon_star": ctx.epsilon_star, "size_bound": size_bound}
+    return scan(pack, universe, role, "structural", criterion, judge)

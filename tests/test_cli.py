@@ -572,3 +572,47 @@ def test_string_or_bool_threshold_exits_analysis_error(tmp_path, capsys, kind, c
     assert rc == cli.EXIT_ANALYSIS
     assert capsys.readouterr().err == f"analysis error ({kind}): {message}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_nan_probability_exits_invariant_violation(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    doc["measures"]["source_marginal"]["probs"][0] = "nan"
+    write_json(path, doc)
+    capsys.readouterr()
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "r.json")]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation: measures.source_marginal: probabilities must be non-negative numbers\n"
+    )
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_json_constant_exits_parse_error(tmp_path, capsys, constant):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["generalist"] = {**UNIVERSE, "epsilon_star": "@value@"}
+    path.write_text(json.dumps(doc).replace('"@value@"', constant), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", "generalist", "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: invalid JSON: {constant} is not a JSON value\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "tolerance, message",
+    [
+        ("-1", "the tolerance must be a non-negative finite number, not -1.0"),
+        ("nan", "the tolerance must be a non-negative finite number, not nan"),
+        ("inf", "the tolerance must be a non-negative finite number, not inf"),
+        ("tiny", "invalid float value: 'tiny'"),
+    ],
+)
+def test_tolerance_flag_takes_a_non_negative_finite_number(tmp_path, capsys, tolerance, message):
+    path, _ = emit(tmp_path, SMALL)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["analyze", str(path), "--kind", "classify", "--tolerance", tolerance,
+                  "--out", str(tmp_path / "r.json")])
+    assert exit_info.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().err.endswith(f"error: argument --tolerance: {message}\n")
+    assert not (tmp_path / "r.json").exists()

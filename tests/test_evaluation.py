@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from helpers import binary_pack
 from transferlab import cli
 from transferlab.behavioral import behavioral_transferability
-from transferlab.errors import CapExceeded, ValidationError
+from transferlab.errors import CapExceeded, MissingMeasure, ValidationError
 from transferlab.evaluation import (
     SEED_CAP,
+    SIGNATURE_TAU,
     NeighborhoodReport,
+    _signature_clusters,
     build_transfer_system,
     detect_negative_transfer,
     is_generalist,
@@ -46,6 +48,8 @@ UNIVERSE = (
     ),
 )
 CASES = [("source", 0.5), ("target", 0.3)]
+STRIPPED = dataclasses.replace(UNIVERSE[0], marginal=None, posterior=None)  # declares no measures
+TWIN = dataclasses.replace(UNIVERSE[1], tag="m1-twin")
 
 
 def structural(universe, role, epsilon_star):
@@ -118,6 +122,76 @@ def test_bound_mode_skips_a_source_it_cannot_train():
     assert report.members == (0, 1) and set(report.values) == {0, 1}
 
 
+@pytest.mark.parametrize("behavioral_mode", ["distance", "bound"])
+def test_behavioral_modes_skip_a_member_without_measures(behavioral_mode):
+    report = transferability(
+        PACK, (STRIPPED, *UNIVERSE[1:]), "source", EvaluationContext(TRUTH, 0.5),
+        mode="behavioral", behavioral_mode=behavioral_mode,
+    )
+    assert report.skipped == (0, 3, 4)  # m3 and m4 are heterogeneous
+    assert set(report.values) == {1, 2}
+
+
+def test_structural_mode_skips_a_member_without_a_truth_table():
+    universe = (dataclasses.replace(UNIVERSE[1], truth=None), *UNIVERSE[1:3])
+    report = structural_transferability(PACK, universe, "source", EvaluationContext(TRUTH, 0.5))
+    assert report.skipped == (0,)
+    assert report.members == (1, 2) and set(report.values) == {1, 2}
+
+
+class Unread(list):
+    """A universe that fails the test when a scan starts reading its members."""
+
+    def __iter__(self):
+        raise AssertionError("a member was judged before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "arguments, error, message",
+    [
+        ({"equivalence_mode": "classes"}, ValidationError, "unknown equivalence mode 'classes'"),
+        ({"mode": "structural", "size_bound": 5}, CapExceeded, "capped at 4-element carriers"),
+        ({"size_bound": 5}, CapExceeded, "capped at 4-element carriers"),
+        ({"mode": "all", "epsilon_star": "target-alone"}, ValidationError,
+         "all mode cannot take the threshold 'target-alone'"),
+        ({"epsilon_star": "half"}, ValidationError, "empirical mode cannot take the threshold 'half'"),
+        ({"mode": "all", "behavioral_mode": "sideways"}, ValidationError,
+         "mode must be distance or bound, got 'sideways'"),
+        ({"mode": "all", "seeds": SEED_CAP + 1}, CapExceeded, "seeds exceed the cap"),
+        ({"approach": "osmosis"}, ValidationError, "unknown transfer approach 'osmosis'"),
+    ],
+)
+def test_arguments_are_refused_before_any_member_is_judged(arguments, error, message):
+    with pytest.raises(error, match=message):
+        transferability(PACK, Unread(UNIVERSE), "source", EvaluationContext(TRUTH), **arguments)
+
+
+def test_behavior_signature_counts_identical_packs_as_one_class():
+    raw, signature = (
+        transferability(
+            PACK, (UNIVERSE[1], TWIN), "target", EvaluationContext(TRUTH), seeds=2,
+            equivalence_mode=equivalence_mode,
+        )
+        for equivalence_mode in ("raw", "behavior-signature")
+    )
+    assert signature.members == raw.members == (0, 1)
+    assert (raw.cardinality, signature.cardinality) == (2, 1)
+    assert (raw.criterion["tau"], signature.criterion["tau"]) == (None, SIGNATURE_TAU)
+
+
+def test_behavior_signature_puts_a_member_without_measures_in_a_class_of_its_own():
+    report = transferability(
+        PACK, (STRIPPED, UNIVERSE[1], TWIN), "target", EvaluationContext(TRUTH), seeds=2,
+        equivalence_mode="behavior-signature",
+    )
+    assert report.skipped == (0,)  # resampling it needs the measures it lacks
+    assert report.members == (1, 2) and report.cardinality == 1
+    # Never a representative: neither the twin nor a second copy joins its class.
+    assert _signature_clusters((STRIPPED, UNIVERSE[1], STRIPPED, TWIN), SIGNATURE_TAU) == [
+        0, 1, 2, 1
+    ]
+
+
 @pytest.mark.parametrize("role, epsilon_star", CASES)
 def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
     assert every_mode(role, epsilon_star, "all") == {
@@ -167,6 +241,14 @@ def test_generalist_rerun_is_identical():
         lambda: is_generalist(PACK, UNIVERSE[:3], 2, 1, EvaluationContext(PACK.truth, 0.5))
     )
     assert set(report.evidence) == {0, 1, 2}
+
+
+def test_generalist_leaves_out_skipped_members_and_refuses_one_without_a_truth_table():
+    report = is_generalist(PACK, UNIVERSE, 2, 1, EvaluationContext(TRUTH, 0.5))
+    assert set(report.evidence) == {0, 1, 2}  # m3 and m4 are heterogeneous
+    untruthful = (UNIVERSE[0], dataclasses.replace(UNIVERSE[1], truth=None))
+    with pytest.raises(MissingMeasure, match="universe member 1 declares no truth table"):
+        is_generalist(PACK, untruthful, 2, 1, EvaluationContext(TRUTH, 0.5))
 
 
 def test_seeds_above_the_cap_are_refused():

@@ -1,6 +1,7 @@
 """Every module under ``src/transferlab`` uses each name it imports, every
-private top-level name is used somewhere in the package, and every public
-name is used there or exported from it.
+private top-level name is used somewhere in the package, every public
+name is used there or exported from it, and only three functions catch
+the base error.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -141,3 +142,48 @@ def test_every_public_name_is_reachable():
     ]
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert unreachable_public_names(sources, set(exported)) == []
+
+
+#: The functions that may catch ``TransferLabError``: the one skip rule of every
+#: universe scan, the document reader's mapping of failures to stages, and the
+#: CLI's mapping of failures to exit codes.  Anywhere else a catch would be a
+#: skip policy of its own.
+BASE_ERROR_CATCHERS = {("learning.py", "scan"), ("specio.py", "_construct"), ("cli.py", "main")}
+
+
+def base_error_catches(source: str) -> list[str]:
+    """The innermost function around each ``except`` naming ``TransferLabError``, alone or in a tuple."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(getattr(c, "id", getattr(c, "attr", None)) == "TransferLabError" for c in caught):
+                    found.append(owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_a_caught_base_error():
+    source = (
+        "def f():\n    try: g()\n    except (KeyError, TransferLabError): pass\n"
+        "def h():\n    def judge():\n        try: g()\n        except errors.TransferLabError: pass\n"
+        "    try: g()\n    except ValueError: pass\n"
+        "try: g()\nexcept TransferLabError as exc: pass\n"
+    )
+    assert base_error_catches(source) == ["f", "judge", "<module>"]
+
+
+def test_only_the_scan_the_reader_and_the_cli_catch_the_base_error():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in base_error_catches(path.read_text(encoding="utf-8"))
+    }
+    assert found <= BASE_ERROR_CATCHERS
