@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import HeterogeneousSetting, SupportMismatch, ValidationError
 from .learning import (
@@ -77,8 +77,6 @@ def transfer_distance(
     on: str = "x",
     kind: str = "tv",
     align: FeatureRepSpec | None = None,
-    coords: Mapping[Atom, float] | None = None,
-    kernel: Callable[[Atom, Atom], float] | str | None = None,
 ) -> float:
     """Divergence between declared source and target measures.
 
@@ -102,17 +100,11 @@ def transfer_distance(
         )
 
     if on == "x":
-        return divergence(s_marg, t_marg, kind, coords, kernel)
+        return divergence(s_marg, t_marg, kind)
     if on == "y":
-        return divergence(
-            output_marginal(s_marg, s_post), output_marginal(t_marg, t_post),
-            kind, coords, kernel,
-        )
+        return divergence(output_marginal(s_marg, s_post), output_marginal(t_marg, t_post), kind)
     if on == "xy":
-        return divergence(
-            joint_measure(s_marg, s_post), joint_measure(t_marg, t_post),
-            kind, coords, kernel,
-        )
+        return divergence(joint_measure(s_marg, s_post), joint_measure(t_marg, t_post), kind)
     if on == "y_given_x":
         if not s_post.given.same_elements(t_post.given):
             raise SupportMismatch(
@@ -123,7 +115,7 @@ def transfer_distance(
             weight = t_marg.prob(x)
             if weight == 0:
                 continue
-            total += weight * divergence(s_post.row(x), t_post.row(x), kind, coords, kernel)
+            total += weight * divergence(s_post.row(x), t_post.row(x), kind)
         return total
     raise ValidationError(f"unknown comparison target {on!r}")
 
@@ -222,26 +214,26 @@ def behavioral_transferability(
     role: str,
     threshold: float,
     mode: str = "distance",
-    kind: str = "tv",
 ) -> NeighborhoodReport:
     """Count universe members within a behavioral threshold of the pack.
 
-    ``distance`` mode admits a member when the transfer distance between
-    the declared input marginals is strictly below the threshold;
+    ``distance`` mode admits a member when the total variation distance
+    between the declared input marginals is strictly below the threshold;
     ``bound`` mode admits it when source error + distance + complexity
     is strictly below it.  The scan returns a ``behavioral``
     :class:`~transferlab.learning.NeighborhoodReport` whose criterion
-    records the threshold, mode and divergence kind.  Members are
-    skipped by the one rule of :func:`~transferlab.learning.scan`: a
-    heterogeneous pairing, a member that declares no measures and, in
-    ``bound`` mode, a source that cannot be trained or scored.
+    records the threshold, the mode and the divergence kind ``tv``.
+    Members are skipped by the one rule of
+    :func:`~transferlab.learning.scan`: a heterogeneous pairing, a member
+    that declares no measures and, in ``bound`` mode, a source that
+    cannot be trained or scored.
     """
     _check_behavioral_mode(mode)
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
         if not src.system.same_space(tgt.system):
             raise HeterogeneousSetting("behavioral distances need equal sample spaces")
-        delta = transfer_distance(src, tgt, kind=kind)
+        delta = transfer_distance(src, tgt)
         if mode == "distance":
             return delta, delta < threshold
         theta_s = run_algorithm(src.dataset, src.system)
@@ -250,5 +242,5 @@ def behavioral_transferability(
         value = eps_s + delta + finite_class_complexity(len(tgt.system.theta_set), n)
         return value, value < threshold
 
-    criterion = {"threshold": threshold, "mode": mode, "kind": kind}
+    criterion = {"threshold": threshold, "mode": mode, "kind": "tv"}
     return scan(pack, universe, role, "behavioral", criterion, judge)

@@ -9,11 +9,15 @@ once by :func:`objective_values`::
 
     (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
 
-Values are exact (integer sums for zero-one loss, ``math.fsum`` for
-squared loss) and selection is ``np.argmin``, whose first-index
-tie-break is the canonical one.  Because every carrier is finite, the
-defining biconditionals of the construction are checkable by
-enumeration, which is what :func:`verify_learning_axioms` does.
+Values are exact and selection is ``np.argmin``, whose first-index
+tie-break is the canonical one.  Zero-one totals and the anchor
+distance are matrix–vector products of per-label 0/1 indicators with
+count columns: every term and partial sum is an integer below 2**53,
+so float64 holds them exactly and the summation order cannot change
+them.  Squared totals are still summed per θ with ``math.fsum``.
+Because every carrier is finite, the defining biconditionals of the
+construction are checkable by enumeration, which is what
+:func:`verify_learning_axioms` does.
 """
 
 from __future__ import annotations
@@ -377,12 +381,19 @@ def _loss_totals(
 ) -> np.ndarray:
     """Per θ, the summed loss of ``H[θ]`` on the counted pairs, exactly.
 
-    Zero-one totals are integer error counts; squared totals are the
-    ``math.fsum`` of one ``count * loss`` term per occupied cell.
+    Zero-one totals are error counts: the pairs minus the hits, where
+    the hits are one product per label ``y`` of the indicator
+    ``codes == y`` with the count column ``C[:, y]``, in float64.  Every
+    count, product and partial sum is an integer no larger than the
+    number of pairs, far below 2**53, so the totals are exact whatever
+    order the products sum in.  Squared totals are the ``math.fsum`` of
+    one ``count * loss`` term per occupied cell, per θ.
     """
     if loss.kind == "zero_one":
-        hits = counts[np.arange(codes.shape[1]), codes].sum(axis=1)
-        return (counts.sum() - hits).astype(np.float64)
+        hits = np.zeros(len(codes))
+        for y, column in enumerate(counts.T.astype(np.float64)):
+            hits += (codes == y) @ column
+        return counts.sum() - hits
     labels = y_set.elements
     table = np.array([[loss.loss(y, prediction) for prediction in labels] for y in labels])
     xs, ys = np.nonzero(counts)
@@ -406,8 +417,11 @@ def objective_values(
     ``C[x, y]``: the target ``counts`` (``None``: no risk term) and the
     ``pooled`` source counts, weighted by ``pool_weight``.  ``d(θ, a)``
     counts the inputs where ``H[θ]`` and row ``anchor`` differ (``None``:
-    no penalty term).  Float operations follow the formula's order, so
-    each value equals the one computed for its θ alone.
+    no penalty term), as the product of the indicator ``codes !=
+    codes[anchor]`` with a ones vector.  Both counts are exact integers
+    in float64 (see :func:`_loss_totals`); the float operations after
+    them follow the formula's order, so each value equals the one
+    computed for its θ alone.
     """
     values = None
     if counts is not None:
@@ -418,7 +432,7 @@ def objective_values(
             denominator = denominator + pool_weight * int(pooled.sum())
         values = numerator / denominator
     if anchor is not None:
-        differing = (codes != codes[anchor]).sum(axis=1)
+        differing = (codes != codes[anchor]) @ np.ones(codes.shape[1])
         penalty = penalty_weight * (differing / codes.shape[1])
         values = penalty if values is None else values + penalty
     if values is None:

@@ -198,6 +198,21 @@ def transfer_objective(ts, target_data, theta):
     return scalar_risk(data, theta, ts.latent.latent_system)
 
 
+# The dense core as first vectorized, one |Θ|×|X| gather or comparison
+# reduced along each row: the per-label products in transferlab.learning
+# must give the same zero-one totals and anchor distances.
+
+def gather_loss_totals(codes, counts):
+    """Zero-one error counts of every row θ of ``codes`` on the count table ``C[x, y]``."""
+    hits = counts[np.arange(codes.shape[1]), codes].sum(axis=1)
+    return (counts.sum() - hits).astype(np.float64)
+
+
+def gather_anchor_distance(codes, anchor):
+    """How many inputs each row θ of ``codes`` differs on from row ``anchor``."""
+    return (codes != codes[anchor]).sum(axis=1)
+
+
 def scalar_argmin(thetas, objective):
     """The first θ in canonical order with the least objective value."""
     best_theta, best_value = None, math.inf

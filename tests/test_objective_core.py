@@ -1,21 +1,35 @@
-"""The dense objective core against the scalar oracle in ``helpers``.
+"""The dense objective core against the oracles in ``helpers``.
 
-On random small systems (non-full tables, |X| <= 4, |Y| <= 3, data with
+On random small systems (non-full tables, |X| <= 6, |Y| <= 5, data with
 repeats, zero-one and squared loss) the vector of objective values must
-be repr-equal to the oracle's per-θ values, the selected parameter must
-be the oracle's first minimizer, and both must raise the same errors.
+be repr-equal to the scalar oracle's per-θ values, the selected
+parameter must be the oracle's first minimizer, and both must raise the
+same errors.  On count tables with all-zero rows, and on the full class
+at |X| = 12 with up to 2**40 pairs per cell, the zero-one totals and
+anchor distances must be repr-equal to the gather oracle's.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_goal_seeking, scalar_argmin, selection_objective, transfer_objective
+from helpers import (
+    as_goal_seeking,
+    gather_anchor_distance,
+    gather_loss_totals,
+    scalar_argmin,
+    selection_objective,
+    transfer_objective,
+)
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
     HypothesisClass,
     LearningSystem,
     LossSpec,
+    _loss_totals,
+    full_function_class,
+    objective_values,
     run_algorithm,
     selection_values,
 )
@@ -61,9 +75,9 @@ def datasets(draw, xs, ys, max_size=8):
 @st.composite
 def systems(draw, prefix, xs=None, ys=None, loss="zero_one", algorithm=AlgorithmSpec()):
     if xs is None:
-        xs = tuple(f"{prefix}x{i}" for i in range(draw(st.integers(1, 4))))
+        xs = tuple(f"{prefix}x{i}" for i in range(draw(st.integers(1, 6))))
     if ys is None:
-        ys = tuple(draw(st.permutations(LABELS))[: draw(st.integers(1, 3))])
+        ys = tuple(draw(st.permutations(LABELS))[: draw(st.integers(1, len(LABELS)))])
     thetas = tuple(f"t{i}" for i in range(draw(st.integers(1, 6))))
     return LearningSystem(
         FiniteSet(f"{prefix}X", xs),
@@ -168,3 +182,58 @@ def test_transfer_matches_oracle(data, loss):
         assert selected == chosen
         assert list(trace.objective) == list(thetas)[: len(objective)]
         assert reprs(list(trace.objective.values())) == reprs(objective)
+
+
+@st.composite
+def count_tables(draw, shape):
+    """``C[x, y]`` with small counts, where some inputs have an all-zero row."""
+    n_x, n_y = shape
+    row = st.lists(st.integers(0, 5), min_size=n_y, max_size=n_y)
+    return np.array(
+        [draw(row) if draw(st.booleans()) else [0] * n_y for _ in range(n_x)], dtype=np.int64
+    )
+
+
+def gather_objective(codes, counts, pooled, pool_weight, anchor, penalty_weight):
+    """The zero-one objective of every θ from the gather oracle, in the core's float order."""
+    numerator = gather_loss_totals(codes, counts) + pool_weight * gather_loss_totals(codes, pooled)
+    risk = numerator / (int(counts.sum()) + pool_weight * int(pooled.sum()))
+    return risk + penalty_weight * (gather_anchor_distance(codes, anchor) / codes.shape[1])
+
+
+@SETTINGS
+@given(st.data(), penalty_weights, st.sampled_from((0.5, 1.0, 2.5)))
+def test_target_pool_and_anchor_match_gather_oracle(data, penalty_weight, pool_weight):
+    system = data.draw(systems(""))
+    codes, shape = system.codes, (len(system.x_set), len(system.y_set))
+    counts, pooled = data.draw(count_tables(shape)), data.draw(count_tables(shape))
+    assume(counts.sum() + pooled.sum() > 0)
+    anchor = data.draw(st.integers(0, len(codes) - 1))
+
+    values = objective_values(
+        codes, system.y_set, system.loss, counts, pooled, pool_weight, anchor, penalty_weight
+    )
+    expected = gather_objective(codes, counts, pooled, pool_weight, anchor, penalty_weight)
+    assert reprs(values.tolist()) == reprs(expected.tolist())
+
+
+def test_full_class_at_the_cap_matches_gather_oracle():
+    """All 4096 θ of |X| = 12, |Y| = 2, with up to 2**40 pairs per cell."""
+    x_set = FiniteSet("X", tuple(f"x{i}" for i in range(12)))
+    y_set = FiniteSet("Y", (0, 1))
+    codes = LearningSystem(x_set, y_set, full_function_class(x_set, y_set)).codes
+    assert codes.shape == (4096, 12)
+    counts = np.random.default_rng(13).integers(0, 2**40, (12, 2), np.int64, endpoint=True)
+    counts[[3, 7]] = 0
+    pooled = np.full((12, 2), 2**40, dtype=np.int64)
+
+    for table in (counts, pooled):
+        totals = _loss_totals(codes, y_set, LossSpec(), table)
+        assert reprs(totals.tolist()) == reprs(gather_loss_totals(codes, table).tolist())
+    for anchor in (0, 1234, 4095):
+        distances = objective_values(codes, y_set, LossSpec(), None, None, 1.0, anchor, 1.0)
+        expected = gather_anchor_distance(codes, anchor) / 12
+        assert reprs(distances.tolist()) == reprs(expected.tolist())
+        values = objective_values(codes, y_set, LossSpec(), counts, pooled, 2.5, anchor, 0.7)
+        expected = gather_objective(codes, counts, pooled, 2.5, anchor, 0.7)
+        assert reprs(values.tolist()) == reprs(expected.tolist())
