@@ -226,14 +226,15 @@ def test_full_class_at_the_cap_matches_gather_oracle():
     counts = np.random.default_rng(13).integers(0, 2**40, (12, 2), np.int64, endpoint=True)
     counts[[3, 7]] = 0
     pooled = np.full((12, 2), 2**40, dtype=np.int64)
+    loss = LossSpec()
 
     for table in (counts, pooled):
-        totals = _loss_totals(codes, y_set, LossSpec(), table)
+        totals = _loss_totals(codes, y_set, loss, table)
         assert reprs(totals.tolist()) == reprs(gather_loss_totals(codes, table).tolist())
     for anchor in (0, 1234, 4095):
-        distances = objective_values(codes, y_set, LossSpec(), None, None, 1.0, anchor, 1.0)
+        distances = objective_values(codes, y_set, loss, None, anchor=anchor, penalty_weight=1.0)
         expected = gather_anchor_distance(codes, anchor) / 12
         assert reprs(distances.tolist()) == reprs(expected.tolist())
-        values = objective_values(codes, y_set, LossSpec(), counts, pooled, 2.5, anchor, 0.7)
+        values = objective_values(codes, y_set, loss, counts, pooled, 2.5, anchor, 0.7)
         expected = gather_objective(codes, counts, pooled, 2.5, anchor, 0.7)
         assert reprs(values.tolist()) == reprs(expected.tolist())
