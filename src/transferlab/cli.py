@@ -51,7 +51,9 @@ from .structural import (
     useful_structures,
     valid_structures,
 )
-from .transfer import Knowledge, TransferSystem, classify_setting, run_transfer
+from .transfer import (
+    MEASURE_EQUALITY_TOL, Knowledge, TransferSystem, classify_setting, run_transfer,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -284,7 +286,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_seed, help="root seed (default: 0, or the scenario's own)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument(
-        "--tolerance", type=_tolerance, default=1e-9, help="measure-equality tolerance"
+        "--tolerance", type=_tolerance, default=MEASURE_EQUALITY_TOL,
+        help="measure-equality tolerance",
     )
 
     sub.add_parser("validate", parents=[common], help="parse, resolve and check a document")

@@ -5,19 +5,21 @@ that selects a parameter from data by exact exhaustive minimization of
 an objective.  The table, the functional relation Θ × X → Y, is stored
 as one row of outputs per θ over a column order of inputs.  Learning and
 every transfer rule minimize one formula, scored for all parameters at
-once by :func:`objective_values`::
+once and selected from by :func:`minimize`, the one selection rule::
 
     (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
 
-Values are exact and selection is ``np.argmin``, whose first-index
-tie-break is the canonical one.  Zero-one totals and the anchor
-distance are matrix–vector products of per-label 0/1 indicators with
-count columns: every term and partial sum is an integer below 2**53,
-so float64 holds them exactly and the summation order cannot change
-them.  Squared totals are still summed per θ with ``math.fsum``.
-Because every carrier is finite, the defining biconditionals of the
-construction are checkable by enumeration, which is what
-:func:`verify_learning_axioms` does.
+Values are exact; the selection is the first minimizer in canonical
+order, or the anchor itself when there is no data term.  :func:`fit`
+and :func:`transferlab.transfer.transfer_fit` call it for a learning and
+a transfer system.  Zero-one totals and the anchor distance are
+matrix–vector products of per-label 0/1 indicators with count columns:
+every term and partial sum is an integer below 2**53, so float64 holds
+them exactly and the summation order cannot change them.  Squared
+totals are still summed per θ with ``math.fsum``.  Because every
+carrier is finite, the defining biconditionals of the construction are
+checkable by enumeration, which is what :func:`verify_learning_axioms`
+does.
 """
 
 from __future__ import annotations
@@ -401,7 +403,7 @@ def _loss_totals(
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
-def objective_values(
+def minimize(
     codes: np.ndarray,
     y_set: FiniteSet,
     loss: LossSpec,
@@ -410,18 +412,20 @@ def objective_values(
     pool_weight: float = 1.0,
     anchor: int | None = None,
     penalty_weight: float = 0.0,
-) -> np.ndarray:
-    """The module's objective for every row θ of ``codes`` (``H[θ, x]``).
+) -> tuple[int, np.ndarray]:
+    """The one selection rule: the chosen row θ of ``codes`` and every row's objective.
 
-    ``L(θ; C)`` sums the loss of ``H[θ]`` over the pairs counted in
-    ``C[x, y]``: the target ``counts`` (``None``: no risk term) and the
-    ``pooled`` source counts, weighted by ``pool_weight``.  ``d(θ, a)``
-    counts the inputs where ``H[θ]`` and row ``anchor`` differ (``None``:
-    no penalty term), as the product of the indicator ``codes !=
-    codes[anchor]`` with a ones vector.  Both counts are exact integers
-    in float64 (see :func:`_loss_totals`); the float operations after
-    them follow the formula's order, so each value equals the one
-    computed for its θ alone.
+    The chosen row of ``H[θ, x]`` is the first minimizer in canonical
+    order or, with no risk term, the ``anchor`` itself.  ``L(θ; C)``
+    sums the loss of ``H[θ]`` over the pairs counted in ``C[x, y]``: the
+    target ``counts`` (``None``: no risk term) and the ``pooled`` source
+    counts, weighted by ``pool_weight``.  ``d(θ, a)`` counts the inputs
+    where ``H[θ]`` and row ``anchor`` differ (``None``: no penalty
+    term), as the product of the indicator ``codes != codes[anchor]``
+    with a ones vector.  Both counts are exact integers in float64 (see
+    :func:`_loss_totals`); the float operations after them follow the
+    formula's order, so each value equals the one computed for its θ
+    alone.
     """
     values = None
     if counts is not None:
@@ -437,7 +441,7 @@ def objective_values(
         values = penalty if values is None else values + penalty
     if values is None:
         raise EmptyDataset("an objective without an anchor needs data")
-    return values
+    return (anchor if counts is None else int(np.argmin(values))), values
 
 
 def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
@@ -445,18 +449,19 @@ def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
     counts = data.counts(system.x_set, system.y_set) if len(data) else None
     row = system.theta_set.index(theta)
     codes = system.codes[row : row + 1]
-    return float(objective_values(codes, system.y_set, system.loss, counts)[0])
+    return float(minimize(codes, system.y_set, system.loss, counts)[1][0])
 
 
-def selection_values(data: Dataset, system: LearningSystem) -> np.ndarray:
-    """What the system's algorithm minimizes on this data, for every θ."""
+def fit(data: Dataset, system: LearningSystem) -> tuple[Atom, np.ndarray]:
+    """The parameter the system's algorithm selects from the data, and its objective over Θ."""
     algo = system.algorithm
     counts = data.counts(system.x_set, system.y_set) if len(data) else None
     anchor = None if algo.kind == "erm" else system.theta_set.index(algo.anchor)
-    return objective_values(
+    row, values = minimize(
         system.codes, system.y_set, system.loss, counts,
         anchor=anchor, penalty_weight=algo.weight,
     )
+    return system.theta_set.elements[row], values
 
 
 def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
@@ -467,10 +472,7 @@ def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
     raises :class:`EmptyDataset`.  Pairs outside the system's sample
     space raise :class:`UnknownElement`.
     """
-    if len(data) == 0 and system.algorithm.kind == "penalized":
-        return system.algorithm.anchor
-    values = selection_values(data, system)
-    return system.theta_set.elements[int(np.argmin(values))]
+    return fit(data, system)[0]
 
 
 def evaluate(system: LearningSystem, theta: Atom, x: Atom) -> Atom:
@@ -548,51 +550,47 @@ class AxiomReport:
 
 
 def _goal_seeking(
-    theta_set: FiniteSet,
-    datasets: Sequence[Dataset],
-    select_fn: Callable[[Dataset], Atom],
-    objective_fn: Callable[[Dataset], np.ndarray],
-) -> tuple[dict[str, Atom], list[np.ndarray], FiniteSystem, GoalSeekingSpec]:
-    """Selections, objective vectors, inductive relation and goal/seeking pair.
+    theta_set: FiniteSet, fits: Sequence[tuple[Atom, np.ndarray]]
+) -> tuple[dict[str, Atom], FiniteSystem, GoalSeekingSpec]:
+    """Selections, inductive relation and goal/seeking pair of one fit per dataset.
 
-    Dataset ``i`` is ``d<i>``; each objective vector is computed once.
+    Dataset ``i`` is ``d<i>``; ``fits[i]`` is its selection and objective vector.
     """
-    names = tuple(f"d{i}" for i in range(len(datasets)))
-    selected = {name: select_fn(d) for name, d in zip(names, datasets)}
+    names = tuple(f"d{i}" for i in range(len(fits)))
+    selected = {name: theta for name, (theta, _) in zip(names, fits)}
     inductive = FiniteSystem(
         (FiniteSet("datasets", names), theta_set),
         tuple(selected.items()),
         ((0,), (1,)),
     )
-    values = [objective_fn(d) for d in datasets]
     goal = dict(zip(
         itertools.product(names, theta_set.elements),
-        itertools.chain.from_iterable(v.tolist() for v in values),
+        itertools.chain.from_iterable(values.tolist() for _, values in fits),
     ))
     gs = GoalSeekingSpec(
         FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
         goal,
         frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
     )
-    return selected, values, inductive, gs
+    return selected, inductive, gs
 
 
 def verify_decomposition(
     x_set: FiniteSet,
     y_set: FiniteSet,
-    theta_set: FiniteSet,
-    output_fn: Callable[[Atom, Atom], Atom],
+    hypotheses: HypothesisClass,
     datasets: Sequence[Dataset],
-    select_fn: Callable[[Dataset], Atom],
-    objective_fn: Callable[[Dataset], np.ndarray],
+    fit_fn: Callable[[Dataset], tuple[Atom, np.ndarray]],
     functional_system: FiniteSystem | None = None,
     inductive_system: FiniteSystem | None = None,
 ) -> AxiomReport:
     """Check that selection plus hypothesis lookup form one coherent relation.
 
-    ``objective_fn`` gives the objective of every parameter, in the
-    canonical order of ``theta_set``, for one dataset.  Three checks run
-    over the sampled datasets:
+    ``fit_fn`` gives, for one dataset, the selected parameter and the
+    objective of every parameter in the canonical order of the
+    hypotheses' parameter set.  Each dataset is fitted once, and once
+    more for the determinism check.  Three checks run over the sampled
+    datasets:
 
     1. the composition of the inductive relation (data -> parameter)
        with the functional relation (parameter, input -> output) through
@@ -613,7 +611,9 @@ def verify_decomposition(
     """
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
-    selected, values, derived, gs = _goal_seeking(theta_set, datasets, select_fn, objective_fn)
+    theta_set, output = hypotheses.theta_set, hypotheses.output
+    fits = [fit_fn(d) for d in datasets]
+    selected, derived, gs = _goal_seeking(theta_set, fits)
     if inductive_system is None:
         inductive_system = derived
     if functional_system is None:
@@ -622,7 +622,7 @@ def verify_decomposition(
         functional_system = FiniteSystem(
             (theta_set, x_set, y_set),
             tuple(
-                (theta, x, output_fn(theta, x))
+                (theta, x, output(theta, x))
                 for theta in sorted(coupled, key=theta_set.index)
                 for x in x_set.elements
             ),
@@ -631,7 +631,7 @@ def verify_decomposition(
 
     composed = cascade(inductive_system, functional_system, (1, 0))
     direct = frozenset(
-        (name, x, output_fn(chosen, x))
+        (name, x, output(chosen, x))
         for name, chosen in selected.items()
         for x in x_set.elements
     )
@@ -641,10 +641,10 @@ def verify_decomposition(
     seeking = check_goal_seeking(None, inductive_system, gs)
 
     optimality: list[tuple[Atom, ...]] = []
-    for (name, chosen), objective, d in zip(selected.items(), values, datasets):
+    for name, (chosen, objective), d in zip(selected, fits, datasets):
         better = np.flatnonzero(objective < objective[theta_set.index(chosen)] - 1e-12)
         optimality.extend((name, theta_set.elements[i]) for i in better)
-        if select_fn(d) != chosen:
+        if fit_fn(d)[0] != chosen:
             optimality.append((name, "nondeterministic"))
 
     return AxiomReport(cascade_violations, seeking, tuple(optimality), tuple(selected))
@@ -658,13 +658,6 @@ def verify_learning_axioms(
 ) -> AxiomReport:
     """Run the decomposition checks on a learning system directly."""
     return verify_decomposition(
-        system.x_set,
-        system.y_set,
-        system.theta_set,
-        system.hypotheses.output,
-        sample_datasets,
-        lambda d: run_algorithm(d, system),
-        lambda d: selection_values(d, system),
-        functional_system=functional_system,
-        inductive_system=inductive_system,
+        system.x_set, system.y_set, system.hypotheses, sample_datasets,
+        lambda d: fit(d, system), functional_system, inductive_system,
     )

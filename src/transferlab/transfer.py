@@ -2,9 +2,10 @@
 
 A transfer system carries knowledge selected from a source system
 (data instances, a trained parameter, or both) into the training of a
-target-facing hypothesis.  Four composition rules are built in, each
-minimizing the objective of :mod:`transferlab.learning` for all
-transfer parameters at once (:func:`transfer_values`):
+target-facing hypothesis.  Four composition rules are built in; each
+only states its terms of the objective of :mod:`transferlab.learning`,
+and :func:`transfer_fit` selects with the one rule learning uses,
+:func:`transferlab.learning.minimize`:
 
 * ``instance``: risk on the target data pooled with the source
   instances, weighted ``w``: ``(L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s)``;
@@ -18,7 +19,8 @@ What each rule takes from the source (instances, parameters or both) is
 said in one place, :data:`CONSUMES`.  Values are exact and ties break
 toward the earliest parameter, so the claim that the result is itself a
 learning system is checkable by enumeration
-(:func:`verify_transfer_is_learning_system`).
+(:func:`verify_transfer_is_learning_system`, which audits
+:func:`transfer_fit` exactly as a learning system's :func:`fit`).
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ from .learning import (
     HypothesisClass,
     LearningSystem,
     SystemPack,
-    objective_values,
+    minimize,
     prediction_error,
     verify_decomposition,
 )
 from .measures import EmpiricalMeasure
-from .relations import Atom, FiniteSet
+from .relations import DEFAULT_ENUMERATION_CAP, Atom, FiniteSet
 
 #: What each approach consumes from the source: (instances, parameters).
 CONSUMES = {
@@ -191,7 +193,9 @@ class TransferSystem:
     ``hypotheses_tr`` defaults to the target's own class (instance and
     parameter rules) or to the composite latent table (feature rule);
     either way its outputs land in the target output set, which is
-    enforced at construction.
+    enforced at construction.  The feature rule selects in the latent
+    system, so an explicit class for it must have the latent parameters,
+    in their order.
     """
 
     source: LearningSystem
@@ -217,6 +221,10 @@ class TransferSystem:
             if self.hypotheses_tr is None:
                 object.__setattr__(
                     self, "hypotheses_tr", _composite_hypotheses(self.latent, self.target)
+                )
+            elif self.theta_tr_set.elements != self.latent.latent_system.theta_set.elements:
+                raise ValidationError(
+                    "feature-representation hypotheses must be indexed by the latent parameters"
                 )
         else:
             if self.latent is not None:
@@ -294,17 +302,19 @@ def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
     return Dataset(tuple(mapped), "latent")
 
 
-def transfer_values(
+def transfer_fit(
     ts: TransferSystem, target_data: Dataset
-) -> tuple[np.ndarray, Dataset | None, Dataset | None]:
-    """The rule's objective over ``theta_tr_set``, and its pooled or latent data."""
+) -> tuple[Atom, np.ndarray, Dataset | None, Dataset | None]:
+    """The rule's selection and objective over ``theta_tr_set``, and its pooled or latent data."""
+    target_data.validate_against(ts.target.x_set, ts.target.y_set)
     if ts.approach == "feature_representation":
         latent_d = latent_dataset(ts, target_data)
         if len(latent_d) == 0:
             raise EmptyDataset("feature-representation transfer needs mapped data")
         lat = ts.latent.latent_system
         counts = latent_d.counts(lat.x_set, lat.y_set)
-        return objective_values(lat.codes, lat.y_set, lat.loss, counts), None, latent_d
+        row, values = minimize(lat.codes, lat.y_set, lat.loss, counts)
+        return ts.theta_tr_set.elements[row], values, None, latent_d
 
     x_set, y_set = ts.target.x_set, ts.target.y_set
     counts = target_data.counts(x_set, y_set)
@@ -319,25 +329,23 @@ def transfer_values(
         counts = None  # zero-shot: the penalty alone
     if takes_parameters:
         anchor = ts.theta_tr_set.index(ts.knowledge.parameters[0])
-    values = objective_values(
+    row, values = minimize(
         ts.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
         anchor, ts.penalty_weight,
     )
-    return values, pooled, None
+    return ts.theta_tr_set.elements[row], values, pooled, None
 
 
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
-    """Execute the transfer rule and trace every intermediate artifact."""
-    target_data.validate_against(ts.target.x_set, ts.target.y_set)
-    n = len(target_data)
-    if ts.approach == "parameter" and n == 0:
-        anchor = ts.knowledge.parameters[0]
-        return anchor, TransferTrace(ts.approach, 0, True, None, None, {}, anchor)
+    """Execute the transfer rule and trace every intermediate artifact.
 
-    values, pooled, latent_d = transfer_values(ts, target_data)
-    thetas = ts.theta_tr_set.elements
-    selected = thetas[int(np.argmin(values))]
-    objective = dict(zip(thetas, values.tolist()))
+    The trace lists the objective only when it has a data term: a
+    zero-shot parameter run selects its anchor from the penalty alone.
+    """
+    selected, values, pooled, latent_d = transfer_fit(ts, target_data)
+    n = len(target_data)
+    data_term = n or pooled or latent_d
+    objective = dict(zip(ts.theta_tr_set.elements, values.tolist())) if data_term else {}
     trace = TransferTrace(ts.approach, n, n == 0, pooled, latent_d, objective, selected)
     return selected, trace
 
@@ -445,7 +453,7 @@ def n_shot(ts: TransferSystem, target_data: Dataset) -> tuple[int, bool]:
 def verify_transfer_is_learning_system(
     ts: TransferSystem,
     target_datasets: Sequence[Dataset],
-    cap: int = 8,
+    cap: int = DEFAULT_ENUMERATION_CAP,
     functional_system=None,
     inductive_system=None,
 ) -> AxiomReport:
@@ -466,13 +474,6 @@ def verify_transfer_is_learning_system(
     if len(target_datasets) > cap:
         raise CapExceeded(f"more than {cap} sampled datasets")
     return verify_decomposition(
-        ts.target.x_set,
-        ts.target.y_set,
-        ts.theta_tr_set,
-        ts.hypotheses_tr.output,
-        target_datasets,
-        lambda d: run_transfer(ts, d)[0],
-        lambda d: transfer_values(ts, d)[0],
-        functional_system=functional_system,
-        inductive_system=inductive_system,
+        ts.target.x_set, ts.target.y_set, ts.hypotheses_tr, target_datasets,
+        lambda d: transfer_fit(ts, d)[:2], functional_system, inductive_system,
     )

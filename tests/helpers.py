@@ -25,9 +25,8 @@ from transferlab.learning import (
     SystemPack,
     _goal_seeking,
     _MISSING,
+    fit,
     full_function_class,
-    run_algorithm,
-    selection_values,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
 from transferlab.relations import (
@@ -40,7 +39,7 @@ from transferlab.relations import (
     cascade,
 )
 from transferlab.structural import _canonical_structure, _set_partitions, _structure_system
-from transferlab.transfer import latent_dataset, pool_data, run_transfer, transfer_values
+from transferlab.transfer import latent_dataset, pool_data, transfer_fit
 
 
 def io_system(pairs, x_name="X", y_name="Y", xs=None, ys=None) -> FiniteSystem:
@@ -478,7 +477,7 @@ def scalar_learning_axioms(system, datasets, **overrides) -> AxiomReport:
     """:func:`transferlab.learning.verify_learning_axioms`, scalar."""
     return scalar_verify_decomposition(
         system.x_set, system.y_set, system.theta_set, system.hypotheses.output, datasets,
-        lambda d: run_algorithm(d, system), lambda d: selection_values(d, system), **overrides,
+        lambda d: fit(d, system)[0], lambda d: fit(d, system)[1], **overrides,
     )
 
 
@@ -486,7 +485,7 @@ def scalar_transfer_axioms(ts, datasets, **overrides) -> AxiomReport:
     """:func:`transferlab.transfer.verify_transfer_is_learning_system`, scalar, without caps."""
     return scalar_verify_decomposition(
         ts.target.x_set, ts.target.y_set, ts.theta_tr_set, ts.hypotheses_tr.output, datasets,
-        lambda d: run_transfer(ts, d)[0], lambda d: transfer_values(ts, d)[0], **overrides,
+        lambda d: transfer_fit(ts, d)[0], lambda d: transfer_fit(ts, d)[1], **overrides,
     )
 
 
@@ -557,12 +556,7 @@ def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingS
     parameter) its selection objective, and seeking holds exactly the
     selections the algorithm makes.
     """
-    _, _, inductive, gs = _goal_seeking(
-        system.theta_set,
-        sample_datasets,
-        lambda d: run_algorithm(d, system),
-        lambda d: selection_values(d, system),
-    )
+    _, inductive, gs = _goal_seeking(system.theta_set, [fit(d, system) for d in sample_datasets])
     return inductive, gs
 
 

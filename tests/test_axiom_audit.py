@@ -21,16 +21,20 @@ from helpers import (
     scalar_transfer_axioms,
 )
 from test_objective_core import datasets, losses, penalty_weights, systems, transfer_systems
+from transferlab import learning, transfer
 from transferlab.errors import CouplingMismatch
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
     HypothesisClass,
     LearningSystem,
+    fit,
+    full_function_class,
+    verify_decomposition,
     verify_learning_axioms,
 )
 from transferlab.relations import FiniteSet, FiniteSystem, GoalSeekingSpec, check_goal_seeking
-from transferlab.transfer import verify_transfer_is_learning_system
+from transferlab.transfer import Knowledge, TransferSystem, verify_transfer_is_learning_system
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -182,6 +186,41 @@ def test_transfer_axioms_match_oracle(data):
         lambda: verify_transfer_is_learning_system(ts, samples, cap=64, **overrides),
         lambda: scalar_transfer_axioms(ts, samples, **overrides),
     )
+
+
+# -- one fit per dataset, one more for determinism ---------------------------------------
+
+def counted(fn, calls):
+    """``fn``, appending the arguments of each call to ``calls``."""
+    def call(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return call
+
+
+X2, Y2 = FiniteSet("X", ("x0", "x1")), FiniteSet("Y", (0, 1))
+ERM = LearningSystem(X2, Y2, full_function_class(X2, Y2))
+SAMPLES = [Dataset((("x0", 1),)), Dataset((("x0", 0), ("x1", 1), ("x0", 0))), Dataset((("x1", 0),))]
+
+
+def test_the_audit_calls_its_fit_twice_per_dataset():
+    calls = []
+    fit_fn = counted(lambda d: fit(d, ERM), calls)
+    assert verify_decomposition(X2, Y2, ERM.hypotheses, SAMPLES, fit_fn).passed
+    assert calls == [(d,) for d in SAMPLES + SAMPLES]
+
+
+def test_both_audits_compute_each_objective_twice(monkeypatch):
+    calls = []
+    minimize = counted(learning.minimize, calls)
+    for module in (learning, transfer):
+        monkeypatch.setattr(module, "minimize", minimize)
+    assert verify_learning_axioms(ERM, SAMPLES).passed
+    assert len(calls) == 2 * len(SAMPLES)
+    calls.clear()
+    ts = TransferSystem(ERM, ERM, Knowledge(instances=SAMPLES[0]), "instance")
+    assert verify_transfer_is_learning_system(ts, SAMPLES).passed
+    assert len(calls) == 2 * len(SAMPLES)
 
 
 def test_every_transfer_rule_is_covered():

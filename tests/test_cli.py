@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -616,3 +617,95 @@ def test_tolerance_flag_takes_a_non_negative_finite_number(tmp_path, capsys, tol
     assert exit_info.value.code == cli.EXIT_PARSE
     assert capsys.readouterr().err.endswith(f"error: argument --tolerance: {message}\n")
     assert not (tmp_path / "r.json").exists()
+
+
+# -- transfer reports ------------------------------------------------------------------
+# A hand-written document with every approach; each case runs `analyze --kind
+# transfer` on one system and one dataset, and the reports are pinned in one golden.
+
+def table_block(thetas, rows, inputs="X", loss="zero_one"):
+    return {
+        "inputs": inputs, "outputs": "Y", "thetas": thetas, "loss": loss,
+        "table": dict(zip(thetas, rows)),
+    }
+
+
+XS, YS = ["x0", "x1", "x2", "x3"], [0, 1]
+TO_LATENT = {"x0": "u0", "x1": "u0", "x2": "u1", "x3": "u1"}
+SOURCE_TO_LATENT = {"x0": "u1", "x1": "u0", "x2": "u0", "x3": "u0"}
+TRANSFER_DOC = {
+    "version": 1,
+    "sets": {"X": {"elements": XS}, "Y": {"elements": YS}, "U": {"elements": ["u0", "u1"]}},
+    "datasets": {
+        "source_data": {"pairs": [["x0", 0], ["x1", 1], ["x2", 1], ["x3", 0], ["x1", 1]]},
+        "target_data": {"pairs": [["x0", 1], ["x3", 0], ["x0", 1]], "tag": "tgt"},
+        "tie_data": {"pairs": [["x0", 0], ["x0", 1]]},
+        "empty": {"pairs": []},
+    },
+    "learning": {
+        "src": table_block(["a", "b", "c"], [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]]),
+        "tgt": table_block(
+            ["a", "b", "c", "d", "e"],
+            [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]],
+        ),
+        "sq": table_block(
+            ["a", "b", "c"], [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]], loss="squared"
+        ),
+        "lat": table_block(["p", "q", "r"], [[0, 1], [1, 1], [1, 0]], inputs="U"),
+    },
+    "transfer": {
+        "inst": {
+            "source": "src", "target": "tgt", "approach": "instance",
+            "knowledge": {"instances": "source_data"}, "pool_weight": 0.5,
+        },
+        "param": {
+            "source": "src", "target": "tgt", "approach": "parameter",
+            "knowledge": {"parameters": ["c"]}, "penalty_weight": 0.3,
+        },
+        "both": {
+            "source": "src", "target": "sq", "approach": "instance_parameter",
+            "knowledge": {"instances": "source_data", "parameters": ["b"]},
+            "penalty_weight": 0.7, "pool_weight": 2.5,
+        },
+        "feat": {
+            "source": "src", "target": "tgt", "approach": "feature_representation",
+            "knowledge": {"instances": "source_data"},
+            "latent": {
+                "learning": "lat",
+                "pair_map_target": [[[x, y], [TO_LATENT[x], y]] for x in XS for y in YS],
+                "pair_map_source": [[[x, y], [SOURCE_TO_LATENT[x], y]] for x in XS for y in YS],
+                "input_map": list(TO_LATENT.items()),
+                "output_map": [[0, 1], [1, 0]],
+            },
+        },
+    },
+}
+TRANSFER_CASES = [
+    (system, data)
+    for system in TRANSFER_DOC["transfer"]
+    for data in TRANSFER_DOC["datasets"]
+    if data != "source_data"
+]
+TRANSFER_GOLDEN = Path(__file__).parent / "golden" / "transfer_reports.json"
+
+
+def transfer_reports(directory) -> dict:
+    """Each case's ``analyze --kind transfer`` report, keyed ``system.data``, without its path."""
+    reports = {}
+    for system, data in TRANSFER_CASES:
+        doc = {**TRANSFER_DOC, "analysis": {"transfer": {"system": system, "data": data}}}
+        path, out = directory / f"{system}.{data}.json", directory / "report.json"
+        write_json(path, doc)
+        assert cli.main(["analyze", str(path), "--kind", "transfer", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        del report["command"]["path"]
+        reports[f"{system}.{data}"] = report
+    return reports
+
+
+def test_every_approach_reports_its_transfer_golden(tmp_path):
+    reports = transfer_reports(tmp_path)
+    assert reports["param.empty"]["results"]["objective"] == {}
+    assert reports["param.empty"]["results"]["zero_shot"] is True
+    assert reports["both.empty"]["results"]["n_target"] == 0
+    assert specio.json_text(reports) + "\n" == TRANSFER_GOLDEN.read_text(encoding="utf-8")

@@ -1,7 +1,7 @@
 """Every module under ``src/transferlab`` uses each name it imports, every
 private top-level name is used somewhere in the package, every public
-name is used there or exported from it, and only three functions catch
-the base error.
+name is used there or exported from it, only three functions catch the
+base error, and one function selects by ``argmin``.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -151,23 +151,27 @@ def test_every_public_name_is_reachable():
 BASE_ERROR_CATCHERS = {("learning.py", "scan"), ("specio.py", "_construct"), ("cli.py", "main")}
 
 
-def base_error_catches(source: str) -> list[str]:
-    """The innermost function around each ``except`` naming ``TransferLabError``, alone or in a tuple."""
+def owners(source: str, matches) -> list[str]:
+    """The innermost function around each node of ``source`` that ``matches``."""
     found: list[str] = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler) and child.type is not None:
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(getattr(c, "id", getattr(c, "attr", None)) == "TransferLabError" for c in caught):
-                    found.append(owner)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-            else:
-                visit(child, owner)
+            if matches(child):
+                found.append(owner)
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function else owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def catches_base_error(node: ast.AST) -> bool:
+    """An ``except`` naming ``TransferLabError``, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(getattr(c, "id", getattr(c, "attr", None)) == "TransferLabError" for c in caught)
 
 
 def test_the_scan_sees_a_caught_base_error():
@@ -177,13 +181,43 @@ def test_the_scan_sees_a_caught_base_error():
         "    try: g()\n    except ValueError: pass\n"
         "try: g()\nexcept TransferLabError as exc: pass\n"
     )
-    assert base_error_catches(source) == ["f", "judge", "<module>"]
+    assert owners(source, catches_base_error) == ["f", "judge", "<module>"]
 
 
 def test_only_the_scan_the_reader_and_the_cli_catch_the_base_error():
     found = {
         (path.name, owner)
         for path in MODULES
-        for owner in base_error_catches(path.read_text(encoding="utf-8"))
+        for owner in owners(path.read_text(encoding="utf-8"), catches_base_error)
     }
     assert found <= BASE_ERROR_CATCHERS
+
+
+#: The one selection rule of learning and every transfer rule.  A second
+#: function calling ``argmin`` would be a selection (and a tie-break) of its own.
+ARGMIN_CALLERS = {("learning.py", "minimize")}
+
+
+def calls_argmin(node: ast.AST) -> bool:
+    """A call of ``argmin``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    ) == "argmin"
+
+
+def test_the_scan_sees_an_argmin_call():
+    source = (
+        "def f(v):\n    return int(np.argmin(v))\n"
+        "def g(v):\n    def pick():\n        return argmin(v)\n    return v.argmin\n"
+        "best = numpy.argmin([1])\n"
+    )
+    assert owners(source, calls_argmin) == ["f", "pick", "<module>"]
+
+
+def test_only_the_one_selection_calls_argmin():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), calls_argmin)
+    }
+    assert found == ARGMIN_CALLERS

@@ -28,10 +28,10 @@ from transferlab.learning import (
     LearningSystem,
     LossSpec,
     _loss_totals,
+    fit,
     full_function_class,
-    objective_values,
+    minimize,
     run_algorithm,
-    selection_values,
 )
 from transferlab.relations import FiniteSet
 from transferlab.transfer import (
@@ -40,7 +40,7 @@ from transferlab.transfer import (
     Knowledge,
     TransferSystem,
     run_transfer,
-    transfer_values,
+    transfer_fit,
 )
 
 LABELS = (0, 1, 2.5, -0.3, 7.1)
@@ -106,7 +106,7 @@ def test_learning_matches_oracle(data, loss, penalized, weight):
     thetas = system.theta_set.elements
 
     expected = outcome(lambda: [selection_objective(d, t, system) for t in thetas])
-    assert reprs(outcome(lambda: selection_values(d, system).tolist())) == reprs(expected)
+    assert reprs(outcome(lambda: fit(d, system)[1].tolist())) == reprs(expected)
 
     if penalized and len(d) == 0:
         chosen = system.algorithm.anchor
@@ -167,7 +167,7 @@ def test_transfer_matches_oracle(data, loss):
     thetas = ts.theta_tr_set.elements
 
     expected = outcome(lambda: [transfer_objective(ts, d, t) for t in thetas])
-    assert reprs(outcome(lambda: transfer_values(ts, d)[0].tolist())) == reprs(expected)
+    assert reprs(outcome(lambda: transfer_fit(ts, d)[1].tolist())) == reprs(expected)
 
     if ts.approach == "parameter" and len(d) == 0:
         chosen, objective = ts.knowledge.parameters[0], []
@@ -210,7 +210,7 @@ def test_target_pool_and_anchor_match_gather_oracle(data, penalty_weight, pool_w
     assume(counts.sum() + pooled.sum() > 0)
     anchor = data.draw(st.integers(0, len(codes) - 1))
 
-    values = objective_values(
+    _, values = minimize(
         codes, system.y_set, system.loss, counts, pooled, pool_weight, anchor, penalty_weight
     )
     expected = gather_objective(codes, counts, pooled, pool_weight, anchor, penalty_weight)
@@ -232,9 +232,10 @@ def test_full_class_at_the_cap_matches_gather_oracle():
         totals = _loss_totals(codes, y_set, loss, table)
         assert reprs(totals.tolist()) == reprs(gather_loss_totals(codes, table).tolist())
     for anchor in (0, 1234, 4095):
-        distances = objective_values(codes, y_set, loss, None, anchor=anchor, penalty_weight=1.0)
+        row, distances = minimize(codes, y_set, loss, None, anchor=anchor, penalty_weight=1.0)
+        assert row == anchor
         expected = gather_anchor_distance(codes, anchor) / 12
         assert reprs(distances.tolist()) == reprs(expected.tolist())
-        values = objective_values(codes, y_set, loss, counts, pooled, 2.5, anchor, 0.7)
+        _, values = minimize(codes, y_set, loss, counts, pooled, 2.5, anchor, 0.7)
         expected = gather_objective(codes, counts, pooled, 2.5, anchor, 0.7)
         assert reprs(values.tolist()) == reprs(expected.tolist())

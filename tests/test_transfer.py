@@ -419,6 +419,32 @@ class TestFeatureRepresentation:
         )
         assert case(rev) == (True, True, True, True)
 
+    @pytest.mark.parametrize("thetas", [("only",), ("t1", "t0"), ("t0", "t1", "t2")])
+    def test_explicit_hypotheses_must_have_the_latent_parameters(self, thetas):
+        """The rule selects in the latent system, by position in its parameter set."""
+        x, y = FiniteSet("X", ("a",)), FiniteSet("Y", (0, 1))
+        latent = LearningSystem(
+            x, y, HypothesisClass(FiniteSet("T", ("t0", "t1")), columns=("a",),
+                                  rows={"t0": (0,), "t1": (1,)}),
+        )
+        identity = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
+        spec = FeatureRepSpec(latent, identity, identity, {"a": "a"}, {0: 0, 1: 1})
+
+        def build(hypotheses_tr):
+            return TransferSystem(
+                latent, latent, Knowledge(instances=Dataset(())), "feature_representation",
+                hypotheses_tr=hypotheses_tr, latent=spec,
+            )
+
+        rows = {theta: (0,) for theta in thetas}
+        with pytest.raises(ValidationError, match="indexed by the latent parameters"):
+            build(HypothesisClass(FiniteSet("TR", thetas), columns=("a",), rows=rows))
+        ts = build(HypothesisClass(FiniteSet("TR", ("t0", "t1")), columns=("a",),
+                                   rows={"t0": (1,), "t1": (0,)}))
+        theta, trace = run_transfer(ts, Dataset((("a", 1),)))
+        assert theta == "t1" and list(trace.objective) == ["t0", "t1"]
+        assert ts.predict(theta, "a") == 0
+
     def test_feature_requires_latent(self, systems, source_data):
         with pytest.raises(ValidationError):
             TransferSystem(
