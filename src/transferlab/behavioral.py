@@ -143,11 +143,11 @@ class BoundReport:
     n_target: int
 
 
-def finite_class_complexity(n_hypotheses: int, n_samples: int, eta: float = DEFAULT_ETA) -> float:
-    """sqrt((ln |H| + ln(1/eta)) / (2 n)): the finite-class uniform bound."""
+def finite_class_complexity(n_hypotheses: int, n_samples: int) -> float:
+    """sqrt((ln |H| + ln(1/eta)) / (2 n)), eta = :data:`DEFAULT_ETA`: the finite-class bound."""
     if n_samples <= 0:
         raise ValidationError("the complexity term needs at least one sample")
-    return math.sqrt((math.log(n_hypotheses) + math.log(1.0 / eta)) / (2.0 * n_samples))
+    return math.sqrt((math.log(n_hypotheses) + math.log(1.0 / DEFAULT_ETA)) / (2.0 * n_samples))
 
 
 def bound_check(
@@ -157,8 +157,6 @@ def bound_check(
     source_ctx: EvaluationContext,
     target_ctx: EvaluationContext,
     kind: str = "tv",
-    eta: float = DEFAULT_ETA,
-    smoothing: float = PIPELINE_SMOOTHING,
     source_weight: EmpiricalMeasure | None = None,
     target_weight: EmpiricalMeasure | None = None,
 ) -> BoundReport:
@@ -168,8 +166,9 @@ def bound_check(
     source-trained hypothesis against the source context; the target
     error is that of the transferred hypothesis against the target
     context; the distance is measured between input marginals estimated
-    from the two datasets; the complexity term is the closed-form
-    finite-class expression recorded in the report.
+    from the two datasets with :data:`PIPELINE_SMOOTHING`; the complexity
+    term is the closed-form finite-class expression at :data:`DEFAULT_ETA`,
+    recorded in the report.
     """
     if not ts.source.same_space(ts.target):
         raise HeterogeneousSetting("the bound decomposition needs equal sample spaces")
@@ -180,14 +179,14 @@ def bound_check(
     theta_tr, _ = run_transfer(ts, target_data)
     eps_t = transfer_error(ts, theta_tr, target_ctx, target_weight)
 
-    p_s = estimate_measure(source_data, "x", smoothing, ts.source.x_set)
-    p_t = estimate_measure(target_data, "x", smoothing, ts.source.x_set)
+    p_s = estimate_measure(source_data, "x", PIPELINE_SMOOTHING, ts.source.x_set)
+    p_t = estimate_measure(target_data, "x", PIPELINE_SMOOTHING, ts.source.x_set)
     delta = divergence(p_s, p_t, kind)
 
     n = len(source_data) + len(target_data)
     k = len(ts.theta_tr_set)
-    c = finite_class_complexity(k, n, eta)
-    formula = f"sqrt((ln({k}) + ln(1/{eta})) / (2*{n}))"
+    c = finite_class_complexity(k, n)
+    formula = f"sqrt((ln({k}) + ln(1/{DEFAULT_ETA})) / (2*{n}))"
     return BoundReport(
         epsilon_s=eps_s,
         epsilon_t=eps_t,

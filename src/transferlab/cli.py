@@ -118,20 +118,15 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
             resample=config["resample"],
         )
     elif kind == "transferability":
-        epsilon_star = config["epsilon_star"]
         result = transferability(
             config["pack"],
             config["universe"],
             role=config["role"],
-            ctx=EvaluationContext(
-                config["pack"].truth or {},
-                0.0 if epsilon_star == "target-alone" else float(epsilon_star),
-            ),
+            epsilon_star=config["epsilon_star"],
             mode=config["mode"],
             approach=config["approach"],
             seeds=config["seeds"],
             root_seed=seed,
-            epsilon_star=epsilon_star,
             equivalence_mode=config["equivalence_mode"],
         )
     elif kind == "generalist":
@@ -140,7 +135,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
             config["universe"],
             n=config["shots"],
             t=config["required"],
-            ctx=EvaluationContext(config["pack"].truth or {}, config["epsilon_star"]),
+            epsilon_star=config["epsilon_star"],
             approach=config["approach"],
         )
     elif kind == "bound":
@@ -167,9 +162,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
         report = valid_structures(report, target.system.y_set)
         if config["epsilon_star"] is not None and target.truth is not None:
             report = useful_structures(
-                report,
-                feature_runner(source, target),
-                EvaluationContext(target.truth, config["epsilon_star"]),
+                report, feature_runner(source, target), config["epsilon_star"]
             )
         result = {
             "candidates": len(report.candidates),

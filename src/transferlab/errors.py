@@ -80,11 +80,7 @@ class SupportMismatch(TransferLabError):
 
 
 class MissingOrder(TransferLabError):
-    """The support carries no total order / coordinates (needed for W1)."""
-
-
-class MissingKernel(TransferLabError):
-    """No kernel is available for the requested discrepancy computation."""
+    """The support's atoms are not all numbers, so it has no order on a line (needed for W1)."""
 
 
 class HeterogeneousSetting(TransferLabError):

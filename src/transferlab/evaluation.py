@@ -31,7 +31,6 @@ from .measures import total_variation
 from .scenarios import resample_pack
 from .structural import _check_size_bound, structural_transferability
 from .transfer import (
-    FeatureRepSpec,
     Knowledge,
     TransferSystem,
     _consumed,
@@ -57,10 +56,7 @@ def _source_knowledge(source: LearningSystem, data: Dataset, approach: str) -> K
 
 
 def build_transfer_system(
-    source: SystemPack,
-    target: SystemPack,
-    approach: str = "instance",
-    latent: FeatureRepSpec | None = None,
+    source: SystemPack, target: SystemPack, approach: str = "instance"
 ) -> TransferSystem:
     """Assemble a transfer system from two packs, training the source once."""
     return TransferSystem(
@@ -68,8 +64,16 @@ def build_transfer_system(
         target.system,
         _source_knowledge(source.system, source.dataset, approach),
         approach,
-        latent=latent,
     )
+
+
+def _check_approach(approach: str) -> None:
+    """Refuse an unknown approach, and feature_representation: no pack declares latent maps."""
+    _consumed(approach)
+    if approach == "feature_representation":
+        raise ValidationError(
+            "a scan cannot build feature_representation transfer: no pack declares latent maps"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,8 @@ def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
     """Each pack's class, named by its representative: greedy over tau-close declared measures.
 
     A pack that declares no measures is a class of its own and never a
-    representative.
+    representative.  A representative whose marginal support, posterior
+    inputs or posterior outputs differ from the pack's does not match it.
     """
     reps: list[int] = []
     labels: list[int] = []
@@ -185,7 +190,11 @@ def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
             continue
         for rep_idx in reps:
             rep = packs[rep_idx]
-            if not rep.marginal.support.same_elements(pack.marginal.support):
+            if not (
+                rep.marginal.support.same_elements(pack.marginal.support)
+                and rep.posterior.given.same_elements(pack.posterior.given)
+                and rep.posterior.output_support.same_elements(pack.posterior.output_support)
+            ):
                 continue
             if total_variation(rep.marginal, pack.marginal) > tau:
                 continue
@@ -206,12 +215,11 @@ def transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
     role: str,
-    ctx: EvaluationContext,
+    epsilon_star: float | str,
     mode: str = "empirical",
     approach: str = "instance",
     seeds: int = 10,
     root_seed: int = 0,
-    epsilon_star: float | str | None = None,
     equivalence_mode: str = "raw",
     behavioral_mode: str = "bound",
     size_bound: int = 3,
@@ -220,52 +228,52 @@ def transferability(
 
     ``empirical`` mode actually runs every pairwise transfer
     (per-member randomness keyed by ``(root_seed, member_index)``) and
-    admits members whose mean transferred error is at most the
-    threshold; passing ``epsilon_star="target-alone"`` instead admits
-    members where transfer was not negative, turning the neighborhood
-    into the positive-transfer set.  ``structural`` and ``behavioral``
-    modes return the report of the corresponding scan, run against the
-    same numeric threshold, and ``all`` returns the three reports side
-    by side.  Every argument is checked, whichever mode reads it, before
-    any member is judged; members are then skipped by the one rule of
-    :func:`~transferlab.learning.scan`.
+    admits members whose mean transferred error is at most
+    ``epsilon_star``, recorded in the criterion as written; passing
+    ``epsilon_star="target-alone"`` instead admits members where
+    transfer was not negative, turning the neighborhood into the
+    positive-transfer set.  ``structural`` and ``behavioral`` modes
+    return the report of the corresponding scan, run against
+    ``float(epsilon_star)`` and ``epsilon_star`` respectively, and
+    ``all`` returns the three reports side by side.  Every argument is checked, whichever mode reads it, before
+    any member is judged; ``feature_representation`` is refused, since
+    no pack declares the latent maps it needs.  Members are then skipped
+    by the one rule of :func:`~transferlab.learning.scan`.
     """
-    threshold = ctx.epsilon_star if epsilon_star is None else epsilon_star
     if mode not in (*_NOTIONS, "all"):
         raise ValidationError(f"unknown transferability mode {mode!r}")
-    if isinstance(threshold, str) and (mode != "empirical" or threshold != "target-alone"):
-        raise ValidationError(f"{mode} mode cannot take the threshold {threshold!r}")
+    if isinstance(epsilon_star, str) and (mode != "empirical" or epsilon_star != "target-alone"):
+        raise ValidationError(f"{mode} mode cannot take the threshold {epsilon_star!r}")
     if equivalence_mode not in ("raw", "behavior-signature"):
         raise ValidationError(f"unknown equivalence mode {equivalence_mode!r}")
     _check_seeds(seeds)
     _check_size_bound(size_bound)
     _check_behavioral_mode(behavioral_mode)
-    _consumed(approach)  # refuses an unknown approach
+    _check_approach(approach)
 
     if mode == "all":
         return {
             m: transferability(
-                pack, universe, role, ctx, m, approach, seeds, root_seed,
-                epsilon_star, equivalence_mode, behavioral_mode, size_bound,
+                pack, universe, role, epsilon_star, m, approach, seeds, root_seed,
+                equivalence_mode, behavioral_mode, size_bound,
             )
             for m in _NOTIONS
         }
     if mode == "structural":
-        structural_ctx = replace(ctx, epsilon_star=float(threshold))
-        return structural_transferability(pack, universe, role, structural_ctx, size_bound)
+        return structural_transferability(pack, universe, role, float(epsilon_star), size_bound)
     if mode == "behavioral":
-        return behavioral_transferability(pack, universe, role, threshold, behavioral_mode)
+        return behavioral_transferability(pack, universe, role, epsilon_star, behavioral_mode)
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
         ts = build_transfer_system(src, tgt, approach)
         outcome = detect_negative_transfer(src, tgt, ts, seeds=seeds, root_key=(root_seed, idx))
-        if threshold == "target-alone":
+        if epsilon_star == "target-alone":
             return outcome.epsilon_with, not outcome.negative
-        return outcome.epsilon_with, outcome.epsilon_with <= threshold
+        return outcome.epsilon_with, outcome.epsilon_with <= epsilon_star
 
     signature = equivalence_mode == "behavior-signature"
     criterion = {
-        "epsilon_star": threshold,
+        "epsilon_star": epsilon_star,
         "approach": approach,
         "seeds": seeds,
         "root_seed": root_seed,
@@ -295,7 +303,7 @@ def is_generalist(
     universe: Sequence[SystemPack],
     n: int,
     t: int,
-    ctx: EvaluationContext,
+    epsilon_star: float,
     approach: str = "instance",
 ) -> GeneralistReport:
     """Does the pack transfer to at least ``t`` targets within ``n`` shots?
@@ -303,14 +311,15 @@ def is_generalist(
     Each member's own dataset is truncated to its first ``n`` pairs (the
     nesting makes shot budgets monotone), the transfer runs once,
     deterministically, and the member qualifies when the measured target
-    error is strictly below the context threshold.  A member without a
-    truth table is refused before the scan; the scan skips members by the
-    one rule of :func:`~transferlab.learning.scan`, and the report, which
-    has no field for them, leaves them out.
+    error is strictly below ``epsilon_star``.  An approach a scan cannot
+    build (``feature_representation``, as in :func:`transferability`) and
+    a member without a truth table are refused before the scan; the scan
+    skips members by the one rule of :func:`~transferlab.learning.scan`,
+    and the report, which has no field for them, leaves them out.
     """
     if n < 0 or t < 0:
         raise ValidationError("shot budget and required count must be non-negative")
-    _consumed(approach)  # refuses an unknown approach
+    _check_approach(approach)
     for idx, member in enumerate(universe):
         if member.truth is None:
             raise MissingMeasure(f"universe member {idx} declares no truth table")
@@ -320,7 +329,7 @@ def is_generalist(
         shots = Dataset(member.dataset.pairs[:n], f"{member.dataset.source_tag}[:{n}]")
         theta_tr, _ = run_transfer(ts, shots)
         error = transfer_error(ts, theta_tr, EvaluationContext(member.truth), member.marginal)
-        return error, error < ctx.epsilon_star
+        return error, error < epsilon_star
 
     scanned = scan(pack, universe, "source", "generalist", {}, judge)
     return GeneralistReport(

@@ -188,19 +188,18 @@ class HypothesisClass:
 def full_function_class(
     x_set: FiniteSet,
     y_set: FiniteSet,
-    prefix: str = "h",
     max_size: int = 4096,
 ) -> HypothesisClass:
-    """Every function from the input set to the output set, canonically indexed."""
+    """Every function from the input set to the output set, canonically indexed h0, h1, ..."""
     count = len(y_set) ** len(x_set)
     if count > max_size:
         raise CapExceeded(
             f"{count} functions from {x_set.name} to {y_set.name} exceed cap {max_size}"
         )
     width = max(len(str(count - 1)), 1)
-    names = tuple(f"{prefix}{i:0{width}d}" for i in range(count))
+    names = tuple(f"h{i:0{width}d}" for i in range(count))
     rows = dict(zip(names, itertools.product(y_set.elements, repeat=len(x_set))))
-    return HypothesisClass(FiniteSet(f"{prefix}_params", names), columns=x_set.elements, rows=rows)
+    return HypothesisClass(FiniteSet("h_params", names), columns=x_set.elements, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -264,11 +263,11 @@ class EvaluationContext:
 
     ``truth`` is either a total mapping from inputs to outputs
     (synthetic mode) or a :class:`Dataset` (hold-out mode); the mode in
-    force is echoed in every report that uses the context.
+    force is echoed in every report that uses the context.  A scan's
+    threshold is not part of it: each scan takes its own as a number.
     """
 
     truth: Mapping[Atom, Atom] | Dataset
-    epsilon_star: float = math.inf
 
     def __post_init__(self) -> None:
         if not isinstance(self.truth, Dataset):

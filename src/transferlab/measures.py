@@ -4,6 +4,9 @@ Measures are plain probability vectors aligned to a named finite
 support.  Divergences between two measures require a shared support;
 aligning measures over different supports is the caller's job (see the
 feature-representation pushforward helpers in :mod:`transferlab.behavioral`).
+:func:`divergence` names each of the five by its kind: ``kl``,
+``hellinger``, ``tv``, ``w1``, which orders the support by its numeric
+atoms, and ``mmd``, under the exact-match kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Callable, Iterable, Mapping
 from .errors import (
     EmptyDataset,
     EstimationError,
-    MissingKernel,
     MissingOrder,
     SupportMismatch,
     UnknownElement,
@@ -260,17 +262,6 @@ def _aligned(p: EmpiricalMeasure, q: EmpiricalMeasure) -> tuple[tuple[float, ...
     return p.probs, q_aligned
 
 
-def _numeric_coords(support: FiniteSet) -> dict[Atom, float]:
-    coords = {}
-    for el in support.elements:
-        if isinstance(el, bool) or not isinstance(el, (int, float)):
-            raise MissingOrder(
-                f"support element {el!r} has no numeric coordinate; pass coords="
-            )
-        coords[el] = float(el)
-    return coords
-
-
 def kl_divergence(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """Relative entropy; +inf when q lacks mass somewhere p has it."""
     ps, qs = _aligned(p, q)
@@ -297,131 +288,56 @@ def total_variation(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     return 0.5 * math.fsum(abs(pi - qi) for pi, qi in zip(ps, qs))
 
 
-def wasserstein1(
-    p: EmpiricalMeasure,
-    q: EmpiricalMeasure,
-    coords: Mapping[Atom, float] | None = None,
-) -> float:
+def wasserstein1(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """Exact 1-Wasserstein distance on a line.
 
-    The support must carry a total order through real coordinates;
-    numeric atoms supply their own, otherwise ``coords`` is required.
-    Computed as the integral of |CDF_p - CDF_q| between consecutive
-    coordinates, which is the minimum-cost transport on the line.
+    The support's atoms must be numbers, which order it; a symbolic atom
+    raises :class:`MissingOrder`.  Computed as the integral of
+    |CDF_p - CDF_q| between consecutive atoms, which is the minimum-cost
+    transport on the line.
     """
     ps, qs = _aligned(p, q)
-    if coords is None:
-        coords = _numeric_coords(p.support)
-    else:
-        missing = [el for el in p.support.elements if el not in coords]
-        if missing:
-            raise MissingOrder(f"no coordinate for support element {missing[0]!r}")
-    order = sorted(range(len(ps)), key=lambda i: coords[p.support.elements[i]])
+    coords = []
+    for el in p.support.elements:
+        if isinstance(el, bool) or not isinstance(el, (int, float)):
+            raise MissingOrder(f"support element {el!r} is not a number, so it has no order")
+        coords.append(float(el))
+    order = sorted(range(len(ps)), key=coords.__getitem__)
     total = 0.0
     cum = 0.0
     for pos in range(len(order) - 1):
         i, j = order[pos], order[pos + 1]
         cum += ps[i] - qs[i]
-        gap = coords[p.support.elements[j]] - coords[p.support.elements[i]]
-        total += abs(cum) * gap
+        total += abs(cum) * (coords[j] - coords[i])
     return total
 
 
-def match_kernel(a: Atom, b: Atom) -> float:
-    """Exact-match kernel for symbolic supports: 1 iff the atoms agree."""
-    return 1.0 if a == b else 0.0
+def mmd_distance(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
+    """Maximum mean discrepancy under the exact-match kernel.
 
-
-def squared_exponential_kernel(
-    coords: Mapping[Atom, float], bandwidth: float
-) -> Callable[[Atom, Atom], float]:
-    if bandwidth <= 0:
-        raise MissingKernel("bandwidth must be positive")
-
-    def kernel(a: Atom, b: Atom) -> float:
-        d = coords[a] - coords[b]
-        return math.exp(-0.5 * d * d / (bandwidth * bandwidth))
-
-    return kernel
-
-
-def _median_bandwidth(coords: Mapping[Atom, float], elements) -> float:
-    gaps = sorted(
-        abs(coords[a] - coords[b])
-        for i, a in enumerate(elements)
-        for b in elements[i + 1 :]
-        if coords[a] != coords[b]
-    )
-    if not gaps:
-        return 1.0
-    mid = len(gaps) // 2
-    return gaps[mid] if len(gaps) % 2 else 0.5 * (gaps[mid - 1] + gaps[mid])
-
-
-def mmd_distance(
-    p: EmpiricalMeasure,
-    q: EmpiricalMeasure,
-    kernel: Callable[[Atom, Atom], float] | str | None = None,
-    coords: Mapping[Atom, float] | None = None,
-) -> float:
-    """Maximum mean discrepancy between two finite measures.
-
-    The population quantity sqrt(E_pp k + E_qq k - 2 E_pq k) computed
-    exactly on the shared support.  ``kernel`` may be a callable, the
-    name ``"match"`` (exact-match kernel, the default for symbolic
-    supports) or ``"rbf"`` (squared-exponential over declared or numeric
-    coordinates with median-gap bandwidth).
+    With k(a, b) = 1 iff a = b, sqrt(E_pp k + E_qq k - 2 E_pq k) is the
+    L2 norm of p - q; the squares are added in support order.
     """
     ps, qs = _aligned(p, q)
-    elements = p.support.elements
-    if kernel is None:
-        kernel = "rbf" if coords is not None else "match"
-    if kernel == "match":
-        kfn = match_kernel
-    elif kernel == "rbf":
-        if coords is None:
-            try:
-                coords = _numeric_coords(p.support)
-            except MissingOrder as exc:
-                raise MissingKernel(
-                    "an rbf kernel needs coordinates for the support"
-                ) from exc
-        kfn = squared_exponential_kernel(coords, _median_bandwidth(coords, elements))
-    elif callable(kernel):
-        kfn = kernel
-    else:
-        raise MissingKernel(f"unknown kernel spec {kernel!r}")
-
-    diff = [pi - qi for pi, qi in zip(ps, qs)]
     acc = 0.0
-    for i, a in enumerate(elements):
-        if diff[i] == 0:
-            continue
-        for j, b in enumerate(elements):
-            if diff[j] == 0:
-                continue
-            acc += diff[i] * diff[j] * kfn(a, b)
-    return math.sqrt(max(acc, 0.0))
+    for pi, qi in zip(ps, qs):
+        gap = pi - qi
+        acc += gap * gap
+    return math.sqrt(acc)
 
 
 _DIVERGENCES = {
-    "kl": lambda p, q, coords, kernel: kl_divergence(p, q),
-    "hellinger": lambda p, q, coords, kernel: hellinger_distance(p, q),
-    "tv": lambda p, q, coords, kernel: total_variation(p, q),
-    "w1": lambda p, q, coords, kernel: wasserstein1(p, q, coords),
-    "mmd": lambda p, q, coords, kernel: mmd_distance(p, q, kernel, coords),
+    "kl": kl_divergence,
+    "hellinger": hellinger_distance,
+    "tv": total_variation,
+    "w1": wasserstein1,
+    "mmd": mmd_distance,
 }
 
 
-def divergence(
-    p: EmpiricalMeasure,
-    q: EmpiricalMeasure,
-    kind: str = "tv",
-    coords: Mapping[Atom, float] | None = None,
-    kernel: Callable[[Atom, Atom], float] | str | None = None,
-) -> float:
+def divergence(p: EmpiricalMeasure, q: EmpiricalMeasure, kind: str = "tv") -> float:
     """Dispatch to one of kl / hellinger / tv / w1 / mmd."""
     fn = _DIVERGENCES.get(kind.lower()) if isinstance(kind, str) else None
     if fn is None:
         raise ValidationError(f"unknown divergence kind {kind!r}")
-    return fn(p, q, coords, kernel)
+    return fn(p, q)

@@ -352,20 +352,20 @@ def valid_structures(
 def useful_structures(
     report: StructureSearchReport,
     runner: Callable[[CandidateStructure, ValidStructure], float],
-    ctx: EvaluationContext,
+    epsilon_star: float,
 ) -> StructureSearchReport:
     """Run a transfer through every valid structure and keep the generalizing ones.
 
     ``runner`` executes a feature-representation transfer with the
     candidate as latent system and returns the measured target error;
-    candidates at or below the context threshold are kept, ordered by
-    measured error ascending.
+    candidates whose error is at most ``epsilon_star`` are kept, ordered
+    by measured error ascending.
     """
     useful = []
     for entry in report.valid:
         cand = report.candidates[entry.candidate_index]
         error = runner(cand, entry)
-        if error <= ctx.epsilon_star:
+        if error <= epsilon_star:
             useful.append(UsefulStructure(entry.candidate_index, error))
     useful.sort(key=lambda u: (u.error, u.candidate_index))
     return replace(report, useful=tuple(useful))
@@ -428,25 +428,27 @@ def structural_transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
     role: str,
-    ctx: EvaluationContext,
+    epsilon_star: float,
     size_bound: int = 3,
 ) -> NeighborhoodReport:
     """Count universe members sharing a useful structure with the pack.
 
     ``role`` fixes which side of each pairing the pack plays; a member
     qualifies when the search over shared structures leaves at least one
-    that generalizes under the context threshold.  The scan returns a
-    ``structural`` :class:`~transferlab.learning.NeighborhoodReport`
-    whose values are each member's best measured error; members are
-    skipped by the one rule of :func:`~transferlab.learning.scan`.
+    whose measured error is at most ``epsilon_star`` (see
+    :func:`useful_structures`).  The scan returns a ``structural``
+    :class:`~transferlab.learning.NeighborhoodReport` whose criterion
+    records the threshold as passed and whose values are each member's
+    best measured error; members are skipped by the one rule of
+    :func:`~transferlab.learning.scan`.
     """
     _check_size_bound(size_bound)
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool] | None:
         report = homomorphic_structures(truth_graph(src), truth_graph(tgt), size_bound)
         report = valid_structures(report, tgt.system.y_set)
-        report = useful_structures(report, feature_runner(src, tgt), ctx)
+        report = useful_structures(report, feature_runner(src, tgt), epsilon_star)
         return (report.useful[0].error, True) if report.useful else None
 
-    criterion = {"epsilon_star": ctx.epsilon_star, "size_bound": size_bound}
+    criterion = {"epsilon_star": epsilon_star, "size_bound": size_bound}
     return scan(pack, universe, role, "structural", criterion, judge)

@@ -527,6 +527,25 @@ def scalar_estimate_measure(pairs, over, smoothing=0.0, support=None) -> Empiric
     )
 
 
+def scalar_mmd(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
+    """MMD under the exact-match kernel, as the double sum over support pairs.
+
+    Cells where the measures agree add nothing and are skipped; the rest
+    add ``(p_a - q_a)(p_b - q_b) k(a, b)`` with ``k(a, b) = 1`` iff ``a == b``.
+    """
+    elements = p.support.elements
+    diff = [pi - q.prob(el) for el, pi in zip(elements, p.probs)]
+    acc = 0.0
+    for i, a in enumerate(elements):
+        if diff[i] == 0:
+            continue
+        for j, b in enumerate(elements):
+            if diff[j] == 0:
+                continue
+            acc += diff[i] * diff[j] * (1.0 if a == b else 0.0)
+    return math.sqrt(max(acc, 0.0))
+
+
 # -- test-side views and oracles -----------------------------------------------------
 # Only tests need these: a hypothesis class as a (θ, x) → y mapping, the inductive
 # relation with its goal/seeking pair, the latent route a feature-representation

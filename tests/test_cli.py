@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from transferlab import cli, specio
 from transferlab.errors import InvalidSpec
 from transferlab.evaluation import SEED_CAP, transferability
-from transferlab.learning import EvaluationContext
 from transferlab.scenarios import MAX_HYPOTHESIS_CAP, ScenarioSpec
 from transferlab.specio import load_document
 
@@ -54,11 +53,28 @@ def test_transferability_report_passes_threshold_through(tmp_path, epsilon_star)
     loaded = load_document(str(path))
     target = loaded.packs["target"]
     direct = transferability(
-        target, [loaded.packs["source"], target], role="target",
-        ctx=EvaluationContext(target.truth, 0.0 if epsilon_star == "target-alone" else 0.5),
-        seeds=2, root_seed=3, epsilon_star=epsilon_star,
+        target, [loaded.packs["source"], target], role="target", epsilon_star=epsilon_star,
+        seeds=2, root_seed=3,
     )
     assert results == cli._jsonable(direct)
+
+
+def test_behavior_signature_reads_packs_with_different_output_sets(tmp_path):
+    path, doc = emit(tmp_path, {**SMALL, "label_count": 3, "structural_edit": "truncate_output"})
+    results = {}
+    for mode in ("raw", "behavior-signature"):
+        doc["analysis"]["transferability"] = {
+            "pack": "target", "universe": ["source", "target"], "role": "target",
+            "seeds": 2, "epsilon_star": 0.5, "equivalence_mode": mode,
+        }
+        write_json(path, doc)
+        out = tmp_path / f"{mode}.json"
+        rc = cli.main(["analyze", str(path), "--kind", "transferability", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        results[mode] = json.loads(out.read_text(encoding="utf-8"))["results"]
+    raw, signature = results["raw"], results["behavior-signature"]
+    assert (raw["members"], raw["skipped"]) == ([1], [0])
+    assert (signature["members"], signature["skipped"], signature["cardinality"]) == ([1], [0], 1)
 
 
 @pytest.mark.parametrize("epsilon_star", ["half", None])
@@ -233,6 +249,21 @@ ANALYSES = {
     "generalist": {**UNIVERSE, "shots": 2, "epsilon_star": 0.5},
     "structures": {**PACKS, "size_bound": 3, "epsilon_star": 0.5},
 }
+
+
+@pytest.mark.parametrize("kind", ["transferability", "generalist"])
+def test_a_scan_refuses_feature_representation_transfer(tmp_path, capsys, kind):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"][kind] = {**ANALYSES[kind], "approach": "feature_representation"}
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        f"analysis error ({kind}): a scan cannot build feature_representation transfer: "
+        "no pack declares latent maps\n"
+    )
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_every_report_is_the_stdlib_indent_2_form(tmp_path):

@@ -6,6 +6,7 @@ universe reseeds the members.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ from transferlab.evaluation import (
     is_generalist,
     transferability,
 )
-from transferlab.learning import EvaluationContext
+from transferlab.measures import ConditionalMeasure
+from transferlab.relations import FiniteSet
 from transferlab.specio import json_text
 from transferlab.structural import structural_transferability
 
@@ -54,8 +56,7 @@ TWIN = dataclasses.replace(UNIVERSE[1], tag="m1-twin")
 
 def structural(universe, role, epsilon_star):
     return transferability(
-        PACK, universe, role, EvaluationContext(PACK.truth, epsilon_star),
-        mode="structural", size_bound=3,
+        PACK, universe, role, epsilon_star, mode="structural", size_bound=3
     )
 
 
@@ -75,9 +76,8 @@ def test_rerun_gives_an_identical_report(role, epsilon_star):
     assert again == first
     assert repr(again) == repr(first)
 
-    ctx = EvaluationContext(PACK.truth, epsilon_star)
-    direct = structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3)
-    assert structural_transferability(PACK, UNIVERSE, role, ctx, size_bound=3) == direct
+    direct = structural_transferability(PACK, UNIVERSE, role, epsilon_star, size_bound=3)
+    assert structural_transferability(PACK, UNIVERSE, role, epsilon_star, size_bound=3) == direct
     assert (direct.members, dict(direct.values)) == (first.members, first.values)
 
 
@@ -101,8 +101,7 @@ def every_mode(role, epsilon_star, mode):
     # Role target keeps the distance mode the golden was recorded with: bound
     # mode skips member m2, which has no data to train as a source (next test).
     return transferability(
-        PACK, UNIVERSE, role, EvaluationContext(PACK.truth, epsilon_star),
-        mode=mode, seeds=3, root_seed=11, size_bound=3,
+        PACK, UNIVERSE, role, epsilon_star, mode=mode, seeds=3, root_seed=11, size_bound=3,
         behavioral_mode="bound" if role == "source" else "distance",
     )
 
@@ -125,7 +124,7 @@ def test_bound_mode_skips_a_source_it_cannot_train():
 @pytest.mark.parametrize("behavioral_mode", ["distance", "bound"])
 def test_behavioral_modes_skip_a_member_without_measures(behavioral_mode):
     report = transferability(
-        PACK, (STRIPPED, *UNIVERSE[1:]), "source", EvaluationContext(TRUTH, 0.5),
+        PACK, (STRIPPED, *UNIVERSE[1:]), "source", 0.5,
         mode="behavioral", behavioral_mode=behavioral_mode,
     )
     assert report.skipped == (0, 3, 4)  # m3 and m4 are heterogeneous
@@ -134,7 +133,7 @@ def test_behavioral_modes_skip_a_member_without_measures(behavioral_mode):
 
 def test_structural_mode_skips_a_member_without_a_truth_table():
     universe = (dataclasses.replace(UNIVERSE[1], truth=None), *UNIVERSE[1:3])
-    report = structural_transferability(PACK, universe, "source", EvaluationContext(TRUTH, 0.5))
+    report = structural_transferability(PACK, universe, "source", 0.5)
     assert report.skipped == (0,)
     assert report.members == (1, 2) and set(report.values) == {1, 2}
 
@@ -159,17 +158,34 @@ class Unread(list):
          "mode must be distance or bound, got 'sideways'"),
         ({"mode": "all", "seeds": SEED_CAP + 1}, CapExceeded, "seeds exceed the cap"),
         ({"approach": "osmosis"}, ValidationError, "unknown transfer approach 'osmosis'"),
+        *(
+            ({"mode": mode, "approach": "feature_representation"}, ValidationError,
+             "a scan cannot build feature_representation transfer")
+            for mode in (*MODES, "all")
+        ),
     ],
 )
 def test_arguments_are_refused_before_any_member_is_judged(arguments, error, message):
     with pytest.raises(error, match=message):
-        transferability(PACK, Unread(UNIVERSE), "source", EvaluationContext(TRUTH), **arguments)
+        transferability(PACK, Unread(UNIVERSE), "source", **{"epsilon_star": 0.5, **arguments})
+
+
+@pytest.mark.parametrize(
+    "approach, message",
+    [
+        ("osmosis", "unknown transfer approach 'osmosis'"),
+        ("feature_representation", "a scan cannot build feature_representation transfer"),
+    ],
+)
+def test_generalist_refuses_an_approach_before_any_member_is_judged(approach, message):
+    with pytest.raises(ValidationError, match=message):
+        is_generalist(PACK, Unread(UNIVERSE), 2, 1, 0.5, approach=approach)
 
 
 def test_behavior_signature_counts_identical_packs_as_one_class():
     raw, signature = (
         transferability(
-            PACK, (UNIVERSE[1], TWIN), "target", EvaluationContext(TRUTH), seeds=2,
+            PACK, (UNIVERSE[1], TWIN), "target", math.inf, seeds=2,
             equivalence_mode=equivalence_mode,
         )
         for equivalence_mode in ("raw", "behavior-signature")
@@ -181,7 +197,7 @@ def test_behavior_signature_counts_identical_packs_as_one_class():
 
 def test_behavior_signature_puts_a_member_without_measures_in_a_class_of_its_own():
     report = transferability(
-        PACK, (STRIPPED, UNIVERSE[1], TWIN), "target", EvaluationContext(TRUTH), seeds=2,
+        PACK, (STRIPPED, UNIVERSE[1], TWIN), "target", math.inf, seeds=2,
         equivalence_mode="behavior-signature",
     )
     assert report.skipped == (0,)  # resampling it needs the measures it lacks
@@ -192,6 +208,26 @@ def test_behavior_signature_puts_a_member_without_measures_in_a_class_of_its_own
     ]
 
 
+def test_behavior_signature_never_matches_packs_declared_over_other_sets():
+    wider = binary_pack(TRUTH, tag="m0-wider", y_elements=(0, 1, 2))  # one more output
+    rows = {x: UNIVERSE[0].posterior.row(x) for x in "abc"}
+    narrower = dataclasses.replace(  # a posterior given on fewer inputs than its marginal
+        UNIVERSE[0], posterior=ConditionalMeasure(FiniteSet("abc", tuple("abc")), rows)
+    )
+    assert _signature_clusters((UNIVERSE[0], wider), SIGNATURE_TAU) == [0, 1]
+    assert _signature_clusters((UNIVERSE[0], narrower), SIGNATURE_TAU) == [0, 1]
+    assert _signature_clusters((narrower, UNIVERSE[0]), SIGNATURE_TAU) == [0, 1]
+    raw, signature = (
+        transferability(
+            PACK, (UNIVERSE[0], wider), "target", math.inf, seeds=2,
+            equivalence_mode=equivalence_mode,
+        )
+        for equivalence_mode in ("raw", "behavior-signature")
+    )
+    assert signature.members == raw.members == (0, 1)
+    assert signature.cardinality == raw.cardinality == 2
+
+
 @pytest.mark.parametrize("role, epsilon_star", CASES)
 def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
     assert every_mode(role, epsilon_star, "all") == {
@@ -200,12 +236,9 @@ def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
 
 
 def test_structural_mode_scores_against_an_explicit_threshold():
-    report = transferability(
-        PACK, UNIVERSE, "source", EvaluationContext(TRUTH, 1.0),
-        mode="structural", epsilon_star=0.0,
-    )
+    report = transferability(PACK, UNIVERSE, "source", 0, mode="structural")
     assert report.members == ()
-    assert report.criterion == {"epsilon_star": 0.0, "size_bound": 3}
+    assert repr(report.criterion) == repr({"epsilon_star": 0.0, "size_bound": 3})
 
 
 def assert_rerun_identical(run):
@@ -218,8 +251,7 @@ def assert_rerun_identical(run):
 @pytest.mark.parametrize("role, epsilon_star", CASES + [("source", "target-alone")])
 def test_empirical_transferability_rerun_is_identical(role, epsilon_star):
     report = assert_rerun_identical(lambda: transferability(
-        PACK, UNIVERSE, role, EvaluationContext(PACK.truth, 0.5),
-        mode="empirical", seeds=3, root_seed=11, epsilon_star=epsilon_star,
+        PACK, UNIVERSE, role, epsilon_star, mode="empirical", seeds=3, root_seed=11,
     ))
     assert report.mode == "empirical" and report.values
 
@@ -238,17 +270,17 @@ def test_negative_transfer_rerun_is_identical(holdout):
 
 def test_generalist_rerun_is_identical():
     report = assert_rerun_identical(
-        lambda: is_generalist(PACK, UNIVERSE[:3], 2, 1, EvaluationContext(PACK.truth, 0.5))
+        lambda: is_generalist(PACK, UNIVERSE[:3], 2, 1, 0.5)
     )
     assert set(report.evidence) == {0, 1, 2}
 
 
 def test_generalist_leaves_out_skipped_members_and_refuses_one_without_a_truth_table():
-    report = is_generalist(PACK, UNIVERSE, 2, 1, EvaluationContext(TRUTH, 0.5))
+    report = is_generalist(PACK, UNIVERSE, 2, 1, 0.5)
     assert set(report.evidence) == {0, 1, 2}  # m3 and m4 are heterogeneous
     untruthful = (UNIVERSE[0], dataclasses.replace(UNIVERSE[1], truth=None))
     with pytest.raises(MissingMeasure, match="universe member 1 declares no truth table"):
-        is_generalist(PACK, untruthful, 2, 1, EvaluationContext(TRUTH, 0.5))
+        is_generalist(PACK, untruthful, 2, 1, 0.5)
 
 
 def test_seeds_above_the_cap_are_refused():
@@ -257,14 +289,14 @@ def test_seeds_above_the_cap_are_refused():
     with pytest.raises(CapExceeded):
         detect_negative_transfer(PACK, target, ts, seeds=SEED_CAP + 1)
     with pytest.raises(CapExceeded):
-        transferability(PACK, UNIVERSE, "source", EvaluationContext(TRUTH), seeds=10**400)
+        transferability(PACK, UNIVERSE, "source", 0.5, seeds=10**400)
 
 
 @pytest.mark.parametrize(
     "scan",
     [
-        lambda role: transferability(PACK, [], role, EvaluationContext(TRUTH)),
-        lambda role: structural_transferability(PACK, [], role, EvaluationContext(TRUTH)),
+        lambda role: transferability(PACK, [], role, 0.5),
+        lambda role: structural_transferability(PACK, [], role, 0.5),
         lambda role: behavioral_transferability(PACK, [], role, 0.5),
     ],
     ids=["transferability", "structural", "behavioral"],
@@ -278,15 +310,15 @@ def test_a_bad_role_is_refused_even_on_an_empty_universe(scan):
 @pytest.mark.parametrize("seeds", [0, -1])
 def test_seeds_below_one_are_refused_not_skipped(seeds):
     with pytest.raises(ValidationError, match="at least one seed is required"):
-        transferability(PACK, UNIVERSE, "source", EvaluationContext(TRUTH), seeds=seeds)
+        transferability(PACK, UNIVERSE, "source", 0.5, seeds=seeds)
 
 
 @pytest.mark.parametrize("n, t", [(-1, 1), (1, -1)])
 def test_negative_shot_budget_or_required_count_is_refused(n, t):
     with pytest.raises(ValidationError, match="must be non-negative"):
-        is_generalist(PACK, UNIVERSE[:1], n, t, EvaluationContext(TRUTH, 0.5))
+        is_generalist(PACK, UNIVERSE[:1], n, t, 0.5)
 
 
 def test_zero_shots_and_zero_required_still_run():
-    report = is_generalist(PACK, UNIVERSE[:2], 0, 0, EvaluationContext(TRUTH, 0.5))
+    report = is_generalist(PACK, UNIVERSE[:2], 0, 0, 0.5)
     assert report.is_generalist and report.shot_budget == 0 and report.required == 0

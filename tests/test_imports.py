@@ -1,7 +1,8 @@
 """Every module under ``src/transferlab`` uses each name it imports, every
 private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
-base error, and one function selects by ``argmin``.
+base error, one function selects by ``argmin``, and every defaulted
+parameter is passed by some call in the package or kept on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -221,3 +222,105 @@ def test_only_the_one_selection_calls_argmin():
         for owner in owners(path.read_text(encoding="utf-8"), calls_argmin)
     }
     assert found == ARGMIN_CALLERS
+
+
+#: Defaulted parameters that no call in ``src/transferlab`` passes, kept on purpose.
+#: Any other such parameter has one value in use and should be a constant.
+KEPT_DEFAULTS = {
+    "cli.main.argv": "the console script reads sys.argv; tests pass an argument list",
+    "learning.verify_learning_axioms.functional_system": "tests pass corrupted relations",
+    "learning.verify_learning_axioms.inductive_system": "tests pass corrupted relations",
+    "transfer.verify_transfer_is_learning_system.functional_system":
+        "tests pass corrupted relations",
+    "transfer.verify_transfer_is_learning_system.inductive_system":
+        "tests pass corrupted relations",
+    "transfer.verify_transfer_is_learning_system.cap": "tests audit carriers above the default",
+    "learning.HypothesisClass.table": "the class is built from rows or from a (θ, x) → y table",
+    "relations.check_goal_seeking.system": "the decomposition check runs only when given one",
+    "relations.enumerate_morphisms.require": "a flag of the public morphism enumeration",
+    "relations.enumerate_morphisms.cap": "a flag of the public morphism enumeration",
+    "relations.enumerate_morphisms.reflect": "a flag of the public morphism enumeration",
+}
+
+
+def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, tuple[str, int | None]]:
+    """``module.function.parameter`` of each defaulted parameter, with the called name and the
+    parameter's position in a call (``None`` when keyword-only).
+
+    A method is named by its class and called by its own name, its
+    position counted after ``self``; a constructor is named and called
+    by its class.
+    """
+    found: dict[str, tuple[str, int | None]] = {}
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            called = cls if child.name == "__init__" else child.name
+            owner = f"{module}.{cls}.{child.name}" if cls and called != cls else f"{module}.{called}"
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            args = child.args.posonlyargs + child.args.args
+            first = len(args) - len(child.args.defaults)
+            for position, arg in enumerate(args[first:], first):
+                found[f"{owner}.{arg.arg}"] = (called, position - skip)
+            for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
+                if default is not None:
+                    found[f"{owner}.{arg.arg}"] = (called, None)
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of ``sources`` (module name → text) that no call there passes.
+
+    Calls are matched by the called name alone, bare or as an attribute,
+    so a same-named call elsewhere counts as passing: the scan may miss
+    an unpassed parameter, but never flags a passed one.  A ``*args`` or
+    ``**kwargs`` in a call counts as passing everything.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+        if any(k.arg in (parameter, None) for k in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return position is not None and len(call.args) > position
+
+    return [
+        name
+        for module, tree in trees.items()
+        for name, (called, position) in defaulted_parameters(module, tree).items()
+        if not any(passes(c, name.rsplit(".", 1)[1], position) for c in calls.get(called, []))
+    ]
+
+
+def test_the_scan_sees_an_unpassed_default():
+    sources = {
+        "a": "def f(x, y=1, *, z=2, w=3): pass\ndef h(q=0): pass\n"
+        "class C:\n    def __init__(self, u=0): pass\n    def m(self, v=0): pass\n"
+        "    @staticmethod\n    def s(t=0): pass\n",
+        "b": "f(0, 1, z=2)\ng(w=3)\nh(**kw)\nC()\nc.m(1)\nC.s(*ts)\n",
+    }
+    assert unpassed_defaults(sources) == ["a.f.w", "a.C.u"]
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    found = set(unpassed_defaults(sources))
+    assert sorted(found - KEPT_DEFAULTS.keys()) == []  # make each a constant, or keep it above
+    assert sorted(KEPT_DEFAULTS.keys() - found) == []  # a call passes it now: drop it above

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import DIVERGENCE_IS_METRIC, scalar_estimate_measure
+from helpers import DIVERGENCE_IS_METRIC, scalar_estimate_measure, scalar_mmd
 from transferlab import cli
 from transferlab.errors import (
     EmptyDataset,
     EstimationError,
-    MissingKernel,
     MissingOrder,
     SupportMismatch,
 )
@@ -26,7 +25,6 @@ from transferlab.measures import (
     hellinger_distance,
     joint_measure,
     kl_divergence,
-    mmd_distance,
     output_marginal,
     pushforward,
     total_variation,
@@ -160,14 +158,8 @@ class TestDivergenceExamples:
 
     def test_w1_missing_order(self):
         p = measure([0.5, 0.5], elements=("a", "b"))
-        with pytest.raises(MissingOrder):
+        with pytest.raises(MissingOrder, match="'a' is not a number"):
             divergence(p, p, "w1")
-        assert divergence(p, p, "w1", coords={"a": 0.0, "b": 1.0}) == 0.0
-
-    def test_mmd_missing_kernel(self):
-        p = measure([0.5, 0.5], elements=("a", "b"))
-        with pytest.raises(MissingKernel):
-            mmd_distance(p, p, kernel="rbf")
 
     def test_mmd_match_kernel_is_l2(self):
         p = measure([0.2, 0.8])
@@ -175,10 +167,26 @@ class TestDivergenceExamples:
         expected = math.sqrt(0.5**2 + 0.5**2)
         assert divergence(p, q, "mmd") == pytest.approx(expected)
 
-    def test_mmd_rbf_on_numeric_support(self):
-        p = measure([0.2, 0.3, 0.5], elements=(0, 1, 5))
-        q = measure([0.5, 0.3, 0.2], elements=(0, 1, 5))
-        assert divergence(p, q, "mmd", kernel="rbf") > 0
+
+@st.composite
+def measure_pairs(draw):
+    """Two measures on one symbolic or numeric support, with cells empty in one or both."""
+    n = draw(st.integers(1, 6))
+    elements = draw(st.sampled_from([tuple("abcdef"[:n]), tuple(range(n)), (-1, *range(1, n))]))
+    counts = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n, max_size=n).filter(any)
+    p_counts = draw(counts)
+    agree = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    q_counts = [pc if same else qc for pc, qc, same in zip(p_counts, draw(counts), agree)]
+    if not any(q_counts):
+        q_counts = p_counts
+    return tuple(measure([c / sum(cs) for c in cs], elements) for cs in (p_counts, q_counts))
+
+
+@settings(max_examples=200)
+@given(measure_pairs())
+def test_mmd_equals_the_match_kernel_double_sum_exactly(pair):
+    p, q = pair
+    assert divergence(p, q, "mmd") == scalar_mmd(p, q)
 
 
 def random_measure(rng, support):

@@ -14,7 +14,6 @@ from helpers import (
     scalar_structure_search,
 )
 from transferlab.errors import CapExceeded, IncompatibleMorphism
-from transferlab.learning import EvaluationContext
 from transferlab.relations import (
     FiniteSet,
     FiniteSystem,
@@ -242,9 +241,7 @@ class TestValidAndUseful:
             homomorphic_structures(truth_graph(src), truth_graph(tgt), 2),
             tgt.system.y_set,
         )
-        done = useful_structures(
-            report, feature_runner(src, tgt), EvaluationContext(tgt.truth, math.inf)
-        )
+        done = useful_structures(report, feature_runner(src, tgt), math.inf)
         assert {u.candidate_index for u in done.useful} == set(done.valid_indices)
         assert {u.candidate_index for u in done.useful} <= {
             i for i in range(len(done.candidates))
@@ -259,9 +256,7 @@ class TestValidAndUseful:
             tgt.system.y_set,
         )
         # best-constant error on this truth is 0.5; demand strictly better
-        done = useful_structures(
-            report, feature_runner(src, tgt), EvaluationContext(tgt.truth, 0.25)
-        )
+        done = useful_structures(report, feature_runner(src, tgt), 0.25)
         collapsed = [
             v.candidate_index
             for v in report.valid
@@ -287,7 +282,7 @@ class TestValidAndUseful:
                 tgt.system.y_set,
             ),
             feature_runner(src, tgt),
-            EvaluationContext(tgt.truth, math.inf),
+            math.inf,
         )
         errors = [u.error for u in report.useful]
         assert errors == sorted(errors)
@@ -298,9 +293,7 @@ class TestStructuralTransferability:
         truths = {"a": 0, "b": 1}
         pack = binary_pack(truths, data=[("a", 0), ("b", 1)], tag="p")
         copy = binary_pack(truths, data=[("a", 0), ("b", 1)], tag="c")
-        report = structural_transferability(
-            pack, [copy], "source", EvaluationContext(pack.truth, 0.9), size_bound=2
-        )
+        report = structural_transferability(pack, [copy], "source", 0.9, size_bound=2)
         assert report.cardinality >= 1
 
     def test_alien_member_excluded(self):
@@ -316,18 +309,13 @@ class TestStructuralTransferability:
             y_elements=(0, 1, 2),
         )
         copy = binary_pack(truths, data=[(x, truths[x]) for x in truths], tag="c")
-        report = structural_transferability(
-            pack, [copy, alien], "source",
-            EvaluationContext(pack.truth, 0.2), size_bound=2,
-        )
+        report = structural_transferability(pack, [copy, alien], "source", 0.2, size_bound=2)
         assert 0 in report.members
         assert 1 not in report.members
 
     def test_empty_universe(self):
         pack = binary_pack({"a": 0, "b": 1}, data=[("a", 0)], tag="p")
-        report = structural_transferability(
-            pack, [], "source", EvaluationContext(pack.truth, 0.5), size_bound=2
-        )
+        report = structural_transferability(pack, [], "source", 0.5, size_bound=2)
         assert report.cardinality == 0
 
 

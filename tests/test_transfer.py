@@ -504,14 +504,16 @@ def test_classify_approach_recovers_the_built_approach(approach):
     truth = {"a": 0, "b": 1, "c": 1}
     source = binary_pack(truth, data=[("a", 0), ("b", 1)], tag="s")
     target = binary_pack(truth, data=[("c", 1)], tag="t")
-    x, y = target.system.x_set, target.system.y_set
-    pairs = {(a, b): (a, b) for a in x.elements for b in y.elements}
-    latent = None
-    if approach == "feature_representation":
+    if approach == "feature_representation":  # no pack declares latent maps: build it by hand
+        x, y = target.system.x_set, target.system.y_set
+        pairs = {(a, b): (a, b) for a in x.elements for b in y.elements}
         latent = FeatureRepSpec(
             target.system, pairs, pairs, {a: a for a in x.elements}, {b: b for b in y.elements}
         )
-    ts = build_transfer_system(source, target, approach, latent=latent)
+        knowledge = Knowledge(instances=source.dataset)
+        ts = TransferSystem(source.system, target.system, knowledge, approach, latent=latent)
+    else:
+        ts = build_transfer_system(source, target, approach)
     assert classify_approach(ts) == approach
 
 
