@@ -98,7 +98,7 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
     elif kind == "roughness":
         report = transfer_roughness(config["source"], config["target"], config["morphism"])
         result = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-        result["tags"] = ["ratio=quotient-cardinality-summary"]
+        result.update(direction="source->target", tags=["ratio=quotient-cardinality-summary"])
     elif kind == "transfer":
         theta, trace = run_transfer(config["system"], config["data"])
         result = {

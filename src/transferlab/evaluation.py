@@ -27,13 +27,14 @@ from .learning import (
     run_algorithm,
     scan,
 )
-from .measures import total_variation
 from .scenarios import resample_pack
 from .structural import _check_size_bound, structural_transferability
 from .transfer import (
     Knowledge,
     TransferSystem,
     _consumed,
+    _measures_equal,
+    _posteriors_equal,
     run_transfer,
     select_knowledge,
     transfer_error,
@@ -41,9 +42,6 @@ from .transfer import (
 
 #: The most seeds one comparison runs; a few milliseconds each at the hypothesis cap.
 SEED_CAP = 1000
-
-#: Total-variation radius within which ``behavior-signature`` equivalence merges two packs.
-SIGNATURE_TAU = 1e-6
 
 #: The three readings of transferability, in the order mode ``all`` reports them.
 _NOTIONS = ("empirical", "structural", "behavioral")
@@ -175,12 +173,13 @@ def detect_negative_transfer(
 
 # -- transferability neighborhoods ---------------------------------------------------
 
-def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
-    """Each pack's class, named by its representative: greedy over tau-close declared measures.
+def _signature_clusters(packs: Sequence[SystemPack]) -> list[int]:
+    """Each pack's signature class, named by its first pack.
 
-    A pack that declares no measures is a class of its own and never a
-    representative.  A representative whose marginal support, posterior
-    inputs or posterior outputs differ from the pack's does not match it.
+    A signature class holds the packs whose declared marginal and
+    posterior are equal, float for float, over the same sets.  Equality
+    is an equivalence, so the partition does not depend on the order of
+    ``packs``.  A pack that declares no measures is a class of its own.
     """
     reps: list[int] = []
     labels: list[int] = []
@@ -188,26 +187,14 @@ def _signature_clusters(packs: Sequence[SystemPack], tau: float) -> list[int]:
         if pack.marginal is None or pack.posterior is None:
             labels.append(i)
             continue
-        for rep_idx in reps:
-            rep = packs[rep_idx]
-            if not (
-                rep.marginal.support.same_elements(pack.marginal.support)
-                and rep.posterior.given.same_elements(pack.posterior.given)
-                and rep.posterior.output_support.same_elements(pack.posterior.output_support)
-            ):
-                continue
-            if total_variation(rep.marginal, pack.marginal) > tau:
-                continue
-            row_gap = max(
-                total_variation(rep.posterior.row(x), pack.posterior.row(x))
-                for x in rep.posterior.given.elements
-            )
-            if row_gap <= tau:
-                labels.append(rep_idx)
-                break
-        else:
+        equal = (
+            j for j in reps
+            if _measures_equal(packs[j].marginal, pack.marginal, 0.0)
+            and _posteriors_equal(packs[j].posterior, pack.posterior, 0.0)
+        )
+        labels.append(next(equal, i))
+        if labels[-1] == i:
             reps.append(i)
-            labels.append(i)
     return labels
 
 
@@ -235,10 +222,15 @@ def transferability(
     positive-transfer set.  ``structural`` and ``behavioral`` modes
     return the report of the corresponding scan, run against
     ``float(epsilon_star)`` and ``epsilon_star`` respectively, and
-    ``all`` returns the three reports side by side.  Every argument is checked, whichever mode reads it, before
-    any member is judged; ``feature_representation`` is refused, since
-    no pack declares the latent maps it needs.  Members are then skipped
-    by the one rule of :func:`~transferlab.learning.scan`.
+    ``all`` returns the three reports side by side.  Every argument is
+    checked, whichever mode reads it, before any member is judged;
+    ``feature_representation`` is refused, since no pack declares the
+    latent maps it needs.  Members are then skipped by the one rule of
+    :func:`~transferlab.learning.scan`.  With ``equivalence_mode=
+    "behavior-signature"`` an empirical report counts its members by
+    signature class: members whose declared marginal and posterior are
+    equal count as one, whatever the order of the universe (criterion
+    ``tau`` 0.0, the tolerance of that equality).
     """
     if mode not in (*_NOTIONS, "all"):
         raise ValidationError(f"unknown transferability mode {mode!r}")
@@ -277,11 +269,11 @@ def transferability(
         "approach": approach,
         "seeds": seeds,
         "root_seed": root_seed,
-        "tau": SIGNATURE_TAU if signature else None,
+        "tau": 0.0 if signature else None,
     }
     report = scan(pack, universe, role, mode, criterion, judge)
     if signature:
-        labels = _signature_clusters(universe, SIGNATURE_TAU)
+        labels = _signature_clusters(universe)
         cardinality = len({labels[i] for i in report.members})
         report = replace(report, cardinality=cardinality, equivalence_mode=equivalence_mode)
     return report

@@ -221,8 +221,8 @@ class AlgorithmSpec:
             raise ValidationError(f"unknown algorithm kind {self.kind!r}")
         if self.kind == "penalized" and self.anchor is None:
             raise ValidationError("penalized selection needs an anchor parameter")
-        if self.weight < 0:
-            raise ValidationError("penalty weight must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValidationError(f"penalty weight {self.weight!r} is not finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -641,7 +641,7 @@ def verify_decomposition(
 
     optimality: list[tuple[Atom, ...]] = []
     for name, (chosen, objective), d in zip(selected, fits, datasets):
-        better = np.flatnonzero(objective < objective[theta_set.index(chosen)] - 1e-12)
+        better = np.flatnonzero(objective < objective[theta_set.index(chosen)])
         optimality.extend((name, theta_set.elements[i]) for i in better)
         if fit_fn(d)[0] != chosen:
             optimality.append((name, "nondeterministic"))

@@ -37,6 +37,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -527,11 +528,12 @@ def _optional_float(doc: SpecDocument, key: str, value: Any) -> float | None:
 
 
 def _threshold(doc: SpecDocument, key: str, value: Any) -> float | str:
-    """A number, or ``"target-alone"``; returned as written."""
+    """A finite number (JSON reads 1e400 as inf), or ``"target-alone"``; returned as written."""
     if value != "target-alone":
         if not _number(value):
             raise AnalysisError(f"epsilon_star {value!r} is not a number or 'target-alone'")
-        _FLOAT(doc, key, value)  # refuses a number no float holds, as other config values
+        if not math.isfinite(_FLOAT(doc, key, value)):  # _FLOAT refuses what no float holds
+            raise AnalysisError(f"epsilon_star {value!r} is not finite")
     return value
 
 

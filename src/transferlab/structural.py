@@ -86,7 +86,6 @@ class RoughnessReport:
     relation_preserving: bool
     onto: bool
     minimal: bool
-    direction: str = "source->target"
 
 
 def transfer_roughness(

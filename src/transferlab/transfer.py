@@ -25,6 +25,7 @@ learning system is checkable by enumeration
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -208,8 +209,12 @@ class TransferSystem:
     pool_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.pool_weight <= 0:
-            raise ValidationError("pool weight must be positive")
+        if not (math.isfinite(self.pool_weight) and self.pool_weight > 0):
+            raise ValidationError(f"pool weight {self.pool_weight!r} is not finite and positive")
+        if not (math.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
+            raise ValidationError(
+                f"penalty weight {self.penalty_weight!r} is not finite and non-negative"
+            )
         _check_knowledge(
             self.source, self.approach, self.knowledge.instances, self.knowledge.parameters
         )

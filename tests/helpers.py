@@ -465,7 +465,7 @@ def scalar_verify_decomposition(
     for (name, chosen), d in zip(selected.items(), datasets):
         chosen_value = gs.goal[(name, chosen)]
         for theta in theta_set.elements:
-            if gs.goal[(name, theta)] < chosen_value - 1e-12:
+            if gs.goal[(name, theta)] < chosen_value:
                 optimality.append((name, theta))
         if select_fn(d) != chosen:
             optimality.append((name, "nondeterministic"))

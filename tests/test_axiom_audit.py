@@ -11,12 +11,14 @@ oracle's message.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     scalar_check_goal_seeking,
+    scalar_verify_decomposition,
     scalar_learning_axioms,
     scalar_transfer_axioms,
 )
@@ -208,6 +210,18 @@ def test_the_audit_calls_its_fit_twice_per_dataset():
     fit_fn = counted(lambda d: fit(d, ERM), calls)
     assert verify_decomposition(X2, Y2, ERM.hypotheses, SAMPLES, fit_fn).passed
     assert calls == [(d,) for d in SAMPLES + SAMPLES]
+
+
+def test_a_choice_a_hair_above_the_minimum_is_flagged():
+    # The scan compares the very vector the fit chose from, so it needs no slack:
+    # a choice 1e-13 above the minimum is not optimal.
+    values = np.array([0.5, 0.5 + 1e-13, 0.7, 0.9])
+    report = verify_decomposition(X2, Y2, ERM.hypotheses, SAMPLES, lambda d: ("h1", values))
+    assert report.optimality_violations == (("d0", "h0"), ("d1", "h0"), ("d2", "h0"))
+    oracle = scalar_verify_decomposition(
+        X2, Y2, ERM.theta_set, ERM.hypotheses.output, SAMPLES, lambda d: "h1", lambda d: values
+    )
+    assert report == oracle
 
 
 def test_both_audits_compute_each_objective_twice(monkeypatch):

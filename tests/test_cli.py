@@ -426,6 +426,11 @@ def fuzz_document(tmp_path_factory):
     return directory, doc
 
 
+def refuse_constant(name):
+    """A ``json.loads`` hook: a report is JSON, so it holds no NaN or Infinity."""
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
 def analyze_with(directory, doc, kind, changes, *flags):
     """Run analyze with ``changes`` (key to JSON text) in the config; check the exit contract."""
     config = {**RUNNING[kind], **{key: f"@{key}@" for key in changes}}
@@ -440,6 +445,8 @@ def analyze_with(directory, doc, kind, changes, *flags):
         rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(report), *flags])
     assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err.getvalue()
     assert report.exists() == (rc == cli.EXIT_OK)
+    if rc == cli.EXIT_OK:
+        json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse_constant)
     if "unknown" in changes and not flags:
         assert analyze_with(directory, doc, kind, changes, "--strict") == cli.EXIT_PARSE
     return rc
@@ -740,3 +747,77 @@ def test_every_approach_reports_its_transfer_golden(tmp_path):
     assert reports["param.empty"]["results"]["zero_shot"] is True
     assert reports["both.empty"]["results"]["n_target"] == 0
     assert specio.json_text(reports) + "\n" == TRANSFER_GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "verb, block, key, value, message",
+    [
+        ("analyze", "inst", "pool_weight", "1e400",
+         "transfer.inst: pool weight inf is not finite and positive"),
+        ("analyze", "inst", "pool_weight", "0",
+         "transfer.inst: pool weight 0.0 is not finite and positive"),
+        ("validate", "param", "penalty_weight", "-1",
+         "transfer.param: penalty weight -1.0 is not finite and non-negative"),
+        ("validate", "param", "penalty_weight", "1e400",
+         "transfer.param: penalty weight inf is not finite and non-negative"),
+    ],
+)
+def test_a_weight_out_of_range_exits_invariant_violation(tmp_path, capsys, verb, block, key,
+                                                         value, message):
+    doc = {**TRANSFER_DOC, "analysis": {"transfer": {"system": "inst", "data": "target_data"}}}
+    doc["transfer"] = {**doc["transfer"], block: {**doc["transfer"][block], key: "@weight@"}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"@weight@"', value), encoding="utf-8")
+    capsys.readouterr()
+    flags = ["--kind", "transfer"] if verb == "analyze" else []
+    rc = cli.main([verb, str(path), *flags, "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
+
+
+def test_an_infinite_transferability_threshold_exits_analysis_error(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["transferability"] = {**UNIVERSE, "epsilon_star": "@eps@"}
+    path.write_text(json.dumps(doc).replace('"@eps@"', "1e400"), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(path), "--kind", "transferability",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_ANALYSIS
+    assert capsys.readouterr().err == (
+        "analysis error (transferability): epsilon_star inf is not finite\n"
+    )
+
+
+# -- roughness reports -------------------------------------------------------------------
+# A three-input relation collapsed onto a two-input one; the report, with its
+# constant ``direction`` key, is pinned byte for byte.
+
+ROUGHNESS_DOC = {
+    "version": 1,
+    "sets": {
+        "X": {"elements": ["a", "b", "c"]}, "Y": {"elements": [0, 1]},
+        "Z": {"elements": ["u", "v"]},
+    },
+    "relations": {
+        "r": {"components": ["X", "Y"], "tuples": [["a", 0], ["b", 1], ["c", 1]], "inputs": [0]},
+        "q": {"components": ["Z", "Y"], "tuples": [["u", 0], ["v", 1]], "inputs": [0]},
+    },
+    "morphisms": {
+        "m": {
+            "source": "r", "target": "q", "x_map": [["a", "u"], ["b", "v"], ["c", "v"]],
+            "y_map": [[0, 0], [1, 1]],
+        },
+    },
+    "analysis": {"roughness": {"source": "r", "target": "q", "morphism": "m"}},
+}
+ROUGHNESS_GOLDEN = Path(__file__).parent / "golden" / "roughness_report.json"
+
+
+def test_a_roughness_report_keeps_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the document by the path it was given
+    write_json(tmp_path / "roughness.json", ROUGHNESS_DOC)
+    argv = ["analyze", "roughness.json", "--kind", "roughness", "--out", "report.json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert json.loads(text)["results"]["direction"] == "source->target"
+    assert text == ROUGHNESS_GOLDEN.read_text(encoding="utf-8")

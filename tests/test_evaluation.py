@@ -1,8 +1,10 @@
 """Transferability and negative-transfer reports: reproducible, indices that follow the universe.
 
-Permutation-equivariance is checked in structural mode only: empirical
-mode keys each member's randomness by its index, so permuting the
-universe reseeds the members.
+The metamorphic checks (permute the universe, rename every atom in
+order) run in structural and behavioral mode only.  Empirical mode is
+exempt: it keys each member's random draws by the member's index, so
+permuting the universe reseeds the members, until exact expected
+outcomes replace its seeded means.
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ from transferlab.behavioral import behavioral_transferability
 from transferlab.errors import CapExceeded, MissingMeasure, ValidationError
 from transferlab.evaluation import (
     SEED_CAP,
-    SIGNATURE_TAU,
     NeighborhoodReport,
     _signature_clusters,
     build_transfer_system,
@@ -27,7 +28,8 @@ from transferlab.evaluation import (
     is_generalist,
     transferability,
 )
-from transferlab.measures import ConditionalMeasure
+from transferlab.learning import Dataset, HypothesisClass, LearningSystem, SystemPack
+from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
 from transferlab.relations import FiniteSet
 from transferlab.specio import json_text
 from transferlab.structural import structural_transferability
@@ -81,16 +83,81 @@ def test_rerun_gives_an_identical_report(role, epsilon_star):
     assert (direct.members, dict(direct.values)) == (first.members, first.values)
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.permutations(range(len(UNIVERSE))), st.sampled_from(CASES))
-def test_permuting_the_universe_permutes_members_and_errors(order, case):
+# m0 without measures (a behavioral skip) and m1 without a truth table (a structural skip).
+SKIPPING = (*UNIVERSE, STRIPPED, dataclasses.replace(UNIVERSE[1], truth=None, tag="m1-no-truth"))
+SCANS = ("structural", "distance", "bound")
+
+
+def scanned(pack, universe, role, epsilon_star, scan):
+    """The structural scan, or the behavioral scan in ``distance`` or ``bound`` mode, at a
+    threshold that admits some of the members it scores and not others."""
+    if scan == "structural":
+        return transferability(pack, universe, role, epsilon_star, mode="structural", size_bound=3)
+    threshold = epsilon_star / 2 if scan == "distance" else epsilon_star + 0.9
+    return behavioral_transferability(pack, universe, role, threshold, scan)
+
+
+def bits(values):
+    """Each value's exact bits, in hex."""
+    return {i: float(v).hex() for i, v in values.items()}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.permutations(range(len(SKIPPING))), st.sampled_from(CASES), st.sampled_from(SCANS))
+def test_permuting_the_universe_permutes_members_and_errors(order, case, scan):
     role, epsilon_star = case
-    base = structural(UNIVERSE, role, epsilon_star)
-    permuted = structural([UNIVERSE[i] for i in order], role, epsilon_star)
+    base = scanned(PACK, SKIPPING, role, epsilon_star, scan)
+    permuted = scanned(PACK, [SKIPPING[i] for i in order], role, epsilon_star, scan)
     # Position j of the permuted universe holds member order[j].
     assert permuted.members == tuple(j for j, i in enumerate(order) if i in base.members)
-    assert permuted.values == {j: base.values[i] for j, i in enumerate(order) if i in base.values}
+    assert permuted.skipped == tuple(j for j, i in enumerate(order) if i in base.skipped)
+    assert bits(permuted.values) == {
+        j: base.values[i].hex() for j, i in enumerate(order) if i in base.values
+    }
     assert permuted.cardinality == base.cardinality
+    assert permuted.criterion == base.criterion
+
+
+def renamed(pack):
+    """``pack`` with every atom renamed in order: inputs and parameters prefixed, labels + 10."""
+    x, y = "r_{}".format, (lambda label: label + 10)
+
+    def measure(m, rename):
+        support = FiniteSet(m.support.name, tuple(map(rename, m.support.elements)))
+        return EmpiricalMeasure(support, m.probs)
+
+    system, h = pack.system, pack.system.hypotheses
+    hypotheses = HypothesisClass(
+        FiniteSet(h.theta_set.name, tuple(map(x, h.theta_set.elements))),
+        columns=tuple(map(x, h.columns)),
+        rows={x(theta): tuple(map(y, row)) for theta, row in h.rows.items()},
+    )
+    posterior = pack.posterior and ConditionalMeasure(
+        FiniteSet(pack.posterior.given.name, tuple(map(x, pack.posterior.given.elements))),
+        {x(a): measure(row, y) for a, row in pack.posterior.rows.items()},
+    )
+    return SystemPack(
+        LearningSystem(
+            FiniteSet(system.x_set.name, tuple(map(x, system.x_set.elements))),
+            FiniteSet(system.y_set.name, tuple(map(y, system.y_set.elements))),
+            hypotheses, system.loss, system.algorithm,
+        ),
+        Dataset(tuple((x(a), y(b)) for a, b in pack.dataset.pairs), pack.dataset.source_tag),
+        pack.marginal and measure(pack.marginal, x),
+        posterior,
+        pack.truth and {x(a): y(b) for a, b in pack.truth.items()},
+        pack.tag,
+    )
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize("role, epsilon_star", CASES)
+def test_renaming_every_atom_in_order_leaves_the_report_equal(role, epsilon_star, scan):
+    base = scanned(PACK, SKIPPING, role, epsilon_star, scan)
+    again = scanned(renamed(PACK), [renamed(m) for m in SKIPPING], role, epsilon_star, scan)
+    assert base.members and base.skipped
+    assert again == base
+    assert repr(again) == repr(base)  # bit-equal values
 
 
 MODES = ("empirical", "structural", "behavioral")
@@ -192,7 +259,7 @@ def test_behavior_signature_counts_identical_packs_as_one_class():
     )
     assert signature.members == raw.members == (0, 1)
     assert (raw.cardinality, signature.cardinality) == (2, 1)
-    assert (raw.criterion["tau"], signature.criterion["tau"]) == (None, SIGNATURE_TAU)
+    assert (raw.criterion["tau"], signature.criterion["tau"]) == (None, 0.0)
 
 
 def test_behavior_signature_puts_a_member_without_measures_in_a_class_of_its_own():
@@ -203,7 +270,7 @@ def test_behavior_signature_puts_a_member_without_measures_in_a_class_of_its_own
     assert report.skipped == (0,)  # resampling it needs the measures it lacks
     assert report.members == (1, 2) and report.cardinality == 1
     # Never a representative: neither the twin nor a second copy joins its class.
-    assert _signature_clusters((STRIPPED, UNIVERSE[1], STRIPPED, TWIN), SIGNATURE_TAU) == [
+    assert _signature_clusters((STRIPPED, UNIVERSE[1], STRIPPED, TWIN)) == [
         0, 1, 2, 1
     ]
 
@@ -214,9 +281,9 @@ def test_behavior_signature_never_matches_packs_declared_over_other_sets():
     narrower = dataclasses.replace(  # a posterior given on fewer inputs than its marginal
         UNIVERSE[0], posterior=ConditionalMeasure(FiniteSet("abc", tuple("abc")), rows)
     )
-    assert _signature_clusters((UNIVERSE[0], wider), SIGNATURE_TAU) == [0, 1]
-    assert _signature_clusters((UNIVERSE[0], narrower), SIGNATURE_TAU) == [0, 1]
-    assert _signature_clusters((narrower, UNIVERSE[0]), SIGNATURE_TAU) == [0, 1]
+    assert _signature_clusters((UNIVERSE[0], wider)) == [0, 1]
+    assert _signature_clusters((UNIVERSE[0], narrower)) == [0, 1]
+    assert _signature_clusters((narrower, UNIVERSE[0])) == [0, 1]
     raw, signature = (
         transferability(
             PACK, (UNIVERSE[0], wider), "target", math.inf, seeds=2,
@@ -226,6 +293,73 @@ def test_behavior_signature_never_matches_packs_declared_over_other_sets():
     )
     assert signature.members == raw.members == (0, 1)
     assert signature.cardinality == raw.cardinality == 2
+
+
+def shifted(k, tag, flip=False):
+    """Two inputs, marginal (0.5, 0.5) moved by k·0.6e-6, one posterior (or its flip)."""
+    truth = {"a": 1, "b": 0} if flip else {"a": 0, "b": 1}
+    step = k * 0.6e-6
+    return binary_pack(truth, marginal=(0.5 + step, 0.5 - step), data=[("a", 0)], tag=tag)
+
+
+# Each is within 1e-6 in total variation of the next, but A and C are not.
+A, B, C = (shifted(k, tag) for k, tag in enumerate("ABC"))
+
+
+@pytest.mark.parametrize("order", ["ABC", "BAC", "CBA"])
+def test_signature_classes_do_not_depend_on_the_universe_order(order):
+    universe = [{"A": A, "B": B, "C": C}[name] for name in order]
+    report = transferability(
+        A, universe, "source", 1.0, equivalence_mode="behavior-signature", seeds=2
+    )
+    assert report.members == (0, 1, 2)
+    assert report.cardinality == 3  # three different marginals
+    assert report.criterion["tau"] == 0.0
+
+
+def test_an_exact_twin_shares_its_signature_class():
+    twin = shifted(0, "A-twin")
+    report = transferability(
+        A, (A, B, twin), "source", 1.0, equivalence_mode="behavior-signature", seeds=2
+    )
+    assert report.members == (0, 1, 2) and report.cardinality == 2
+    assert _signature_clusters((A, B, twin, C)) == [0, 1, 0, 3]
+
+
+def partition(labels):
+    """The classes of ``labels`` as sets of indices."""
+    classes = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+# A signature is (shift k, flipped posterior); None declares no measures.
+signatures = st.one_of(st.none(), st.tuples(st.integers(0, 2), st.booleans()))
+SHARED = {(k, flip): shifted(k, f"s{k}{flip}", flip) for k in range(3) for flip in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_signature_classes_are_the_exact_signatures_in_any_order(data):
+    entries = data.draw(st.lists(st.tuples(signatures, st.booleans()), min_size=1, max_size=8))
+    packs = [
+        dataclasses.replace(A, marginal=None, posterior=None) if key is None
+        else SHARED[key] if shared else shifted(key[0], "copy", key[1])  # an exact copy
+        for key, shared in entries
+    ]
+    keys = [key for key, _ in entries]
+    labels = _signature_clusters(packs)
+    expected = {
+        frozenset(i for i, other in enumerate(keys) if other == key) for key in keys if key
+    } | {frozenset({i}) for i, key in enumerate(keys) if key is None}
+    assert partition(labels) == expected
+    assert all(labels[i] == min(c) for c in partition(labels) for i in c)  # named by its first
+
+    order = data.draw(st.permutations(range(len(packs))))
+    permuted = _signature_clusters([packs[i] for i in order])
+    # Position j of the permuted list holds pack order[j].
+    assert {frozenset(order[j] for j in c) for c in partition(permuted)} == expected
 
 
 @pytest.mark.parametrize("role, epsilon_star", CASES)

@@ -2,7 +2,8 @@
 private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, and every defaulted
-parameter is passed by some call in the package or kept on purpose.
+parameter, a frozen dataclass's defaulted fields included, is passed by
+some call in the package or kept on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -235,6 +236,8 @@ KEPT_DEFAULTS = {
     "transfer.verify_transfer_is_learning_system.inductive_system":
         "tests pass corrupted relations",
     "transfer.verify_transfer_is_learning_system.cap": "tests audit carriers above the default",
+    "transfer.TransferSystem.hypotheses_tr":
+        "derived from the target or the latent maps unless a test passes its own class",
     "learning.HypothesisClass.table": "the class is built from rows or from a (θ, x) → y table",
     "relations.check_goal_seeking.system": "the decomposition check runs only when given one",
     "relations.enumerate_morphisms.require": "a flag of the public morphism enumeration",
@@ -243,19 +246,54 @@ KEPT_DEFAULTS = {
 }
 
 
-def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, tuple[str, int | None]]:
-    """``module.function.parameter`` of each defaulted parameter, with the called name and the
-    parameter's position in a call (``None`` when keyword-only).
+def keyword(call: ast.AST, name: str):
+    """The value of keyword ``name`` in ``call``, or ``None``."""
+    keywords = call.keywords if isinstance(call, ast.Call) else []
+    return next((k.value for k in keywords if k.arg == name), None)
+
+
+def init_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
+    """``(field, defaulted)`` for each parameter of the ``__init__`` a frozen dataclass generates;
+    empty for any other class, and for a dataclass that writes its own ``__init__``.
+    """
+    decorators = [d for d in cls.decorator_list if getattr(d, "func", None)]
+    frozen = any(
+        getattr(d.func, "id", None) == "dataclass"
+        and getattr(keyword(d, "frozen"), "value", False) is True
+        and getattr(keyword(d, "init"), "value", True) is not False
+        for d in decorators
+    )
+    fields = []
+    for node in cls.body if frozen else []:
+        if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(node.annotation):
+            continue
+        if getattr(keyword(node.value, "init"), "value", True) is False:
+            continue
+        fields.append((node.target.id, node.value is not None))
+    return fields
+
+
+def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
+    """``module.function.parameter`` of each defaulted parameter, with each call that may pass
+    it: the called name and the parameter's position in that call (``None``: by keyword only).
 
     A method is named by its class and called by its own name, its
     position counted after ``self``; a constructor is named and called
-    by its class.
+    by its class.  A defaulted field of a frozen dataclass is a
+    constructor parameter, also passed by keyword to ``replace``.
     """
-    found: dict[str, tuple[str, int | None]] = {}
+    found: dict[str, list[tuple[str, int | None]]] = {}
 
     def visit(node: ast.AST, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                for position, (name, defaulted) in enumerate(init_fields(child)):
+                    if defaulted:
+                        found[f"{module}.{child.name}.{name}"] = [
+                            (child.name, position), ("replace", None)
+                        ]
                 visit(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -268,10 +306,10 @@ def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, tuple[str, 
             args = child.args.posonlyargs + child.args.args
             first = len(args) - len(child.args.defaults)
             for position, arg in enumerate(args[first:], first):
-                found[f"{owner}.{arg.arg}"] = (called, position - skip)
+                found[f"{owner}.{arg.arg}"] = [(called, position - skip)]
             for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
                 if default is not None:
-                    found[f"{owner}.{arg.arg}"] = (called, None)
+                    found[f"{owner}.{arg.arg}"] = [(called, None)]
             visit(child, None)
 
     visit(tree, None)
@@ -304,8 +342,12 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     return [
         name
         for module, tree in trees.items()
-        for name, (called, position) in defaulted_parameters(module, tree).items()
-        if not any(passes(c, name.rsplit(".", 1)[1], position) for c in calls.get(called, []))
+        for name, callers in defaulted_parameters(module, tree).items()
+        if not any(
+            passes(c, name.rsplit(".", 1)[1], position)
+            for called, position in callers
+            for c in calls.get(called, [])
+        )
     ]
 
 
@@ -317,6 +359,19 @@ def test_the_scan_sees_an_unpassed_default():
         "b": "f(0, 1, z=2)\ng(w=3)\nh(**kw)\nC()\nc.m(1)\nC.s(*ts)\n",
     }
     assert unpassed_defaults(sources) == ["a.f.w", "a.C.u"]
+
+
+def test_the_scan_sees_an_unpassed_dataclass_field():
+    sources = {
+        "a": "@dataclass(frozen=True)\nclass D:\n    u: int\n    v: int = 0\n    w: int = 1\n"
+        "    c: ClassVar[int] = 2\n    x: int = field(default=3)\n"
+        "    z: int = field(default=4, init=False)\n    t: int = 5\n    def m(self): pass\n"
+        "@dataclass(frozen=True, init=False)\nclass E:\n    e: int = 0\n"
+        "@dataclass\nclass G:\n    g: int = 0\n"
+        "@dataclass(frozen=True)\nclass F:\n    f: int = 0\n",
+        "b": "D(0, 1)\nd = replace(d, x=3)\nreplace(g, 0, 1, 2, 3)\nF(**options)\n",
+    }
+    assert unpassed_defaults(sources) == ["a.D.w", "a.D.t"]
 
 
 def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():

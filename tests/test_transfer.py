@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from transferlab.errors import (
 )
 from transferlab.evaluation import build_transfer_system
 from transferlab.learning import (
+    AlgorithmSpec,
     Dataset,
     EvaluationContext,
     HypothesisClass,
@@ -537,3 +539,24 @@ def test_transfer_error_is_the_prediction_error_of_the_transferred_hypothesis(
     )
     assert transfer_error(ts, theta, ctx, weight) == by_hand
     assert 0 < by_hand < 1
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_a_penalty_weight_must_be_finite_and_non_negative(systems, value):
+    message = f"penalty weight {value!r} is not finite and non-negative"
+    with pytest.raises(ValidationError, match=message):
+        AlgorithmSpec("penalized", anchor="h00", weight=value)
+    with pytest.raises(ValidationError, match=message):
+        TransferSystem(*systems, Knowledge(parameters=("h00",)), "parameter", penalty_weight=value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+def test_a_pool_weight_must_be_finite_and_positive(systems, source_data, value):
+    with pytest.raises(ValidationError, match=f"pool weight {value!r} is not finite and positive"):
+        TransferSystem(*systems, Knowledge(instances=source_data), pool_weight=value)
+
+
+def test_a_zero_penalty_weight_is_accepted(systems):
+    assert AlgorithmSpec("penalized", anchor="h00", weight=0.0).weight == 0.0
+    ts = TransferSystem(*systems, Knowledge(parameters=("h00",)), "parameter", penalty_weight=0.0)
+    assert ts.penalty_weight == 0.0
