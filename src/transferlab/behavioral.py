@@ -21,6 +21,7 @@ from .learning import (
     LearningSystem,
     NeighborhoodReport,
     SystemPack,
+    _check_threshold,
     generalization_error,
     run_algorithm,
     scan,
@@ -221,13 +222,14 @@ def behavioral_transferability(
     ``bound`` mode admits it when source error + distance + complexity
     is strictly below it.  The scan returns a ``behavioral``
     :class:`~transferlab.learning.NeighborhoodReport` whose criterion
-    records the threshold, the mode and the divergence kind ``tv``.
-    Members are skipped by the one rule of
-    :func:`~transferlab.learning.scan`: a heterogeneous pairing, a member
-    that declares no measures and, in ``bound`` mode, a source that
-    cannot be trained or scored.
+    records the threshold, the mode and the divergence kind ``tv``.  A
+    NaN threshold is refused before the scan.  Members are skipped by
+    the one rule of :func:`~transferlab.learning.scan`: a heterogeneous
+    pairing, a member that declares no measures and, in ``bound`` mode,
+    a source that cannot be trained or scored.
     """
     _check_behavioral_mode(mode)
+    _check_threshold(threshold, "threshold")
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
         if not src.system.same_space(tgt.system):

@@ -23,6 +23,7 @@ from .learning import (
     LearningSystem,
     NeighborhoodReport,
     SystemPack,
+    _check_threshold,
     generalization_error,
     run_algorithm,
     scan,
@@ -223,10 +224,10 @@ def transferability(
     return the report of the corresponding scan, run against
     ``float(epsilon_star)`` and ``epsilon_star`` respectively, and
     ``all`` returns the three reports side by side.  Every argument is
-    checked, whichever mode reads it, before any member is judged;
-    ``feature_representation`` is refused, since no pack declares the
-    latent maps it needs.  Members are then skipped by the one rule of
-    :func:`~transferlab.learning.scan`.  With ``equivalence_mode=
+    checked, whichever mode reads it, before any member is judged: a NaN
+    threshold is refused, and so is ``feature_representation``, since no
+    pack declares the latent maps it needs.  Members are then skipped by
+    the one rule of :func:`~transferlab.learning.scan`.  With ``equivalence_mode=
     "behavior-signature"`` an empirical report counts its members by
     signature class: members whose declared marginal and posterior are
     equal count as one, whatever the order of the universe (criterion
@@ -238,6 +239,7 @@ def transferability(
         raise ValidationError(f"{mode} mode cannot take the threshold {epsilon_star!r}")
     if equivalence_mode not in ("raw", "behavior-signature"):
         raise ValidationError(f"unknown equivalence mode {equivalence_mode!r}")
+    _check_threshold(epsilon_star)
     _check_seeds(seeds)
     _check_size_bound(size_bound)
     _check_behavioral_mode(behavioral_mode)
@@ -303,14 +305,16 @@ def is_generalist(
     Each member's own dataset is truncated to its first ``n`` pairs (the
     nesting makes shot budgets monotone), the transfer runs once,
     deterministically, and the member qualifies when the measured target
-    error is strictly below ``epsilon_star``.  An approach a scan cannot
-    build (``feature_representation``, as in :func:`transferability`) and
-    a member without a truth table are refused before the scan; the scan
-    skips members by the one rule of :func:`~transferlab.learning.scan`,
-    and the report, which has no field for them, leaves them out.
+    error is strictly below ``epsilon_star``.  A NaN threshold, an
+    approach a scan cannot build (``feature_representation``, as in
+    :func:`transferability`) and a member without a truth table are
+    refused before the scan; the scan skips members by the one rule of
+    :func:`~transferlab.learning.scan`, and the report, which has no
+    field for them, leaves them out.
     """
     if n < 0 or t < 0:
         raise ValidationError("shot budget and required count must be non-negative")
+    _check_threshold(epsilon_star)
     _check_approach(approach)
     for idx, member in enumerate(universe):
         if member.truth is None:

@@ -19,13 +19,17 @@ them exactly and the summation order cannot change them.  Squared
 totals are still summed per θ with ``math.fsum``.  Because every
 carrier is finite, the defining biconditionals of the construction are
 checkable by enumeration, which is what :func:`verify_learning_axioms`
-does.
+does.  Its goal-seeking check needs no goal table: the goal is the
+objective the selection minimized, so the biconditional can fail only
+off datasets × Θ or where the inductive relation and the selections
+differ, and only those points are visited.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,10 +51,10 @@ from .relations import (
     Atom,
     FiniteSet,
     FiniteSystem,
-    GoalSeekingSpec,
     GoalSeekReport,
+    _inductive_carrier,
+    _seek_violations,
     cascade,
-    check_goal_seeking,
 )
 
 
@@ -336,6 +340,12 @@ class NeighborhoodReport:
     equivalence_mode: str = "raw"
 
 
+def _check_threshold(value: object, name: str = "epsilon_star") -> None:
+    """Refuse a NaN threshold, which every comparison fails; ``math.inf`` admits every member."""
+    if isinstance(value, numbers.Real) and math.isnan(value):  # NumPy floats are Real too
+        raise ValidationError(f"{name} {value} is not a number")
+
+
 def scan(
     pack: SystemPack,
     universe: Sequence[SystemPack],
@@ -548,30 +558,35 @@ class AxiomReport:
         )
 
 
-def _goal_seeking(
-    theta_set: FiniteSet, fits: Sequence[tuple[Atom, np.ndarray]]
-) -> tuple[dict[str, Atom], FiniteSystem, GoalSeekingSpec]:
-    """Selections, inductive relation and goal/seeking pair of one fit per dataset.
+def _seeking(
+    sg: FiniteSystem, theta_set: FiniteSet, selected: Mapping[str, Atom]
+) -> GoalSeekReport:
+    """Check 2 of the audit, decided without building the goal.
 
-    Dataset ``i`` is ``d<i>``; ``fits[i]`` is its selection and objective vector.
+    The goal is the objective: total on datasets × Θ, valued in its own
+    values, and sought exactly at the pairs ``(d, selected[d])``.  A
+    point of ``sg``'s carrier can therefore fail only by lying outside
+    datasets × Θ (``goal_not_total``; every point when the carrier does
+    not have two components) or by being in exactly one of ``sg`` and
+    the selections; ``goal_value`` cannot occur.  The report is the one
+    :func:`~transferlab.relations.check_goal_seeking` gives for that goal.
     """
-    names = tuple(f"d{i}" for i in range(len(fits)))
-    selected = {name: theta for name, (theta, _) in zip(names, fits)}
-    inductive = FiniteSystem(
-        (FiniteSet("datasets", names), theta_set),
-        tuple(selected.items()),
-        ((0,), (1,)),
-    )
-    goal = dict(zip(
-        itertools.product(names, theta_set.elements),
-        itertools.chain.from_iterable(values.tolist() for _, values in fits),
-    ))
-    gs = GoalSeekingSpec(
-        FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
-        goal,
-        frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
-    )
-    return selected, inductive, gs
+    carrier = _inductive_carrier(sg)
+    if len(carrier) != 2:
+        found = dict.fromkeys(itertools.product(*(c.elements for c in carrier)), "goal_not_total")
+    else:
+        rows, cols = carrier
+        # Θ's own parameter set has no column outside Θ to look for.
+        foreign = [] if cols.elements == theta_set.elements else [
+            t for t in cols.elements if t not in theta_set
+        ]
+        found = {}
+        for row in rows.elements:
+            outside = foreign if row in selected else cols.elements
+            found.update(((row, t), "goal_not_total") for t in outside)
+    chosen = set(selected.items())
+    violations = _seek_violations(carrier, found, sg, sg.tuple_set | chosen, chosen.__contains__)
+    return GoalSeekReport(tuple(violations), math.prod(map(len, carrier)))
 
 
 def verify_decomposition(
@@ -595,8 +610,15 @@ def verify_decomposition(
        with the functional relation (parameter, input -> output) through
        the shared parameter set reproduces the direct input-output
        relation, tuple for tuple;
-    2. the goal/seeking pair built from the objective is consistent with
-       the inductive relation (both directions of the biconditional);
+    2. the goal/seeking pair of the objective is consistent with the
+       inductive relation (both directions of the biconditional).  The
+       goal is the objective the selection minimized, so it is known
+       without being built: total on datasets × Θ, valued in its own
+       values, and sought exactly at the selections.  The check visits
+       the carrier's rows and columns, the tuples of the inductive
+       relation and the selections, never each (dataset, θ) point, and
+       reports what :func:`~transferlab.relations.check_goal_seeking`
+       reports for that goal;
     3. the selected parameter attains the minimum objective, and
        re-selection is deterministic.
 
@@ -612,7 +634,11 @@ def verify_decomposition(
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
     theta_set, output = hypotheses.theta_set, hypotheses.output
     fits = [fit_fn(d) for d in datasets]
-    selected, derived, gs = _goal_seeking(theta_set, fits)
+    names = tuple(f"d{i}" for i in range(len(fits)))
+    selected = {name: theta for name, (theta, _) in zip(names, fits)}
+    derived = FiniteSystem(
+        (FiniteSet("datasets", names), theta_set), tuple(selected.items()), ((0,), (1,))
+    )
     if inductive_system is None:
         inductive_system = derived
     if functional_system is None:
@@ -637,7 +663,7 @@ def verify_decomposition(
     cascade_violations = tuple(
         sorted(direct.symmetric_difference(composed.tuple_set), key=repr)
     )
-    seeking = check_goal_seeking(None, inductive_system, gs)
+    seeking = _seeking(inductive_system, theta_set, selected)
 
     optimality: list[tuple[Atom, ...]] = []
     for name, (chosen, objective), d in zip(selected, fits, datasets):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -90,6 +90,8 @@ class FiniteSet:
 
     def same_elements(self, other: "FiniteSet") -> bool:
         """Equality as sets of atoms, ignoring name and order."""
+        if self.elements == other.elements:  # equal tuples hold equal sets; no sets to build
+            return True
         return frozenset(self.elements) == frozenset(other.elements)
 
 
@@ -351,6 +353,40 @@ class GoalSeekReport:
         return not self.violations
 
 
+def _inductive_carrier(sg: FiniteSystem) -> tuple[FiniteSet, ...]:
+    """The carrier of an inductive relation: its input components, then its one parameter set."""
+    if len(sg.output_indices) != 1:
+        raise IncompatibleCarriers("the inductive relation must output one parameter")
+    return sg.input_components + (sg.components[sg.output_indices[0]],)
+
+
+def _seek_violations(
+    carrier: tuple[FiniteSet, ...],
+    found: dict[tuple[Atom, ...], str],
+    sg: FiniteSystem,
+    candidates: Iterable[tuple[Atom, ...]],
+    seeks: Callable[[tuple[Atom, ...]], bool],
+) -> list[GoalSeekViolation]:
+    """The violations in ``found`` and the candidates' seek violations, in canonical carrier order.
+
+    ``found`` maps carrier points, as the carrier's own atoms, to the
+    goal violation each already has.  A candidate inside the carrier is
+    read back through those atoms; one not in ``found`` breaks the
+    biconditional when its membership in ``sg`` differs from
+    ``seeks(point)``.  The parameter varies fastest in the order.
+    """
+    indexes = [c._index for c in carrier]
+    for candidate in candidates:
+        if len(candidate) != len(carrier) or not all(map(dict.__contains__, indexes, candidate)):
+            continue
+        position = map(dict.__getitem__, indexes, candidate)
+        key = tuple(c.elements[i] for c, i in zip(carrier, position))
+        if key not in found and (key in sg.tuple_set) != seeks(key):
+            found[key] = "seek_missing" if key in sg.tuple_set else "seek_extra"
+    order = sorted(found, key=lambda key: tuple(map(dict.__getitem__, indexes, key)))
+    return [GoalSeekViolation(found[key], key) for key in order]
+
+
 def check_goal_seeking(
     sf: FiniteSystem | None,
     sg: FiniteSystem,
@@ -381,10 +417,7 @@ def check_goal_seeking(
     both ``sf`` and ``sg``; these violations follow, in canonical order
     of ``system``'s carrier.
     """
-    if len(sg.output_indices) != 1:
-        raise IncompatibleCarriers("the inductive relation must output one parameter")
-    theta_set = sg.components[sg.output_indices[0]]
-    carrier = sg.input_components + (theta_set,)
+    carrier = _inductive_carrier(sg)
     keys = list(itertools.product(*(c.elements for c in carrier)))
     goal, value_set, seek = gs.goal, gs.value_set, gs.seek
     found = dict.fromkeys(itertools.filterfalse(goal.__contains__, keys), "goal_not_total")
@@ -392,21 +425,15 @@ def check_goal_seeking(
     inside = list(map(value_set._index.__contains__, map(goal.__getitem__, present)))
     if not all(inside):
         found.update((key, "goal_value") for key, ok in zip(present, inside) if not ok)
-    # A seek violation needs the key in sg or a seek tuple at it; each candidate
-    # is read back through the carrier's own atoms, as the keys above are.
-    indexes = [c._index for c in carrier]
-    for candidate in sg.tuple_set | {t[:-2] + t[-1:] for t in seek}:
-        if len(candidate) != len(carrier) or not all(map(dict.__contains__, indexes, candidate)):
-            continue
-        position = map(dict.__getitem__, indexes, candidate)
-        key = tuple(c.elements[i] for c, i in zip(carrier, position))
-        if key not in found and (key in sg.tuple_set) != (key[:-1] + (goal[key], key[-1]) in seek):
-            found[key] = "seek_missing" if key in sg.tuple_set else "seek_extra"
-    order = sorted(found, key=lambda key: tuple(map(dict.__getitem__, indexes, key)))
-    violations = [GoalSeekViolation(found[key], key) for key in order]
+    # A seek violation needs the key in sg or a seek tuple at it.
+    violations = _seek_violations(
+        carrier, found, sg, sg.tuple_set | {t[:-2] + t[-1:] for t in seek},
+        lambda key: key[:-1] + (goal[key], key[-1]) in seek,
+    )
     checked = len(keys)
 
     if sf is not None and system is not None:
+        theta_set = carrier[-1]
         expected = (theta_set,) + tuple(system.components)
         if len(sf.components) != len(expected) or not all(
             a.same_elements(b) for a, b in zip(sf.components, expected)

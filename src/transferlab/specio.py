@@ -523,17 +523,24 @@ def _as_written(doc: SpecDocument, key: str, value: Any) -> Any:
     return value
 
 
-def _optional_float(doc: SpecDocument, key: str, value: Any) -> float | None:
-    return None if value is None else _FLOAT(doc, key, value)
+def _finite_float(doc: SpecDocument, key: str, value: Any) -> float:
+    """A number finite as a float: JSON reads 1e400 as inf, which no threshold may be."""
+    number = _FLOAT(doc, key, value)  # refuses what no float holds
+    if not math.isfinite(number):
+        raise AnalysisError(f"{key} {value!r} is not finite")
+    return number
+
+
+def _optional_finite_float(doc: SpecDocument, key: str, value: Any) -> float | None:
+    return None if value is None else _finite_float(doc, key, value)
 
 
 def _threshold(doc: SpecDocument, key: str, value: Any) -> float | str:
-    """A finite number (JSON reads 1e400 as inf), or ``"target-alone"``; returned as written."""
+    """A finite number or ``"target-alone"``, returned as written."""
     if value != "target-alone":
         if not _number(value):
             raise AnalysisError(f"epsilon_star {value!r} is not a number or 'target-alone'")
-        if not math.isfinite(_FLOAT(doc, key, value)):  # _FLOAT refuses what no float holds
-            raise AnalysisError(f"epsilon_star {value!r} is not finite")
+        _finite_float(doc, key, value)
     return value
 
 
@@ -601,7 +608,7 @@ ANALYSES: dict[str, dict[str, tuple]] = {
         "universe": (_universe, None),
         "shots": (_COUNT, 1),
         "required": (_COUNT, 1),
-        "epsilon_star": (_FLOAT, 0.5),
+        "epsilon_star": (_finite_float, 0.5),
         "approach": (_as_written, "instance"),
     },
     "bound": {
@@ -612,7 +619,7 @@ ANALYSES: dict[str, dict[str, tuple]] = {
     "structures": {
         **_PACKS,
         "size_bound": (_COUNT, 3),
-        "epsilon_star": (_optional_float, None),
+        "epsilon_star": (_optional_finite_float, None),
     },
 }
 

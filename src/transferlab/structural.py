@@ -33,6 +33,7 @@ from .learning import (
     LearningSystem,
     NeighborhoodReport,
     SystemPack,
+    _check_threshold,
     full_function_class,
     scan,
 )
@@ -358,8 +359,10 @@ def useful_structures(
     ``runner`` executes a feature-representation transfer with the
     candidate as latent system and returns the measured target error;
     candidates whose error is at most ``epsilon_star`` are kept, ordered
-    by measured error ascending.
+    by measured error ascending.  A NaN threshold is refused before any
+    candidate runs.
     """
+    _check_threshold(epsilon_star)
     useful = []
     for entry in report.valid:
         cand = report.candidates[entry.candidate_index]
@@ -438,10 +441,12 @@ def structural_transferability(
     :func:`useful_structures`).  The scan returns a ``structural``
     :class:`~transferlab.learning.NeighborhoodReport` whose criterion
     records the threshold as passed and whose values are each member's
-    best measured error; members are skipped by the one rule of
+    best measured error.  A NaN threshold is refused before the scan;
+    members are skipped by the one rule of
     :func:`~transferlab.learning.scan`.
     """
     _check_size_bound(size_bound)
+    _check_threshold(epsilon_star)
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool] | None:
         report = homomorphic_structures(truth_graph(src), truth_graph(tgt), size_bound)

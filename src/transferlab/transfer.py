@@ -251,6 +251,16 @@ class TransferSystem:
         return self.hypotheses_tr.theta_set
 
     @cached_property
+    def source_counts(self) -> np.ndarray:
+        """``C_s[x, y]`` of the source instances over the target's sample space, counted once.
+
+        Instances outside that space raise :class:`IncompatibleSupport`
+        on every read, so a run that pools them is refused.
+        """
+        instances = _in_target_space(self.knowledge.instances, self.target)
+        return instances.counts(self.target.x_set, self.target.y_set)
+
+    @cached_property
     def codes(self) -> np.ndarray:
         """The transfer table encoded as ``H[θ, x]`` over the target's sets."""
         if self.hypotheses_tr is self.target.hypotheses:
@@ -261,6 +271,16 @@ class TransferSystem:
         if x not in self.target.x_set:
             raise UnknownElement(f"{x!r} is not a target input")
         return self.hypotheses_tr.output(theta_tr, x)
+
+
+def _in_target_space(instances: Dataset, target: LearningSystem) -> Dataset:
+    """``instances``; :class:`IncompatibleSupport` if a pair lies outside the target's space."""
+    for x, y in instances.pairs:
+        if x not in target.x_set or y not in target.y_set:
+            raise IncompatibleSupport(
+                f"source pair {(x, y)!r} lies outside the target sample space"
+            )
+    return instances
 
 
 def pool_data(
@@ -277,26 +297,56 @@ def pool_data(
     if knowledge.instances is None:
         raise MissingSourceArtifact("pooling needs instance knowledge")
     if target is not None:
-        for x, y in knowledge.instances.pairs:
-            if x not in target.x_set or y not in target.y_set:
-                raise IncompatibleSupport(
-                    f"source pair {(x, y)!r} lies outside the target sample space"
-                )
+        _in_target_space(knowledge.instances, target)
     tag = f"pooled({target_data.source_tag}+{knowledge.instances.source_tag})"
     return Dataset(target_data.pairs + knowledge.instances.pairs, tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferTrace:
-    """Intermediate artifacts of one transfer run."""
+    """Intermediate artifacts of one transfer run.
 
-    approach: str
-    n_target: int
-    zero_shot: bool
-    pooled: Dataset | None
+    ``values`` is the objective over ``theta_tr_set`` that the rule
+    selected from.  The pooled data and the objective as a mapping are
+    built from the run's inputs when first read.
+    """
+
+    system: TransferSystem
+    target_data: Dataset
     latent_data: Dataset | None
-    objective: Mapping[Atom, float]
+    values: np.ndarray
     selected: Atom
+
+    @property
+    def approach(self) -> str:
+        return self.system.approach
+
+    @property
+    def n_target(self) -> int:
+        return len(self.target_data)
+
+    @property
+    def zero_shot(self) -> bool:
+        return self.n_target == 0
+
+    @cached_property
+    def pooled(self) -> Dataset | None:
+        """Target data then source instances, for the rules that pool them."""
+        ts = self.system
+        if ts.approach == "feature_representation" or not CONSUMES[ts.approach][0]:
+            return None
+        return pool_data(ts.knowledge, self.target_data, ts.target)
+
+    @cached_property
+    def objective(self) -> Mapping[Atom, float]:
+        """Each transfer parameter's objective, in canonical order.
+
+        Empty when the run has no data term: a zero-shot parameter run
+        selects its anchor from the penalty alone.
+        """
+        if not (self.n_target or self.latent_data or self.pooled):
+            return {}
+        return dict(zip(self.system.theta_tr_set.elements, self.values.tolist()))
 
 
 def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
@@ -309,8 +359,8 @@ def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
 
 def transfer_fit(
     ts: TransferSystem, target_data: Dataset
-) -> tuple[Atom, np.ndarray, Dataset | None, Dataset | None]:
-    """The rule's selection and objective over ``theta_tr_set``, and its pooled or latent data."""
+) -> tuple[Atom, np.ndarray, Dataset | None]:
+    """The rule's selection and objective over ``theta_tr_set``, and its latent data."""
     target_data.validate_against(ts.target.x_set, ts.target.y_set)
     if ts.approach == "feature_representation":
         latent_d = latent_dataset(ts, target_data)
@@ -319,17 +369,16 @@ def transfer_fit(
         lat = ts.latent.latent_system
         counts = latent_d.counts(lat.x_set, lat.y_set)
         row, values = minimize(lat.codes, lat.y_set, lat.loss, counts)
-        return ts.theta_tr_set.elements[row], values, None, latent_d
+        return ts.theta_tr_set.elements[row], values, latent_d
 
     x_set, y_set = ts.target.x_set, ts.target.y_set
     counts = target_data.counts(x_set, y_set)
-    pooled = source = anchor = None
+    source = anchor = None
     takes_instances, takes_parameters = CONSUMES[ts.approach]
     if takes_instances:
-        pooled = pool_data(ts.knowledge, target_data, ts.target)
-        if len(pooled) == 0:
+        source = ts.source_counts
+        if len(target_data) + len(ts.knowledge.instances) == 0:
             raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
-        source = ts.knowledge.instances.counts(x_set, y_set)
     elif len(target_data) == 0:
         counts = None  # zero-shot: the penalty alone
     if takes_parameters:
@@ -338,21 +387,13 @@ def transfer_fit(
         ts.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
         anchor, ts.penalty_weight,
     )
-    return ts.theta_tr_set.elements[row], values, pooled, None
+    return ts.theta_tr_set.elements[row], values, None
 
 
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
-    """Execute the transfer rule and trace every intermediate artifact.
-
-    The trace lists the objective only when it has a data term: a
-    zero-shot parameter run selects its anchor from the penalty alone.
-    """
-    selected, values, pooled, latent_d = transfer_fit(ts, target_data)
-    n = len(target_data)
-    data_term = n or pooled or latent_d
-    objective = dict(zip(ts.theta_tr_set.elements, values.tolist())) if data_term else {}
-    trace = TransferTrace(ts.approach, n, n == 0, pooled, latent_d, objective, selected)
-    return selected, trace
+    """Execute the transfer rule and trace every intermediate artifact."""
+    selected, values, latent_d = transfer_fit(ts, target_data)
+    return selected, TransferTrace(ts, target_data, latent_d, values, selected)
 
 
 def transfer_error(

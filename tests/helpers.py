@@ -23,7 +23,6 @@ from transferlab.learning import (
     LearningSystem,
     LossSpec,
     SystemPack,
-    _goal_seeking,
     _MISSING,
     fit,
     full_function_class,
@@ -569,13 +568,29 @@ def hypothesis_table(hc: HypothesisClass) -> dict:
 
 
 def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingSpec]:
-    """The inductive relation and its goal/seeking pair, as the axiom audit builds them.
+    """The inductive relation and the goal/seeking pair the axiom audit checks without building.
 
     Dataset atoms form the base carrier, the goal assigns each (data,
     parameter) its selection objective, and seeking holds exactly the
     selections the algorithm makes.
     """
-    _, inductive, gs = _goal_seeking(system.theta_set, [fit(d, system) for d in sample_datasets])
+    fits = [fit(d, system) for d in sample_datasets]
+    names = tuple(f"d{i}" for i in range(len(fits)))
+    selected = {name: theta for name, (theta, _) in zip(names, fits)}
+    inductive = FiniteSystem(
+        (FiniteSet("datasets", names), system.theta_set),
+        tuple(selected.items()),
+        ((0,), (1,)),
+    )
+    goal = dict(zip(
+        itertools.product(names, system.theta_set.elements),
+        itertools.chain.from_iterable(values.tolist() for _, values in fits),
+    ))
+    gs = GoalSeekingSpec(
+        FiniteSet("objective_values", tuple(dict.fromkeys(goal.values()))),
+        goal,
+        frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
+    )
     return inductive, gs
 
 

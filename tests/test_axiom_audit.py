@@ -2,7 +2,11 @@
 
 ``verify_learning_axioms`` and ``verify_transfer_is_learning_system``
 build the functional relation only from the parameters the inductive
-relation couples, and ``check_goal_seeking`` visits only the carrier
+relation couples, and decide goal-seeking without building the goal:
+it is the objective, total on datasets × Θ and sought exactly at the
+selections, so only carrier points off datasets × Θ and the tuples of
+the inductive relation and the selections are visited.
+``check_goal_seeking``, given an explicit goal, visits only the carrier
 points that can fail.  On random small systems, corrupted and foreign
 overrides, and random goal/seeking specs, each must return the oracle's
 report (equal and repr-equal) or raise the oracle's exception with the
@@ -24,7 +28,7 @@ from helpers import (
 )
 from test_objective_core import datasets, losses, penalty_weights, systems, transfer_systems
 from transferlab import learning, transfer
-from transferlab.errors import CouplingMismatch
+from transferlab.errors import CouplingMismatch, TransferLabError
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
@@ -56,9 +60,20 @@ def assert_same_outcome(fast, oracle):
     assert repr(got) == repr(expected)
 
 
+def integer_parameters(system):
+    """``system`` with its parameters renamed 0, 1, 2, ... in order."""
+    thetas = FiniteSet("T", tuple(range(len(system.theta_set))))
+    xs = system.x_set.elements
+    rows = dict(zip(thetas.elements, system.hypotheses.rows_over(xs)))
+    hypotheses = HypothesisClass(thetas, columns=xs, rows=rows)
+    return LearningSystem(system.x_set, system.y_set, hypotheses, system.loss)
+
+
 @st.composite
 def learning_systems(draw):
     system = draw(systems("", loss=draw(losses)))
+    if draw(st.booleans()):  # parameters that atoms of other types equal
+        system = integer_parameters(system)
     if draw(st.booleans()):
         anchor = draw(st.sampled_from(system.theta_set.elements))
         system = LearningSystem(
@@ -74,33 +89,76 @@ def sample_datasets(draw, system):
 
 
 @st.composite
-def functional_overrides(draw, system):
-    """The system's functional relation with cells dropped, changed and added."""
-    thetas, xs, ys = system.theta_set, system.x_set, system.y_set
+def functional_overrides(draw, system, thetas=None):
+    """The system's functional relation with cells dropped, changed and added.
+
+    Over the parameter carrier ``thetas`` when one is given: the cells of
+    its atoms that Θ holds, with the carrier's own atoms.
+    """
+    xs, ys = system.x_set, system.y_set
     cells = []
-    for theta, x in itertools.product(thetas.elements, xs.elements):
+    carrier = system.theta_set if thetas is None else thetas
+    known = [theta for theta in carrier.elements if theta in system.theta_set]
+    for theta, x in itertools.product(known, xs.elements):
         fate = draw(st.sampled_from(("keep", "keep", "keep", "drop", "change")))
         if fate != "drop":
             y = system.hypotheses.output(theta, x)
             cells.append((theta, x, draw(st.sampled_from(ys.elements)) if fate == "change" else y))
-    extra = st.tuples(*(st.sampled_from(c.elements) for c in (thetas, xs, ys)))
+    extra = st.tuples(*(st.sampled_from(c.elements) for c in (carrier, xs, ys)))
     cells += draw(st.lists(extra, max_size=3))
-    if draw(st.integers(0, 5)) == 0:  # a coupling set with other elements
-        thetas = FiniteSet("T+", thetas.elements + ("foreign",))
-    return FiniteSystem((thetas, xs, ys), tuple(cells), ((0, 1), (2,)))
+    if thetas is None and draw(st.integers(0, 5)) == 0:  # a coupling set with other elements
+        carrier = FiniteSet("T+", carrier.elements + ("foreign",))
+    return FiniteSystem((carrier, xs, ys), tuple(cells), ((0, 1), (2,)))
+
+
+#: Atoms of other types equal to the integer parameters 0, 1 and 2.
+EQUAL_ATOMS = {0: (0.0, False), 1: (1.0, True), 2: (2.0,)}
 
 
 @st.composite
-def inductive_overrides(draw, thetas, n_datasets):
-    """Sparse selections over a smaller, equal or larger dataset carrier."""
-    names = tuple(f"d{i}" for i in range(draw(st.integers(1, n_datasets + 2))))
-    if draw(st.integers(0, 3)) == 0:  # a coupling set with other elements
-        thetas = FiniteSet("T+", thetas.elements + ("foreign",))
-    pairs = st.tuples(st.sampled_from(names), st.sampled_from(thetas.elements))
-    # one in three has Θ on the input side, which the cascade refuses
-    partition = draw(st.sampled_from((((0,), (1,)), ((0,), (1,)), ((1,), (0,)))))
-    tuples = draw(st.lists(pairs, max_size=2 * len(names)))
-    return FiniteSystem((FiniteSet("datasets", names), thetas), tuple(tuples), partition)
+def parameter_carriers(draw, thetas):
+    """Θ, or Θ with a foreign element added, reordered, cut down or with equal atoms swapped in."""
+    fate = draw(st.sampled_from(("same", "same", "foreign", "reorder", "subset", "retype")))
+    elements = list(thetas.elements)
+    if fate == "same":
+        return thetas
+    if fate == "foreign":
+        elements.append("foreign")
+    elif fate == "reorder":
+        elements = draw(st.permutations(elements))
+    elif fate == "subset":  # drops elements, and may reorder the rest
+        elements = draw(st.lists(st.sampled_from(elements), min_size=1, unique=True))
+    else:
+        elements = [draw(st.sampled_from(EQUAL_ATOMS.get(t, (t,)))) for t in elements]
+    return FiniteSet("T+", tuple(elements))
+
+
+@st.composite
+def inductive_overrides(draw, thetas, n_datasets, carrier=None):
+    """Sparse selections over a dataset carrier and a parameter carrier unlike the audit's.
+
+    The dataset carrier holds fewer, as many or more names ``d<i>`` than
+    there are samples, one time in four with names of other forms too,
+    in any order.  The parameter carrier is ``carrier``, or one drawn by
+    :func:`parameter_carriers`.  One relation in six has a third
+    component.
+    """
+    names = [f"d{i}" for i in range(draw(st.integers(1, n_datasets + 2)))]
+    if draw(st.integers(0, 3)) == 0:
+        others = st.sampled_from(("e0", "d", "D1", 0))
+        names += draw(st.lists(others, min_size=1, max_size=2, unique=True))
+    components = [FiniteSet("datasets", tuple(draw(st.permutations(names))))]
+    components.append(draw(parameter_carriers(thetas)) if carrier is None else carrier)
+    if draw(st.integers(0, 5)) == 0:
+        components.append(FiniteSet("E", ("e", 1.0)[: draw(st.integers(1, 2))]))
+        # Θ on the output side with E among the inputs, or with E as a second output
+        partition = draw(st.sampled_from((((0, 2), (1,)), ((2, 0), (1,)), ((0,), (1, 2)))))
+    else:
+        # one in three has Θ on the input side, which the cascade refuses
+        partition = draw(st.sampled_from((((0,), (1,)), ((0,), (1,)), ((1,), (0,)))))
+    tuples = st.tuples(*(st.sampled_from(c.elements) for c in components))
+    chosen = draw(st.lists(tuples, max_size=2 * len(names)))
+    return FiniteSystem(tuple(components), tuple(chosen), partition)
 
 
 @SETTINGS
@@ -136,6 +194,48 @@ def test_inductive_override_matches_oracle(data):
         lambda: verify_learning_axioms(system, samples, inductive_system=override),
         lambda: scalar_learning_axioms(system, samples, inductive_system=override),
     )
+
+
+@SETTINGS
+@given(st.data())
+def test_overrides_on_one_parameter_carrier_match_oracle(data):
+    # The cascade accepts any pair of coupling sets with equal elements, so the
+    # goal-seeking check runs on foreign, cut-down, reordered and retyped carriers.
+    system = data.draw(learning_systems())
+    samples = sample_datasets(data.draw, system)
+    carrier = data.draw(parameter_carriers(system.theta_set))
+    inductive = inductive_overrides(system.theta_set, len(samples), carrier)
+    overrides = {
+        "functional_system": data.draw(functional_overrides(system, carrier)),
+        "inductive_system": data.draw(inductive),
+    }
+    assert_same_outcome(
+        lambda: verify_learning_axioms(system, samples, **overrides),
+        lambda: scalar_learning_axioms(system, samples, **overrides),
+    )
+
+
+def test_overrides_reach_every_seeking_violation_kind():
+    kinds = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def collect(data):
+        system = data.draw(learning_systems())
+        samples = sample_datasets(data.draw, system)
+        carrier = data.draw(parameter_carriers(system.theta_set))
+        try:
+            report = verify_learning_axioms(
+                system, samples,
+                functional_system=data.draw(functional_overrides(system, carrier)),
+                inductive_system=data.draw(inductive_overrides(system.theta_set, 4, carrier)),
+            )
+        except TransferLabError:
+            return
+        kinds.update(v.kind for v in report.seeking.violations)
+
+    collect()
+    assert kinds == {"goal_not_total", "seek_missing", "seek_extra"}
 
 
 def test_foreign_coupling_set_is_refused_by_the_cascade():
@@ -222,6 +322,73 @@ def test_a_choice_a_hair_above_the_minimum_is_flagged():
         X2, Y2, ERM.theta_set, ERM.hypotheses.output, SAMPLES, lambda d: "h1", lambda d: values
     )
     assert report == oracle
+
+
+# ERM selects h2 for d0, h1 for d1 and h0 for d2 on SAMPLES.
+DATASETS = FiniteSet("datasets", ("d0", "d1", "d2"))
+FOREIGN = FiniteSet("T+", ("h3", "h2", "h1", "h0", "foreign"))  # reordered, one element added
+
+
+def functional_over(thetas):
+    """ERM's functional relation over the parameter carrier ``thetas``."""
+    cells = [
+        (theta, x, ERM.hypotheses.output(theta, x))
+        for theta in thetas.elements if theta in ERM.theta_set for x in X2.elements
+    ]
+    return FiniteSystem((thetas, X2, Y2), tuple(cells), ((0, 1), (2,)))
+
+
+@pytest.mark.parametrize(
+    "inductive, functional, violations, checked",
+    [
+        pytest.param(
+            FiniteSystem(
+                (DATASETS, ERM.theta_set),
+                (("d0", "h2"), ("d0", "h3"), ("d2", "h0")),
+                ((0,), (1,)),
+            ),
+            None,
+            [("seek_missing", ("d0", "h3")), ("seek_extra", ("d1", "h1"))],
+            12,
+            id="seek_missing-and-seek_extra",
+        ),
+        pytest.param(
+            FiniteSystem(
+                (FiniteSet("datasets", ("d1", "e0", "d0")), FOREIGN),
+                (("d1", "h1"), ("e0", "h0"), ("d0", "h2")),
+                ((0,), (1,)),
+            ),
+            functional_over(FOREIGN),
+            [("goal_not_total", ("d1", "foreign"))]
+            + [("goal_not_total", ("e0", t)) for t in FOREIGN.elements]
+            + [("goal_not_total", ("d0", "foreign"))],
+            15,
+            id="goal_not_total-off-datasets-and-off-theta",
+        ),
+        pytest.param(
+            FiniteSystem(
+                (DATASETS, ERM.theta_set, FiniteSet("E", ("e",))),
+                (("d0", "h2", "e"),),
+                ((0, 2), (1,)),
+            ),
+            None,
+            [("goal_not_total", (d, "e", t)) for d in DATASETS for t in ERM.theta_set],
+            12,
+            id="goal_not_total-on-a-three-component-carrier",
+        ),
+    ],
+)
+def test_seeking_violations_are_pinned(inductive, functional, violations, checked):
+    report = verify_learning_axioms(
+        ERM, SAMPLES, functional_system=functional, inductive_system=inductive
+    )
+    assert [(v.kind, v.witness) for v in report.seeking.violations] == violations
+    assert report.seeking.checked == checked
+    oracle = scalar_learning_axioms(
+        ERM, SAMPLES, functional_system=functional, inductive_system=inductive
+    )
+    assert report == oracle
+    assert repr(report) == repr(oracle)
 
 
 def test_both_audits_compute_each_objective_twice(monkeypatch):

@@ -775,16 +775,35 @@ def test_a_weight_out_of_range_exits_invariant_violation(tmp_path, capsys, verb,
     assert capsys.readouterr().err == f"invariant violation: {message}\n"
 
 
-def test_an_infinite_transferability_threshold_exits_analysis_error(tmp_path, capsys):
+def analyze_with_an_infinite_threshold(tmp_path, capsys, kind, config):
+    """Exit code and stderr of ``analyze`` with the kind's ``epsilon_star`` 1e400, inf in JSON."""
     path, doc = emit(tmp_path, SMALL)
-    doc["analysis"]["transferability"] = {**UNIVERSE, "epsilon_star": "@eps@"}
+    doc["analysis"][kind] = {**config, "epsilon_star": "@eps@"}
     path.write_text(json.dumps(doc).replace('"@eps@"', "1e400"), encoding="utf-8")
     capsys.readouterr()
-    rc = cli.main(["analyze", str(path), "--kind", "transferability",
-                   "--out", str(tmp_path / "r.json")])
-    assert rc == cli.EXIT_ANALYSIS
-    assert capsys.readouterr().err == (
-        "analysis error (transferability): epsilon_star inf is not finite\n"
+    rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")])
+    return rc, capsys.readouterr().err
+
+
+def test_an_infinite_transferability_threshold_exits_analysis_error(tmp_path, capsys):
+    assert analyze_with_an_infinite_threshold(tmp_path, capsys, "transferability", UNIVERSE) == (
+        cli.EXIT_ANALYSIS, "analysis error (transferability): epsilon_star inf is not finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        pytest.param("generalist", UNIVERSE, id="generalist"),
+        pytest.param("structures", PACKS, id="structures"),
+    ],
+)
+def test_an_infinite_generalist_or_structures_threshold_exits_analysis_error(
+    tmp_path, capsys, kind, config
+):
+    # A plain and an optional number, read through the finiteness test of transferability's.
+    assert analyze_with_an_infinite_threshold(tmp_path, capsys, kind, config) == (
+        cli.EXIT_ANALYSIS, f"analysis error ({kind}): epsilon_star inf is not finite\n"
     )
 
 

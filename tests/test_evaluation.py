@@ -11,6 +11,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -456,3 +457,35 @@ def test_negative_shot_budget_or_required_count_is_refused(n, t):
 def test_zero_shots_and_zero_required_still_run():
     report = is_generalist(PACK, UNIVERSE[:2], 0, 0, 0.5)
     assert report.is_generalist and report.shot_budget == 0 and report.required == 0
+
+
+# -- NaN thresholds --------------------------------------------------------------------
+# Every comparison with NaN is false, so a NaN threshold would admit no member and
+# write NaN into the criterion.  Each scan refuses it before reading the universe.
+
+@pytest.mark.parametrize("nan", [math.nan, np.float32("nan")], ids=["float", "float32"])
+@pytest.mark.parametrize("mode", [*MODES, "all"])
+def test_transferability_refuses_a_nan_threshold_in_every_mode(mode, nan):
+    with pytest.raises(ValidationError, match="epsilon_star nan is not a number"):
+        transferability(PACK, Unread(UNIVERSE), "source", nan, mode=mode, seeds=2)
+
+
+def test_structural_transferability_refuses_a_nan_threshold():
+    with pytest.raises(ValidationError, match="epsilon_star nan is not a number"):
+        structural_transferability(PACK, Unread(UNIVERSE), "source", math.nan)
+
+
+def test_behavioral_transferability_refuses_a_nan_threshold():
+    with pytest.raises(ValidationError, match="threshold nan is not a number"):
+        behavioral_transferability(PACK, Unread(UNIVERSE), "source", math.nan)
+
+
+def test_is_generalist_refuses_a_nan_threshold():
+    with pytest.raises(ValidationError, match="epsilon_star nan is not a number"):
+        is_generalist(PACK, Unread(UNIVERSE), 2, 1, math.nan)
+
+
+def test_an_infinite_threshold_is_still_accepted():
+    report = transferability(PACK, UNIVERSE[:2], "source", math.inf, mode="structural")
+    assert report.members == (0, 1) and report.criterion["epsilon_star"] == math.inf
+    assert is_generalist(PACK, UNIVERSE[:2], 2, 2, math.inf).is_generalist

@@ -33,6 +33,23 @@ from transferlab.relations import (
 )
 
 
+@pytest.mark.parametrize(
+    "left, right, same",
+    [
+        ((1, "x"), (1, "x"), True),
+        ((1, 2, "x"), (1.0, 2.0, "x"), True),  # equal atoms of other types
+        ((True, 2.0), (1, 2), True),
+        ((1, 2), (2.0, True), True),  # reordered
+        ((1, 2), (1, 3), False),
+        ((1, 2), (1,), False),
+    ],
+)
+def test_same_elements_is_set_equality_whether_or_not_the_tuples_are_equal(left, right, same):
+    a, b = FiniteSet("A", left), FiniteSet("B", right)
+    assert a.same_elements(b) == b.same_elements(a) == same
+    assert same == (frozenset(left) == frozenset(right))
+
+
 class TestMakeSystem:
     def test_singleton(self):
         s = make_system([FiniteSet("A", ("a",)), FiniteSet("B", (0,))], [("a", 0)])

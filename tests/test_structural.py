@@ -13,7 +13,7 @@ from helpers import (
     scalar_is_isomorphism,
     scalar_structure_search,
 )
-from transferlab.errors import CapExceeded, IncompatibleMorphism
+from transferlab.errors import CapExceeded, IncompatibleMorphism, ValidationError
 from transferlab.relations import (
     FiniteSet,
     FiniteSystem,
@@ -286,6 +286,15 @@ class TestValidAndUseful:
         )
         errors = [u.error for u in report.useful]
         assert errors == sorted(errors)
+
+    def test_a_nan_threshold_is_refused_before_any_candidate_runs(self):
+        s = io_system([("a", 0), ("b", 1)])
+        report = valid_structures(homomorphic_structures(s, s, 2), FiniteSet("Y", (0, 1)))
+        assert report.valid
+        runs = []
+        with pytest.raises(ValidationError, match="epsilon_star nan is not a number"):
+            useful_structures(report, lambda cand, entry: runs.append(cand) or 0.0, math.nan)
+        assert runs == []
 
 
 class TestStructuralTransferability:
