@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .behavioral import _check_behavioral_mode, behavioral_transferability
-from .errors import CapExceeded, MissingMeasure, ValidationError
+from .errors import CapExceeded, ValidationError
 from .learning import (
     Dataset,
     EvaluationContext,
@@ -305,26 +305,23 @@ def is_generalist(
     Each member's own dataset is truncated to its first ``n`` pairs (the
     nesting makes shot budgets monotone), the transfer runs once,
     deterministically, and the member qualifies when the measured target
-    error is strictly below ``epsilon_star``.  A NaN threshold, an
+    error is strictly below ``epsilon_star``.  A NaN threshold and an
     approach a scan cannot build (``feature_representation``, as in
-    :func:`transferability`) and a member without a truth table are
-    refused before the scan; the scan skips members by the one rule of
-    :func:`~transferlab.learning.scan`, and the report, which has no
-    field for them, leaves them out.
+    :func:`transferability`) are refused before the scan.  The scan
+    skips members by the one rule of :func:`~transferlab.learning.scan`,
+    a member without a truth table among them, and the report, which has
+    no field for skipped members, leaves them out.
     """
     if n < 0 or t < 0:
         raise ValidationError("shot budget and required count must be non-negative")
     _check_threshold(epsilon_star)
     _check_approach(approach)
-    for idx, member in enumerate(universe):
-        if member.truth is None:
-            raise MissingMeasure(f"universe member {idx} declares no truth table")
 
     def judge(idx: int, src: SystemPack, member: SystemPack) -> tuple[float, bool]:
         ts = build_transfer_system(src, member, approach)
         shots = Dataset(member.dataset.pairs[:n], f"{member.dataset.source_tag}[:{n}]")
         theta_tr, _ = run_transfer(ts, shots)
-        error = transfer_error(ts, theta_tr, EvaluationContext(member.truth), member.marginal)
+        error = transfer_error(ts, theta_tr, member.context(), member.marginal)
         return error, error < epsilon_star
 
     scanned = scan(pack, universe, "source", "generalist", {}, judge)

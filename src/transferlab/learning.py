@@ -1,22 +1,24 @@
 """Learning systems over finite carriers.
 
 A learning system couples a finite hypothesis table with an algorithm
-that selects a parameter from data by exact exhaustive minimization of
-an objective.  The table, the functional relation Θ × X → Y, is stored
+that selects a parameter from data by exhaustive minimization of an
+objective.  The table, the functional relation Θ × X → Y, is stored
 as one row of outputs per θ over a column order of inputs.  Learning and
 every transfer rule minimize one formula, scored for all parameters at
 once and selected from by :func:`minimize`, the one selection rule::
 
     (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
 
-Values are exact; the selection is the first minimizer in canonical
-order, or the anchor itself when there is no data term.  :func:`fit`
-and :func:`transferlab.transfer.transfer_fit` call it for a learning and
-a transfer system.  Zero-one totals and the anchor distance are
-matrix–vector products of per-label 0/1 indicators with count columns:
-every term and partial sum is an integer below 2**53, so float64 holds
-them exactly and the summation order cannot change them.  Squared
-totals are still summed per θ with ``math.fsum``.  Because every
+The selection is the first minimizer of the float64 objective values in
+canonical order, or the anchor itself when there is no data term.
+:func:`fit` and :func:`transferlab.transfer.transfer_fit` call it for a
+learning and a transfer system.  Only the integer parts are exact:
+zero-one totals and the anchor distance are matrix–vector products of
+per-label 0/1 indicators with count columns, every term and partial sum
+an integer below 2**53, so float64 holds them exactly and the summation
+order cannot change them.  The divisions and weights that combine them
+round, so two θ whose exact objectives tie can differ in their values.
+Squared totals are summed per θ with ``math.fsum``.  Because every
 carrier is finite, the defining biconditionals of the construction are
 checkable by enumeration, which is what :func:`verify_learning_axioms`
 does.  Its goal-seeking check needs no goal table: the goal is the
@@ -115,50 +117,35 @@ class LossSpec:
 
 
 ZERO_ONE = LossSpec("zero_one")
-_MISSING = object()  # a cell the (θ, x) mapping a class was built from leaves out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HypothesisClass:
     """The functional relation Θ × X → Y: ``rows[θ]`` lists θ's outputs over ``columns``.
 
-    Built from rows (``columns=xs, rows=...``) or from a ``(θ, x) → y``
-    ``table``, converted to rows once; cells a table leaves out stay
-    undefined, and :meth:`encode` refuses a table that is not total.
+    A row must have one output per column.  A θ without a row or an
+    input outside the columns leaves its cells undefined: :meth:`output`
+    refuses them and :meth:`encode` refuses a table that is not total.
     """
 
     theta_set: FiniteSet
     columns: tuple[Atom, ...]
-    rows: dict[Atom, tuple[Atom, ...]]
+    rows: Mapping[Atom, tuple[Atom, ...]]
 
-    def __init__(
-        self, theta_set: FiniteSet, table: Mapping[tuple[Atom, Atom], Atom] | None = None, *,
-        columns: Sequence[Atom] = (), rows: Mapping[Atom, Sequence[Atom]] | None = None,
-    ) -> None:
-        columns = tuple(dict.fromkeys(x for _, x in table) if table is not None else columns)
-        position = {x: i for i, x in enumerate(columns)}
-        if table is not None:
-            rows = {}
-            for (theta, x), y in table.items():
-                rows.setdefault(theta, [_MISSING] * len(columns))[position[x]] = y
-        object.__setattr__(self, "theta_set", theta_set)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", {theta: tuple(row) for theta, row in rows.items()})
-        object.__setattr__(self, "_position", position)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "rows", {theta: tuple(row) for theta, row in self.rows.items()})
+        object.__setattr__(self, "_position", {x: i for i, x in enumerate(self.columns)})
+        width = len(self.columns)
         for theta, row in self.rows.items():
-            if len(row) != len(columns):
-                raise ValidationError(f"row for {theta!r} must align with {len(columns)} columns")
+            if len(row) != width:
+                raise ValidationError(f"row for {theta!r} must align with {width} columns")
 
-    def _cell(self, theta: Atom, x: Atom) -> Atom:
+    def output(self, theta: Atom, x: Atom) -> Atom:
         try:
             return self.rows[theta][self._position[x]]
         except KeyError:
-            return _MISSING
-
-    def output(self, theta: Atom, x: Atom) -> Atom:
-        if (y := self._cell(theta, x)) is _MISSING:
-            raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}")
-        return y
+            raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
 
     def rows_over(self, xs: Sequence[Atom]) -> list[tuple[Atom, ...]]:
         """Each θ's outputs over ``xs``, θ canonical, cells unchecked; ``KeyError`` if absent."""
@@ -181,9 +168,9 @@ class HypothesisClass:
             flat = np.fromiter(map(y_set._index.__getitem__, cells), dtype, len(thetas) * len(xs))
         except KeyError:
             for key in itertools.product(thetas, xs):
-                if (y := self._cell(*key)) is _MISSING:
+                if key[0] not in self.rows or key[1] not in self._position:
                     raise ValidationError(f"hypothesis table is not total: missing {key!r}")
-                if y not in y_set:
+                if (y := self.output(*key)) not in y_set:
                     raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
             raise
         return flat.reshape(len(thetas), len(xs))
@@ -203,7 +190,7 @@ def full_function_class(
     width = max(len(str(count - 1)), 1)
     names = tuple(f"h{i:0{width}d}" for i in range(count))
     rows = dict(zip(names, itertools.product(y_set.elements, repeat=len(x_set))))
-    return HypothesisClass(FiniteSet("h_params", names), columns=x_set.elements, rows=rows)
+    return HypothesisClass(FiniteSet("h_params", names), x_set.elements, rows)
 
 
 @dataclass(frozen=True)
@@ -474,9 +461,12 @@ def fit(data: Dataset, system: LearningSystem) -> tuple[Atom, np.ndarray]:
 
 
 def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
-    """Exact argmin of the selection objective over the parameter set.
+    """The first minimizer of the selection objective's float64 values over the parameter set.
 
-    Ties break toward the smallest parameter index in canonical order.
+    The error counts and anchor distances behind the values are exact
+    integers, but the values combine them with rounding, so an exact tie
+    can be broken by it; equal values break toward the smallest
+    parameter index in canonical order.
     With empty data a penalized algorithm returns its anchor; plain ERM
     raises :class:`EmptyDataset`.  Pairs outside the system's sample
     space raise :class:`UnknownElement`.

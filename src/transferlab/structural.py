@@ -324,12 +324,16 @@ def valid_structures(
     enumerated in canonical order; the candidate is valid when some
     witness's output collapse can be inverted on the outputs the target
     actually produces, and the first such witness is kept with the
-    resulting total map (candidate outputs to target outputs).
+    resulting total map (candidate outputs to target outputs).  Such a
+    witness is injective on the used outputs, so a candidate with fewer
+    outputs than the target uses is invalid without enumerating any.
     """
     used_outputs = {y for _, y in report.target_system.io_pairs()}
     fallback = target_y.elements[0]
     valid = []
     for idx, cand in enumerate(report.candidates):
+        if len(cand.y_set) < len(used_outputs):
+            continue
         witnesses = _morphisms(report.target_system, cand.system, require=("surjective",))
         for witness in witnesses:
             images: dict[Atom, Atom] = {}

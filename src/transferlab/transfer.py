@@ -16,9 +16,9 @@ and :func:`transfer_fit` selects with the one rule learning uses,
   pairs mapped into it; answers are mapped back to the target's outputs.
 
 What each rule takes from the source (instances, parameters or both) is
-said in one place, :data:`CONSUMES`.  Values are exact and ties break
-toward the earliest parameter, so the claim that the result is itself a
-learning system is checkable by enumeration
+said in one place, :data:`CONSUMES`.  The selection is deterministic,
+the first minimizer in canonical order, so the claim that the result is
+itself a learning system is checkable by enumeration
 (:func:`verify_transfer_is_learning_system`, which audits
 :func:`transfer_fit` exactly as a learning system's :func:`fit`).
 """
@@ -191,19 +191,17 @@ def _composite_hypotheses(
 class TransferSystem:
     """Source and target systems plus a knowledge-consuming composition rule.
 
-    ``hypotheses_tr`` defaults to the target's own class (instance and
-    parameter rules) or to the composite latent table (feature rule);
-    either way its outputs land in the target output set, which is
-    enforced at construction.  The feature rule selects in the latent
-    system, so an explicit class for it must have the latent parameters,
-    in their order.
+    Its hypothesis table is derived, never passed: the target's own
+    class for the instance and parameter rules, and the table the latent
+    class induces through the input and output maps for the feature
+    rule, which selects in the latent system and so has the latent
+    parameters.  Either way the outputs land in the target output set.
     """
 
     source: LearningSystem
     target: LearningSystem
     knowledge: Knowledge
     approach: str = "instance"
-    hypotheses_tr: HypothesisClass | None = None
     latent: FeatureRepSpec | None = None
     penalty_weight: float = 0.1
     pool_weight: float = 1.0
@@ -223,28 +221,24 @@ class TransferSystem:
             if self.latent is None:
                 raise ValidationError("feature-representation transfer needs latent maps")
             self.latent.validate_against(self.source, self.target)
-            if self.hypotheses_tr is None:
-                object.__setattr__(
-                    self, "hypotheses_tr", _composite_hypotheses(self.latent, self.target)
-                )
-            elif self.theta_tr_set.elements != self.latent.latent_system.theta_set.elements:
-                raise ValidationError(
-                    "feature-representation hypotheses must be indexed by the latent parameters"
-                )
         else:
             if self.latent is not None:
                 raise ValidationError(
                     f"latent maps are only consumed by feature-representation transfer"
                 )
-            if self.hypotheses_tr is None:
-                object.__setattr__(self, "hypotheses_tr", self.target.hypotheses)
             if CONSUMES[self.approach][1]:
                 anchor = self.knowledge.parameters[0]
-                if anchor not in self.hypotheses_tr.theta_set:
+                if anchor not in self.theta_tr_set:
                     raise ValidationError(
                         f"anchor {anchor!r} does not index the transfer hypotheses"
                     )
-        self.codes  # encoding validates the transfer table
+
+    @cached_property
+    def hypotheses_tr(self) -> HypothesisClass:
+        """The transfer table: the target's class, or the latent one through the maps."""
+        if self.approach == "feature_representation":
+            return _composite_hypotheses(self.latent, self.target)
+        return self.target.hypotheses
 
     @property
     def theta_tr_set(self) -> FiniteSet:
@@ -259,13 +253,6 @@ class TransferSystem:
         """
         instances = _in_target_space(self.knowledge.instances, self.target)
         return instances.counts(self.target.x_set, self.target.y_set)
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """The transfer table encoded as ``H[θ, x]`` over the target's sets."""
-        if self.hypotheses_tr is self.target.hypotheses:
-            return self.target.codes
-        return self.hypotheses_tr.encode(self.target.x_set, self.target.y_set)
 
     def predict(self, theta_tr: Atom, x: Atom) -> Atom:
         if x not in self.target.x_set:
@@ -283,21 +270,15 @@ def _in_target_space(instances: Dataset, target: LearningSystem) -> Dataset:
     return instances
 
 
-def pool_data(
-    knowledge: Knowledge,
-    target_data: Dataset,
-    target: LearningSystem | None = None,
-) -> Dataset:
+def pool_data(knowledge: Knowledge, target_data: Dataset, target: LearningSystem) -> Dataset:
     """Multiset union of target data and source instances, target first.
 
-    When the target system is supplied the source instances must lie in
-    its sample space (no latent alignment happens here); otherwise
-    pooling is purely syntactic.
+    The source instances must lie in the target system's sample space
+    (no latent alignment happens here).
     """
     if knowledge.instances is None:
         raise MissingSourceArtifact("pooling needs instance knowledge")
-    if target is not None:
-        _in_target_space(knowledge.instances, target)
+    _in_target_space(knowledge.instances, target)
     tag = f"pooled({target_data.source_tag}+{knowledge.instances.source_tag})"
     return Dataset(target_data.pairs + knowledge.instances.pairs, tag)
 
@@ -307,8 +288,7 @@ class TransferTrace:
     """Intermediate artifacts of one transfer run.
 
     ``values`` is the objective over ``theta_tr_set`` that the rule
-    selected from.  The pooled data and the objective as a mapping are
-    built from the run's inputs when first read.
+    selected from; the objective as a mapping is built when first read.
     """
 
     system: TransferSystem
@@ -330,21 +310,14 @@ class TransferTrace:
         return self.n_target == 0
 
     @cached_property
-    def pooled(self) -> Dataset | None:
-        """Target data then source instances, for the rules that pool them."""
-        ts = self.system
-        if ts.approach == "feature_representation" or not CONSUMES[ts.approach][0]:
-            return None
-        return pool_data(ts.knowledge, self.target_data, ts.target)
-
-    @cached_property
     def objective(self) -> Mapping[Atom, float]:
         """Each transfer parameter's objective, in canonical order.
 
-        Empty when the run has no data term: a zero-shot parameter run
+        Empty when the run has no data term: the rule pools no instances
+        and there are no target pairs, so a zero-shot parameter run
         selects its anchor from the penalty alone.
         """
-        if not (self.n_target or self.latent_data or self.pooled):
+        if not (CONSUMES[self.approach][0] or self.n_target):
             return {}
         return dict(zip(self.system.theta_tr_set.elements, self.values.tolist()))
 
@@ -369,7 +342,7 @@ def transfer_fit(
         lat = ts.latent.latent_system
         counts = latent_d.counts(lat.x_set, lat.y_set)
         row, values = minimize(lat.codes, lat.y_set, lat.loss, counts)
-        return ts.theta_tr_set.elements[row], values, latent_d
+        return lat.theta_set.elements[row], values, latent_d
 
     x_set, y_set = ts.target.x_set, ts.target.y_set
     counts = target_data.counts(x_set, y_set)
@@ -384,7 +357,7 @@ def transfer_fit(
     if takes_parameters:
         anchor = ts.theta_tr_set.index(ts.knowledge.parameters[0])
     row, values = minimize(
-        ts.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
+        ts.target.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
         anchor, ts.penalty_weight,
     )
     return ts.theta_tr_set.elements[row], values, None
@@ -485,12 +458,14 @@ def classify_setting(
 
 
 def n_shot(ts: TransferSystem, target_data: Dataset) -> tuple[int, bool]:
-    """Shot count of a run and whether it is a zero-shot use of knowledge.
+    """The shot count ``len(target_data)`` of a run, and whether it is zero-shot (no pairs).
 
-    Zero-shot means the rule provably consumes source knowledge only;
-    with an empty target multiset every built-in rule does (the pooled
-    data reduces to the source instances, the penalized rule returns its
-    anchor, and the latent route maps source pairs only).
+    ``ts`` is not read: the answer is the same for every rule, because
+    with an empty target multiset each built-in rule consumes source
+    knowledge only (the pooled data reduces to the source instances, the
+    penalized rule returns its anchor, and the latent route maps source
+    pairs only).  :attr:`TransferTrace.n_target` and
+    :attr:`TransferTrace.zero_shot` give the same two values for a run.
     """
     n = len(target_data)
     return n, n == 0

@@ -23,7 +23,6 @@ from transferlab.learning import (
     LearningSystem,
     LossSpec,
     SystemPack,
-    _MISSING,
     fit,
     full_function_class,
 )
@@ -90,6 +89,17 @@ def binary_pack(truths, marginal=None, data=(), tag="pack", y_elements=(0, 1)):
     )
 
 
+def table_class(theta_set: FiniteSet, table) -> HypothesisClass:
+    """The class whose cells are ``table``, a total ``(θ, x) → y`` mapping.
+
+    Columns are the mapping's inputs and rows its parameters, each in
+    first-seen order; a cell the mapping leaves out raises ``KeyError``.
+    """
+    columns = tuple(dict.fromkeys(x for _, x in table))
+    thetas = dict.fromkeys(theta for theta, _ in table)
+    return HypothesisClass(theta_set, columns, {t: [table[t, x] for x in columns] for t in thetas})
+
+
 def random_learning_system(
     rng: np.random.Generator,
     max_x: int = 6,
@@ -107,7 +117,7 @@ def random_learning_system(
         (t, x): int(rng.integers(ny)) for t in thetas.elements for x in x_set.elements
     }
     return LearningSystem(
-        x_set, y_set, HypothesisClass(thetas, table), LossSpec(loss_kind), AlgorithmSpec()
+        x_set, y_set, table_class(thetas, table), LossSpec(loss_kind), AlgorithmSpec()
     )
 
 
@@ -562,9 +572,8 @@ DIVERGENCE_IS_METRIC = {
 
 
 def hypothesis_table(hc: HypothesisClass) -> dict:
-    """The defined cells of ``hc`` as a ``(θ, x) → y`` mapping."""
-    cells = ((t, x, y) for t, row in hc.rows.items() for x, y in zip(hc.columns, row))
-    return {(theta, x): y for theta, x, y in cells if y is not _MISSING}
+    """The cells of ``hc`` as a ``(θ, x) → y`` mapping."""
+    return {(t, x): y for t, row in hc.rows.items() for x, y in zip(hc.columns, row)}
 
 
 def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingSpec]:

@@ -135,7 +135,7 @@ class TestBoundCheck:
     def test_single_hypothesis_complexity_formula(self):
         x = FiniteSet("X", ("a",))
         y = FiniteSet("Y", (0, 1))
-        hc = HypothesisClass(FiniteSet("T", ("t0",)), {("t0", "a"): 0})
+        hc = HypothesisClass(FiniteSet("T", ("t0",)), ("a",), {"t0": (0,)})
         sys = LearningSystem(x, y, hc)
         ts = TransferSystem(
             sys, sys, Knowledge(instances=Dataset((("a", 0),), "s")), "instance"

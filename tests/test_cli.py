@@ -266,6 +266,22 @@ def test_a_scan_refuses_feature_representation_transfer(tmp_path, capsys, kind):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_generalist_skips_a_member_without_a_truth_table(tmp_path):
+    path, doc = emit(tmp_path, SMALL)
+    doc["analysis"]["generalist"] = ANALYSES["generalist"]
+    results = {}
+    for name, truth in (("all", doc["packs"]["source"]["truth"]), ("untruthful", None)):
+        doc["packs"]["source"]["truth"] = truth
+        write_json(path, doc)
+        out = tmp_path / f"{name}.json"
+        rc = cli.main(["analyze", str(path), "--kind", "generalist", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        results[name] = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert [index for index, _ in results["all"]["evidence"]] == [0, 1]
+    assert results["untruthful"]["evidence"] == results["all"]["evidence"][1:]
+    assert results["untruthful"]["qualifying"] == [1]
+
+
 def test_every_report_is_the_stdlib_indent_2_form(tmp_path):
     path, doc = emit(tmp_path, {**SMALL, "ladder": [0.0, 0.5]})
     doc["analysis"].update(ANALYSES)

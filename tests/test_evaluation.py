@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import binary_pack
 from transferlab import cli
 from transferlab.behavioral import behavioral_transferability
-from transferlab.errors import CapExceeded, MissingMeasure, ValidationError
+from transferlab.errors import CapExceeded, ValidationError
 from transferlab.evaluation import (
     SEED_CAP,
     NeighborhoodReport,
@@ -410,12 +410,13 @@ def test_generalist_rerun_is_identical():
     assert set(report.evidence) == {0, 1, 2}
 
 
-def test_generalist_leaves_out_skipped_members_and_refuses_one_without_a_truth_table():
+def test_generalist_leaves_out_skipped_members_and_one_without_a_truth_table():
     report = is_generalist(PACK, UNIVERSE, 2, 1, 0.5)
     assert set(report.evidence) == {0, 1, 2}  # m3 and m4 are heterogeneous
     untruthful = (UNIVERSE[0], dataclasses.replace(UNIVERSE[1], truth=None))
-    with pytest.raises(MissingMeasure, match="universe member 1 declares no truth table"):
-        is_generalist(PACK, untruthful, 2, 1, 0.5)
+    skipped = is_generalist(PACK, untruthful, 2, 1, 0.5)
+    alone = is_generalist(PACK, untruthful[:1], 2, 1, 0.5)
+    assert set(skipped.evidence) == {0} and skipped == alone
 
 
 def test_seeds_above_the_cap_are_refused():

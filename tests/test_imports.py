@@ -236,9 +236,6 @@ KEPT_DEFAULTS = {
     "transfer.verify_transfer_is_learning_system.inductive_system":
         "tests pass corrupted relations",
     "transfer.verify_transfer_is_learning_system.cap": "tests audit carriers above the default",
-    "transfer.TransferSystem.hypotheses_tr":
-        "derived from the target or the latent maps unless a test passes its own class",
-    "learning.HypothesisClass.table": "the class is built from rows or from a (θ, x) → y table",
     "relations.check_goal_seeking.system": "the decomposition check runs only when given one",
     "relations.enumerate_morphisms.require": "a flag of the public morphism enumeration",
     "relations.enumerate_morphisms.cap": "a flag of the public morphism enumeration",

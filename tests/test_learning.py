@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,15 +35,15 @@ from transferlab.relations import (
 )
 
 
+XS = ("x0", "x1", "x2")
+
+
 def two_theta_system():
-    x = FiniteSet("X", ("x0", "x1", "x2"))
+    x = FiniteSet("X", XS)
     y = FiniteSet("Y", (0, 1))
     thetas = FiniteSet("T", ("t0", "t1"))
-    table = {
-        ("t0", "x0"): 0, ("t0", "x1"): 1, ("t0", "x2"): 0,
-        ("t1", "x0"): 1, ("t1", "x1"): 0, ("t1", "x2"): 0,
-    }
-    return LearningSystem(x, y, HypothesisClass(thetas, table))
+    rows = {"t0": (0, 1, 0), "t1": (1, 0, 0)}
+    return LearningSystem(x, y, HypothesisClass(thetas, x.elements, rows))
 
 
 class TestEmpiricalRisk:
@@ -60,8 +61,8 @@ class TestEmpiricalRisk:
         x = FiniteSet("X", ("x0", "x1", "x2"))
         y = FiniteSet("Y", (0, 1, 2, 3))
         thetas = FiniteSet("T", ("t0",))
-        table = {("t0", "x0"): 1, ("t0", "x1"): 3, ("t0", "x2"): 0}
-        sys = LearningSystem(x, y, HypothesisClass(thetas, table), LossSpec("squared"))
+        hc = HypothesisClass(thetas, x.elements, {"t0": (1, 3, 0)})
+        sys = LearningSystem(x, y, hc, LossSpec("squared"))
         d = Dataset((("x0", 3), ("x1", 0), ("x2", 2)))
         expected = ((3 - 1) ** 2 + (0 - 3) ** 2 + (2 - 0) ** 2) / 3
         assert empirical_risk(d, "t0", sys) == pytest.approx(expected)
@@ -119,19 +120,21 @@ class TestEncoding:
 
     @pytest.mark.parametrize(
         "entry, error",
-        [(("t1", "x1", 7), UnknownElement), (("t1", "x1", None), ValidationError)],
+        [
+            # (t1, x1) holds 7, outside Y; the 9 at (t1, x2) comes later
+            ((XS, {"t0": (0, 1, 0), "t1": (1, 7, 9)}, "output 7 not in"), UnknownElement),
+            # t0 has no row; t1's 7 at x0 comes later
+            ((XS, {"t1": (7, 0, 0)}, "missing ('t0', 'x0')"), ValidationError),
+            # x1 is not a column; t0's 7 at x2 comes later
+            ((("x0", "x2"), {"t0": (0, 7), "t1": (1, 0)}, "missing ('t0', 'x1')"),
+             ValidationError),
+        ],
     )
     def test_first_defect_in_canonical_order_raises(self, entry, error):
+        columns, rows, message = entry
         base = two_theta_system()
-        table = hypothesis_table(base.hypotheses)
-        theta, x, y = entry
-        if y is None:
-            del table[(theta, x)]
-        else:
-            table[(theta, x)] = y
-        del table[("t1", "x2")]  # a later defect that must not be the one reported
-        with pytest.raises(error, match=repr(x) if y is None else repr(y)):
-            LearningSystem(base.x_set, base.y_set, HypothesisClass(base.theta_set, table))
+        with pytest.raises(error, match=re.escape(message)):
+            LearningSystem(base.x_set, base.y_set, HypothesisClass(base.theta_set, columns, rows))
 
 
 class TestEvaluate:
@@ -271,12 +274,13 @@ class TestAlgorithmProperties:
         for _ in range(10):
             sys = random_learning_system(rng)
             d = random_dataset(rng, sys, 5)
+            hc = sys.hypotheses
             perm = list(sys.theta_set.elements)
             rng.shuffle(perm)
             permuted = LearningSystem(
                 sys.x_set,
                 sys.y_set,
-                HypothesisClass(FiniteSet("T", tuple(perm)), hypothesis_table(sys.hypotheses)),
+                HypothesisClass(FiniteSet("T", tuple(perm)), hc.columns, hc.rows),
                 sys.loss,
                 sys.algorithm,
             )

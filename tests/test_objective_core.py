@@ -19,12 +19,12 @@ from helpers import (
     gather_loss_totals,
     scalar_argmin,
     selection_objective,
+    table_class,
     transfer_objective,
 )
 from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
-    HypothesisClass,
     LearningSystem,
     LossSpec,
     _loss_totals,
@@ -82,7 +82,7 @@ def systems(draw, prefix, xs=None, ys=None, loss="zero_one", algorithm=Algorithm
     return LearningSystem(
         FiniteSet(f"{prefix}X", xs),
         FiniteSet(f"{prefix}Y", ys),
-        HypothesisClass(FiniteSet(f"{prefix}T", thetas), draw(tables(thetas, xs, ys))),
+        table_class(FiniteSet(f"{prefix}T", thetas), draw(tables(thetas, xs, ys))),
         LossSpec(loss),
         algorithm,
     )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,6 +13,7 @@ from helpers import (
     scalar_is_isomorphism,
     scalar_structure_search,
 )
+from transferlab import structural
 from transferlab.errors import CapExceeded, IncompatibleMorphism, ValidationError
 from transferlab.relations import (
     FiniteSet,
@@ -228,6 +229,16 @@ class TestValidAndUseful:
                 w = v.target_witness.y_map[y]
                 assert v.output_map[w] == y
 
+    def test_too_few_candidate_outputs_are_invalid_without_enumeration(self, monkeypatch):
+        """At the carrier cap, six used outputs outnumber every candidate's four or fewer."""
+        graph = io_system([(f"x{i}", i) for i in range(CARRIER_CAP)])
+        report = homomorphic_structures(graph, graph, 4)
+        calls = []
+        monkeypatch.setattr(structural, "_morphisms", lambda *args, **kw: calls.append(args) or ())
+        assert len(report.candidates) == 86
+        assert valid_structures(report, graph.components[1]).valid == ()
+        assert calls == []
+
     def test_empty_candidates_stay_empty(self):
         s = io_system([("a", 0), ("b", 1)])
         report = homomorphic_structures(s, s, 2)
@@ -343,20 +354,35 @@ class TestAsymmetryPattern:
         assert len(backward) == 0
 
 
+def label_graph(name, labels, n_labels):
+    xs = tuple(f"{name}{i}" for i in range(len(labels)))
+    return io_system(list(zip(xs, labels)), xs=xs, ys=tuple(range(n_labels)))
+
+
 @st.composite
 def truth_graph_pairs(draw):
-    def graph(name):
-        nx, ny = draw(st.integers(2, 5)), draw(st.integers(1, 3))
-        labels = draw(st.lists(st.integers(0, ny - 1), min_size=nx, max_size=nx))
-        xs = tuple(f"{name}{i}" for i in range(nx))
-        return io_system(list(zip(xs, labels)), xs=xs, ys=tuple(range(ny)))
+    """A source graph (|X| <= 5, |Y| <= 3), a target graph (|X|, |Y| <= 5) and a bound.
 
-    return graph("s"), graph("t"), draw(st.integers(1, 4))
+    The target uses a drawn number of its labels, so unused labels and
+    used-output counts above, at and below the bound all come up.
+    """
+
+    def graph(name, max_y):
+        nx, ny = draw(st.integers(2, 5)), draw(st.integers(1, max_y))
+        used = draw(st.permutations(range(ny)))[: draw(st.integers(1, min(nx, ny)))]
+        extra = nx - len(used)
+        labels = used + draw(st.lists(st.sampled_from(used), min_size=extra, max_size=extra))
+        return label_graph(name, draw(st.permutations(labels)), ny)
+
+    return graph("s", 3), graph("t", 5), draw(st.integers(1, 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(truth_graph_pairs())
+@example((label_graph("s", (0, 1, 0, 1), 2), label_graph("t", (3, 0, 2, 1, 0), 5), 3))
+@example((label_graph("s", (0, 1, 2, 0), 3), label_graph("t", (4, 0, 4, 1), 5), 4))
 def test_structure_search_matches_scalar_oracle(graphs):
+    """Pinned: four used outputs above a bound of 3, and three below 4; both with unused labels."""
     source, target, bound = graphs
     target_y = target.components[1]
     report = valid_structures(homomorphic_structures(source, target, bound), target_y)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import binary_pack, latent_path_prediction, random_dataset, random_learning_system
+from transferlab import transfer
 from transferlab.errors import (
     IncompatibleSupport,
     MissingMeasure,
@@ -17,9 +18,9 @@ from transferlab.learning import (
     AlgorithmSpec,
     Dataset,
     EvaluationContext,
-    HypothesisClass,
     LearningSystem,
     SystemPack,
+    empirical_risk,
     full_function_class,
     prediction_error,
     run_algorithm,
@@ -105,7 +106,7 @@ class TestPoolData:
             pool_data(Knowledge(instances=source_data), Dataset(()), target)
 
     def test_provenance_tag(self, systems, source_data, target_data):
-        pooled = pool_data(Knowledge(instances=source_data), target_data)
+        pooled = pool_data(Knowledge(instances=source_data), target_data, systems[1])
         assert "tgt" in pooled.source_tag and "src" in pooled.source_tag
 
     def test_additivity_random(self, systems):
@@ -115,6 +116,24 @@ class TestPoolData:
             d_t = random_dataset(rng, systems[1], int(rng.integers(0, 6)))
             pooled = pool_data(Knowledge(instances=d_s), d_t, systems[1])
             assert len(pooled) == len(d_s) + len(d_t)
+
+
+def identity_transfer(systems, source_data, spaces, approach):
+    """An ``approach`` transfer from ``systems[0]`` to ``systems[1]``; latent maps are identities."""
+    x, y = spaces
+    theta_s = run_algorithm(source_data, systems[0])
+    instances, parameters = CONSUMES[approach]
+    knowledge = Knowledge(
+        source_data if instances else None, (theta_s,) if parameters else None
+    )
+    latent = None
+    if approach == "feature_representation":
+        identity_pairs = {(a, b): (a, b) for a in x.elements for b in y.elements}
+        latent = FeatureRepSpec(
+            systems[1], identity_pairs, identity_pairs,
+            {a: a for a in x.elements}, {b: b for b in y.elements},
+        )
+    return TransferSystem(systems[0], systems[1], knowledge, approach, latent=latent)
 
 
 class TestRunTransfer:
@@ -151,7 +170,11 @@ class TestRunTransfer:
             systems[0], systems[1], Knowledge(instances=source_data), "instance"
         )
         theta, trace = run_transfer(ts, target_data)
-        assert trace.pooled is not None and len(trace.pooled) == 5
+        pooled = pool_data(ts.knowledge, target_data, ts.target)
+        assert len(pooled) == 5
+        assert trace.objective == {
+            t: empirical_risk(pooled, t, ts.target) for t in ts.theta_tr_set.elements
+        }
         assert trace.objective[theta] == min(trace.objective.values())
 
     def test_penalized_pooled_approach(self, systems, source_data, target_data):
@@ -163,6 +186,37 @@ class TestRunTransfer:
         )
         theta, trace = run_transfer(ts, target_data)
         assert theta in systems[1].theta_set
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_objective_is_empty_exactly_without_a_data_term(
+        self, systems, source_data, target_data, spaces, approach, shots, monkeypatch
+    ):
+        """Only a zero-shot parameter run has no data term; reading it pools no data."""
+        ts = identity_transfer(systems, source_data, spaces, approach)
+        theta, trace = run_transfer(ts, Dataset(target_data.pairs[:shots]))
+        monkeypatch.setattr(transfer, "pool_data", None)  # a call would raise TypeError
+        if approach == "parameter" and shots == 0:
+            assert trace.objective == {}
+        else:
+            assert trace.objective == dict(zip(ts.theta_tr_set.elements, trace.values.tolist()))
+            assert trace.objective[theta] == min(trace.objective.values())
+
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_the_transfer_table_is_derived_from_the_rule(
+        self, systems, source_data, spaces, approach
+    ):
+        """The target's own class, or for the feature rule the latent class through the maps."""
+        ts = identity_transfer(systems, source_data, spaces, approach)
+        if approach != "feature_representation":
+            assert ts.hypotheses_tr is ts.target.hypotheses
+            return
+        latent = ts.latent.latent_system
+        assert ts.theta_tr_set.elements == latent.theta_set.elements
+        assert ts.hypotheses_tr.columns == ts.target.x_set.elements
+        for theta in ts.theta_tr_set.elements:
+            for x in ts.target.x_set.elements:
+                assert ts.predict(theta, x) == latent_path_prediction(ts, theta, x)
 
 
 class TestClassifyApproach:
@@ -304,16 +358,6 @@ class TestVerifyTransfer:
         for ts in variants:
             assert verify_transfer_is_learning_system(ts, datasets, cap=16).passed
 
-    def test_output_space_mismatch_fails_at_construction(self, systems, source_data, spaces):
-        x, _ = spaces
-        wrong_y = FiniteSet("Y3", (7, 8))
-        wrong = full_function_class(x, wrong_y)
-        with pytest.raises(Exception):
-            TransferSystem(
-                systems[0], systems[1], Knowledge(instances=source_data),
-                "instance", hypotheses_tr=wrong,
-            )
-
     def test_corrupted_selection_fails_with_witness(self, systems, source_data, target_data):
         ts = TransferSystem(
             systems[0], systems[1], Knowledge(instances=source_data), "instance"
@@ -420,32 +464,6 @@ class TestFeatureRepresentation:
             ),
         )
         assert case(rev) == (True, True, True, True)
-
-    @pytest.mark.parametrize("thetas", [("only",), ("t1", "t0"), ("t0", "t1", "t2")])
-    def test_explicit_hypotheses_must_have_the_latent_parameters(self, thetas):
-        """The rule selects in the latent system, by position in its parameter set."""
-        x, y = FiniteSet("X", ("a",)), FiniteSet("Y", (0, 1))
-        latent = LearningSystem(
-            x, y, HypothesisClass(FiniteSet("T", ("t0", "t1")), columns=("a",),
-                                  rows={"t0": (0,), "t1": (1,)}),
-        )
-        identity = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
-        spec = FeatureRepSpec(latent, identity, identity, {"a": "a"}, {0: 0, 1: 1})
-
-        def build(hypotheses_tr):
-            return TransferSystem(
-                latent, latent, Knowledge(instances=Dataset(())), "feature_representation",
-                hypotheses_tr=hypotheses_tr, latent=spec,
-            )
-
-        rows = {theta: (0,) for theta in thetas}
-        with pytest.raises(ValidationError, match="indexed by the latent parameters"):
-            build(HypothesisClass(FiniteSet("TR", thetas), columns=("a",), rows=rows))
-        ts = build(HypothesisClass(FiniteSet("TR", ("t0", "t1")), columns=("a",),
-                                   rows={"t0": (1,), "t1": (0,)}))
-        theta, trace = run_transfer(ts, Dataset((("a", 1),)))
-        assert theta == "t1" and list(trace.objective) == ["t0", "t1"]
-        assert ts.predict(theta, "a") == 0
 
     def test_feature_requires_latent(self, systems, source_data):
         with pytest.raises(ValidationError):
