@@ -36,7 +36,7 @@ from .measures import (
     pushforward,
 )
 from .relations import Atom, FiniteSet
-from .transfer import FeatureRepSpec, TransferSystem, run_transfer, transfer_error
+from .transfer import FeatureRepSpec, TransferSystem, run_transfer
 
 #: Additive smoothing applied to estimated measures inside pipelines,
 #: so ratio-based divergences never see an accidental zero cell.
@@ -178,7 +178,7 @@ def bound_check(
     eps_s = generalization_error(ts.source, theta_s, source_ctx, source_weight)
 
     theta_tr, _ = run_transfer(ts, target_data)
-    eps_t = transfer_error(ts, theta_tr, target_ctx, target_weight)
+    eps_t = generalization_error(ts.system_tr, theta_tr, target_ctx, target_weight)
 
     p_s = estimate_measure(source_data, "x", PIPELINE_SMOOTHING, ts.source.x_set)
     p_t = estimate_measure(target_data, "x", PIPELINE_SMOOTHING, ts.source.x_set)

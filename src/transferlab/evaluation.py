@@ -38,7 +38,6 @@ from .transfer import (
     _posteriors_equal,
     run_transfer,
     select_knowledge,
-    transfer_error,
 )
 
 #: The most seeds one comparison runs; a few milliseconds each at the hypothesis cap.
@@ -95,11 +94,14 @@ class TransferOutcome:
     error_mode: str
 
 
-def _split_holdout(data: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    order = rng.permutation(len(data))
-    half = len(data) // 2
-    train = tuple(data.pairs[i] for i in order[:half])
-    held = tuple(data.pairs[i] for i in order[half:])
+def _split_holdout(
+    data: Dataset, system: LearningSystem, rng: np.random.Generator
+) -> tuple[Dataset, Dataset]:
+    """Seeded halves of the pairs, sorted by their indices first: the split sees the multiset."""
+    pairs = sorted(data.pairs, key=lambda p: (system.x_set.index(p[0]), system.y_set.index(p[1])))
+    order = rng.permutation(len(pairs))
+    half = len(pairs) // 2
+    train, held = (tuple(pairs[i] for i in part) for part in (order[:half], order[half:]))
     return Dataset(train, data.source_tag), Dataset(held, "holdout")
 
 
@@ -147,12 +149,12 @@ def detect_negative_transfer(
             d_s, d_t = source.dataset, target.dataset
         train_t, eval_ctx = d_t, reference
         if reference is None:  # nothing declared: hold out half the target data
-            train_t, held = _split_holdout(d_t, rng)
+            train_t, held = _split_holdout(d_t, target.system, rng)
             eval_ctx = EvaluationContext(held)
 
         ts_i = replace(ts, knowledge=_source_knowledge(source.system, d_s, ts.approach))
         theta_tr, _ = run_transfer(ts_i, train_t)
-        eps_with.append(transfer_error(ts_i, theta_tr, eval_ctx, weight))
+        eps_with.append(generalization_error(ts_i.system_tr, theta_tr, eval_ctx, weight))
         theta_alone = run_algorithm(train_t, target.system)
         eps_without.append(generalization_error(target.system, theta_alone, eval_ctx, weight))
 
@@ -321,7 +323,7 @@ def is_generalist(
         ts = build_transfer_system(src, member, approach)
         shots = Dataset(member.dataset.pairs[:n], f"{member.dataset.source_tag}[:{n}]")
         theta_tr, _ = run_transfer(ts, shots)
-        error = transfer_error(ts, theta_tr, member.context(), member.marginal)
+        error = generalization_error(ts.system_tr, theta_tr, member.context(), member.marginal)
         return error, error < epsilon_star
 
     scanned = scan(pack, universe, "source", "generalist", {}, judge)

@@ -12,11 +12,12 @@ once and selected from by :func:`minimize`, the one selection rule::
 The selection is the first minimizer of the float64 objective values in
 canonical order, or the anchor itself when there is no data term.
 :func:`fit` and :func:`transferlab.transfer.transfer_fit` call it for a
-learning and a transfer system.  Only the integer parts are exact:
-zero-one totals and the anchor distance are matrix–vector products of
-per-label 0/1 indicators with count columns, every term and partial sum
-an integer below 2**53, so float64 holds them exactly and the summation
-order cannot change them.  The divisions and weights that combine them
+learning and a transfer system, which is itself a learning system:
+:func:`generalization_error` scores the hypotheses of both.  Only the
+integer parts are exact: zero-one totals and the anchor distance are
+matrix–vector products of per-label 0/1 indicators with count columns,
+every term and partial sum an integer below 2**53, so float64 holds them
+exactly and the summation order cannot change them.  The divisions and weights that combine them
 round, so two θ whose exact objectives tie can differ in their values.
 Squared totals are summed per θ with ``math.fsum``.  Because every
 carrier is finite, the defining biconditionals of the construction are
@@ -483,27 +484,27 @@ def evaluate(system: LearningSystem, theta: Atom, x: Atom) -> Atom:
     return system.hypotheses.output(theta, x)
 
 
-def prediction_error(
-    predict: Callable[[Atom], Atom],
+def generalization_error(
+    system: LearningSystem,
+    theta: Atom,
     ctx: EvaluationContext,
-    loss: LossSpec,
     weight: EmpiricalMeasure | None = None,
-    x_set: FiniteSet | None = None,
 ) -> float:
-    """Expected loss of an arbitrary predictor against a context.
+    """Expected loss of the hypothesis ``theta`` against the context.
 
-    In truth-table mode the expectation runs over the declared inputs,
+    In truth-table mode the expectation runs over the system's inputs,
     uniformly unless ``weight`` supplies a measure on them.  In hold-out
     mode it is the mean loss over the held-out pairs and ``weight`` is
     ignored.
     """
+    loss, predict = system.loss, lambda x: evaluate(system, theta, x)
     if isinstance(ctx.truth, Dataset):
         pairs = ctx.truth.pairs
         if not pairs:
             raise EmptyDataset("hold-out evaluation needs at least one pair")
         return math.fsum(loss.loss(y, predict(x)) for x, y in pairs) / len(pairs)
 
-    xs = tuple(ctx.truth.keys()) if x_set is None else x_set.elements
+    xs = system.x_set.elements
     for x in xs:
         if x not in ctx.truth:
             raise ValidationError(f"truth table undefined on {x!r}")
@@ -514,18 +515,6 @@ def prediction_error(
             raise SupportMismatch("weight measure must live on the evaluated inputs")
         w = weight.as_dict()
     return math.fsum(w[x] * loss.loss(ctx.truth[x], predict(x)) for x in xs)
-
-
-def generalization_error(
-    system: LearningSystem,
-    theta: Atom,
-    ctx: EvaluationContext,
-    weight: EmpiricalMeasure | None = None,
-) -> float:
-    """Expected loss of the hypothesis ``theta`` against the context."""
-    return prediction_error(
-        lambda x: evaluate(system, theta, x), ctx, system.loss, weight, system.x_set
-    )
 
 
 # -- axiom verification ---------------------------------------------------------
@@ -580,9 +569,7 @@ def _seeking(
 
 
 def verify_decomposition(
-    x_set: FiniteSet,
-    y_set: FiniteSet,
-    hypotheses: HypothesisClass,
+    system: LearningSystem,
     datasets: Sequence[Dataset],
     fit_fn: Callable[[Dataset], tuple[Atom, np.ndarray]],
     functional_system: FiniteSystem | None = None,
@@ -592,7 +579,8 @@ def verify_decomposition(
 
     ``fit_fn`` gives, for one dataset, the selected parameter and the
     objective of every parameter in the canonical order of the
-    hypotheses' parameter set.  Each dataset is fitted once, and once
+    system's parameter set, as :func:`fit` does; the system's own
+    algorithm is not read.  Each dataset is fitted once, and once
     more for the determinism check.  Three checks run over the sampled
     datasets:
 
@@ -622,7 +610,7 @@ def verify_decomposition(
     """
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
-    theta_set, output = hypotheses.theta_set, hypotheses.output
+    x_set, theta_set, output = system.x_set, system.theta_set, system.hypotheses.output
     fits = [fit_fn(d) for d in datasets]
     names = tuple(f"d{i}" for i in range(len(fits)))
     selected = {name: theta for name, (theta, _) in zip(names, fits)}
@@ -635,7 +623,7 @@ def verify_decomposition(
         # t[1:2]: a relation too short to couple is refused by the cascade itself.
         coupled = {theta for t in inductive_system.tuples for theta in t[1:2] if theta in theta_set}
         functional_system = FiniteSystem(
-            (theta_set, x_set, y_set),
+            (theta_set, x_set, system.y_set),
             tuple(
                 (theta, x, output(theta, x))
                 for theta in sorted(coupled, key=theta_set.index)
@@ -673,6 +661,5 @@ def verify_learning_axioms(
 ) -> AxiomReport:
     """Run the decomposition checks on a learning system directly."""
     return verify_decomposition(
-        system.x_set, system.y_set, system.hypotheses, sample_datasets,
-        lambda d: fit(d, system), functional_system, inductive_system,
+        system, sample_datasets, lambda d: fit(d, system), functional_system, inductive_system
     )

@@ -35,6 +35,7 @@ from .learning import (
     SystemPack,
     _check_threshold,
     full_function_class,
+    generalization_error,
     scan,
 )
 from .relations import (
@@ -48,7 +49,7 @@ from .relations import (
     is_function_type,
     quotient,
 )
-from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer, transfer_error
+from .transfer import FeatureRepSpec, Knowledge, TransferSystem, run_transfer
 
 #: Largest input or output carrier the shared-structure search accepts.
 CARRIER_CAP = 6
@@ -423,7 +424,8 @@ def feature_runner(
             latent=spec,
         )
         theta, _ = run_transfer(ts, target_pack.dataset)
-        return transfer_error(ts, theta, EvaluationContext(target_pack.truth), target_pack.marginal)
+        ctx = EvaluationContext(target_pack.truth)
+        return generalization_error(ts.system_tr, theta, ctx, target_pack.marginal)
 
     return run
 

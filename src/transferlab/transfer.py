@@ -16,11 +16,12 @@ and :func:`transfer_fit` selects with the one rule learning uses,
   pairs mapped into it; answers are mapped back to the target's outputs.
 
 What each rule takes from the source (instances, parameters or both) is
-said in one place, :data:`CONSUMES`.  The selection is deterministic,
-the first minimizer in canonical order, so the claim that the result is
-itself a learning system is checkable by enumeration
-(:func:`verify_transfer_is_learning_system`, which audits
-:func:`transfer_fit` exactly as a learning system's :func:`fit`).
+said in one place, :data:`CONSUMES`; a transfer system carries no other
+knowledge.  It is itself a learning system, :attr:`TransferSystem.system_tr`,
+whose hypotheses learning's own functions score.  The selection is
+deterministic, the first minimizer in canonical order, so that claim is
+checkable by enumeration (:func:`verify_transfer_is_learning_system`
+audits ``system_tr`` with :func:`transfer_fit` as its fit function).
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ from .errors import (
 from .learning import (
     AxiomReport,
     Dataset,
-    EvaluationContext,
     HypothesisClass,
     LearningSystem,
     SystemPack,
     minimize,
-    prediction_error,
     verify_decomposition,
 )
-from .measures import EmpiricalMeasure
 from .relations import DEFAULT_ENUMERATION_CAP, Atom, FiniteSet
 
 #: What each approach consumes from the source: (instances, parameters).
@@ -94,7 +92,7 @@ def _check_knowledge(
     instances: Dataset | None,
     parameters: tuple[Atom, ...] | None,
 ) -> None:
-    """Refuse a piece ``approach`` consumes that is missing, and any piece outside ``source``."""
+    """Refuse a missing consumed piece, a piece outside ``source``, then an unconsumed piece."""
     needs_instances, needs_parameters = _consumed(approach)
     if needs_instances and instances is None:
         raise MissingSourceArtifact(f"{approach} transfer needs source instances")
@@ -105,6 +103,10 @@ def _check_knowledge(
     for theta in parameters or ():
         if theta not in source.theta_set:
             raise UnknownElement(f"{theta!r} is not a source parameter")
+    if instances is not None and not needs_instances:
+        raise ValidationError(f"{approach} transfer does not consume source instances")
+    if parameters is not None and not needs_parameters:
+        raise ValidationError(f"{approach} transfer does not consume a source parameter")
 
 
 def select_knowledge(
@@ -176,26 +178,16 @@ class FeatureRepSpec:
                 raise UnknownElement(f"pair map image {image!r} outside latent space")
 
 
-def _composite_hypotheses(
-    latent: FeatureRepSpec, target: LearningSystem
-) -> HypothesisClass:
-    """The target-facing table induced by the latent system and its maps."""
-    lat = latent.latent_system.hypotheses
-    latent_rows = lat.rows_over([latent.input_map[x] for x in target.x_set.elements])
-    rows = ([latent.output_map[y] for y in row] for row in latent_rows)
-    rows = dict(zip(lat.theta_set.elements, rows))
-    return HypothesisClass(lat.theta_set, columns=target.x_set.elements, rows=rows)
-
-
 @dataclass(frozen=True)
 class TransferSystem:
     """Source and target systems plus a knowledge-consuming composition rule.
 
-    Its hypothesis table is derived, never passed: the target's own
-    class for the instance and parameter rules, and the table the latent
-    class induces through the input and output maps for the feature
-    rule, which selects in the latent system and so has the latent
-    parameters.  Either way the outputs land in the target output set.
+    The knowledge must hold exactly the pieces the rule consumes.  The
+    transfer learning system :attr:`system_tr` is derived, never passed:
+    the target itself for the instance and parameter rules, and for the
+    feature rule the target's sample space and loss with the table the
+    latent class induces through the input and output maps; that rule
+    selects in the latent system and so has the latent parameters.
     """
 
     source: LearningSystem
@@ -234,15 +226,20 @@ class TransferSystem:
                     )
 
     @cached_property
-    def hypotheses_tr(self) -> HypothesisClass:
-        """The transfer table: the target's class, or the latent one through the maps."""
-        if self.approach == "feature_representation":
-            return _composite_hypotheses(self.latent, self.target)
-        return self.target.hypotheses
+    def system_tr(self) -> LearningSystem:
+        """The transfer learning system: the target, or its space with the induced latent table."""
+        target, spec = self.target, self.latent
+        if self.approach != "feature_representation":
+            return target
+        lat, xs = spec.latent_system.hypotheses, target.x_set.elements
+        latent_rows = lat.rows_over([spec.input_map[x] for x in xs])
+        rows = ([spec.output_map[y] for y in row] for row in latent_rows)
+        table = HypothesisClass(lat.theta_set, xs, dict(zip(lat.theta_set.elements, rows)))
+        return LearningSystem(target.x_set, target.y_set, table, target.loss)
 
     @property
     def theta_tr_set(self) -> FiniteSet:
-        return self.hypotheses_tr.theta_set
+        return self.system_tr.theta_set
 
     @cached_property
     def source_counts(self) -> np.ndarray:
@@ -253,11 +250,6 @@ class TransferSystem:
         """
         instances = _in_target_space(self.knowledge.instances, self.target)
         return instances.counts(self.target.x_set, self.target.y_set)
-
-    def predict(self, theta_tr: Atom, x: Atom) -> Atom:
-        if x not in self.target.x_set:
-            raise UnknownElement(f"{x!r} is not a target input")
-        return self.hypotheses_tr.output(theta_tr, x)
 
 
 def _in_target_space(instances: Dataset, target: LearningSystem) -> Dataset:
@@ -285,17 +277,15 @@ def pool_data(knowledge: Knowledge, target_data: Dataset, target: LearningSystem
 
 @dataclass(frozen=True, eq=False)
 class TransferTrace:
-    """Intermediate artifacts of one transfer run.
+    """One transfer run: the system, the target data and the objective it selected from.
 
-    ``values`` is the objective over ``theta_tr_set`` that the rule
-    selected from; the objective as a mapping is built when first read.
+    ``values`` is the objective over ``theta_tr_set`` as :func:`transfer_fit`
+    returns it; the objective as a mapping is built when first read.
     """
 
     system: TransferSystem
     target_data: Dataset
-    latent_data: Dataset | None
     values: np.ndarray
-    selected: Atom
 
     @property
     def approach(self) -> str:
@@ -330,10 +320,8 @@ def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
     return Dataset(tuple(mapped), "latent")
 
 
-def transfer_fit(
-    ts: TransferSystem, target_data: Dataset
-) -> tuple[Atom, np.ndarray, Dataset | None]:
-    """The rule's selection and objective over ``theta_tr_set``, and its latent data."""
+def transfer_fit(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, np.ndarray]:
+    """The rule's selection and its objective over ``theta_tr_set``, as :func:`fit` returns them."""
     target_data.validate_against(ts.target.x_set, ts.target.y_set)
     if ts.approach == "feature_representation":
         latent_d = latent_dataset(ts, target_data)
@@ -342,10 +330,10 @@ def transfer_fit(
         lat = ts.latent.latent_system
         counts = latent_d.counts(lat.x_set, lat.y_set)
         row, values = minimize(lat.codes, lat.y_set, lat.loss, counts)
-        return lat.theta_set.elements[row], values, latent_d
+        return lat.theta_set.elements[row], values
 
-    x_set, y_set = ts.target.x_set, ts.target.y_set
-    counts = target_data.counts(x_set, y_set)
+    target = ts.target
+    counts = target_data.counts(target.x_set, target.y_set)
     source = anchor = None
     takes_instances, takes_parameters = CONSUMES[ts.approach]
     if takes_instances:
@@ -355,30 +343,18 @@ def transfer_fit(
     elif len(target_data) == 0:
         counts = None  # zero-shot: the penalty alone
     if takes_parameters:
-        anchor = ts.theta_tr_set.index(ts.knowledge.parameters[0])
+        anchor = target.theta_set.index(ts.knowledge.parameters[0])
     row, values = minimize(
-        ts.target.codes, y_set, ts.target.loss, counts, source, ts.pool_weight,
+        target.codes, target.y_set, target.loss, counts, source, ts.pool_weight,
         anchor, ts.penalty_weight,
     )
-    return ts.theta_tr_set.elements[row], values, None
+    return target.theta_set.elements[row], values
 
 
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
-    """Execute the transfer rule and trace every intermediate artifact."""
-    selected, values, latent_d = transfer_fit(ts, target_data)
-    return selected, TransferTrace(ts, target_data, latent_d, values, selected)
-
-
-def transfer_error(
-    ts: TransferSystem,
-    theta_tr: Atom,
-    ctx: EvaluationContext,
-    weight: EmpiricalMeasure | None = None,
-) -> float:
-    """Expected loss of the transferred hypothesis ``theta_tr`` against the context."""
-    return prediction_error(
-        lambda x: ts.predict(theta_tr, x), ctx, ts.target.loss, weight, ts.target.x_set
-    )
+    """Execute the transfer rule; the selection and the trace of the run."""
+    selected, values = transfer_fit(ts, target_data)
+    return selected, TransferTrace(ts, target_data, values)
 
 
 # -- classification -------------------------------------------------------------
@@ -461,11 +437,12 @@ def n_shot(ts: TransferSystem, target_data: Dataset) -> tuple[int, bool]:
     """The shot count ``len(target_data)`` of a run, and whether it is zero-shot (no pairs).
 
     ``ts`` is not read: the answer is the same for every rule, because
-    with an empty target multiset each built-in rule consumes source
-    knowledge only (the pooled data reduces to the source instances, the
-    penalized rule returns its anchor, and the latent route maps source
-    pairs only).  :attr:`TransferTrace.n_target` and
-    :attr:`TransferTrace.zero_shot` give the same two values for a run.
+    with an empty target multiset each built-in rule reads only the
+    source knowledge it consumes, which is all a transfer system carries
+    (the pooled data reduces to the source instances, the penalized rule
+    returns its anchor, and the latent route maps source pairs only).
+    A run's trace keeps its target data, so :attr:`TransferTrace.n_target`
+    and :attr:`TransferTrace.zero_shot` give the same two values for it.
     """
     n = len(target_data)
     return n, n == 0
@@ -478,23 +455,22 @@ def verify_transfer_is_learning_system(
     functional_system=None,
     inductive_system=None,
 ) -> AxiomReport:
-    """Re-express the transfer system over its own sextuple and audit it.
+    """Audit the transfer system as the learning system it is.
 
-    The components are the sampled pooled-data atoms, the transfer
-    parameter set, the transfer hypothesis table and the target sample
-    space; the checks are the same decomposition, goal-seeking and
-    optimality audits used for plain learning systems.
+    The audited system is :attr:`TransferSystem.system_tr`, with
+    :func:`transfer_fit` as its fit function; the checks over the sampled
+    target datasets are those of :func:`~transferlab.learning.verify_learning_axioms`.
     """
+    system = ts.system_tr
     for carrier, label in (
-        (ts.target.x_set, "target inputs"),
-        (ts.target.y_set, "target outputs"),
-        (ts.theta_tr_set, "transfer parameters"),
+        (system.x_set, "target inputs"),
+        (system.y_set, "target outputs"),
+        (system.theta_set, "transfer parameters"),
     ):
         if len(carrier) > cap:
             raise CapExceeded(f"{label} carrier exceeds cap {cap}")
     if len(target_datasets) > cap:
         raise CapExceeded(f"more than {cap} sampled datasets")
     return verify_decomposition(
-        ts.target.x_set, ts.target.y_set, ts.hypotheses_tr, target_datasets,
-        lambda d: transfer_fit(ts, d)[:2], functional_system, inductive_system,
+        system, target_datasets, lambda d: transfer_fit(ts, d), functional_system, inductive_system
     )

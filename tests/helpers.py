@@ -12,6 +12,7 @@ from transferlab.errors import (
     CapExceeded,
     EmptyDataset,
     IncompatibleCarriers,
+    SupportMismatch,
     UnknownElement,
     ValidationError,
 )
@@ -172,7 +173,7 @@ def selection_objective(data, theta, system):
 
 def _weighted_pool_objective(ts, target_data, theta):
     loss = ts.target.loss.loss
-    h = ts.hypotheses_tr.output
+    h = ts.system_tr.hypotheses.output
     w = ts.pool_weight
     counts_t = pair_counts(target_data.pairs)
     counts_s = pair_counts(ts.knowledge.instances.pairs)
@@ -184,7 +185,7 @@ def _weighted_pool_objective(ts, target_data, theta):
 
 def transfer_objective(ts, target_data, theta):
     """The quantity the transfer rule minimizes over its parameter set."""
-    penalized = LearningSystem(ts.target.x_set, ts.target.y_set, ts.hypotheses_tr, ts.target.loss)
+    system = ts.system_tr
     if ts.approach in ("instance", "instance_parameter"):
         pooled = pool_data(ts.knowledge, target_data, ts.target)
         if len(pooled) == 0:
@@ -193,13 +194,13 @@ def transfer_objective(ts, target_data, theta):
         if ts.approach == "instance":
             return value
         return value + ts.penalty_weight * output_distance(
-            penalized, theta, ts.knowledge.parameters[0]
+            system, theta, ts.knowledge.parameters[0]
         )
     if ts.approach == "parameter":
-        penalty = ts.penalty_weight * output_distance(penalized, theta, ts.knowledge.parameters[0])
+        penalty = ts.penalty_weight * output_distance(system, theta, ts.knowledge.parameters[0])
         if len(target_data) == 0:
             return penalty
-        return scalar_risk(target_data, theta, penalized) + penalty
+        return scalar_risk(target_data, theta, system) + penalty
     data = latent_dataset(ts, target_data)
     if len(data) == 0:
         raise EmptyDataset("feature-representation transfer needs mapped data")
@@ -428,9 +429,10 @@ def scalar_check_goal_seeking(sf, sg, gs, system=None) -> GoalSeekReport:
 
 
 def scalar_verify_decomposition(
-    x_set, y_set, theta_set, output_fn, datasets, select_fn, objective_fn,
-    functional_system=None, inductive_system=None,
+    system, datasets, select_fn, objective_fn, functional_system=None, inductive_system=None,
 ) -> AxiomReport:
+    x_set, y_set, theta_set = system.x_set, system.y_set, system.theta_set
+    output_fn = system.hypotheses.output
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
     names = tuple(f"d{i}" for i in range(len(datasets)))
@@ -485,16 +487,15 @@ def scalar_verify_decomposition(
 def scalar_learning_axioms(system, datasets, **overrides) -> AxiomReport:
     """:func:`transferlab.learning.verify_learning_axioms`, scalar."""
     return scalar_verify_decomposition(
-        system.x_set, system.y_set, system.theta_set, system.hypotheses.output, datasets,
-        lambda d: fit(d, system)[0], lambda d: fit(d, system)[1], **overrides,
+        system, datasets, lambda d: fit(d, system)[0], lambda d: fit(d, system)[1], **overrides
     )
 
 
 def scalar_transfer_axioms(ts, datasets, **overrides) -> AxiomReport:
     """:func:`transferlab.transfer.verify_transfer_is_learning_system`, scalar, without caps."""
     return scalar_verify_decomposition(
-        ts.target.x_set, ts.target.y_set, ts.theta_tr_set, ts.hypotheses_tr.output, datasets,
-        lambda d: transfer_fit(ts, d)[0], lambda d: transfer_fit(ts, d)[1], **overrides,
+        ts.system_tr, datasets, lambda d: transfer_fit(ts, d)[0], lambda d: transfer_fit(ts, d)[1],
+        **overrides,
     )
 
 
@@ -601,6 +602,32 @@ def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingS
         frozenset((name, goal[(name, theta)], theta) for name, theta in selected.items()),
     )
     return inductive, gs
+
+
+def scalar_prediction_error(predict, ctx, loss, x_set, weight=None):
+    """Expected loss of an arbitrary predictor against a context, one input or pair at a time.
+
+    The oracle of :func:`transferlab.learning.generalization_error`: in
+    truth-table mode the expectation runs over ``x_set``, uniformly
+    unless ``weight`` supplies a measure on it; in hold-out mode it is
+    the mean loss over the held-out pairs and ``weight`` is ignored.
+    """
+    if isinstance(ctx.truth, Dataset):
+        pairs = ctx.truth.pairs
+        if not pairs:
+            raise EmptyDataset("hold-out evaluation needs at least one pair")
+        return math.fsum(loss.loss(y, predict(x)) for x, y in pairs) / len(pairs)
+    xs = x_set.elements
+    for x in xs:
+        if x not in ctx.truth:
+            raise ValidationError(f"truth table undefined on {x!r}")
+    if weight is None:
+        w = {x: 1.0 / len(xs) for x in xs}
+    else:
+        if frozenset(weight.support.elements) != frozenset(xs):
+            raise SupportMismatch("weight measure must live on the evaluated inputs")
+        w = weight.as_dict()
+    return math.fsum(w[x] * loss.loss(ctx.truth[x], predict(x)) for x in xs)
 
 
 def latent_path_prediction(ts, theta, x):

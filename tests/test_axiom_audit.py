@@ -308,7 +308,7 @@ SAMPLES = [Dataset((("x0", 1),)), Dataset((("x0", 0), ("x1", 1), ("x0", 0))), Da
 def test_the_audit_calls_its_fit_twice_per_dataset():
     calls = []
     fit_fn = counted(lambda d: fit(d, ERM), calls)
-    assert verify_decomposition(X2, Y2, ERM.hypotheses, SAMPLES, fit_fn).passed
+    assert verify_decomposition(ERM, SAMPLES, fit_fn).passed
     assert calls == [(d,) for d in SAMPLES + SAMPLES]
 
 
@@ -316,11 +316,9 @@ def test_a_choice_a_hair_above_the_minimum_is_flagged():
     # The scan compares the very vector the fit chose from, so it needs no slack:
     # a choice 1e-13 above the minimum is not optimal.
     values = np.array([0.5, 0.5 + 1e-13, 0.7, 0.9])
-    report = verify_decomposition(X2, Y2, ERM.hypotheses, SAMPLES, lambda d: ("h1", values))
+    report = verify_decomposition(ERM, SAMPLES, lambda d: ("h1", values))
     assert report.optimality_violations == (("d0", "h0"), ("d1", "h0"), ("d2", "h0"))
-    oracle = scalar_verify_decomposition(
-        X2, Y2, ERM.theta_set, ERM.hypotheses.output, SAMPLES, lambda d: "h1", lambda d: values
-    )
+    oracle = scalar_verify_decomposition(ERM, SAMPLES, lambda d: "h1", lambda d: values)
     assert report == oracle
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -421,10 +422,8 @@ FUZZ_VALUES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def fuzz_document(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("fuzz")
-    _, doc = emit(directory, SMALL)
+def with_identity_morphism(doc):
+    """``doc`` with the source truth as relation ``r`` and its identity morphism ``m``."""
     system = doc["learning"]["source_system"]
     xs, ys = (doc["sets"][system[key]]["elements"] for key in ("inputs", "outputs"))
     tuples = [[x, y] for x, y in zip(xs, doc["packs"]["source"]["truth"])]
@@ -439,7 +438,14 @@ def fuzz_document(tmp_path_factory):
             "y_map": [[y, y] for y in ys],
         }
     }
-    return directory, doc
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_document(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    _, doc = emit(directory, SMALL)
+    return directory, with_identity_morphism(doc)
 
 
 def refuse_constant(name):
@@ -466,6 +472,56 @@ def analyze_with(directory, doc, kind, changes, *flags):
     if "unknown" in changes and not flags:
         assert analyze_with(directory, doc, kind, changes, "--strict") == cli.EXIT_PARSE
     return rc
+
+
+# -- pair order -------------------------------------------------------------------------
+# A dataset is a multiset, so shuffling the pairs of every dataset in a document leaves
+# the results of every analysis byte-equal.  Generalist is exempt: it truncates each
+# member's dataset to its first ``shots`` pairs on purpose, so that shot budgets nest,
+# which makes the order of the pairs part of its question.
+
+PAIR_ORDER_CASES = [
+    *((kind, config) for kind, config in RUNNING.items() if kind != "generalist"),
+    *(("transferability", {**ANALYSES["transferability"], "mode": mode})
+      for mode in ("structural", "behavioral", "all")),
+    ("negative", {**NEGATIVE, "resample": False}),
+]
+
+
+def results_text(directory, doc, kind, config) -> str:
+    """The results section of ``analyze --kind <kind>`` on ``doc`` with ``config``."""
+    path, out = directory / "doc.json", directory / "report.json"
+    write_json(path, {**doc, "analysis": {kind: config}})
+    assert cli.main(["analyze", str(path), "--kind", kind, "--out", str(out)]) == cli.EXIT_OK
+    return specio.json_text(json.loads(out.read_text(encoding="utf-8"))["results"])
+
+
+def shuffled_pairs(doc, rng):
+    """``doc`` with the pairs of each dataset in a seeded random order."""
+    datasets = {
+        name: {**block, "pairs": rng.sample(block["pairs"], len(block["pairs"]))}
+        for name, block in doc["datasets"].items()
+    }
+    return {**doc, "datasets": datasets}
+
+
+@pytest.mark.parametrize("seed", [4, 11, 23])
+def test_results_do_not_depend_on_the_order_of_pairs(tmp_path, seed):
+    _, doc = emit(tmp_path, {**SMALL, "seed": seed, "label_count": 2 + seed % 2})
+    doc = with_identity_morphism(doc)
+    # No target truth table: negative transfer holds out half the target data.
+    holdout = {**doc, "packs": {**doc["packs"], "target": dict(doc["packs"]["target"])}}
+    del holdout["packs"]["target"]["truth"]
+    cases = [(doc, *case) for case in PAIR_ORDER_CASES]
+    cases.append((holdout, "negative", {**NEGATIVE, "resample": False}))
+    rng = random.Random(seed)
+    for base, kind, config in cases:
+        expected = results_text(tmp_path, base, kind, config)
+        if base is holdout:
+            assert json.loads(expected)["error_mode"] == "holdout"
+        for _ in range(2):
+            shuffled = shuffled_pairs(base, rng)
+            assert results_text(tmp_path, shuffled, kind, config) == expected, (kind, config)
 
 
 def test_every_config_key_and_value_exits_by_contract(fuzz_document):
@@ -789,6 +845,32 @@ def test_a_weight_out_of_range_exits_invariant_violation(tmp_path, capsys, verb,
     rc = cli.main([verb, str(path), *flags, "--out", str(tmp_path / "r.json")])
     assert rc == cli.EXIT_INVARIANT
     assert capsys.readouterr().err == f"invariant violation: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "block, piece, message",
+    [
+        ("inst", {"parameters": ["a"]}, "instance transfer does not consume a source parameter"),
+        ("param", {"instances": "source_data"},
+         "parameter transfer does not consume source instances"),
+        ("feat", {"parameters": ["a"]},
+         "feature_representation transfer does not consume a source parameter"),
+    ],
+)
+def test_a_knowledge_piece_the_rule_does_not_consume_exits_invariant_violation(
+    tmp_path, capsys, block, piece, message
+):
+    transfer = TRANSFER_DOC["transfer"][block]
+    knowledge = {**transfer["knowledge"], **piece}
+    doc = {**TRANSFER_DOC, "analysis": {"transfer": {"system": block, "data": "target_data"}}}
+    doc["transfer"] = {**doc["transfer"], block: {**transfer, "knowledge": knowledge}}
+    path = write_json(tmp_path / "doc.json", doc)
+    for verb, flags in (("validate", []), ("analyze", ["--kind", "transfer"])):
+        capsys.readouterr()
+        rc = cli.main([verb, path, *flags, "--out", str(tmp_path / "r.json")])
+        assert rc == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err == f"invariant violation: transfer.{block}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 def analyze_with_an_infinite_threshold(tmp_path, capsys, kind, config):

@@ -1,7 +1,8 @@
 """Every module under ``src/transferlab`` uses each name it imports, every
 private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
-base error, one function selects by ``argmin``, and every defaulted
+base error, one function selects by ``argmin``, two call the per-pair
+loss (the selection's totals and the one error path), and every defaulted
 parameter, a frozen dataclass's defaulted fields included, is passed by
 some call in the package or kept on purpose.
 
@@ -223,6 +224,35 @@ def test_only_the_one_selection_calls_argmin():
         for owner in owners(path.read_text(encoding="utf-8"), calls_argmin)
     }
     assert found == ARGMIN_CALLERS
+
+
+#: The per-pair loss is read by the selection's totals and by the one error
+#: path that scores a selected hypothesis, learned or transferred.  A third
+#: caller would be a second way to score a hypothesis.
+LOSS_CALLERS = {("learning.py", "_loss_totals"), ("learning.py", "generalization_error")}
+
+
+def calls_loss(node: ast.AST) -> bool:
+    """A call of a ``.loss`` attribute, as :meth:`LossSpec.loss` is called."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "loss"
+
+
+def test_the_scan_sees_a_loss_call():
+    source = (
+        "def f(spec):\n    return spec.loss(0, 1)\n"
+        "def g(system):\n    score = lambda y: system.loss.loss(y, 0)\n    return loss(1, 1)\n"
+        "total = SPEC.loss(1, 0)\n"
+    )
+    assert owners(source, calls_loss) == ["f", "g", "<module>"]
+
+
+def test_only_the_selection_totals_and_the_error_path_call_the_loss():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), calls_loss)
+    }
+    assert found == LOSS_CALLERS
 
 
 #: Defaulted parameters that no call in ``src/transferlab`` passes, kept on purpose.

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binary_pack, latent_path_prediction, random_dataset, random_learning_system
+from helpers import (
+    binary_pack,
+    latent_path_prediction,
+    random_dataset,
+    random_learning_system,
+    scalar_prediction_error,
+)
 from transferlab import transfer
 from transferlab.errors import (
     IncompatibleSupport,
@@ -21,8 +27,9 @@ from transferlab.learning import (
     LearningSystem,
     SystemPack,
     empirical_risk,
+    evaluate,
     full_function_class,
-    prediction_error,
+    generalization_error,
     run_algorithm,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
@@ -39,7 +46,7 @@ from transferlab.transfer import (
     pool_data,
     run_transfer,
     select_knowledge,
-    transfer_error,
+    transfer_fit,
     verify_transfer_is_learning_system,
 )
 
@@ -206,17 +213,19 @@ class TestRunTransfer:
     def test_the_transfer_table_is_derived_from_the_rule(
         self, systems, source_data, spaces, approach
     ):
-        """The target's own class, or for the feature rule the latent class through the maps."""
+        """The target itself, or for the feature rule its space with the latent class's table."""
         ts = identity_transfer(systems, source_data, spaces, approach)
         if approach != "feature_representation":
-            assert ts.hypotheses_tr is ts.target.hypotheses
+            assert ts.system_tr is ts.target
             return
-        latent = ts.latent.latent_system
-        assert ts.theta_tr_set.elements == latent.theta_set.elements
-        assert ts.hypotheses_tr.columns == ts.target.x_set.elements
+        system, target = ts.system_tr, ts.target
+        assert (system.x_set, system.y_set) == (target.x_set, target.y_set)
+        assert system.loss == target.loss
+        assert ts.theta_tr_set.elements == ts.latent.latent_system.theta_set.elements
+        assert system.hypotheses.columns == target.x_set.elements
         for theta in ts.theta_tr_set.elements:
-            for x in ts.target.x_set.elements:
-                assert ts.predict(theta, x) == latent_path_prediction(ts, theta, x)
+            for x in target.x_set.elements:
+                assert evaluate(system, theta, x) == latent_path_prediction(ts, theta, x)
 
 
 class TestClassifyApproach:
@@ -405,7 +414,7 @@ class TestFeatureRepresentation:
         )
         theta, _ = run_transfer(ts, d_t)
         for x in target.x_set.elements:
-            assert ts.predict(theta, x) == latent_path_prediction(ts, theta, x)
+            assert evaluate(ts.system_tr, theta, x) == latent_path_prediction(ts, theta, x)
 
     def test_latent_cases(self, spaces):
         """An identity pair map puts the latent space on that side's sample space."""
@@ -510,6 +519,38 @@ def test_select_knowledge_and_transfer_system_refuse_alike(systems, source_data)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
+def test_a_transfer_system_refuses_knowledge_its_rule_does_not_consume(
+    systems, source_data, spaces, approach
+):
+    """Offered both pieces, a rule refuses the one it leaves unread, after the other checks."""
+    ts = identity_transfer(systems, source_data, spaces, approach)
+    assert classify_approach(ts) == ts.approach == approach
+    both = Knowledge(source_data, (run_algorithm(source_data, systems[0]),))
+    if approach == "instance_parameter":
+        assert dataclasses.replace(ts, knowledge=both).knowledge == both
+        return
+    piece = "a source parameter" if CONSUMES[approach][0] else "source instances"
+    with pytest.raises(ValidationError, match=f"^{approach} transfer does not consume {piece}$"):
+        dataclasses.replace(ts, knowledge=both)
+    # select_knowledge keeps only the consumed pieces, so it never meets the refusal.
+    kept = select_knowledge(systems[0], both.instances, both.parameters[0], approach)
+    assert dataclasses.replace(ts, knowledge=kept).knowledge == ts.knowledge
+
+
+def test_transfer_fit_returns_what_fit_returns_and_the_trace_keeps_the_rest(
+    systems, source_data, target_data, spaces
+):
+    for approach in APPROACHES:
+        ts = identity_transfer(systems, source_data, spaces, approach)
+        selected, values = transfer_fit(ts, target_data)
+        theta, trace = run_transfer(ts, target_data)
+        assert [f.name for f in dataclasses.fields(trace)] == ["system", "target_data", "values"]
+        assert (trace.system, trace.target_data) == (ts, target_data)
+        assert theta == selected and trace.values.tolist() == values.tolist()
+        assert values.shape == (len(ts.system_tr.theta_set),)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
 def test_select_knowledge_keeps_only_what_the_approach_consumes(systems, source_data, approach):
     theta = run_algorithm(source_data, systems[0])
     knowledge = select_knowledge(systems[0], source_data, theta, approach)
@@ -537,25 +578,40 @@ def test_classify_approach_recovers_the_built_approach(approach):
     assert classify_approach(ts) == approach
 
 
+def merging_transfer(systems, source_data, spaces, approach):
+    """An ``approach`` transfer; the feature rule merges inputs in pairs and flips the labels."""
+    if approach != "feature_representation":
+        return identity_transfer(systems, source_data, spaces, approach)
+    u, y = FiniteSet("U", ("u0", "u1")), systems[1].y_set
+    to_latent = {"x0": "u0", "x1": "u0", "x2": "u1", "x3": "u1"}
+    pairs = {(x, b): (to_latent[x], b) for x in to_latent for b in y.elements}
+    latent = FeatureRepSpec(
+        LearningSystem(u, y, full_function_class(u, y)), pairs, pairs, to_latent, {0: 1, 1: 0}
+    )
+    knowledge = Knowledge(instances=source_data)
+    return TransferSystem(systems[0], systems[1], knowledge, approach, latent=latent)
+
+
 @pytest.mark.parametrize("holdout", [False, True])
-@pytest.mark.parametrize("approach", ["instance", "parameter"])
+@pytest.mark.parametrize("approach", APPROACHES)
 def test_transfer_error_is_the_prediction_error_of_the_transferred_hypothesis(
-    systems, source_data, target_data, approach, holdout
+    systems, source_data, target_data, spaces, approach, holdout
 ):
-    theta_s = run_algorithm(source_data, systems[0])
-    knowledge = select_knowledge(systems[0], source_data, theta_s, approach)
-    ts = TransferSystem(systems[0], systems[1], knowledge, approach)
+    """``generalization_error`` in ``system_tr`` equals the scalar oracle, bit for bit."""
+    ts = merging_transfer(systems, source_data, spaces, approach)
     theta, _ = run_transfer(ts, target_data)
     if holdout:
         ctx, weight = EvaluationContext(Dataset((("x1", 1), ("x2", 1), ("x1", 0)))), None
     else:
         ctx = EvaluationContext({"x0": 0, "x1": 1, "x2": 1, "x3": 0})
         weight = EmpiricalMeasure(systems[1].x_set, (0.1, 0.2, 0.3, 0.4))
-    by_hand = prediction_error(
-        lambda x: ts.predict(theta, x), ctx, ts.target.loss, weight=weight,
-        x_set=ts.target.x_set,
-    )
-    assert transfer_error(ts, theta, ctx, weight) == by_hand
+    if approach == "feature_representation":
+        predict = lambda x: latent_path_prediction(ts, theta, x)
+    else:
+        predict = lambda x: ts.target.hypotheses.output(theta, x)
+    by_hand = scalar_prediction_error(predict, ctx, ts.target.loss, ts.target.x_set, weight)
+    error = generalization_error(ts.system_tr, theta, ctx, weight)
+    assert error.hex() == by_hand.hex()
     assert 0 < by_hand < 1
 
 
