@@ -2,6 +2,9 @@
 
 Exit codes are part of the contract: 0 clean, 2 parse failure, 3 broken
 reference, 4 construction-invariant violation, 5 analysis-time failure.
+An input that cannot be read and an output that cannot be written (a
+report's ``--out``, an emitted document under ``--emit``) also exit 2,
+with one ``cannot read <path>: …`` or ``cannot write <path>: …`` line.
 ``analyze --kind <kind>`` runs the document's ``analysis.<kind>`` block;
 each kind's keys, their defaults and how each is read are the table
 :data:`transferlab.specio.ANALYSES`.  Unknown keys, there as in any
@@ -183,12 +186,22 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> 
     return _jsonable(result)
 
 
-def _write_report(report: dict, out: str | None) -> None:
+def _cannot_write(path: object, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
+def _write_report(report: dict, out: str | None) -> int:
+    """Write the report to ``out``, or to stdout; the exit code of the write."""
     text = json_text(report) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _cannot_write(out or "standard output", exc)
+    return EXIT_OK
 
 
 def _scenario_documents(doc: SpecDocument, seed: int | None):
@@ -321,11 +334,10 @@ def main(argv: list[str] | None = None) -> int:
             "packs": len(doc.packs),
             "transfer": len(doc.transfer),
         }
-        _write_report(
+        return _write_report(
             {"ok": True, "inputs_digest": document_digest(doc), "blocks": counts},
             args.out,
         )
-        return EXIT_OK
 
     if args.command == "analyze":
         try:
@@ -344,8 +356,7 @@ def main(argv: list[str] | None = None) -> int:
                 "tags": ["probabilities=declared-or-estimated", "order=canonical"],
             },
         }
-        _write_report(report, args.out)
-        return EXIT_OK
+        return _write_report(report, args.out)
 
     # scenario
     try:
@@ -360,8 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransferLabError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    _write_report({"emitted": emitted}, args.out)
-    return EXIT_OK
+    except OSError as exc:
+        return _cannot_write(exc.filename, exc)
+    return _write_report({"emitted": emitted}, args.out)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 A learning system couples a finite hypothesis table with an algorithm
 that selects a parameter from data by exhaustive minimization of an
 objective.  The table, the functional relation Θ × X → Y, is stored
-as one row of outputs per θ over a column order of inputs.  Learning and
+as one matrix of codes, θ by input column, each the index of an output
+atom; a full function class has its codes in closed form.  Learning and
 every transfer rule minimize one formula, scored for all parameters at
 once and selected from by :func:`minimize`, the one selection rule::
 
@@ -35,7 +36,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -120,61 +121,174 @@ class LossSpec:
 ZERO_ONE = LossSpec("zero_one")
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
-    """The functional relation Θ × X → Y: ``rows[θ]`` lists θ's outputs over ``columns``.
+class _FirstSeen(dict):
+    """Key → code, where a key's code is the number of distinct keys looked up before it."""
 
-    A row must have one output per column.  A θ without a row or an
-    input outside the columns leaves its cells undefined: :meth:`output`
-    refuses them and :meth:`encode` refuses a table that is not total.
+    def __missing__(self, key: object) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+#: Rows a hypothesis table decodes at a time: a block's atoms are one small
+#: array, never one for all of Θ × X.
+_DECODE_BLOCK = 1024
+
+
+class HypothesisClass:
+    """The functional relation Θ × X → Y, held as one code matrix.
+
+    ``codes[i, j]`` is the index in ``outputs`` of what the ``i``-th θ
+    of ``theta_set`` outputs at ``columns[j]``, in the smallest unsigned
+    dtype; ``outputs`` holds each output atom as first written, so
+    ``True``, ``1`` and ``1.0`` each keep an entry of their own.
+    ``HypothesisClass(theta_set, columns, rows)`` reads ``rows[θ]``, θ's
+    outputs over ``columns``, once, in canonical order; :meth:`of_codes`
+    takes a total code matrix as it is.  A row must have one output per
+    column.  A θ without a row or an input outside the columns leaves
+    its cells undefined: :meth:`output` refuses them and :meth:`encode`
+    refuses a table that is not total.  The row of a θ outside
+    ``theta_set`` follows Θ's rows in ``codes``; only :meth:`output` and
+    :attr:`rows` read it.
     """
 
-    theta_set: FiniteSet
-    columns: tuple[Atom, ...]
-    rows: Mapping[Atom, tuple[Atom, ...]]
+    def __init__(
+        self, theta_set: FiniteSet, columns: Sequence[Atom], rows: Mapping[Atom, Sequence[Atom]]
+    ) -> None:
+        columns = tuple(columns)
+        width = len(columns)
+        if not set(map(type, rows.values())) <= {list, tuple}:
+            rows = {theta: tuple(row) for theta, row in rows.items()}
+        if not set(map(len, rows.values())) <= {width}:
+            theta = next(theta for theta, row in rows.items() if len(row) != width)
+            raise ValidationError(f"row for {theta!r} must align with {width} columns")
+        thetas, slots, missing = theta_set.elements, None, None
+        if len(rows) != len(thetas) or not all(map(rows.__contains__, thetas)):
+            slots = {theta: i for i, theta in enumerate(thetas) if theta in rows}
+            extra = [theta for theta in rows if theta not in theta_set._index]
+            slots.update(zip(extra, itertools.count(len(thetas))))
+        ordered = list(map(rows.__getitem__, thetas if slots is None else slots))
+        # Equal atoms of str, int and None, or of str, bool and None, are written
+        # alike; any other mix is keyed by type and repr, so 1, 1.0 and True differ.
+        types = set(map(type, itertools.chain.from_iterable(ordered)))
+        by_value = types <= {str, int, type(None)} or types <= {str, bool, type(None)}
+        keys = itertools.chain.from_iterable(ordered)
+        if not by_value:
+            keys = zip(map(type, itertools.chain.from_iterable(ordered)), map(repr, keys))
+        code_of = _FirstSeen()
+        flat = np.fromiter(map(code_of.__getitem__, keys), np.intp, len(ordered) * width)
+        outputs = tuple(code_of)
+        if not by_value:  # a new code is one more than every code before it, at its first cell
+            firsts = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=-1)).tolist()
+            outputs = tuple(ordered[p // width][p % width] for p in firsts)
+        dtype = np.min_scalar_type(max(len(code_of) - 1, 0))
+        codes = flat.astype(dtype).reshape(len(ordered), width)
+        if slots is not None:  # Θ's rows at Θ's indices, a row of zeros where θ has none
+            full = np.zeros((len(thetas) + len(extra), width), codes.dtype)
+            full[list(slots.values())] = codes
+            codes = full
+            if len(slots) < len(full):
+                missing = np.array([theta not in rows for theta in thetas])
+        self._hold(theta_set, columns, codes, outputs, slots, missing)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", {theta: tuple(row) for theta, row in self.rows.items()})
-        object.__setattr__(self, "_position", {x: i for i, x in enumerate(self.columns)})
-        width = len(self.columns)
-        for theta, row in self.rows.items():
-            if len(row) != width:
-                raise ValidationError(f"row for {theta!r} must align with {width} columns")
+    @classmethod
+    def of_codes(
+        cls, theta_set: FiniteSet, columns: Sequence[Atom], codes: np.ndarray,
+        outputs: Sequence[Atom],
+    ) -> HypothesisClass:
+        """The total class whose ``codes[θ, j]`` index ``outputs``, θ canonical; no cell is read."""
+        hc = cls.__new__(cls)
+        hc._hold(theta_set, tuple(columns), np.ascontiguousarray(codes), tuple(outputs), None, None)
+        return hc
+
+    def _hold(self, theta_set, columns, codes, outputs, slots, missing) -> None:
+        """Store the table; ``slots`` maps each θ with a row to its row of ``codes``
+        (``None``: Θ's own index), ``missing`` flags the θ of Θ without one (``None``: none).
+        """
+        codes.setflags(write=False)
+        self.theta_set, self.columns, self.codes, self.outputs = theta_set, columns, codes, outputs
+        self._slots, self._missing = slots, missing
+        self._position = {x: i for i, x in enumerate(columns)}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HypothesisClass):
+            return NotImplemented
+        return (self.theta_set, self.columns, self.rows) == (
+            other.theta_set, other.columns, other.rows
+        )
+
+    @property
+    def _row_of(self) -> Mapping[Atom, int]:
+        """Each θ with a row, θ → its row of ``codes``."""
+        return self.theta_set._index if self._slots is None else self._slots
 
     def output(self, theta: Atom, x: Atom) -> Atom:
         try:
-            return self.rows[theta][self._position[x]]
+            i, j = self._row_of[theta], self._position[x]
         except KeyError:
             raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
+        return self.outputs[self.codes.item(i, j)]
 
-    def rows_over(self, xs: Sequence[Atom]) -> list[tuple[Atom, ...]]:
+    @property
+    def rows(self) -> dict[Atom, list[Atom]]:
+        """θ → its outputs over ``columns``, for each θ with a row, decoded when read."""
+        row_of = self._row_of
+        return dict(zip(row_of, self._decode(self.codes[list(row_of.values())])))
+
+    def rows_over(self, xs: Sequence[Atom]) -> list[list[Atom]]:
         """Each θ's outputs over ``xs``, θ canonical, cells unchecked; ``KeyError`` if absent."""
-        rows = [self.rows[theta] for theta in self.theta_set.elements]
-        if tuple(xs) == self.columns:
-            return rows
-        picks = [self._position[x] for x in xs]
-        return [tuple(row[i] for i in picks) for row in rows]
+        if self._missing is not None:
+            raise KeyError(self.theta_set.elements[int(self._missing.argmax())])
+        codes = self.codes[: len(self.theta_set)]
+        if tuple(xs) != self.columns:
+            codes = codes[:, [self._position[x] for x in xs]]
+        return self._decode(codes)
+
+    def _decode(self, codes: np.ndarray) -> list[list[Atom]]:
+        """The atoms ``codes`` index, one list per row, decoded :data:`_DECODE_BLOCK` rows at a time."""
+        lookup = np.empty(len(self.outputs), object)
+        for i, y in enumerate(self.outputs):  # one by one: an array of tuples would unpack them
+            lookup[i] = y
+        rows: list[list[Atom]] = []
+        for start in range(0, len(codes), _DECODE_BLOCK):
+            rows += lookup[codes[start : start + _DECODE_BLOCK]].tolist()
+        return rows
 
     def encode(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
-        """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical.
+        """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical, C-contiguous.
 
+        One look-up remaps the stored codes: the column of each x, then
+        each output's index in ``y_set``.  Over columns and outputs that
+        are X and Y in order, the stored matrix is the answer itself.
         The table must be total on Θ × X with every output in ``y_set``;
         the first entry in canonical order that is not raises.
         """
         thetas, xs = self.theta_set.elements, x_set.elements
-        dtype = np.min_scalar_type(len(y_set) - 1)
-        try:
-            cells = itertools.chain.from_iterable(self.rows_over(xs))
-            flat = np.fromiter(map(y_set._index.__getitem__, cells), dtype, len(thetas) * len(xs))
-        except KeyError:
-            for key in itertools.product(thetas, xs):
-                if key[0] not in self.rows or key[1] not in self._position:
-                    raise ValidationError(f"hypothesis table is not total: missing {key!r}")
-                if (y := self.output(*key)) not in y_set:
-                    raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
-            raise
-        return flat.reshape(len(thetas), len(xs))
+        codes = self.codes[: len(thetas)]
+        if self._missing is None and xs == self.columns and self.outputs == y_set.elements:
+            return codes
+        labels = np.array([*map(partial(_label_of, y_set), self.outputs), -1])
+        # Column -1, appended, stands for every input outside the columns.
+        picks = [self._position.get(x, -1) for x in xs]
+        mapped = np.concatenate([labels[codes], np.full((len(codes), 1), -1)], axis=1)[:, picks]
+        if self._missing is not None:
+            mapped[self._missing] = -1
+        undefined = mapped < 0
+        if undefined.any():
+            i, j = divmod(int(undefined.argmax()), len(xs))
+            theta, x = thetas[i], xs[j]
+            if theta not in self._row_of or x not in self._position:
+                raise ValidationError(f"hypothesis table is not total: missing {(theta, x)!r}")
+            if (y := self.output(theta, x)) not in y_set:
+                raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
+        return mapped.astype(np.min_scalar_type(len(y_set) - 1), order="C")
+
+
+def _label_of(y_set: FiniteSet, y: Atom) -> int:
+    """The index of ``y`` in ``y_set``; -1 if it is not a label, hashable or not."""
+    try:
+        return y_set._index.get(y, -1)
+    except TypeError:
+        return -1
 
 
 def full_function_class(
@@ -182,16 +296,28 @@ def full_function_class(
     y_set: FiniteSet,
     max_size: int = 4096,
 ) -> HypothesisClass:
-    """Every function from the input set to the output set, canonically indexed h0, h1, ..."""
-    count = len(y_set) ** len(x_set)
+    """Every function from the input set to the output set, canonically indexed h0, h1, ...
+
+    Function ``i`` maps the ``j``-th input to digit ``j`` of ``i`` written
+    in base |Y| with |X| digits, most significant first:
+    ``codes[i, j] = (i // |Y|^(|X|-1-j)) % |Y|``, the order of
+    ``itertools.product(Y, repeat=|X|)``.  Column ``j`` is filled in
+    closed form, as |Y|^j blocks that each repeat every label
+    |Y|^(|X|-1-j) times, so no row or cell is made in Python.
+    """
+    k, m = len(x_set), len(y_set)
+    count = m**k
     if count > max_size:
         raise CapExceeded(
             f"{count} functions from {x_set.name} to {y_set.name} exceed cap {max_size}"
         )
     width = max(len(str(count - 1)), 1)
-    names = tuple(f"h{i:0{width}d}" for i in range(count))
-    rows = dict(zip(names, itertools.product(y_set.elements, repeat=len(x_set))))
-    return HypothesisClass(FiniteSet("h_params", names), x_set.elements, rows)
+    names = tuple(map(f"h%0{width}d".__mod__, range(count)))
+    codes = np.empty((count, k), np.min_scalar_type(m - 1))
+    labels = np.arange(m, dtype=codes.dtype)[:, None]
+    for j in range(k):
+        codes.reshape(-1, m, m ** (k - 1 - j), k)[..., j] = labels
+    return HypothesisClass.of_codes(FiniteSet("h_params", names), x_set.elements, codes, y_set.elements)
 
 
 @dataclass(frozen=True)

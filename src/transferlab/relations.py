@@ -55,7 +55,13 @@ class FiniteSet:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise EmptyComponent(f"set {self.name!r} has no elements")
-        seen = set()
+        try:
+            distinct = len(set(self.elements)) == len(self.elements)
+        except TypeError:
+            distinct = False
+        if distinct:
+            return
+        seen = set()  # find the first duplicate or unhashable element, to name it
         for el in self.elements:
             try:
                 duplicate = el in seen

@@ -231,10 +231,11 @@ class TransferSystem:
         target, spec = self.target, self.latent
         if self.approach != "feature_representation":
             return target
-        lat, xs = spec.latent_system.hypotheses, target.x_set.elements
-        latent_rows = lat.rows_over([spec.input_map[x] for x in xs])
-        rows = ([spec.output_map[y] for y in row] for row in latent_rows)
-        table = HypothesisClass(lat.theta_set, xs, dict(zip(lat.theta_set.elements, rows)))
+        # The latent codes at each input's image, relabelled through the output map.
+        lat, xs = spec.latent_system, target.x_set.elements
+        picks = [lat.x_set.index(spec.input_map[x]) for x in xs]
+        outputs = map(spec.output_map.__getitem__, lat.y_set.elements)
+        table = HypothesisClass.of_codes(lat.theta_set, xs, lat.codes[:, picks], outputs)
         return LearningSystem(target.x_set, target.y_set, table, target.loss)
 
     @property

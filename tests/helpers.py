@@ -233,9 +233,10 @@ def scalar_argmin(thetas, objective):
 
 
 # -- dict-backed hypothesis table oracle ------------------------------------------
-# The hypothesis class as first written, one dict entry per (θ, x) cell:
-# the row-backed HypothesisClass must give the same cells, outputs, codes
-# and errors.
+# The hypothesis class as first written, one dict entry per (θ, x) cell, and
+# its encoding one cell at a time: the code-matrix HypothesisClass, its
+# closed-form full classes and the feature rule's relabelled latent codes
+# must give the same cells, outputs, codes and errors.
 
 class DictHypothesisClass:
     def __init__(self, theta_set, table):
@@ -249,19 +250,43 @@ class DictHypothesisClass:
             raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
 
     def encode(self, x_set, y_set):
-        table, y_index = self.table, y_set._index
-        thetas, xs = self.theta_set.elements, x_set.elements
-        try:
-            flat = [y_index[table[(theta, x)]] for theta in thetas for x in xs]
-        except KeyError:
-            for key in itertools.product(thetas, xs):
-                if key not in table:
-                    raise ValidationError(f"hypothesis table is not total: missing {key!r}")
-                if (y := table[key]) not in y_set:
-                    raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
-            raise
-        dtype = np.min_scalar_type(len(y_set) - 1)
-        return np.array(flat, dtype=dtype).reshape(len(thetas), len(xs))
+        return scalar_encode(self.theta_set, self.table, x_set, y_set)
+
+
+def scalar_encode(theta_set, table, x_set, y_set) -> np.ndarray:
+    """``H[θ, x]`` of a ``(θ, x) → y`` mapping, one cell at a time, θ and x canonical.
+
+    The oracle of ``HypothesisClass.encode`` and ``LearningSystem.codes``:
+    each cell's output is looked up in ``y_set``.  The table must be
+    total on Θ × X with every output in ``y_set``; the first cell in
+    canonical order that is not raises (an unhashable output raises the
+    ``TypeError`` of the membership test).
+    """
+    flat = []
+    for key in itertools.product(theta_set.elements, x_set.elements):
+        if key not in table:
+            raise ValidationError(f"hypothesis table is not total: missing {key!r}")
+        if (y := table[key]) not in y_set:
+            raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
+        flat.append(y_set.index(y))
+    dtype = np.min_scalar_type(len(y_set) - 1)
+    return np.array(flat, dtype=dtype).reshape(len(theta_set), len(x_set))
+
+
+def scalar_composite_codes(ts) -> np.ndarray:
+    """The feature rule's transfer table over the target's sets, relabelled one cell at a time.
+
+    The oracle of ``ts.system_tr.codes``: each latent hypothesis is read
+    at the input map's image of each target input, and its output is
+    relabelled by the output map.
+    """
+    thetas, xs = ts.latent.latent_system.theta_set, ts.target.x_set
+    table = {
+        (theta, x): latent_path_prediction(ts, theta, x)
+        for theta in thetas.elements
+        for x in xs.elements
+    }
+    return scalar_encode(thetas, table, xs, ts.target.y_set)
 
 
 # -- scalar morphism enumeration oracle --------------------------------------------

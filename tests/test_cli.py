@@ -98,6 +98,38 @@ def test_emission_above_default_cap_revalidates(tmp_path):
     assert rc == cli.EXIT_OK
 
 
+def report_into_a_directory(tmp_path, path):
+    (tmp_path / "out").mkdir()
+    return ["validate", str(path), "--out", str(tmp_path / "out")], tmp_path / "out"
+
+
+def emit_into_a_file(tmp_path, path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    spec = write_json(tmp_path / "spec2.json", {"version": 1, "scenario": SMALL})
+    argv = ["scenario", spec, "--emit", str(tmp_path / "taken"), "--out", str(tmp_path / "s2.json")]
+    return argv, tmp_path / "taken"
+
+
+def emit_onto_a_directory(tmp_path, path):
+    (tmp_path / "emit2" / "pair_00.json").mkdir(parents=True)
+    spec = write_json(tmp_path / "spec2.json", {"version": 1, "scenario": SMALL})
+    argv = ["scenario", spec, "--emit", str(tmp_path / "emit2"), "--out", str(tmp_path / "s2.json")]
+    return argv, tmp_path / "emit2" / "pair_00.json"
+
+
+@pytest.mark.parametrize(
+    "case", [report_into_a_directory, emit_into_a_file, emit_onto_a_directory]
+)
+def test_an_output_that_cannot_be_written_exits_parse_error(tmp_path, capsys, case):
+    path, _ = emit(tmp_path, SMALL)
+    argv, target = case(tmp_path, path)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+    assert not (tmp_path / "s2.json").exists()
+
+
 def test_default_cap_emission_has_no_cap_key(tmp_path):
     path, doc = emit(tmp_path, SMALL)
     assert "hypothesis_cap" not in doc["scenario"]

@@ -2,7 +2,8 @@
 private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
-loss (the selection's totals and the one error path), and every defaulted
+loss (the selection's totals and the one error path), one reads hypothesis
+table cells into codes (with the JSON writer's scalar check), and every defaulted
 parameter, a frozen dataclass's defaulted fields included, is passed by
 some call in the package or kept on purpose.
 
@@ -224,6 +225,41 @@ def test_only_the_one_selection_calls_argmin():
         for owner in owners(path.read_text(encoding="utf-8"), calls_argmin)
     }
     assert found == ARGMIN_CALLERS
+
+
+#: Who reads a hypothesis table's cells as Python objects: the rows-in
+#: constructor of ``HypothesisClass`` (``__init__`` in learning.py) reads each
+#: cell once into the code matrix, and everything else reads the codes.  The
+#: JSON writer ``_lay_out`` flattens any container of rows (table rows,
+#: probability rows, dataset pairs) only to check that its cells are scalars
+#: before it lays the text out.  A third reader would be a second encoding.
+CELL_READERS = {("learning.py", "__init__"), ("specio.py", "_lay_out")}
+
+
+def reads_cells(node: ast.AST) -> bool:
+    """A call of ``fromiter`` or ``from_iterable``: cells into an array, or rows into cells."""
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    ) in ("fromiter", "from_iterable")
+
+
+def test_the_scan_sees_a_cell_reader():
+    source = (
+        "def f(rows):\n    return np.fromiter(rows, int)\n"
+        "def g(rows):\n    def flat():\n        return itertools.chain.from_iterable(rows)\n"
+        "    return fromiter\n"
+        "cells = chain.from_iterable([[1]])\n"
+    )
+    assert owners(source, reads_cells) == ["f", "flat", "<module>"]
+
+
+def test_only_the_rows_in_constructor_reads_table_cells():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), reads_cells)
+    }
+    assert found == CELL_READERS
 
 
 #: The per-pair loss is read by the selection's totals and by the one error
