@@ -129,11 +129,6 @@ class _FirstSeen(dict):
         return code
 
 
-#: Rows a hypothesis table decodes at a time: a block's atoms are one small
-#: array, never one for all of Θ × X.
-_DECODE_BLOCK = 1024
-
-
 class HypothesisClass:
     """The functional relation Θ × X → Y, held as one code matrix.
 
@@ -146,9 +141,9 @@ class HypothesisClass:
     takes a total code matrix as it is.  A row must have one output per
     column.  A θ without a row or an input outside the columns leaves
     its cells undefined: :meth:`output` refuses them and :meth:`encode`
-    refuses a table that is not total.  The row of a θ outside
-    ``theta_set`` follows Θ's rows in ``codes``; only :meth:`output` and
-    :attr:`rows` read it.
+    refuses a table that is not total.  A θ outside ``theta_set`` has its
+    row after Θ's, read only by :meth:`output` and :attr:`rows`, which alone
+    decodes every row; writers lay :meth:`codes_over` out as text instead.
     """
 
     def __init__(
@@ -231,27 +226,15 @@ class HypothesisClass:
     @property
     def rows(self) -> dict[Atom, list[Atom]]:
         """θ → its outputs over ``columns``, for each θ with a row, decoded when read."""
-        row_of = self._row_of
-        return dict(zip(row_of, self._decode(self.codes[list(row_of.values())])))
+        decode = self.outputs.__getitem__
+        return {t: list(map(decode, self.codes[i].tolist())) for t, i in self._row_of.items()}
 
-    def rows_over(self, xs: Sequence[Atom]) -> list[list[Atom]]:
-        """Each θ's outputs over ``xs``, θ canonical, cells unchecked; ``KeyError`` if absent."""
+    def codes_over(self, xs: Sequence[Atom]) -> np.ndarray:
+        """Θ's rows of ``codes`` over the columns ``xs``, θ canonical; ``KeyError`` if absent."""
         if self._missing is not None:
             raise KeyError(self.theta_set.elements[int(self._missing.argmax())])
         codes = self.codes[: len(self.theta_set)]
-        if tuple(xs) != self.columns:
-            codes = codes[:, [self._position[x] for x in xs]]
-        return self._decode(codes)
-
-    def _decode(self, codes: np.ndarray) -> list[list[Atom]]:
-        """The atoms ``codes`` index, one list per row, decoded :data:`_DECODE_BLOCK` rows at a time."""
-        lookup = np.empty(len(self.outputs), object)
-        for i, y in enumerate(self.outputs):  # one by one: an array of tuples would unpack them
-            lookup[i] = y
-        rows: list[list[Atom]] = []
-        for start in range(0, len(codes), _DECODE_BLOCK):
-            rows += lookup[codes[start : start + _DECODE_BLOCK]].tolist()
-        return rows
+        return codes if tuple(xs) == self.columns else codes[:, [self._position[x] for x in xs]]
 
     def encode(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
         """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical, C-contiguous.
@@ -601,6 +584,15 @@ def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
     return fit(data, system)[0]
 
 
+def _predictor(system: LearningSystem, theta: Atom) -> Callable[[Atom], Atom]:
+    """``x`` → :func:`evaluate` of ``theta`` at ``x``, from θ's row of codes decoded once."""
+    hc = system.hypotheses
+    i = hc._row_of.get(theta) if theta in system.theta_set else None
+    cells = () if i is None else hc.codes[i].tolist()
+    row = dict(zip(hc.columns, map(hc.outputs.__getitem__, cells)))
+    return lambda x: row[x] if row and x in system.x_set and x in row else evaluate(system, theta, x)
+
+
 def evaluate(system: LearningSystem, theta: Atom, x: Atom) -> Atom:
     """Look up the hypothesis output; membership is validated."""
     if theta not in system.theta_set:
@@ -623,11 +615,12 @@ def generalization_error(
     mode it is the mean loss over the held-out pairs and ``weight`` is
     ignored.
     """
-    loss, predict = system.loss, lambda x: evaluate(system, theta, x)
+    loss = system.loss
     if isinstance(ctx.truth, Dataset):
         pairs = ctx.truth.pairs
         if not pairs:
             raise EmptyDataset("hold-out evaluation needs at least one pair")
+        predict = _predictor(system, theta)
         return math.fsum(loss.loss(y, predict(x)) for x, y in pairs) / len(pairs)
 
     xs = system.x_set.elements
@@ -640,6 +633,7 @@ def generalization_error(
         if not frozenset(weight.support.elements) == frozenset(xs):
             raise SupportMismatch("weight measure must live on the evaluated inputs")
         w = weight.as_dict()
+    predict = _predictor(system, theta)
     return math.fsum(w[x] * loss.loss(ctx.truth[x], predict(x)) for x in xs)
 
 

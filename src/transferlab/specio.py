@@ -25,10 +25,10 @@ block keeps the names it was built with, and emission writes them back.
 Emission has one form: keys sorted, a 2-space indent, non-ASCII and
 control characters as ``\\u`` escapes -- byte for byte the text
 ``json.dumps(obj, sort_keys=True, indent=2)`` writes, here produced by
-:func:`json_text` at the speed of the stdlib's C encoder.  Reports of the
-CLI use the same writer.  :func:`document_digest` hashes the compact
-form (``separators=(",", ":")``, keys sorted), so the digest does not
-depend on layout.
+:func:`json_text` at the speed of the stdlib's C encoder, for reports of
+the CLI too.  :func:`document_digest` hashes the compact form, so the
+digest does not depend on layout.  Both lay a hypothesis table's text
+out from its codes, with one encode per distinct atom.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ import hashlib
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     AnalysisError,
@@ -284,12 +287,12 @@ def _write_learning(sys_: LearningSystem, refs) -> dict:
     algo: dict[str, Any] = {"kind": sys_.algorithm.kind}
     if sys_.algorithm.kind == "penalized":
         algo.update(anchor=sys_.algorithm.anchor, weight=sys_.algorithm.weight)
-    rows = sys_.hypotheses.rows_over(sys_.x_set.elements)
+    codes = sys_.hypotheses.codes_over(sys_.x_set.elements)
     return {
         "inputs": sys_.x_set.name,
         "outputs": sys_.y_set.name,
         "thetas": sys_.theta_set.elements,
-        "table": dict(zip(sys_.theta_set.elements, rows)),
+        "table": _Table(sys_.theta_set.elements, codes, sys_.hypotheses.outputs),
         "loss": sys_.loss.kind,
         "algorithm": algo,
     }
@@ -640,7 +643,7 @@ def analysis_config(doc: SpecDocument, kind: str) -> dict[str, Any]:
 # -- emission -----------------------------------------------------------------------
 
 def document_dict(doc: SpecDocument) -> dict:
-    """Serialize resolved objects back to a normalized document dict."""
+    """Serialize resolved objects back to a normalized document dict, each table as a ``_Table``."""
     out: dict[str, Any] = {"version": SCHEMA_VERSION}
     for section, (_, _, write) in _SECTIONS.items():
         if objects := getattr(doc, section):
@@ -658,6 +661,46 @@ def document_dict(doc: SpecDocument) -> dict:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+#: A hypothesis table as emission takes it: θ names, ``codes[θ, x]`` over X, output atoms.
+_Table = namedtuple("_Table", "thetas codes outputs")
+
+
+def _table_text(table: _Table, level: int | None) -> str:
+    """``json.dumps`` of ``{θ: [outputs]}``, compact (``level`` None) or indent-2 at ``level``.
+
+    Each atom in use is encoded once, the sorted keys in one call.  A row is
+    its key's text and its atoms' (the last closes it), each NUL-padded to the
+    longest of its kind: one byte matrix, one ``take`` per column block.
+    Encoder text is ASCII without raw NUL, so one ``translate`` unpads it.
+    """
+    (n, k), thetas = table.codes.shape, table.thetas
+    if not n:
+        return "{}"
+    inner = "" if level is None else "\n" + "  " * (level + 1)
+    cell, close, encode = inner and inner + "  ", "]," + inner, _encoder(",", ":").encode
+    atom = encode if level is None else lambda y: json_text(y).replace("\n", cell)
+    keys, codes = sorted(thetas), table.codes
+    if keys != list(thetas):
+        codes = codes[sorted(range(n), key=thetas.__getitem__)]
+    if set(map(type, keys)) != {str}:  # a key as the encoder converts it
+        keys = [encode({key: 0})[2:-4] for key in keys]
+    head = (":[" if level is None else ": [") + ("" if k else close)
+    heads = _encoder(head + "\0").encode(keys)[1:-1] + head + "\0"  # key + head, NUL after each
+    flat = np.frombuffer(heads.encode("ascii"), np.uint8)
+    lengths = np.diff((flat == 0).nonzero()[0], prepend=-1) - 1
+    blocks = [np.zeros((n, lengths.max()), np.uint8)]
+    blocks[0][np.arange(blocks[0].shape[1]) < lengths[:, None]] = flat[flat != 0]
+    if k:
+        used = np.bincount(codes.reshape(-1), minlength=len(table.outputs)) > 0
+        texts = [atom(y) if u else "" for y, u in zip(table.outputs, used)]
+        for picks, end in ((codes[:, :-1], ","), (codes[:, -1:], inner + close)):
+            lut = np.array([(cell + text + end).encode("ascii") for text in texts])
+            blocks.append(np.take(lut, picks).view(np.uint8).reshape(n, -1))
+    rows = np.hstack(blocks).reshape(-1)
+    body = memoryview(rows) if rows.all() else rows.tobytes().translate(None, b"\0")
+    return "".join(("{", inner, str(body[: 1 - len(close)], "ascii"), inner[:-2], "}"))
+
+
 @functools.cache
 def _encoder(separator: str, key_separator: str = ": ") -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(separator, key_separator))
@@ -667,16 +710,12 @@ def json_text(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     Any indent sends the stdlib to its pure-Python encoder, so this lays
-    out only the lines and leaves the values to the compact C encoder.
-    A container of non-empty scalar rows (table rows, probability rows,
-    dataset pairs) is one call, with the cells' separator; its rows are
-    then re-laid at each ``],`` + newline, which only a row's end writes,
-    since encoded text holds no raw newline and no scalar's text ends in
-    ``]``.  A string key or member is one call of its own, which the
-    encoder answers without set-up.  One more call, with a newline as the
-    item separator, encodes every other scalar and every container of
-    scalars; splitting its text at the newlines gives each scalar's text
-    and each member line of a container of scalars.
+    out only the lines and leaves the values to the compact C encoder: a
+    table from its codes (:func:`_table_text`), a string key or member in
+    a call of its own, which the encoder answers without set-up, and every
+    other scalar and container of scalars in one call with a newline as
+    the item separator, whose text splits at the newlines into each
+    scalar's text and each member line of a container of scalars.
     """
     chunks: list = []
     slots: list[tuple] = []
@@ -699,6 +738,9 @@ def _lay_out(value: Any, level: int, chunks: list, slots: list[tuple], leaves: l
     text goes in ``slots``: the chunk's index, the container's member
     count (0 for a scalar) and its inner and outer indent.
     """
+    if isinstance(value, _Table):
+        chunks.append(_table_text(value, level))
+        return
     if isinstance(value, dict):
         values, opening, closing = list(value.values()), "{", "}"
     elif isinstance(value, (list, tuple)):
@@ -712,24 +754,10 @@ def _lay_out(value: Any, level: int, chunks: list, slots: list[tuple], leaves: l
         chunks.append(opening + closing)
         return
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    types = set(map(type, values))
-    if types <= _SCALARS:
+    if set(map(type, values)) <= _SCALARS:
         slots.append((len(chunks), len(values), inner, outer))
         chunks.append(None)
         leaves.append(value)
-        return
-    cells = itertools.chain.from_iterable(values)
-    if types <= {list, tuple} and all(values) and set(map(type, cells)) <= _SCALARS:
-        cell = inner + "  "
-        text = _encoder("," + cell, ":\n").encode(value)
-        if opening == "{":  # the key separator is the other raw newline; keys open with '"'
-            text = text.replace(":\n[", ": [" + cell)
-            text = text.replace("]," + cell + '"', inner + "]," + inner + '"')
-            chunks += (opening, inner, text[1:-2])
-        else:
-            text = text.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
-            chunks += (opening, inner, "[", cell, text[2:-2])
-        chunks += (inner, "]", outer, closing)
         return
     separator = opening + inner
     members = sorted(value.items()) if opening == "{" else enumerate(value)
@@ -754,6 +782,25 @@ def dump_document(doc: SpecDocument) -> str:
     return json_text(document_dict(doc)) + "\n"
 
 
+def _holds_table(value: Any) -> bool:
+    holds = isinstance(value, dict) and any(map(_holds_table, value.values()))
+    return holds or isinstance(value, _Table)
+
+
+def _compact(value: Any, pieces: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` to ``pieces``."""
+    encode = _encoder(",", ":").encode
+    if isinstance(value, dict) and _holds_table(value):
+        for i, (key, member) in enumerate(sorted(value.items())):
+            text = encode(key) if isinstance(key, str) else encode({key: 0})[1:-3]
+            pieces += ("," if i else "{", text, ":")
+            _compact(member, pieces)
+        pieces.append("}")
+    else:
+        pieces.append(_table_text(value, None) if isinstance(value, _Table) else encode(value))
+
+
 def document_digest(doc: SpecDocument) -> str:
-    canonical = json.dumps(document_dict(doc), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    pieces: list[str] = []
+    _compact(document_dict(doc), pieces)
+    return hashlib.sha256("".join(pieces).encode("utf-8")).hexdigest()

@@ -361,11 +361,10 @@ def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, Transf
 # -- classification -------------------------------------------------------------
 
 def classify_approach(ts: TransferSystem) -> str:
-    """Label the rule by which knowledge pieces and maps it consumes."""
-    if ts.latent is not None:
-        return "feature_representation"
-    carried = (ts.knowledge.instances is not None, ts.knowledge.parameters is not None)
-    return next(approach for approach, pieces in CONSUMES.items() if pieces == carried)
+    """``ts.approach``, the only label that fits: a transfer system refuses a consumed piece it
+    lacks, an unconsumed one it carries (:data:`CONSUMES`) and latent maps off the feature rule.
+    """
+    return ts.approach
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -595,6 +596,33 @@ DIVERGENCE_IS_METRIC = {
     "mmd": True,
     "kl": False,
 }
+
+
+def rows_over(hc: HypothesisClass, xs) -> list[list]:
+    """Each θ's outputs over ``xs``, θ canonical, decoded cell by cell.
+
+    The former ``HypothesisClass.rows_over``: ``KeyError`` names the first
+    θ of Θ without a row, else the first ``x`` outside the columns.
+    """
+    rows = hc.rows
+    ordered = [rows[theta] for theta in hc.theta_set.elements]
+    position = {x: j for j, x in enumerate(hc.columns)}
+    picks = [position[x] for x in xs]
+    return [[row[j] for j in picks] for row in ordered]
+
+
+def scalar_table_json(system, indent) -> str:
+    """A learning block's ``table`` as the writer laid it out before it read codes.
+
+    ``{θ: outputs over X}`` decoded with :func:`rows_over`, then encoded
+    cell by cell by the stdlib: compact with ``indent`` ``None`` (the
+    digest's form), else with that indent.  ``system`` needs only
+    ``theta_set``, ``x_set`` and ``hypotheses``.
+    """
+    table = dict(zip(system.theta_set.elements, rows_over(system.hypotheses, system.x_set.elements)))
+    if indent is None:
+        return json.dumps(table, sort_keys=True, separators=(",", ":"))
+    return json.dumps(table, sort_keys=True, indent=indent)
 
 
 def hypothesis_table(hc: HypothesisClass) -> dict:

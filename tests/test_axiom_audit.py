@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    rows_over,
     scalar_check_goal_seeking,
     scalar_verify_decomposition,
     scalar_learning_axioms,
@@ -64,7 +65,7 @@ def integer_parameters(system):
     """``system`` with its parameters renamed 0, 1, 2, ... in order."""
     thetas = FiniteSet("T", tuple(range(len(system.theta_set))))
     xs = system.x_set.elements
-    rows = dict(zip(thetas.elements, system.hypotheses.rows_over(xs)))
+    rows = dict(zip(thetas.elements, rows_over(system.hypotheses, xs)))
     hypotheses = HypothesisClass(thetas, columns=xs, rows=rows)
     return LearningSystem(system.x_set, system.y_set, hypotheses, system.loss)
 

@@ -3,9 +3,9 @@ private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one reads hypothesis
-table cells into codes (with the JSON writer's scalar check), and every defaulted
-parameter, a frozen dataclass's defaulted fields included, is passed by
-some call in the package or kept on purpose.
+table cells into codes, no function of the document format decodes a table,
+and every defaulted parameter, a frozen dataclass's defaulted fields
+included, is passed by some call in the package or kept on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -229,11 +229,9 @@ def test_only_the_one_selection_calls_argmin():
 
 #: Who reads a hypothesis table's cells as Python objects: the rows-in
 #: constructor of ``HypothesisClass`` (``__init__`` in learning.py) reads each
-#: cell once into the code matrix, and everything else reads the codes.  The
-#: JSON writer ``_lay_out`` flattens any container of rows (table rows,
-#: probability rows, dataset pairs) only to check that its cells are scalars
-#: before it lays the text out.  A third reader would be a second encoding.
-CELL_READERS = {("learning.py", "__init__"), ("specio.py", "_lay_out")}
+#: cell once into the code matrix, and everything else reads the codes.  A
+#: second reader would be a second encoding.
+CELL_READERS = {("learning.py", "__init__")}
 
 
 def reads_cells(node: ast.AST) -> bool:
@@ -260,6 +258,36 @@ def test_only_the_rows_in_constructor_reads_table_cells():
         for owner in owners(path.read_text(encoding="utf-8"), reads_cells)
     }
     assert found == CELL_READERS
+
+
+#: The functions of the document format (specio.py) that may decode a hypothesis
+#: table: none.  Emission and the digest lay a table's text out from its codes, one
+#: encode per distinct atom; a decoded table is a list per row and an object per cell.
+TABLE_DECODERS: set[tuple[str, str]] = set()
+
+
+def decodes_table(node: ast.AST) -> bool:
+    """A read of ``.rows``, ``.output`` or ``.tolist``, or any use of ``rows_over``."""
+    if isinstance(node, ast.Name):
+        return node.id == "rows_over"
+    decoders = ("rows", "output", "tolist", "rows_over")
+    return isinstance(node, ast.Attribute) and node.attr in decoders
+
+
+def test_the_scan_sees_a_table_decoder():
+    source = (
+        "def f(hc):\n    return hc.rows\n"
+        "def g(system):\n    def cell(x):\n        return system.hypotheses.output(0, x)\n"
+        "    return cell\n"
+        "def h(hc, xs):\n    return hc.codes_over(xs).tolist(), rows_over, hc.rows_over(xs)\n"
+        "rows = table.rows\n"
+    )
+    assert owners(source, decodes_table) == ["f", "cell", "h", "h", "h", "<module>"]
+
+
+def test_no_function_of_the_document_format_decodes_a_table():
+    source = (PACKAGE / "specio.py").read_text(encoding="utf-8")
+    assert set(owners(source, decodes_table)) == TABLE_DECODERS
 
 
 #: The per-pair loss is read by the selection's totals and by the one error

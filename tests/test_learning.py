@@ -9,6 +9,7 @@ from helpers import (
     hypothesis_table,
     random_dataset,
     random_learning_system,
+    scalar_prediction_error,
     selection_objective,
 )
 from transferlab.errors import EmptyDataset, UnknownElement, ValidationError
@@ -195,6 +196,50 @@ class TestGeneralizationError:
             truth = {x: sys.y_set.elements[0] for x in sys.x_set.elements}
             err = generalization_error(sys, theta, EvaluationContext(truth))
             assert 0.0 <= err <= 1.0
+
+    def test_reads_each_row_once_and_refuses_as_evaluate_does(self, monkeypatch):
+        """Equal, bit for bit, to the oracle that looks every cell up with ``evaluate``; a θ
+        outside Θ, an input outside X and a θ whose row is gone raise what ``evaluate``
+        raises, with its message, and a θ of Θ is scored without a single cell look-up.
+        """
+
+        def outcome(fn):
+            try:
+                return repr(fn())
+            except Exception as exc:  # the error class and message are compared
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(5)
+        for loss_kind in ("zero_one", "squared") * 10:
+            sys = random_learning_system(rng, loss_kind=loss_kind)
+            xs, ys = sys.x_set.elements, sys.y_set.elements
+            truth = {x: ys[int(rng.integers(len(ys)))] for x in xs}
+            weight = EmpiricalMeasure(sys.x_set, tuple(rng.dirichlet(np.ones(len(xs)))))
+            held = random_dataset(rng, sys, 5)
+            contexts = [
+                (EvaluationContext(truth), None),
+                (EvaluationContext(truth), weight),
+                (EvaluationContext(held), None),
+                (EvaluationContext(Dataset(held.pairs + (("nowhere", ys[0]),))), None),
+            ]
+            gone = sys.theta_set.elements[-1]
+            rows = {t: r for t, r in sys.hypotheses.rows.items() if t != gone}
+            broken = LearningSystem(sys.x_set, sys.y_set, sys.hypotheses, sys.loss)
+            # A row lost after validation, which no constructor lets through.
+            object.__setattr__(
+                broken, "hypotheses", HypothesisClass(sys.theta_set, sys.hypotheses.columns, rows)
+            )
+            for system, theta in [(sys, t) for t in sys.theta_set.elements] + [
+                (sys, "not-a-theta"), (broken, gone)
+            ]:
+                for ctx, w in contexts:
+                    predict = lambda x: evaluate(system, theta, x)
+                    expected = outcome(
+                        lambda: scalar_prediction_error(predict, ctx, system.loss, system.x_set, w)
+                    )
+                    assert outcome(lambda: generalization_error(system, theta, ctx, w)) == expected
+        monkeypatch.setattr(HypothesisClass, "output", None)  # a cell look-up would raise
+        assert generalization_error(sys, sys.theta_set.elements[0], EvaluationContext(truth)) >= 0
 
 
 class TestAxioms:

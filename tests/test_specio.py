@@ -4,22 +4,36 @@ Emission goes through the ``scenario`` verb, as a user's does.  A table
 row is parsed as a whole, so the exit code of each malformed table (and
 the single ``learning.<name>:`` prefix of its message) is pinned here.
 The writer's oracle is the stdlib: ``json_text`` must equal
-``json.dumps(value, sort_keys=True, indent=2)`` for every JSON value.
+``json.dumps(value, sort_keys=True, indent=2)`` for every JSON value.  A
+hypothesis table is laid out from its codes; its oracle is
+``helpers.scalar_table_json``, the writer that decoded the table first,
+in both the compact (digest) and the indent-2 layout.
 """
 
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import rows_over, scalar_table_json
 from transferlab import cli
 from transferlab.errors import ParseError, ResolutionError
+from transferlab.learning import HypothesisClass
+from transferlab.relations import FiniteSet
 from transferlab.specio import (
+    _compact,
+    _Table,
+    _table_text,
+    document_dict,
     document_digest,
     dump_document,
     json_text,
@@ -575,3 +589,137 @@ def test_numbers_and_decimal_strings_stay_probabilities():
     doc["measures"]["mx"]["probs"] = [0.5, "0.25", 0.25]
     parsed = parse_document(json.dumps(doc))
     assert parsed.measures["mx"].probs == (0.5, 0.25, 0.25)
+
+
+# -- hypothesis tables, laid out from their codes ----------------------------------
+
+#: Output atoms: equal across types, strings that need escapes, tuples (empty and
+#: nested) and one no encoder takes.
+TABLE_ATOMS = (
+    True, 1, 1.0, None, 0, 10, 'say "a"', "tab\there\\", "é☃\x00", (), (1, "a"), ((2,), ()),
+    frozenset({1}),
+)
+#: θ names: unsorted, of unequal lengths, needing escapes; numbers, which the encoder
+#: converts as keys, and which cannot be sorted with strings.
+THETA_NAMES = ("b", "a", "h10", "h9", 'q"', "\\", "ü", 12, 3, 2.5)
+
+
+def finite_set(name, elements):
+    """A ``FiniteSet``, also an empty one, which its constructor refuses but a table may have."""
+    if elements:
+        return FiniteSet(name, tuple(elements))
+    empty = object.__new__(FiniteSet)
+    object.__setattr__(empty, "name", name)
+    object.__setattr__(empty, "elements", ())
+    return empty
+
+
+def outcome(fn):
+    """What ``fn`` returns, or the class of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the error class is what the writers must agree on
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_a_table_is_laid_out_as_the_decode_then_encode_writer_wrote_it(data):
+    columns = data.draw(st.permutations(("x0", "x1", "x2")))[: data.draw(st.integers(0, 3))]
+    xs = data.draw(st.permutations(columns))[: data.draw(st.integers(0, len(columns)))]
+    thetas = data.draw(st.lists(st.sampled_from(THETA_NAMES), max_size=4, unique=True))
+    atoms = st.sampled_from(TABLE_ATOMS[: data.draw(st.sampled_from((6, len(TABLE_ATOMS))))])
+    with_rows = [t for t in thetas if data.draw(st.integers(0, 9))]  # now and then a θ has none
+    hc = HypothesisClass(
+        finite_set("T", thetas), columns, {t: [data.draw(atoms) for _ in columns] for t in with_rows}
+    )
+    system = SimpleNamespace(theta_set=hc.theta_set, x_set=finite_set("X", xs), hypotheses=hc)
+    table = lambda: _Table(hc.theta_set.elements, hc.codes_over(xs), hc.outputs)
+
+    compact = outcome(lambda: scalar_table_json(system, None))
+    assert outcome(lambda: _table_text(table(), None)) == compact
+    pieces = []
+    assert outcome(lambda: _compact({"t": table(), "n": 1}, pieces) or "".join(pieces)) == (
+        compact if isinstance(compact, type) else '{"n":1,"t":' + compact + "}"
+    )
+    indented = outcome(lambda: scalar_table_json(system, 2))
+    assert outcome(lambda: _table_text(table(), 0)) == indented
+    nested = outcome(lambda: json_text({"learning": {"s": {"table": table(), "z": 0}}}))
+    if isinstance(indented, type):
+        assert nested == indented
+    else:
+        inner = indented.replace("\n", "\n      ")
+        assert nested == '{\n  "learning": {\n    "s": {\n      "table": ' + inner + (
+            ',\n      "z": 0\n    }\n  }\n}'
+        )
+
+
+def test_codes_over_refuses_what_rows_over_refused():
+    theta_set = FiniteSet("T", ("t0", "t1", "t2"))
+    hc = HypothesisClass(theta_set, ("a", "b"), {"t0": [0, 1], "t2": [1, 1]})
+    for xs in (("a", "b"), ("b",), ("c",)):
+        with pytest.raises(KeyError) as expected:
+            rows_over(hc, xs)
+        with pytest.raises(KeyError) as got:
+            hc.codes_over(xs)
+        assert got.value.args == expected.value.args == ("t1",)
+    whole = HypothesisClass(theta_set, ("a", "b"), {t: [0, 1] for t in theta_set.elements})
+    for xs in (("c",), ("b", "c")):
+        with pytest.raises(KeyError, match="'c'"):
+            rows_over(whole, xs)
+        with pytest.raises(KeyError, match="'c'"):
+            whole.codes_over(xs)
+
+
+def decoded(value):
+    """``value`` with each table decoded into ``{θ: outputs}``, as the writer used to hand it on."""
+    if isinstance(value, _Table):
+        outputs = [[value.outputs[c] for c in row] for row in value.codes.tolist()]
+        return dict(zip(value.thetas, outputs))
+    if isinstance(value, dict):
+        return {key: decoded(member) for key, member in value.items()}
+    return value
+
+
+def test_digest_and_dump_are_the_stdlib_texts_of_the_decoded_document():
+    """A string that reads like a table's text is only ever a string: nothing is spliced."""
+    block = {**EVERY_BLOCK, "analysis": {**EVERY_BLOCK["analysis"], "note": {"t": '{"a":[0,1,1]}'}}}
+    block["sets"] = {**block["sets"], "T": {"elements": ['"table"', '{"a":[0,1,1]}', "\x00"]}}
+    doc = parse_document(json.dumps(block))
+    plain = decoded(document_dict(doc))
+    canonical = json.dumps(plain, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert document_digest(doc) == hashlib.sha256(canonical).hexdigest()
+    assert dump_document(doc) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def grid_12_document():
+    with tempfile.TemporaryDirectory() as directory:
+        (path,) = emit(directory, {"grid_size": 12, "seed": 0})
+        yield load_document(str(path))
+
+
+def test_a_grid_12_document_is_digested_and_dumped_without_decoding_a_table(
+    grid_12_document, monkeypatch
+):
+    """No table is decoded: no call reads a cell, and no per-row list is made.
+
+    ``document_dict`` holds each 4,096 × 12 table as its codes (a decoded
+    table was about 0.7 MB of row lists), and the digest's peak stays far
+    below the 5 MB the decode-then-encode writer took.
+    """
+    doc = grid_12_document
+    expected = document_digest(doc), dump_document(doc)
+    for name in ("rows", "output"):
+        monkeypatch.setattr(HypothesisClass, name, property(lambda hc: pytest.fail("decoded")))
+    assert (document_digest(doc), dump_document(doc)) == expected
+    peaks = {}
+    for f in (document_dict, document_digest):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            f(doc)
+            peaks[f.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["document_dict"] <= 0.1e6 and peaks["document_digest"] <= 2e6, peaks

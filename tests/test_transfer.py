@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -257,11 +258,32 @@ class TestClassifyApproach:
         assert classify_approach(both) == "instance_parameter"
         assert classify_approach(feature) == "feature_representation"
 
-    def test_label_matches_declared_approach(self, systems, source_data):
-        ts = TransferSystem(
-            systems[0], systems[1], Knowledge(instances=source_data), "instance"
-        )
-        assert classify_approach(ts) == ts.approach
+    def test_only_what_the_rule_consumes_builds_a_transfer_system(
+        self, systems, source_data, spaces
+    ):
+        """Every approach × knowledge pieces × latent maps: exactly ``CONSUMES[approach]``,
+        with latent maps for the feature rule alone, is accepted, so what a transfer
+        system carries names its rule and ``classify_approach`` has only it to return.
+        """
+        theta = run_algorithm(source_data, systems[0])
+        maps = identity_transfer(systems, source_data, spaces, "feature_representation").latent
+        accepted = []
+        for approach, pieces, latent in itertools.product(
+            APPROACHES, [(True, False), (False, True), (True, True)], [None, maps]
+        ):
+            knowledge = Knowledge(
+                source_data if pieces[0] else None, (theta,) if pieces[1] else None
+            )
+            try:
+                ts = TransferSystem(systems[0], systems[1], knowledge, approach, latent=latent)
+            except (MissingSourceArtifact, ValidationError):
+                continue
+            assert classify_approach(ts) == approach
+            accepted.append((approach, pieces, latent is not None))
+        assert accepted == [
+            (approach, pieces, approach == "feature_representation")
+            for approach, pieces in CONSUMES.items()
+        ]
 
 
 def make_pack(system, marginal_probs, truths, tag):
