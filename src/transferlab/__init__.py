@@ -66,7 +66,6 @@ from .transfer import (
     TransferSystem,
     classify_approach,
     classify_setting,
-    n_shot,
     pool_data,
     run_transfer,
     select_knowledge,
@@ -137,7 +136,6 @@ __all__ = [
     "is_function_type",
     "is_generalist",
     "make_system",
-    "n_shot",
     "pool_data",
     "quotient",
     "run_algorithm",

@@ -4,7 +4,7 @@ Comparative evaluation runs the same pipeline twice per seed (with and
 without transferred knowledge), always against the same reference, and
 aggregates per-seed outcomes.  Per-seed randomness is derived from a
 root key plus the seed index (and, when scanning a universe, the member
-index), so concurrent evaluation and re-runs are bit-for-bit stable.
+index), so re-runs are bit-for-bit stable.
 """
 
 from __future__ import annotations

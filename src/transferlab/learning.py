@@ -2,9 +2,10 @@
 
 A learning system couples a finite hypothesis table with an algorithm
 that selects a parameter from data by exhaustive minimization of an
-objective.  The table, the functional relation Θ × X → Y, is stored
-as one matrix of codes, θ by input column, each the index of an output
-atom; a full function class has its codes in closed form.  Learning and
+objective.  The table, the functional relation Θ × X → Y, gives every θ
+of Θ one row and has no row outside Θ.  It is stored as one matrix of
+codes, θ by input column, each the index of an output atom; a full
+function class has its codes in closed form.  Learning and
 every transfer rule minimize one formula, scored for all parameters at
 once and selected from by :func:`minimize`, the one selection rule::
 
@@ -137,13 +138,14 @@ class HypothesisClass:
     dtype; ``outputs`` holds each output atom as first written, so
     ``True``, ``1`` and ``1.0`` each keep an entry of their own.
     ``HypothesisClass(theta_set, columns, rows)`` reads ``rows[θ]``, θ's
-    outputs over ``columns``, once, in canonical order; :meth:`of_codes`
-    takes a total code matrix as it is.  A row must have one output per
-    column.  A θ without a row or an input outside the columns leaves
-    its cells undefined: :meth:`output` refuses them and :meth:`encode`
-    refuses a table that is not total.  A θ outside ``theta_set`` has its
-    row after Θ's, read only by :meth:`output` and :attr:`rows`, which alone
-    decodes every row; writers lay :meth:`codes_over` out as text instead.
+    outputs over ``columns`` as a list or tuple, once, in canonical
+    order; :meth:`of_codes` takes a code matrix as it is.  The table is
+    total on Θ: a θ without a row or a row for a name outside Θ raises
+    :class:`ValidationError`, and so does a row without one output per
+    column.  An input outside the columns has no cells: :meth:`output`
+    refuses it and :meth:`encode` refuses a system whose X holds it.
+    :attr:`rows` alone decodes every row; writers lay :meth:`codes_over`
+    out as text instead.
     """
 
     def __init__(
@@ -151,17 +153,20 @@ class HypothesisClass:
     ) -> None:
         columns = tuple(columns)
         width = len(columns)
-        if not set(map(type, rows.values())) <= {list, tuple}:
-            rows = {theta: tuple(row) for theta, row in rows.items()}
-        if not set(map(len, rows.values())) <= {width}:
-            theta = next(theta for theta, row in rows.items() if len(row) != width)
-            raise ValidationError(f"row for {theta!r} must align with {width} columns")
-        thetas, slots, missing = theta_set.elements, None, None
+        thetas = theta_set.elements
         if len(rows) != len(thetas) or not all(map(rows.__contains__, thetas)):
-            slots = {theta: i for i, theta in enumerate(thetas) if theta in rows}
-            extra = [theta for theta in rows if theta not in theta_set._index]
-            slots.update(zip(extra, itertools.count(len(thetas))))
-        ordered = list(map(rows.__getitem__, thetas if slots is None else slots))
+            missing = [theta for theta in thetas if theta not in rows]
+            if missing:
+                raise ValidationError(f"no table row for {missing[0]!r}")
+            extra = next(theta for theta in rows if theta not in theta_set._index)
+            raise ValidationError(f"table row for {extra!r} outside the parameter set")
+        ordered = list(map(rows.__getitem__, thetas))
+        if not set(map(type, ordered)) <= {list, tuple}:
+            theta, row = next(p for p in zip(thetas, ordered) if type(p[1]) not in (list, tuple))
+            raise TypeError(f"table row for {theta!r} must be a list, not {type(row).__name__}")
+        if not set(map(len, ordered)) <= {width}:
+            theta = next(theta for theta, row in zip(thetas, ordered) if len(row) != width)
+            raise ValidationError(f"row for {theta!r} must align with {width} columns")
         # Equal atoms of str, int and None, or of str, bool and None, are written
         # alike; any other mix is keyed by type and repr, so 1, 1.0 and True differ.
         types = set(map(type, itertools.chain.from_iterable(ordered)))
@@ -176,32 +181,21 @@ class HypothesisClass:
             firsts = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=-1)).tolist()
             outputs = tuple(ordered[p // width][p % width] for p in firsts)
         dtype = np.min_scalar_type(max(len(code_of) - 1, 0))
-        codes = flat.astype(dtype).reshape(len(ordered), width)
-        if slots is not None:  # Θ's rows at Θ's indices, a row of zeros where θ has none
-            full = np.zeros((len(thetas) + len(extra), width), codes.dtype)
-            full[list(slots.values())] = codes
-            codes = full
-            if len(slots) < len(full):
-                missing = np.array([theta not in rows for theta in thetas])
-        self._hold(theta_set, columns, codes, outputs, slots, missing)
+        self._hold(theta_set, columns, flat.astype(dtype).reshape(len(ordered), width), outputs)
 
     @classmethod
     def of_codes(
         cls, theta_set: FiniteSet, columns: Sequence[Atom], codes: np.ndarray,
         outputs: Sequence[Atom],
     ) -> HypothesisClass:
-        """The total class whose ``codes[θ, j]`` index ``outputs``, θ canonical; no cell is read."""
+        """The class whose ``codes[θ, j]`` index ``outputs``, θ canonical; no cell is read."""
         hc = cls.__new__(cls)
-        hc._hold(theta_set, tuple(columns), np.ascontiguousarray(codes), tuple(outputs), None, None)
+        hc._hold(theta_set, tuple(columns), np.ascontiguousarray(codes), tuple(outputs))
         return hc
 
-    def _hold(self, theta_set, columns, codes, outputs, slots, missing) -> None:
-        """Store the table; ``slots`` maps each θ with a row to its row of ``codes``
-        (``None``: Θ's own index), ``missing`` flags the θ of Θ without one (``None``: none).
-        """
+    def _hold(self, theta_set, columns, codes, outputs) -> None:
         codes.setflags(write=False)
         self.theta_set, self.columns, self.codes, self.outputs = theta_set, columns, codes, outputs
-        self._slots, self._missing = slots, missing
         self._position = {x: i for i, x in enumerate(columns)}
 
     def __eq__(self, other: object) -> bool:
@@ -211,30 +205,24 @@ class HypothesisClass:
             other.theta_set, other.columns, other.rows
         )
 
-    @property
-    def _row_of(self) -> Mapping[Atom, int]:
-        """Each θ with a row, θ → its row of ``codes``."""
-        return self.theta_set._index if self._slots is None else self._slots
-
     def output(self, theta: Atom, x: Atom) -> Atom:
         try:
-            i, j = self._row_of[theta], self._position[x]
+            i, j = self.theta_set._index[theta], self._position[x]
         except KeyError:
             raise UnknownElement(f"hypothesis table has no entry for {(theta, x)!r}") from None
         return self.outputs[self.codes.item(i, j)]
 
     @property
     def rows(self) -> dict[Atom, list[Atom]]:
-        """θ → its outputs over ``columns``, for each θ with a row, decoded when read."""
+        """θ → its outputs over ``columns``, θ canonical, decoded when read."""
         decode = self.outputs.__getitem__
-        return {t: list(map(decode, self.codes[i].tolist())) for t, i in self._row_of.items()}
+        return {t: list(map(decode, row)) for t, row in zip(self.theta_set, self.codes.tolist())}
 
     def codes_over(self, xs: Sequence[Atom]) -> np.ndarray:
-        """Θ's rows of ``codes`` over the columns ``xs``, θ canonical; ``KeyError`` if absent."""
-        if self._missing is not None:
-            raise KeyError(self.theta_set.elements[int(self._missing.argmax())])
-        codes = self.codes[: len(self.theta_set)]
-        return codes if tuple(xs) == self.columns else codes[:, [self._position[x] for x in xs]]
+        """``codes`` over the columns ``xs``; ``KeyError`` names an ``x`` outside the columns."""
+        if tuple(xs) == self.columns:
+            return self.codes
+        return self.codes[:, [self._position[x] for x in xs]]
 
     def encode(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
         """``H[θ, x]``: the index in ``y_set`` of each output, θ and x canonical, C-contiguous.
@@ -242,24 +230,21 @@ class HypothesisClass:
         One look-up remaps the stored codes: the column of each x, then
         each output's index in ``y_set``.  Over columns and outputs that
         are X and Y in order, the stored matrix is the answer itself.
-        The table must be total on Θ × X with every output in ``y_set``;
-        the first entry in canonical order that is not raises.
+        Every x must be a column and every output in ``y_set``; the first
+        cell in canonical order that is not raises.
         """
-        thetas, xs = self.theta_set.elements, x_set.elements
-        codes = self.codes[: len(thetas)]
-        if self._missing is None and xs == self.columns and self.outputs == y_set.elements:
+        xs, codes = x_set.elements, self.codes
+        if xs == self.columns and self.outputs == y_set.elements:
             return codes
         labels = np.array([*map(partial(_label_of, y_set), self.outputs), -1])
         # Column -1, appended, stands for every input outside the columns.
         picks = [self._position.get(x, -1) for x in xs]
         mapped = np.concatenate([labels[codes], np.full((len(codes), 1), -1)], axis=1)[:, picks]
-        if self._missing is not None:
-            mapped[self._missing] = -1
         undefined = mapped < 0
         if undefined.any():
             i, j = divmod(int(undefined.argmax()), len(xs))
-            theta, x = thetas[i], xs[j]
-            if theta not in self._row_of or x not in self._position:
+            theta, x = self.theta_set.elements[i], xs[j]
+            if x not in self._position:
                 raise ValidationError(f"hypothesis table is not total: missing {(theta, x)!r}")
             if (y := self.output(theta, x)) not in y_set:
                 raise UnknownElement(f"hypothesis output {y!r} not in set {y_set.name!r}")
@@ -586,11 +571,11 @@ def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
 
 def _predictor(system: LearningSystem, theta: Atom) -> Callable[[Atom], Atom]:
     """``x`` → :func:`evaluate` of ``theta`` at ``x``, from θ's row of codes decoded once."""
-    hc = system.hypotheses
-    i = hc._row_of.get(theta) if theta in system.theta_set else None
-    cells = () if i is None else hc.codes[i].tolist()
-    row = dict(zip(hc.columns, map(hc.outputs.__getitem__, cells)))
-    return lambda x: row[x] if row and x in system.x_set and x in row else evaluate(system, theta, x)
+    hc, row = system.hypotheses, {}
+    if theta in system.theta_set:
+        cells = hc.codes[system.theta_set.index(theta)].tolist()
+        row = dict(zip(hc.columns, map(hc.outputs.__getitem__, cells)))
+    return lambda x: row[x] if x in system.x_set and x in row else evaluate(system, theta, x)
 
 
 def evaluate(system: LearningSystem, theta: Atom, x: Atom) -> Atom:

@@ -15,10 +15,13 @@ to the canonical order of the set they refer to, which keeps atom types
 Failures are staged: malformed structure raises :class:`ParseError`,
 dangling or unknown references raise :class:`ResolutionError`, and
 construction invariants of the resolved objects raise
-:class:`InvariantViolation`.  Unknown keys warn, or raise
-:class:`ParseError` when strict.  The keys of each ``analysis.<kind>``
-block, with the reader and default of each, are the table
-:data:`ANALYSES`, which :func:`analysis_config` reads a block through.
+:class:`InvariantViolation`.  A list is a JSON list: a string or an
+object where a list belongs is malformed, never read by its characters
+or keys.  Unknown keys warn, or raise :class:`ParseError` when strict;
+so does a table row for a name outside the block's ``thetas``.  The
+keys of each ``analysis.<kind>`` block, with the reader and default of
+each, are the table :data:`ANALYSES`, which :func:`analysis_config`
+reads a block through.
 Reference names travel on the document: each pack, transfer and morphism
 block keeps the names it was built with, and emission writes them back.
 
@@ -110,6 +113,13 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _list(value, where: str) -> list:
+    """A value that must be a JSON list: a string or an object is not read by its members."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _blocks(raw: dict, section: str, keys: Iterable[str], strict: bool, warnings: list[str]):
     """``(name, where, block)`` for each named block of a section, all objects, keys checked."""
     for name, block in _object(raw.get(section), section).items():
@@ -177,7 +187,7 @@ def _ref(block: Mapping[str, Any], name, where: str):
 
 def _pair_list_to_map(entries, where: str) -> dict:
     mapping = {}
-    for entry in entries:
+    for entry in _list(entries, where):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"{where}: map entries must be [key, value] pairs")
         key, value = entry
@@ -196,7 +206,7 @@ def _map_to_pair_list(mapping: Mapping) -> list:
 # emits the block back from the object and the reference names it was read with.
 
 def _read_set(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
-    return FiniteSet(name, tuple(block["elements"]))
+    return FiniteSet(name, _list(block["elements"], f"{where}.elements"))
 
 
 def _write_set(s: FiniteSet, refs) -> dict:
@@ -204,10 +214,11 @@ def _write_set(s: FiniteSet, refs) -> dict:
 
 
 def _read_relation(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
-    comps = [_ref(doc.sets, ref, where) for ref in block["components"]]
-    system = make_system(comps, [tuple(t) for t in block["tuples"]])
+    comps = [_ref(doc.sets, c, where) for c in _list(block["components"], f"{where}.components")]
+    tuples = _list(block["tuples"], f"{where}.tuples")
+    system = make_system(comps, [_list(t, f"{where}.tuples") for t in tuples])
     if block.get("inputs") is not None:
-        system = as_input_output(system, tuple(block["inputs"]))
+        system = as_input_output(system, _list(block["inputs"], f"{where}.inputs"))
     return system
 
 
@@ -220,7 +231,7 @@ def _read_morphism(doc: SpecDocument, name: str, where: str, block: dict, strict
     src = _ref(doc.relations, block["source"], where)
     tgt = _ref(doc.relations, block["target"], where)
     doc.refs[where] = {"source": block["source"], "target": block["target"]}
-    maps = [_pair_list_to_map(block[key], where) for key in ("x_map", "y_map")]
+    maps = [_pair_list_to_map(block[key], f"{where}.{key}") for key in ("x_map", "y_map")]
     return Morphism(*maps, src.x_values(), src.y_values(), tgt.x_values(), tgt.y_values())
 
 
@@ -230,7 +241,7 @@ def _write_morphism(m: Morphism, refs) -> dict:
 
 def _read_measure(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
     support = _ref(doc.sets, block["support"], where)
-    return EmpiricalMeasure(support, tuple(_prob(p) for p in block["probs"]))
+    return EmpiricalMeasure(support, tuple(map(_prob, _list(block["probs"], f"{where}.probs"))))
 
 
 def _write_measure(m: EmpiricalMeasure, refs) -> dict:
@@ -240,11 +251,11 @@ def _write_measure(m: EmpiricalMeasure, refs) -> dict:
 def _read_conditional(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
     given = _ref(doc.sets, block["given"], where)
     over = _ref(doc.sets, block["over"], where)
-    rows_raw = block["rows"]
+    rows_raw = _list(block["rows"], f"{where}.rows")
     if len(rows_raw) != len(given):
         raise InvariantViolation(f"{where}: one row per conditioning element")
     rows = {
-        x: EmpiricalMeasure(over, tuple(_prob(p) for p in row))
+        x: EmpiricalMeasure(over, tuple(map(_prob, _list(row, f"{where}.rows"))))
         for x, row in zip(given.elements, rows_raw)
     }
     return ConditionalMeasure(given, rows)
@@ -259,7 +270,8 @@ def _write_conditional(c: ConditionalMeasure, refs) -> dict:
 
 
 def _read_dataset(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
-    return Dataset(tuple(tuple(p) for p in block["pairs"]), block.get("tag", "data"))
+    pairs = [_list(p, f"{where}.pairs") for p in _list(block["pairs"], f"{where}.pairs")]
+    return Dataset(pairs, block.get("tag", "data"))
 
 
 def _write_dataset(d: Dataset, refs) -> dict:
@@ -269,16 +281,17 @@ def _write_dataset(d: Dataset, refs) -> dict:
 def _read_learning(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
     x_set = _ref(doc.sets, block["inputs"], where)
     y_set = _ref(doc.sets, block["outputs"], where)
-    thetas = FiniteSet(f"{where}.thetas", tuple(block["thetas"]))
+    thetas = FiniteSet(f"{where}.thetas", _list(block["thetas"], f"{where}.thetas"))
     table = block["table"]
-    for theta in thetas.elements:
-        if theta not in table:
-            raise InvariantViolation(f"{where}: no table row for {theta!r}")
-    rows = {theta: table[theta] for theta in thetas.elements}
+    if not isinstance(table, dict):  # null too: a learning block has no default table
+        raise ParseError(f"{where}.table must be an object, not {type(table).__name__}")
+    if len(table) > len(thetas):  # an emitted table holds Θ's rows alone
+        _check_keys(table, thetas.elements, f"{where}.table", strict, doc.warnings)
+        table = {theta: table[theta] for theta in thetas.elements if theta in table}
     algo = _object(block.get("algorithm"), f"{where}.algorithm")
     weight = _NUMBER(algo.get("weight", 0.1), f"{where}.algorithm.weight")
     algorithm = AlgorithmSpec(algo.get("kind", "erm"), algo.get("anchor"), weight)
-    hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
+    hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=table)
     loss = LossSpec(block.get("loss", "zero_one"))
     return LearningSystem(x_set, y_set, hypotheses, loss, algorithm)
 
@@ -311,7 +324,7 @@ def _read_pack(doc: SpecDocument, name: str, where: str, block: dict, strict: bo
     posterior = refs["posterior"] and _ref(doc.conditionals, refs["posterior"], where)
     truth = None
     if block.get("truth") is not None:
-        row = block["truth"]
+        row = _list(block["truth"], f"{where}.truth")
         if len(row) != len(system.x_set):
             raise InvariantViolation(f"{where}: truth must align with the input set")
         truth = dict(zip(system.x_set.elements, row))
@@ -334,9 +347,12 @@ def _read_transfer(doc: SpecDocument, name: str, where: str, block: dict, strict
     _check_keys(know, _KNOWLEDGE_KEYS, f"{where}.knowledge", strict, doc.warnings)
     refs = doc.refs[where] = {"source": block["source"], "target": block["target"]}
     refs["instances"] = know.get("instances") or None
+    parameters = know.get("parameters")
+    if parameters is not None:
+        parameters = _list(parameters, f"{where}.knowledge.parameters") or None
     knowledge = Knowledge(
         instances=refs["instances"] and _ref(doc.datasets, refs["instances"], where),
-        parameters=tuple(know["parameters"]) if know.get("parameters") else None,
+        parameters=parameters,
     )
     latent = None
     if block.get("latent") is not None:
@@ -345,7 +361,7 @@ def _read_transfer(doc: SpecDocument, name: str, where: str, block: dict, strict
         refs["latent"] = lat["learning"]
         latent = FeatureRepSpec(
             _ref(doc.learning, lat["learning"], where),
-            *(_pair_list_to_map(lat[key], where) for key in _LATENT_MAPS),
+            *(_pair_list_to_map(lat[key], f"{where}.latent.{key}") for key in _LATENT_MAPS),
         )
     approach = block.get("approach", "instance")
     penalty = _NUMBER(block.get("penalty_weight", 0.1), f"{where}.penalty_weight")

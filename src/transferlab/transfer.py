@@ -433,21 +433,6 @@ def classify_setting(
     )
 
 
-def n_shot(ts: TransferSystem, target_data: Dataset) -> tuple[int, bool]:
-    """The shot count ``len(target_data)`` of a run, and whether it is zero-shot (no pairs).
-
-    ``ts`` is not read: the answer is the same for every rule, because
-    with an empty target multiset each built-in rule reads only the
-    source knowledge it consumes, which is all a transfer system carries
-    (the pooled data reduces to the source instances, the penalized rule
-    returns its anchor, and the latent route maps source pairs only).
-    A run's trace keeps its target data, so :attr:`TransferTrace.n_target`
-    and :attr:`TransferTrace.zero_shot` give the same two values for it.
-    """
-    n = len(target_data)
-    return n, n == 0
-
-
 def verify_transfer_is_learning_system(
     ts: TransferSystem,
     target_datasets: Sequence[Dataset],

@@ -240,9 +240,11 @@ def scalar_argmin(thetas, objective):
 # must give the same cells, outputs, codes and errors.
 
 class DictHypothesisClass:
-    def __init__(self, theta_set, table):
+    """``HypothesisClass(theta_set, columns, rows)`` as one dict entry per (θ, x) cell."""
+
+    def __init__(self, theta_set, columns, rows):
         self.theta_set = theta_set
-        self.table = dict(table)
+        self.table = {(t, x): y for t in theta_set.elements for x, y in zip(columns, rows[t])}
 
     def output(self, theta, x):
         try:
@@ -602,13 +604,11 @@ def rows_over(hc: HypothesisClass, xs) -> list[list]:
     """Each θ's outputs over ``xs``, θ canonical, decoded cell by cell.
 
     The former ``HypothesisClass.rows_over``: ``KeyError`` names the first
-    θ of Θ without a row, else the first ``x`` outside the columns.
+    ``x`` outside the columns.
     """
-    rows = hc.rows
-    ordered = [rows[theta] for theta in hc.theta_set.elements]
     position = {x: j for j, x in enumerate(hc.columns)}
     picks = [position[x] for x in xs]
-    return [[row[j] for j in picks] for row in ordered]
+    return [[row[j] for j in picks] for row in hc.rows.values()]
 
 
 def scalar_table_json(system, indent) -> str:

@@ -1,6 +1,7 @@
 """Golden tests of the command-line front end, run in-process."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -371,6 +372,24 @@ def test_unknown_config_key_warns_and_strict_rejects_it(tmp_path, capsys):
     assert capsys.readouterr().err == f"warning: {warning}\n"
 
 
+def test_a_table_row_outside_thetas_warns_and_strict_rejects_it(tmp_path, capsys):
+    path, doc = emit(tmp_path, SMALL)
+    emitted = specio.dump_document(load_document(str(path)))
+    table = doc["learning"]["source_system"]["table"]
+    table["zz"] = next(iter(table.values()))
+    write_json(path, doc)
+    warning = "unknown field(s) ['zz'] in learning.source_system.table"
+    capsys.readouterr()
+    assert specio.dump_document(load_document(str(path))) == emitted
+    report = tmp_path / "r.json"
+    assert cli.main(["validate", str(path), "--out", str(report)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    report.unlink()
+    assert cli.main(["validate", str(path), "--strict", "--out", str(report)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {warning}\n"
+    assert not report.exists()
+
+
 def test_unknown_analysis_kind_warns(tmp_path, capsys):
     path, doc = emit(tmp_path, SMALL)
     doc["analysis"]["negativ"] = {}
@@ -485,25 +504,72 @@ def refuse_constant(name):
     raise AssertionError(f"the report holds {name}, which is not JSON")
 
 
+def exit_by_contract(directory, text, verb, *flags):
+    """Run ``verb`` on the document ``text``; check the exit contract and return the code."""
+    path, report = directory / "fuzz.json", directory / "fuzz-report.json"
+    path.write_text(text, encoding="utf-8")
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([verb, str(path), *flags, "--out", str(report)])
+    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err.getvalue()
+    assert report.exists() == (rc == cli.EXIT_OK)
+    if rc == cli.EXIT_OK:
+        json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+    return rc
+
+
 def analyze_with(directory, doc, kind, changes, *flags):
     """Run analyze with ``changes`` (key to JSON text) in the config; check the exit contract."""
     config = {**RUNNING[kind], **{key: f"@{key}@" for key in changes}}
     text = json.dumps({**doc, "analysis": {kind: config}})
     for key, value in changes.items():
         text = text.replace(f'"@{key}@"', value)
-    path, report = directory / "fuzz.json", directory / "fuzz-report.json"
-    path.write_text(text, encoding="utf-8")
-    report.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(["analyze", str(path), "--kind", kind, "--out", str(report), *flags])
-    assert rc in (0, 2, 3, 4, 5) and "Traceback" not in err.getvalue()
-    assert report.exists() == (rc == cli.EXIT_OK)
-    if rc == cli.EXIT_OK:
-        json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+    rc = exit_by_contract(directory, text, "analyze", "--kind", kind, *flags)
     if "unknown" in changes and not flags:
         assert analyze_with(directory, doc, kind, changes, "--strict") == cli.EXIT_PARSE
     return rc
+
+
+#: The fields of each section that hold a list: a string or an object there is
+#: malformed, and exits 2, as a non-list table row does.
+LIST_FIELDS = {
+    "sets": {"elements"},
+    "relations": {"components", "tuples", "inputs"},
+    "morphisms": {"x_map", "y_map"},
+    "measures": {"probs"},
+    "conditionals": {"rows"},
+    "datasets": {"pairs"},
+    "learning": {"thetas"},
+    "packs": {"truth"},
+}
+
+
+def test_every_block_field_and_table_row_exits_by_contract(tmp_path):
+    _, doc = emit(tmp_path, {**SMALL, "grid_size": 2})
+    doc = with_identity_morphism(doc)
+    theta = doc["learning"]["source_system"]["thetas"][0]
+    fields = [
+        (section, name, (key,), key in LIST_FIELDS.get(section, ()))
+        for section, (keys, _, _) in specio._SECTIONS.items()
+        for name in doc[section]
+        for key in keys
+    ]
+    fields += [("learning", "source_system", ("table", theta), True)]
+    fields += [("learning", "source_system", ("algorithm", key), False)
+               for key in ("kind", "anchor", "weight")]
+    fields += [("transfer", "tr", ("knowledge", key), key == "parameters")
+               for key in specio._KNOWLEDGE_KEYS]
+    for section, name, (*outer, key), holds_list in fields:
+        for value in [*FUZZ_VALUES, '"ab"']:
+            changed = copy.deepcopy(doc[section][name])
+            (changed[outer[0]] if outer else changed)[key] = "@fuzz@"
+            document = {**doc, section: {**doc[section], name: changed}}
+            text = json.dumps(document).replace('"@fuzz@"', value)
+            rc = exit_by_contract(tmp_path, text, "validate")
+            assert rc != cli.EXIT_ANALYSIS, (section, name, outer, key, value)
+            if holds_list and value[0] in '"{':
+                assert rc == cli.EXIT_PARSE, (section, name, outer, key, value)
 
 
 # -- pair order -------------------------------------------------------------------------

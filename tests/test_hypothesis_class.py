@@ -1,11 +1,12 @@
 """Code-matrix hypothesis classes against the dict and scalar oracles.
 
-On random rows (|X| <= 4, |Y| <= 3) that may leave a θ without a row or
-an input outside the columns, hold outputs outside Y (one of them
-unhashable) and list their columns in an order other than the system's
-X, a class built from the rows and ``helpers.DictHypothesisClass``, built
-from the equivalent (θ, x) mapping, must give the same cells, outputs
-(one at a time and over X) and codes, and raise the same errors.
+On random tables total on Θ (|X| <= 4, |Y| <= 3) whose columns may leave
+an input of X out, add one outside X and come in an order other than
+X's, and whose rows may hold outputs outside Y (one of them unhashable),
+a class built from the rows and ``helpers.DictHypothesisClass``, built
+from the same rows as one (θ, x) mapping, must give the same cells,
+outputs (one at a time and over X) and codes, and raise the same errors.
+A table with a θ of Θ without a row, or a row outside Θ, is refused.
 ``LearningSystem.codes`` must equal ``helpers.scalar_encode`` on rows of
 equal but differently written atoms, the closed-form full classes must
 equal the ``itertools.product`` enumeration, and the feature rule's
@@ -14,6 +15,7 @@ transfer table must equal ``helpers.scalar_composite_codes``.
 
 import gc
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,13 +87,11 @@ def test_row_built_class_matches_mapping_built(data):
     theta_set, x_set, y_set = data.draw(spaces())
     columns = data.draw(st.permutations(x_set.elements + (EXTRA_X,)))
     columns = columns[: data.draw(st.integers(0, len(columns)))]
-    row_thetas = data.draw(st.permutations(theta_set.elements + (EXTRA_THETA,)))
-    row_thetas = row_thetas[: data.draw(st.integers(0, len(row_thetas)))]
+    row_thetas = data.draw(st.permutations(theta_set.elements))  # any order of insertion
     rows = {t: [data.draw(outputs(y_set)) for _ in columns] for t in row_thetas}
-    table = {(t, x): y for t, row in rows.items() for x, y in zip(columns, row)}
 
     from_rows = HypothesisClass(theta_set, columns, rows)
-    expected = behaviour(DictHypothesisClass(theta_set, table), x_set, y_set)
+    expected = behaviour(DictHypothesisClass(theta_set, columns, rows), x_set, y_set)
     assert behaviour(from_rows, x_set, y_set) == expected
     assert outcome(lambda: LearningSystem(x_set, y_set, from_rows).codes) == expected["encode"]
 
@@ -99,6 +99,21 @@ def test_row_built_class_matches_mapping_built(data):
 def test_rows_must_align_with_columns():
     with pytest.raises(ValidationError, match="must align"):
         HypothesisClass(FiniteSet("T", ("t0",)), ("a", "b"), {"t0": (0,)})
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ({"t1": (1,)}, ValidationError, "no table row for 't0'"),
+        ({"t0": (0,), "t1": (1,), EXTRA_THETA: (0,)}, ValidationError,
+         f"table row for {EXTRA_THETA!r} outside the parameter set"),
+        ({"t0": (0,), "t1": "1"}, TypeError, "table row for 't1' must be a list, not str"),
+    ],
+    ids=["missing-row", "extra-row", "string-row"],
+)
+def test_a_table_is_refused_unless_each_theta_has_one_list_row(rows, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        HypothesisClass(FiniteSet("T", ("t0", "t1")), ("a",), rows)
 
 
 #: Atoms that compare equal across types (True == 1 == 1.0, (1, True) == (1, 1),
@@ -114,9 +129,8 @@ def test_codes_equal_the_scalar_encoding_and_cells_stay_as_written(data):
     y_set = FiniteSet("Y", tuple(labels))
     theta_set = FiniteSet("T", THETAS[: data.draw(st.integers(1, 3))])
     columns = data.draw(st.permutations(x_set.elements))
-    row_thetas = [t for t in theta_set.elements if data.draw(st.integers(0, 5))]
     pick = st.one_of(st.sampled_from(y_set.elements), st.sampled_from(ATOMS))
-    rows = {t: [data.draw(pick) for _ in columns] for t in row_thetas}
+    rows = {t: [data.draw(pick) for _ in columns] for t in theta_set.elements}
     table = {(t, x): y for t, row in rows.items() for x, y in zip(columns, row)}
 
     hc = HypothesisClass(theta_set, columns, rows)

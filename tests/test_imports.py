@@ -3,8 +3,9 @@ private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one reads hypothesis
-table cells into codes, no function of the document format decodes a table,
-and every defaulted parameter, a frozen dataclass's defaulted fields
+table cells into codes, no function of the document format decodes a table
+or reads a raw block value as a list but through ``_list``, and every
+defaulted parameter, a frozen dataclass's defaulted fields
 included, is passed by some call in the package or kept on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
@@ -288,6 +289,47 @@ def test_the_scan_sees_a_table_decoder():
 def test_no_function_of_the_document_format_decodes_a_table():
     source = (PACKAGE / "specio.py").read_text(encoding="utf-8")
     assert set(owners(source, decodes_table)) == TABLE_DECODERS
+
+
+#: The functions of the document format (specio.py) that may read a block's raw
+#: value as a list other than through ``_list``: none.  A conversion or a loop
+#: reads a JSON string by its characters and a JSON object by its keys.
+LIST_READERS: set[tuple[str, str]] = set()
+ITERATING_CALLS = ("tuple", "list", "dict", "set", "map", "zip", "enumerate", "sorted")
+
+
+def raw_value(node: ast.AST) -> bool:
+    """``block[...]`` or ``block.get(...)``: a value as the JSON parser left it."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Name)
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "get"
+        and isinstance(node.func.value, ast.Name)
+    )
+
+
+def reads_raw_list(node: ast.AST) -> bool:
+    """A call of one of :data:`ITERATING_CALLS`, a loop or a comprehension over a raw value."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ITERATING_CALLS:
+        return any(map(raw_value, node.args))
+    return isinstance(node, (ast.For, ast.comprehension)) and raw_value(node.iter)
+
+
+def test_the_scan_sees_a_raw_list_read():
+    source = (
+        "def f(block):\n    return tuple(block['elements'])\n"
+        "def g(block, table):\n    def row(t):\n        return list(table[t])\n"
+        "    return [x for x in block.get('tuples')], dict(zip(xs, block['truth']))\n"
+        "def h(block):\n    return tuple(map(float, _list(block['probs'], 'w'))), block['x']\n"
+        "for p in raw['pairs']:\n    pass\n"
+    )
+    assert owners(source, reads_raw_list) == ["f", "row", "g", "g", "<module>"]
+
+
+def test_the_document_format_reads_lists_only_through_the_list_reader():
+    source = (PACKAGE / "specio.py").read_text(encoding="utf-8")
+    assert set(owners(source, reads_raw_list)) == LIST_READERS
 
 
 #: The per-pair loss is read by the selection's totals and by the one error

@@ -158,6 +158,36 @@ def test_non_object_block_is_a_parse_error(tmp_path, capsys, corrupt, message):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (set_field("sets", "source_x", "elements", "ab"),
+         "parse error: sets.source_x.elements must be a list, not str"),
+        (set_field("learning", "source_system", "thetas", "hk"),
+         "parse error: learning.source_system.thetas must be a list, not str"),
+        (set_field("packs", "source", "truth", "ab"),
+         "parse error: packs.source.truth must be a list, not str"),
+        (set_field("datasets", "source_data", "pairs", {}),
+         "parse error: datasets.source_data.pairs must be a list, not dict"),
+        (lambda doc: doc["learning"]["source_system"]["table"].__setitem__("h1", "01"),
+         "parse error: learning.source_system: malformed block "
+         "(table row for 'h1' must be a list, not str)"),
+        (lambda doc: doc["learning"]["source_system"]["table"].pop("h1"),
+         "invariant violation: learning.source_system: no table row for 'h1'"),
+    ],
+    ids=["elements", "thetas", "truth", "pairs", "table-row", "missing-row"],
+)
+def test_a_list_field_is_a_json_list_and_every_theta_has_a_row(tmp_path, capsys, corrupt, message):
+    (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = cli.EXIT_INVARIANT if message.startswith("invariant") else cli.EXIT_PARSE
+    assert cli.main(["validate", "--strict", str(path), "--out", str(tmp_path / "v.json")]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_null_blocks_read_as_absent(tmp_path):
     (path,) = emit(tmp_path, {"grid_size": 3, "label_count": 2, "seed": 1})
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -629,9 +659,8 @@ def test_a_table_is_laid_out_as_the_decode_then_encode_writer_wrote_it(data):
     xs = data.draw(st.permutations(columns))[: data.draw(st.integers(0, len(columns)))]
     thetas = data.draw(st.lists(st.sampled_from(THETA_NAMES), max_size=4, unique=True))
     atoms = st.sampled_from(TABLE_ATOMS[: data.draw(st.sampled_from((6, len(TABLE_ATOMS))))])
-    with_rows = [t for t in thetas if data.draw(st.integers(0, 9))]  # now and then a θ has none
     hc = HypothesisClass(
-        finite_set("T", thetas), columns, {t: [data.draw(atoms) for _ in columns] for t in with_rows}
+        finite_set("T", thetas), columns, {t: [data.draw(atoms) for _ in columns] for t in thetas}
     )
     system = SimpleNamespace(theta_set=hc.theta_set, x_set=finite_set("X", xs), hypotheses=hc)
     table = lambda: _Table(hc.theta_set.elements, hc.codes_over(xs), hc.outputs)
@@ -656,19 +685,15 @@ def test_a_table_is_laid_out_as_the_decode_then_encode_writer_wrote_it(data):
 
 def test_codes_over_refuses_what_rows_over_refused():
     theta_set = FiniteSet("T", ("t0", "t1", "t2"))
-    hc = HypothesisClass(theta_set, ("a", "b"), {"t0": [0, 1], "t2": [1, 1]})
-    for xs in (("a", "b"), ("b",), ("c",)):
-        with pytest.raises(KeyError) as expected:
-            rows_over(hc, xs)
-        with pytest.raises(KeyError) as got:
-            hc.codes_over(xs)
-        assert got.value.args == expected.value.args == ("t1",)
-    whole = HypothesisClass(theta_set, ("a", "b"), {t: [0, 1] for t in theta_set.elements})
+    hc = HypothesisClass(theta_set, ("a", "b"), {"t0": [0, 1], "t1": [1, 1], "t2": ["z", 0]})
+    for xs in (("a", "b"), ("b",), ("b", "a"), ()):
+        decoded = [[hc.outputs[c] for c in row] for row in hc.codes_over(xs).tolist()]
+        assert decoded == rows_over(hc, xs)
     for xs in (("c",), ("b", "c")):
         with pytest.raises(KeyError, match="'c'"):
-            rows_over(whole, xs)
+            rows_over(hc, xs)
         with pytest.raises(KeyError, match="'c'"):
-            whole.codes_over(xs)
+            hc.codes_over(xs)
 
 
 def decoded(value):

@@ -43,7 +43,6 @@ from transferlab.transfer import (
     TransferSystem,
     classify_approach,
     classify_setting,
-    n_shot,
     pool_data,
     run_transfer,
     select_knowledge,
@@ -342,25 +341,29 @@ class TestClassifySetting:
 
 
 class TestNShot:
+    """A run's shot count and zero-shot flag, as its trace reports them."""
+
     def test_counts_multiset(self, systems, source_data):
         ts = TransferSystem(
             systems[0], systems[1], Knowledge(instances=source_data), "instance"
         )
-        d = Dataset((("x0", 0),) * 5)
-        assert n_shot(ts, d) == (5, False)
+        _, trace = run_transfer(ts, Dataset((("x0", 0),) * 5))
+        assert (trace.n_target, trace.zero_shot) == (5, False)
 
     def test_zero_shot_parameter(self, systems, source_data):
         theta_s = run_algorithm(source_data, systems[0])
         ts = TransferSystem(
             systems[0], systems[1], Knowledge(parameters=(theta_s,)), "parameter"
         )
-        assert n_shot(ts, Dataset(())) == (0, True)
+        _, trace = run_transfer(ts, Dataset(()))
+        assert (trace.n_target, trace.zero_shot) == (0, True)
 
     def test_zero_shot_instance_pool(self, systems, source_data):
         ts = TransferSystem(
             systems[0], systems[1], Knowledge(instances=source_data), "instance"
         )
-        assert n_shot(ts, Dataset(())) == (0, True)
+        _, trace = run_transfer(ts, Dataset(()))
+        assert (trace.n_target, trace.zero_shot) == (0, True)
 
 
 class TestVerifyTransfer:
