@@ -43,7 +43,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .errors import (
     ResolutionError,
     TransferLabError,
     UnknownElement,
+    ValidationError,
 )
 from .learning import (
     AlgorithmSpec,
@@ -64,7 +65,7 @@ from .learning import (
     SystemPack,
 )
 from .measures import ConditionalMeasure, EmpiricalMeasure
-from .relations import FiniteSet, FiniteSystem, Morphism, as_input_output, make_system
+from .relations import Atom, FiniteSet, FiniteSystem, Morphism, as_input_output, make_system
 from .scenarios import ScenarioSpec
 from .transfer import FeatureRepSpec, Knowledge, TransferSystem
 
@@ -166,6 +167,7 @@ def _field(accepts: Callable[[Any], bool], convert: Callable, what: str):
 
 _NUMBER = _field(_number, float, "a number")
 _INTEGER = _field(_integer, int, "an integer")
+_STRING = _field(lambda value: isinstance(value, str), str, "a string")
 
 
 def _prob(value) -> float:
@@ -271,7 +273,7 @@ def _write_conditional(c: ConditionalMeasure, refs) -> dict:
 
 def _read_dataset(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
     pairs = [_list(p, f"{where}.pairs") for p in _list(block["pairs"], f"{where}.pairs")]
-    return Dataset(pairs, block.get("tag", "data"))
+    return Dataset(pairs, _STRING(block.get("tag", "data"), f"{where}.tag"))
 
 
 def _write_dataset(d: Dataset, refs) -> dict:
@@ -285,15 +287,48 @@ def _read_learning(doc: SpecDocument, name: str, where: str, block: dict, strict
     table = block["table"]
     if not isinstance(table, dict):  # null too: a learning block has no default table
         raise ParseError(f"{where}.table must be an object, not {type(table).__name__}")
-    if len(table) > len(thetas):  # an emitted table holds Θ's rows alone
-        _check_keys(table, thetas.elements, f"{where}.table", strict, doc.warnings)
-        table = {theta: table[theta] for theta in thetas.elements if theta in table}
     algo = _object(block.get("algorithm"), f"{where}.algorithm")
     weight = _NUMBER(algo.get("weight", 0.1), f"{where}.algorithm.weight")
     algorithm = AlgorithmSpec(algo.get("kind", "erm"), algo.get("anchor"), weight)
-    hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=table)
+    rows = table
+    if len(table) > len(thetas):  # an emitted table holds Θ's rows alone
+        rows = _rows_by_key_text(table, thetas.elements, where, strict, doc.warnings)
+    try:
+        hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
+    except ValidationError:
+        # A θ name that is not a string has its row under its key text; only a table
+        # that misses a name needs the texts, so string names pay nothing for them.
+        if rows is not table:
+            raise
+        rows = _rows_by_key_text(table, thetas.elements, where, strict, doc.warnings)
+        hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
     loss = LossSpec(block.get("loss", "zero_one"))
     return LearningSystem(x_set, y_set, hypotheses, loss, algorithm)
+
+
+def _rows_by_key_text(
+    table: dict, thetas: Sequence[Atom], where: str, strict: bool, warnings: list[str]
+) -> dict:
+    """Each θ's row of a table object, found under the θ's key text (see :func:`_key_text`).
+
+    Two θ names with one key text are a :class:`ParseError`, and so are
+    names that cannot be sorted, such as ``1`` and ``"a"``: a table is
+    written in key order.  Keys that name no θ are unknown fields.
+    """
+    texts = list(map(_key_text, thetas))
+    last = dict(zip(texts, thetas))
+    if len(last) < len(texts):
+        theta, text = next((t, x) for t, x in zip(thetas, texts) if last[x] != t)
+        raise ParseError(
+            f"{where}.thetas: {theta!r} and {last[text]!r} share the table key {text!r}"
+        )
+    try:
+        sorted(thetas)
+    except TypeError as exc:
+        raise ParseError(f"{where}.thetas cannot be put in table key order ({exc})") from None
+    if len(table) > len(texts):
+        _check_keys(table, texts, f"{where}.table", strict, warnings)
+    return {theta: table[text] for theta, text in zip(thetas, texts) if text in table}
 
 
 def _write_learning(sys_: LearningSystem, refs) -> dict:
@@ -328,7 +363,8 @@ def _read_pack(doc: SpecDocument, name: str, where: str, block: dict, strict: bo
         if len(row) != len(system.x_set):
             raise InvariantViolation(f"{where}: truth must align with the input set")
         truth = dict(zip(system.x_set.elements, row))
-    return SystemPack(system, dataset, marginal, posterior, truth, block.get("tag", name))
+    tag = _STRING(block.get("tag", name), f"{where}.tag")
+    return SystemPack(system, dataset, marginal, posterior, truth, tag)
 
 
 def _write_pack(pack: SystemPack, refs) -> dict:
@@ -698,8 +734,8 @@ def _table_text(table: _Table, level: int | None) -> str:
     keys, codes = sorted(thetas), table.codes
     if keys != list(thetas):
         codes = codes[sorted(range(n), key=thetas.__getitem__)]
-    if set(map(type, keys)) != {str}:  # a key as the encoder converts it
-        keys = [encode({key: 0})[2:-4] for key in keys]
+    if set(map(type, keys)) != {str}:
+        keys = list(map(_key_text, keys))
     head = (":[" if level is None else ": [") + ("" if k else close)
     heads = _encoder(head + "\0").encode(keys)[1:-1] + head + "\0"  # key + head, NUL after each
     flat = np.frombuffer(heads.encode("ascii"), np.uint8)
@@ -715,6 +751,14 @@ def _table_text(table: _Table, level: int | None) -> str:
     rows = np.hstack(blocks).reshape(-1)
     body = memoryview(rows) if rows.all() else rows.tobytes().translate(None, b"\0")
     return "".join(("{", inner, str(body[: 1 - len(close)], "ascii"), inner[:-2], "}"))
+
+
+def _key_text(theta: Atom) -> str:
+    """A θ name as a JSON object key: a string as itself, else as the encoder converts it.
+
+    JSON keys are strings, so the table row of θ ``1`` is written and read under ``"1"``.
+    """
+    return theta if isinstance(theta, str) else _encoder(",", ":").encode({theta: 0})[2:-4]
 
 
 @functools.cache

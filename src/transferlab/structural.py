@@ -10,10 +10,16 @@ which a transfer actually generalizes.
 The shared-structure search works up to carrier renaming: a quotient of
 a carrier modulo renaming is exactly a set partition, so candidates are
 enumerated from partition pairs and reduced to a canonical labeling,
-which keeps the search exhaustive yet small.  Many partition pairs
-induce the same block relation, so each :func:`homomorphic_structures`
-call memoizes canonical labelings in one dict that both of its systems
-share and that dies with the call: no labeling outlives its search.
+which keeps the search exhaustive yet small.  The labeling is the least
+relabeled block relation, found by refinement rather than by trying
+every relabeling: under each y-relabeling the x-blocks are rows, and
+sorting them gives the least x-relabeling at once (see
+:func:`_canonical_structure`).  Partition pairs that cannot bring a new
+structure are skipped exactly: a partition whose blocks relate to the
+same multiset of label sets as an earlier one's, and a block relation
+whose sorted rows an earlier one already had.  Validity backtracks over
+witness images in canonical order and builds only the witness it keeps.
+A self-pair builds its quotient table once, and nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .relations import (
     MapProperties,
     Morphism,
     QuotientReport,
-    _morphisms,
     is_function_type,
     quotient,
 )
@@ -159,19 +164,127 @@ def _canonical_structure(
 
     Returns the canonical relation together with the relabeling applied
     to the x- and y-blocks, so witnesses can be rewritten into canonical
-    labels.
+    labels: the least ``(relation, perm_x, perm_y)`` over all n_x!·n_y!
+    relabelings, found by trying the n_y! y-relabelings alone.
+
+    Under a fixed ``perm_y`` each x-block is a row, the sorted labels it
+    relates to, and the sorted edge list of a ``perm_x`` is its rows in
+    label order, each row's pairs led by that row's label.  Two such
+    lists first differ inside the first row where they differ, so the
+    least list puts the rows in order, a row that is a proper prefix of
+    another after it (the other list's next pair still carries the
+    earlier label); the sort key ``row + (n_y,)`` says exactly that.
+    Equal rows may trade labels, and the stable sort gives the least
+    ``perm_x`` among them: each keeps its block-index order.
     """
-    best = None
-    for perm_x in itertools.permutations(range(n_x)):
-        for perm_y in itertools.permutations(range(n_y)):
-            relabeled = tuple(
-                sorted((perm_x[a], perm_y[b]) for a, b in relation)
-            )
-            key = (relabeled, perm_x, perm_y)
-            if best is None or key < best:
-                best = key
-    relabeled, perm_x, perm_y = best
+    rows = [[] for _ in range(n_x)]
+    for a, b in relation:
+        rows[a].append(b)
+    best, tied = None, []
+    for perm_y in itertools.permutations(range(n_y)):
+        keyed = [(*sorted(map(perm_y.__getitem__, row)), n_y) for row in rows]
+        ordered = sorted(keyed)
+        if best is None or ordered < best:
+            best, tied = ordered, [(keyed, perm_y)]
+        elif ordered == best:
+            tied.append((keyed, perm_y))
+
+    def least_perm_x(keyed: list[tuple[int, ...]]) -> tuple[int, ...]:
+        perm_x = [0] * n_x
+        for i, a in enumerate(sorted(range(n_x), key=keyed.__getitem__)):
+            perm_x[a] = i
+        return tuple(perm_x)
+
+    perm_x, perm_y = min((least_perm_x(keyed), perm_y) for keyed, perm_y in tied)
+    relabeled = tuple((i, b) for i, row in enumerate(best) for b in row[:-1])
     return n_x, n_y, relabeled, perm_x, perm_y
+
+
+def _distinct_partitions(masks: Sequence[int], size_bound: int):
+    """``(blocks, block masks)`` of each partition of ``range(len(masks))``, in order.
+
+    ``masks[i]`` is the bitmask of what element ``i`` relates to on the
+    other side, and a block's mask the union over its elements.  A
+    partition whose multiset of block masks an earlier one already had is
+    skipped: paired with any partition of the other side, it induces the
+    same block relation up to renaming its blocks, so the earlier one
+    always reaches the same canonical structure first.
+    """
+    seen = set()
+    for blocks in _set_partitions(range(len(masks)), size_bound):
+        block_masks = [0] * len(blocks)
+        for b, block in enumerate(blocks):
+            for i in block:
+                block_masks[b] |= masks[i]
+        signature = tuple(sorted(block_masks))
+        if signature not in seen:
+            seen.add(signature)
+            yield blocks, block_masks
+
+
+def _quotient_structures(relation: tuple[int, int, frozenset], size_bound: int) -> dict:
+    """Canonical images of an index relation under all onto map pairs.
+
+    ``relation`` is ``(n_x, n_y, pairs)`` with the pairs as carrier
+    indices.  Maps each canonical key to ``(x labels, y labels)``: every
+    carrier index's canonical block under the first partition pair, x
+    outer and y inner, that induces the key.
+    """
+    n_x, n_y, pairs = relation
+    rows, columns = [0] * n_x, [0] * n_y
+    for x, y in pairs:
+        rows[x] |= 1 << y
+        columns[y] |= 1 << x
+    parts_x = list(_distinct_partitions(rows, size_bound))
+    used = {m for _, masks in parts_x for m in masks}
+    parts_y = []
+    for part_y, _ in _distinct_partitions(columns, size_bound):
+        members = [sum(1 << y for y in block) for block in part_y]
+        # Each x-block's mask over Y as the mask of the y-blocks it meets.
+        image = {m: sum(1 << b for b, mb in enumerate(members) if m & mb) for m in used}
+        parts_y.append((part_y, image))
+
+    # A block relation is (|y-blocks|, each x-block's mask of the y-blocks it meets);
+    # its shape sorts the rows.  Equal shapes are equal up to renaming, so only a
+    # shape's first block relation can bring a new key: it alone is labeled.
+    shapes: set[tuple] = set()
+    out: dict[tuple, tuple] = {}
+    for part_x, masks in parts_x:
+        for part_y, image in parts_y:
+            block_relation = (len(part_y), *map(image.__getitem__, masks))
+            shape = (block_relation[0], *sorted(block_relation[1:]))
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            n_a, n_b, canon, perm_x, perm_y = _canonical_structure(*_block_edges(block_relation))
+            if (n_a, n_b, canon) not in out:
+                out[n_a, n_b, canon] = (_labels(part_x, perm_x, n_x), _labels(part_y, perm_y, n_y))
+    return out
+
+
+def _block_edges(block_relation: tuple[int, ...]) -> tuple[int, int, frozenset]:
+    """``_canonical_structure``'s arguments for a block relation given by row masks."""
+    n_y, *rows = block_relation
+    edges = frozenset((a, b) for a, m in enumerate(rows) for b in range(n_y) if m >> b & 1)
+    return len(rows), n_y, edges
+
+
+def _labels(blocks: Sequence[Sequence[int]], perm: Sequence[int], n: int) -> list[int]:
+    """Each of ``range(n)``'s canonical block label under a partition and its relabeling."""
+    labels = [0] * n
+    for block, label in zip(blocks, perm):
+        for i in block:
+            labels[i] = label
+    return labels
+
+
+def _index_relation(system: FiniteSystem) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """``(|X|, |Y|, pairs)`` with the relation's pairs as carrier indices."""
+    xs, ys = system.x_values(), system.y_values()
+    x_index = {x: i for i, x in enumerate(xs)}
+    y_index = {y: i for i, y in enumerate(ys)}
+    pairs = frozenset((x_index[x], y_index[y]) for x, y in system.io_pairs())
+    return len(xs), len(ys), pairs
 
 
 @dataclass(frozen=True)
@@ -219,34 +332,6 @@ class StructureSearchReport:
         return tuple(v.candidate_index for v in self.valid)
 
 
-def _quotient_structures(system: FiniteSystem, size_bound: int, canonical: dict):
-    """Canonical images of the relation under all onto map pairs.
-
-    Yields ``(key, x_map, y_map)`` where the key identifies the
-    canonical structure and the maps send carrier elements to canonical
-    block indices; ``canonical`` memoizes :func:`_canonical_structure`.
-    """
-    xs, ys = system.x_values(), system.y_values()
-    pairs = system.io_pairs()
-    out: dict[tuple, tuple[dict, dict]] = {}
-    for part_x in _set_partitions(xs, size_bound):
-        block_x = {el: i for i, blk in enumerate(part_x) for el in blk}
-        for part_y in _set_partitions(ys, size_bound):
-            block_y = {el: i for i, blk in enumerate(part_y) for el in blk}
-            relation = frozenset((block_x[x], block_y[y]) for x, y in pairs)
-            args = (len(part_x), len(part_y), relation)
-            if args not in canonical:
-                canonical[args] = _canonical_structure(*args)
-            n_x, n_y, canon, perm_x, perm_y = canonical[args]
-            key = (n_x, n_y, canon)
-            if key not in out:
-                out[key] = (
-                    {el: perm_x[block_x[el]] for el in xs},
-                    {el: perm_y[block_y[el]] for el in ys},
-                )
-    return out
-
-
 def _structure_system(key) -> tuple[FiniteSet, FiniteSet, FiniteSystem]:
     n_x, n_y, relation = key
     x_set = FiniteSet("latent_x", tuple(f"u{i}" for i in range(n_x)))
@@ -279,23 +364,27 @@ def homomorphic_structures(
     (one per side, in canonical labels) are attached to each candidate.
     """
     _check_size_bound(size_bound)
+    carriers = {}
     for sys_, nm in ((source, "source"), (target, "target")):
-        if len(sys_.x_values()) > CARRIER_CAP or len(sys_.y_values()) > CARRIER_CAP:
+        xs, ys = carriers[nm] = sys_.x_values(), sys_.y_values()
+        if len(xs) > CARRIER_CAP or len(ys) > CARRIER_CAP:
             raise CapExceeded(f"{nm} carriers exceed the search cap {CARRIER_CAP}")
 
-    canonical: dict = {}
-    from_source = _quotient_structures(source, size_bound, canonical)
-    from_target = _quotient_structures(target, size_bound, canonical)
+    source_relation, target_relation = _index_relation(source), _index_relation(target)
+    from_source = _quotient_structures(source_relation, size_bound)
+    from_target = (
+        from_source  # a self-pair shares one table
+        if target_relation == source_relation
+        else _quotient_structures(target_relation, size_bound)
+    )
 
-    def witness(
-        system: FiniteSystem, maps: tuple[dict, dict], x_set: FiniteSet, y_set: FiniteSet
-    ) -> Morphism:
-        x_map, y_map = maps
+    def witness(nm: str, labels: tuple[list, list], x_set: FiniteSet, y_set: FiniteSet) -> Morphism:
+        (xs, ys), (x_labels, y_labels) = carriers[nm], labels
         return Morphism(
-            {el: f"u{i}" for el, i in x_map.items()},
-            {el: f"w{i}" for el, i in y_map.items()},
-            system.x_values(),
-            system.y_values(),
+            {el: f"u{i}" for el, i in zip(xs, x_labels)},
+            {el: f"w{i}" for el, i in zip(ys, y_labels)},
+            xs,
+            ys,
             x_set.elements,
             y_set.elements,
         )
@@ -308,8 +397,8 @@ def homomorphic_structures(
                 x_set,
                 y_set,
                 system,
-                witness(source, from_source[key], x_set, y_set),
-                witness(target, from_target[key], x_set, y_set),
+                witness("source", from_source[key], x_set, y_set),
+                witness("target", from_target[key], x_set, y_set),
                 function_type=is_function_type(system),
             )
         )
@@ -321,37 +410,114 @@ def valid_structures(
 ) -> StructureSearchReport:
     """Keep candidates whose outputs translate back to the target outputs.
 
-    For each candidate the onto witnesses from the target relation are
-    enumerated in canonical order; the candidate is valid when some
-    witness's output collapse can be inverted on the outputs the target
-    actually produces, and the first such witness is kept with the
-    resulting total map (candidate outputs to target outputs).  Such a
-    witness is injective on the used outputs, so a candidate with fewer
-    outputs than the target uses is invalid without enumerating any.
+    A candidate is valid when some onto witness from the target relation
+    has an output collapse that can be inverted on the outputs the target
+    actually produces, that is, one injective on the used outputs.  The
+    first such witness in canonical order (the order of
+    :func:`~transferlab.relations.enumerate_morphisms`) is kept with the
+    resulting total map (candidate outputs to target outputs), and it is
+    the only :class:`Morphism` built.  A candidate with fewer outputs
+    than the target uses is invalid without any search.
     """
-    used_outputs = {y for _, y in report.target_system.io_pairs()}
-    fallback = target_y.elements[0]
+    target = report.target_system
+    xs, ys = target.x_values(), target.y_values()
+    links: list[list[int]] = [[] for _ in xs]
+    used = [False] * len(ys)
+    for x, y in _index_relation(target)[2]:
+        links[x].append(y)
+        used[y] = True
+    n_used, fallback = sum(used), target_y.elements[0]
     valid = []
     for idx, cand in enumerate(report.candidates):
-        if len(cand.y_set) < len(used_outputs):
+        if len(cand.y_set) < n_used:
             continue
-        witnesses = _morphisms(report.target_system, cand.system, require=("surjective",))
-        for witness in witnesses:
-            images: dict[Atom, Atom] = {}
-            ok = True
-            for y in used_outputs:
-                w = witness.y_map[y]
-                if w in images and images[w] != y:
-                    ok = False
-                    break
-                images[w] = y
-            if ok:
-                output_map = {
-                    w: images.get(w, fallback) for w in cand.y_set.elements
-                }
-                valid.append(ValidStructure(idx, witness, output_map))
-                break
+        found = _first_valid_witness(links, used, _index_relation(cand.system))
+        if found is None:
+            continue
+        x_image, y_image = found
+        us, ws = cand.x_set.elements, cand.y_set.elements
+        witness = Morphism(
+            dict(zip(xs, map(us.__getitem__, x_image))),
+            dict(zip(ys, map(ws.__getitem__, y_image))),
+            xs,
+            ys,
+            us,
+            ws,
+        )
+        images = {ws[w]: ys[y] for y, w in enumerate(y_image) if used[y]}
+        output_map = {w: images.get(w, fallback) for w in ws}
+        valid.append(ValidStructure(idx, witness, output_map))
     return replace(report, valid=tuple(valid), useful=())
+
+
+def _first_valid_witness(
+    links: Sequence[Sequence[int]],
+    used: Sequence[bool],
+    candidate: tuple[int, int, frozenset[tuple[int, int]]],
+) -> tuple[list[int], list[int]] | None:
+    """The first onto witness injective on the used outputs, as index images.
+
+    ``links[x]`` lists the target outputs input ``x`` relates to and
+    ``used[y]`` whether any input relates to output ``y``; ``candidate``
+    is the latent index relation.  Inputs are assigned in order, each
+    trying latent inputs in order, and every output keeps the mask of
+    latent outputs still related to all its assigned inputs: a branch
+    ends when a mask empties or too few inputs are left to cover the
+    latent inputs.  A complete input image takes the first output image
+    in order that is onto and injective on the used outputs, so the
+    first witness found is the first one in canonical order.  Failed
+    states are remembered by their masks, so no state is searched twice.
+    """
+    n_u, n_w, latent_pairs = candidate
+    reach = [0] * n_u
+    for u, w in latent_pairs:
+        reach[u] |= 1 << w
+    n_x, n_y = len(links), len(used)
+    x_image = [0] * n_x
+    y_image = [0] * n_y
+    failed: set[tuple] = set()
+
+    def outputs(j: int, allowed: Sequence[int], taken: int, covered: int) -> bool:
+        if n_y - j < n_w - covered.bit_count():
+            return False
+        if j == n_y:
+            return True
+        options = allowed[j] & ~taken if used[j] else allowed[j]
+        for w in range(n_w):
+            if options >> w & 1:
+                y_image[j] = w
+                bit = 1 << w
+                if outputs(j + 1, allowed, taken | bit if used[j] else taken, covered | bit):
+                    return True
+        return False
+
+    def inputs(i: int, allowed: list[int], covered: int) -> bool:
+        if n_x - i < n_u - covered.bit_count():
+            return False
+        state = (i, covered, *allowed)
+        if state in failed:
+            return False
+        if i == n_x:
+            found = outputs(0, allowed, 0, 0)
+        else:
+            found = False
+            for u in range(n_u):
+                narrowed = list(allowed)
+                for y in links[i]:
+                    narrowed[y] &= reach[u]
+                    if not narrowed[y]:
+                        break
+                else:
+                    x_image[i] = u
+                    if inputs(i + 1, narrowed, covered | 1 << u):
+                        found = True
+                        break
+        if not found:
+            failed.add(state)
+        return found
+
+    full = (1 << n_w) - 1
+    return (x_image, y_image) if inputs(0, [full] * n_y, 0) else None
 
 
 def useful_structures(

@@ -38,7 +38,7 @@ from transferlab.relations import (
     Morphism,
     cascade,
 )
-from transferlab.structural import _canonical_structure, _set_partitions, _structure_system
+from transferlab.structural import _set_partitions, _structure_system
 from transferlab.transfer import latent_dataset, pool_data, transfer_fit
 
 
@@ -346,10 +346,23 @@ def scalar_enumerate_morphisms(system, system_prime, require=None, cap=8, reflec
     return tuple(found)
 
 
-# -- unmemoized structure search oracle ----------------------------------------------
-# The shared-structure search with one _canonical_structure call per partition
-# pair and each candidate's first valid witness picked out of the full scalar
-# enumeration.
+# -- brute-force structure search oracle ---------------------------------------------
+# The shared-structure search as first written: every partition pair, none skipped,
+# labeled canonically by trying all n_x!·n_y! block relabelings, and each candidate's
+# first valid witness picked out of the full scalar enumeration.
+
+def scalar_canonical_structure(n_x, n_y, relation):
+    """The least ``(relabeled relation, perm_x, perm_y)`` over every block relabeling."""
+    best = None
+    for perm_x in itertools.permutations(range(n_x)):
+        for perm_y in itertools.permutations(range(n_y)):
+            relabeled = tuple(sorted((perm_x[a], perm_y[b]) for a, b in relation))
+            key = (relabeled, perm_x, perm_y)
+            if best is None or key < best:
+                best = key
+    relabeled, perm_x, perm_y = best
+    return n_x, n_y, relabeled, perm_x, perm_y
+
 
 def _scalar_quotient_structures(system, size_bound):
     xs, ys = system.x_values(), system.y_values()
@@ -360,7 +373,7 @@ def _scalar_quotient_structures(system, size_bound):
         for part_y in _set_partitions(ys, size_bound):
             block_y = {el: i for i, blk in enumerate(part_y) for el in blk}
             relation = frozenset((block_x[x], block_y[y]) for x, y in pairs)
-            n_x, n_y, canon, perm_x, perm_y = _canonical_structure(
+            n_x, n_y, canon, perm_x, perm_y = scalar_canonical_structure(
                 len(part_x), len(part_y), relation
             )
             out.setdefault(

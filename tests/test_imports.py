@@ -3,10 +3,11 @@ private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one reads hypothesis
-table cells into codes, no function of the document format decodes a table
-or reads a raw block value as a list but through ``_list``, and every
-defaulted parameter, a frozen dataclass's defaulted fields
-included, is passed by some call in the package or kept on purpose.
+table cells into codes, one enumerates morphisms, no function of the
+document format decodes a table or reads a raw block value as a list but
+through ``_list``, and every defaulted parameter, a frozen dataclass's
+defaulted fields included, is passed by some call in the package or kept
+on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -226,6 +227,38 @@ def test_only_the_one_selection_calls_argmin():
         for owner in owners(path.read_text(encoding="utf-8"), calls_argmin)
     }
     assert found == ARGMIN_CALLERS
+
+
+#: The one morphism enumeration: ``relations._morphisms`` builds a ``Morphism`` for
+#: every map pair it yields, so a second caller would enumerate witnesses it then
+#: throws away; the structure search tests its own candidates and builds one each.
+MORPHISM_ENUMERATORS = {("relations.py", "enumerate_morphisms")}
+
+
+def calls_morphisms(node: ast.AST) -> bool:
+    """A call of ``_morphisms``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    ) == "_morphisms"
+
+
+def test_the_scan_sees_a_morphisms_call():
+    source = (
+        "def f(s, t):\n    return tuple(_morphisms(s, t))\n"
+        "def g(s, t):\n    def first():\n        return next(relations._morphisms(s, t))\n"
+        "    return _morphisms\n"
+        "ms = list(_morphisms(a, b))\n"
+    )
+    assert owners(source, calls_morphisms) == ["f", "first", "<module>"]
+
+
+def test_only_enumerate_morphisms_calls_the_enumeration():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), calls_morphisms)
+    }
+    assert found == MORPHISM_ENUMERATORS
 
 
 #: Who reads a hypothesis table's cells as Python objects: the rows-in

@@ -621,6 +621,63 @@ def test_numbers_and_decimal_strings_stay_probabilities():
     assert parsed.measures["mx"].probs == (0.5, 0.25, 0.25)
 
 
+@pytest.mark.parametrize(
+    "literal", ["null", "true", "false", "0", "-1", "1.5", "1e400", "[]", "[1]", "{}", '{"a": [1]}']
+)
+@pytest.mark.parametrize("section, name", [("datasets", "source_data"), ("packs", "source")])
+def test_a_tag_is_a_json_string(section, name, literal):
+    """Any other value is refused, ``1e400`` too, which reads as inf and would dump as Infinity."""
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    doc[section][name]["tag"] = "@tag@"
+    with pytest.raises(ParseError) as info:
+        parse_document(json.dumps(doc).replace('"@tag@"', literal))
+    assert str(info.value) == f"{section}.{name}.tag must be a string, not {json.loads(literal)!r}"
+
+
+@pytest.mark.parametrize(
+    "thetas", [(1, 2), (10, 9, 2), (0.5, 2.0), (True, False), (None,)], ids=repr
+)
+def test_theta_names_that_are_not_strings_round_trip(thetas):
+    """JSON keys are strings: each θ's row is written and read under its key text."""
+
+    def key(theta):  # θ as the stdlib writes it as an object key
+        return next(iter(json.loads(json.dumps({theta: 0}))))
+
+    rows = {theta: [1, 1] if i == 0 else [0, 1] for i, theta in enumerate(thetas)}
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    doc["learning"]["lat"].update(thetas=list(thetas), table={key(t): r for t, r in rows.items()})
+    parsed = parse_document(json.dumps(doc))
+    assert parsed.learning["lat"].theta_set.elements == thetas
+    assert parsed.learning["lat"].hypotheses.rows == rows
+    text = dump_document(parsed)
+    again = parse_document(text)
+    assert again.learning["lat"].hypotheses.rows == rows
+    assert dump_document(again) == text
+
+
+@pytest.mark.parametrize(
+    "thetas, message",
+    [
+        (["p", 1, "1"], "learning.lat.thetas: 1 and '1' share the table key '1'"),
+        (
+            ["p", 1],
+            "learning.lat.thetas cannot be put in table key order "
+            "('<' not supported between instances of 'int' and 'str')",
+        ),
+    ],
+    ids=["one-key-text", "unordered"],
+)
+def test_theta_names_a_table_cannot_hold_are_a_parse_error(tmp_path, capsys, thetas, message):
+    """Two names with one key text, or names the writer could not sort, exit 2."""
+    doc = json.loads(json.dumps(EVERY_BLOCK))
+    table = {json.dumps(theta).strip('"'): [0, 1] for theta in thetas}
+    doc["learning"]["lat"].update(thetas=thetas, table=table)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "v.json")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 # -- hypothesis tables, laid out from their codes ----------------------------------
 
 #: Output atoms: equal across types, strings that need escapes, tuples (empty and

@@ -10,6 +10,7 @@ from helpers import (
     binary_pack,
     io_system,
     random_io_system,
+    scalar_canonical_structure,
     scalar_is_isomorphism,
     scalar_structure_search,
 )
@@ -230,14 +231,26 @@ class TestValidAndUseful:
                 assert v.output_map[w] == y
 
     def test_too_few_candidate_outputs_are_invalid_without_enumeration(self, monkeypatch):
-        """At the carrier cap, six used outputs outnumber every candidate's four or fewer."""
+        """At the carrier cap, six used outputs outnumber every candidate's four or fewer.
+
+        No witness is built for any of them: every ``Morphism`` construction is counted.
+        """
         graph = io_system([(f"x{i}", i) for i in range(CARRIER_CAP)])
         report = homomorphic_structures(graph, graph, 4)
-        calls = []
-        monkeypatch.setattr(structural, "_morphisms", lambda *args, **kw: calls.append(args) or ())
+        built = []
+        post_init = Morphism.__post_init__
+        monkeypatch.setattr(
+            Morphism, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
         assert len(report.candidates) == 86
         assert valid_structures(report, graph.components[1]).valid == ()
-        assert calls == []
+        assert built == []
+        # The count sees witnesses: with two used outputs, one per valid candidate is built.
+        halves = io_system([(f"x{i}", i % 2) for i in range(CARRIER_CAP)])
+        report = homomorphic_structures(halves, halves, 4)
+        built.clear()
+        valid = valid_structures(report, halves.components[1]).valid
+        assert built == [v.target_witness for v in valid] != []
 
     def test_empty_candidates_stay_empty(self):
         s = io_system([("a", 0), ("b", 1)])
@@ -381,8 +394,10 @@ def truth_graph_pairs(draw):
 @given(truth_graph_pairs())
 @example((label_graph("s", (0, 1, 0, 1), 2), label_graph("t", (3, 0, 2, 1, 0), 5), 3))
 @example((label_graph("s", (0, 1, 2, 0), 3), label_graph("t", (4, 0, 4, 1), 5), 4))
+@example((label_graph("s", (0, 1, 2, 0, 1, 2), 3), label_graph("t", (1, 1, 0, 2, 0, 0), 3), 3))
 def test_structure_search_matches_scalar_oracle(graphs):
-    """Pinned: four used outputs above a bound of 3, and three below 4; both with unused labels."""
+    """Pinned: four used outputs above a bound of 3, and three below 4, both with unused
+    labels; and six inputs a side, beyond what the strategy draws, at a bound of 3."""
     source, target, bound = graphs
     target_y = target.components[1]
     report = valid_structures(homomorphic_structures(source, target, bound), target_y)
@@ -404,6 +419,39 @@ def test_structure_search_matches_scalar_oracle(graphs):
         (v.candidate_index, v.target_witness.x_map, v.target_witness.y_map, v.output_map)
         for v in report.valid
     ] == valid
+
+
+def block_relations(n_x, n_y):
+    """Every relation between ``range(n_x)`` and ``range(n_y)``, the empty one included."""
+    cells = list(itertools.product(range(n_x), range(n_y)))
+    for size in range(len(cells) + 1):
+        for relation in itertools.combinations(cells, size):
+            yield frozenset(relation)
+
+
+@pytest.mark.parametrize(
+    "n_x, n_y", list(itertools.product(range(1, 4), repeat=2)), ids=lambda n: str(n)
+)
+def test_canonical_labeling_matches_the_brute_force_up_to_3x3(n_x, n_y):
+    for relation in block_relations(n_x, n_y):
+        assert structural._canonical_structure(n_x, n_y, relation) == scalar_canonical_structure(
+            n_x, n_y, relation
+        )
+
+
+@st.composite
+def block_relation_draws(draw):
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, n_x - 1), st.integers(0, n_y - 1))
+    return n_x, n_y, frozenset(draw(st.lists(cells, max_size=n_x * n_y)))
+
+
+@settings(max_examples=200)
+@given(block_relation_draws())
+@example((4, 4, frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})))
+@example((4, 3, frozenset({(0, 0), (0, 1), (1, 0), (2, 2), (3, 2)})))
+def test_canonical_labeling_matches_the_brute_force_up_to_4x4(drawn):
+    assert structural._canonical_structure(*drawn) == scalar_canonical_structure(*drawn)
 
 
 REQUIRE_SUBSETS = [
