@@ -203,11 +203,6 @@ def bound_check(
 
 # -- behavioral transferability ---------------------------------------------------------
 
-def _check_behavioral_mode(mode: str) -> None:
-    if mode not in ("distance", "bound"):
-        raise ValidationError(f"mode must be distance or bound, got {mode!r}")
-
-
 def behavioral_transferability(
     pack: SystemPack,
     universe: Sequence[SystemPack],
@@ -228,7 +223,8 @@ def behavioral_transferability(
     pairing, a member that declares no measures and, in ``bound`` mode,
     a source that cannot be trained or scored.
     """
-    _check_behavioral_mode(mode)
+    if mode not in ("distance", "bound"):
+        raise ValidationError(f"mode must be distance or bound, got {mode!r}")
     _check_threshold(threshold, "threshold")
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:

@@ -12,6 +12,10 @@ block, print a warning on every verb, and ``--strict`` rejects them.
 Reports are JSON with sorted keys and a 2-space indent, written by the
 same writer as emitted documents (:func:`transferlab.specio.json_text`);
 with a fixed ``--seed`` the results section is byte-identical across runs.
+An ``analyze`` report's provenance records that seed and the fixed
+measure-equality tolerance of ``classify``,
+:data:`transferlab.transfer.MEASURE_EQUALITY_TOL`; no flag changes the
+tolerance, and an unknown flag, as any argument argparse refuses, exits 2.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from . import __version__
 from .behavioral import bound_check, transfer_distance
@@ -85,10 +88,10 @@ def _jsonable(obj: Any) -> Any:
     return repr(obj)
 
 
-def _run_analysis(doc: SpecDocument, kind: str, seed: int, tolerance: float) -> dict:
+def _run_analysis(doc: SpecDocument, kind: str, seed: int) -> dict:
     config = analysis_config(doc, kind)
     if kind == "classify":
-        result = classify_setting(config["source"], config["target"], tolerance)
+        result = classify_setting(config["source"], config["target"])
     elif kind == "distance":
         value = transfer_distance(
             config["source"],
@@ -253,27 +256,15 @@ def _pair_document(spec: ScenarioSpec) -> SpecDocument:
     return doc
 
 
-def _flag_type(kind: type, accepts: Callable[[Any], bool], refusal: str):
-    """An argparse type reading ``kind(text)`` and refusing values ``accepts`` rejects."""
-
-    def read(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not accepts(value):
-            raise argparse.ArgumentTypeError(f"{refusal}, not {value}")
-        return value
-
-    return read
-
-
-#: A ``--seed`` value: a non-negative integer, as seeding a generator needs.
-_seed = _flag_type(int, lambda seed: seed >= 0, "the seed must be non-negative")
-#: A ``--tolerance`` value: a finite number, as comparing measures needs, and never negative.
-_tolerance = _flag_type(
-    float, lambda tol: 0 <= tol < math.inf, "the tolerance must be a non-negative finite number"
-)
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as seeding a generator needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, not {seed}")
+    return seed
 
 
 @functools.cache
@@ -291,10 +282,6 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--strict", action="store_true", help="reject unknown fields")
     common.add_argument("--seed", type=_seed, help="root seed (default: 0, or the scenario's own)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument(
-        "--tolerance", type=_tolerance, default=MEASURE_EQUALITY_TOL,
-        help="measure-equality tolerance",
-    )
 
     sub.add_parser("validate", parents=[common], help="parse, resolve and check a document")
     analyze = sub.add_parser("analyze", parents=[common], help="run one analysis")
@@ -341,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "analyze":
         try:
-            results = _run_analysis(doc, args.kind, args.seed or 0, args.tolerance)
+            results = _run_analysis(doc, args.kind, args.seed or 0)
         except TransferLabError as exc:
             print(f"analysis error ({args.kind}): {exc}", file=sys.stderr)
             return EXIT_ANALYSIS
@@ -351,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
             "results": results,
             "provenance": {
                 "seed": args.seed or 0,
-                "tolerance": args.tolerance,
+                "tolerance": MEASURE_EQUALITY_TOL,
                 "version": __version__,
                 "tags": ["probabilities=declared-or-estimated", "order=canonical"],
             },

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .behavioral import _check_behavioral_mode, behavioral_transferability
+from .behavioral import behavioral_transferability
 from .errors import CapExceeded, ValidationError
 from .learning import (
     Dataset,
@@ -29,7 +29,7 @@ from .learning import (
     scan,
 )
 from .scenarios import resample_pack
-from .structural import _check_size_bound, structural_transferability
+from .structural import structural_transferability
 from .transfer import (
     Knowledge,
     TransferSystem,
@@ -211,8 +211,6 @@ def transferability(
     seeds: int = 10,
     root_seed: int = 0,
     equivalence_mode: str = "raw",
-    behavioral_mode: str = "bound",
-    size_bound: int = 3,
 ) -> NeighborhoodReport | dict[str, NeighborhoodReport]:
     """Count universe members to or from which transfer generalizes.
 
@@ -223,13 +221,17 @@ def transferability(
     ``epsilon_star="target-alone"`` instead admits members where
     transfer was not negative, turning the neighborhood into the
     positive-transfer set.  ``structural`` and ``behavioral`` modes
-    return the report of the corresponding scan, run against
-    ``float(epsilon_star)`` and ``epsilon_star`` respectively, and
-    ``all`` returns the three reports side by side.  Every argument is
-    checked, whichever mode reads it, before any member is judged: a NaN
-    threshold is refused, and so is ``feature_representation``, since no
-    pack declares the latent maps it needs.  Members are then skipped by
-    the one rule of :func:`~transferlab.learning.scan`.  With ``equivalence_mode=
+    return the report of the per-notion scan at one fixed setting:
+    :func:`~transferlab.structural.structural_transferability` with
+    ``size_bound`` 3, against ``float(epsilon_star)``, and
+    :func:`~transferlab.behavioral.behavioral_transferability` in
+    ``bound`` mode, against ``epsilon_star``; any other setting is a
+    direct call of that function.  ``all`` returns the three reports
+    side by side.  Every argument is checked, whichever mode reads it,
+    before any member is judged: a NaN threshold is refused, and so is
+    ``feature_representation``, since no pack declares the latent maps
+    it needs.  Members are then skipped by the one rule of
+    :func:`~transferlab.learning.scan`.  With ``equivalence_mode=
     "behavior-signature"`` an empirical report counts its members by
     signature class: members whose declared marginal and posterior are
     equal count as one, whatever the order of the universe (criterion
@@ -243,22 +245,19 @@ def transferability(
         raise ValidationError(f"unknown equivalence mode {equivalence_mode!r}")
     _check_threshold(epsilon_star)
     _check_seeds(seeds)
-    _check_size_bound(size_bound)
-    _check_behavioral_mode(behavioral_mode)
     _check_approach(approach)
 
     if mode == "all":
         return {
             m: transferability(
-                pack, universe, role, epsilon_star, m, approach, seeds, root_seed,
-                equivalence_mode, behavioral_mode, size_bound,
+                pack, universe, role, epsilon_star, m, approach, seeds, root_seed, equivalence_mode
             )
             for m in _NOTIONS
         }
     if mode == "structural":
-        return structural_transferability(pack, universe, role, float(epsilon_star), size_bound)
+        return structural_transferability(pack, universe, role, float(epsilon_star), 3)
     if mode == "behavioral":
-        return behavioral_transferability(pack, universe, role, epsilon_star, behavioral_mode)
+        return behavioral_transferability(pack, universe, role, epsilon_star, "bound")
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool]:
         ts = build_transfer_system(src, tgt, approach)

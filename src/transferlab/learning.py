@@ -71,8 +71,11 @@ class Dataset:
     source_tag: str = "data"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        for p in self.pairs:
+        given = tuple(self.pairs)
+        object.__setattr__(self, "pairs", tuple(map(tuple, given)))
+        for raw, p in zip(given, self.pairs):
+            if isinstance(raw, str):
+                raise ValidationError(f"dataset pairs: {raw!r} is a string, not a pair")
             if len(p) != 2:
                 raise ValidationError(f"dataset pair {p!r} is not a 2-tuple")
 

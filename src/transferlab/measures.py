@@ -162,23 +162,17 @@ def output_marginal(
 def pushforward(
     measure: EmpiricalMeasure,
     mapping: Mapping[Atom, Atom],
-    support: FiniteSet | None = None,
+    support: FiniteSet,
 ) -> EmpiricalMeasure:
-    """Image measure under a map defined on every positive-mass element."""
+    """Image measure over ``support`` under a map defined on every positive-mass element."""
     masses: dict[Atom, float] = {}
-    order: list[Atom] = []
     for el, p in zip(measure.support.elements, measure.probs):
         if p == 0 and el not in mapping:
             continue
         if el not in mapping:
             raise UnknownElement(f"pushforward map undefined on {el!r}")
         image = mapping[el]
-        if image not in masses:
-            masses[image] = 0.0
-            order.append(image)
-        masses[image] += p
-    if support is None:
-        support = FiniteSet(f"{measure.support.name}->", tuple(order))
+        masses[image] = masses.get(image, 0.0) + p
     probs = tuple(masses.get(el, 0.0) for el in support.elements)
     if abs(math.fsum(probs) - 1.0) > NORMALIZATION_TOL:
         raise SupportMismatch("pushforward images fall outside the given support")

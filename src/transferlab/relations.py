@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -52,6 +52,8 @@ class FiniteSet:
     elements: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.elements, str):
+            raise ValidationError(f"set {self.name!r}: elements must be a sequence, not a string")
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise EmptyComponent(f"set {self.name!r} has no elements")
@@ -584,20 +586,9 @@ def enumerate_morphisms(
     Refuses with :class:`CapExceeded` when any carrier exceeds ``cap``;
     exhaustive enumeration beyond that is not predictable desk-scale
     work.  An unknown flag raises :class:`ValidationError`.  Both checks
-    run at the call, before anything is enumerated.
+    run before anything is enumerated, and each raw image tuple is tested
+    against the flags before a :class:`Morphism` is built.
     """
-    return tuple(_morphisms(system, system_prime, require, cap, reflect))
-
-
-def _morphisms(
-    system: FiniteSystem,
-    system_prime: FiniteSystem,
-    require: Iterable[str] | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    reflect: bool = False,
-) -> Iterator[Morphism]:
-    """:func:`enumerate_morphisms` lazily, checking at the call; each raw image
-    tuple is tested against the flags before a :class:`Morphism` is built."""
     xs, ys = system.x_values(), system.y_values()
     xps, yps = system_prime.x_values(), system_prime.y_values()
     for carrier, label in ((xs, "X"), (ys, "Y"), (xps, "X'"), (yps, "Y'")):
@@ -610,7 +601,7 @@ def _morphisms(
         if flag not in valid_flags:
             raise ValidationError(f"unknown morphism property flag {flag!r}")
     if "partial" in required:
-        return iter(())
+        return ()
     injective = "injective" in required or "invertible" in required
     surjective = "surjective" in required or "invertible" in required
 
@@ -624,28 +615,27 @@ def _morphisms(
     tied = [[i for i, x in enumerate(xs) if system.relates(x, y)] for y in ys]
     untied = [[i for i, x in enumerate(xs) if not system.relates(x, y)] for y in ys]
 
-    def generate() -> Iterator[Morphism]:
-        for image in itertools.product(xps, repeat=len(xs)):
-            if not qualifies(image, len(xps)):
-                continue
-            allowed: list[tuple[Atom, ...]] = []
-            for y_tied, y_untied in zip(tied, untied):
-                options = set(yps)
-                for i in y_tied:
-                    options &= related[image[i]]
-                if reflect:
-                    for i in y_untied:
-                        options -= related[image[i]]
-                if not options:
-                    break
-                allowed.append(tuple(yp for yp in yps if yp in options))
-            else:
-                x_map = dict(zip(xs, image))
-                for y_image in itertools.product(*allowed):
-                    if qualifies(y_image, len(yps)):
-                        yield Morphism(x_map, dict(zip(ys, y_image)), xs, ys, xps, yps)
-
-    return generate()
+    kept: list[Morphism] = []
+    for image in itertools.product(xps, repeat=len(xs)):
+        if not qualifies(image, len(xps)):
+            continue
+        allowed: list[tuple[Atom, ...]] = []
+        for y_tied, y_untied in zip(tied, untied):
+            options = set(yps)
+            for i in y_tied:
+                options &= related[image[i]]
+            if reflect:
+                for i in y_untied:
+                    options -= related[image[i]]
+            if not options:
+                break
+            allowed.append(tuple(yp for yp in yps if yp in options))
+        else:
+            x_map = dict(zip(xs, image))
+            for y_image in itertools.product(*allowed):
+                if qualifies(y_image, len(yps)):
+                    kept.append(Morphism(x_map, dict(zip(ys, y_image)), xs, ys, xps, yps))
+    return tuple(kept)
 
 
 # -- quotients ----------------------------------------------------------------

@@ -54,7 +54,6 @@ from .errors import (
     ResolutionError,
     TransferLabError,
     UnknownElement,
-    ValidationError,
 )
 from .learning import (
     AlgorithmSpec,
@@ -291,17 +290,11 @@ def _read_learning(doc: SpecDocument, name: str, where: str, block: dict, strict
     weight = _NUMBER(algo.get("weight", 0.1), f"{where}.algorithm.weight")
     algorithm = AlgorithmSpec(algo.get("kind", "erm"), algo.get("anchor"), weight)
     rows = table
-    if len(table) > len(thetas):  # an emitted table holds Θ's rows alone
+    # An emitted table holds Θ's rows alone, each under its θ's key text; string
+    # names are their own key texts, so a table that fits them is read as it is.
+    if len(table) > len(thetas) or set(map(type, thetas.elements)) != {str}:
         rows = _rows_by_key_text(table, thetas.elements, where, strict, doc.warnings)
-    try:
-        hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
-    except ValidationError:
-        # A θ name that is not a string has its row under its key text; only a table
-        # that misses a name needs the texts, so string names pay nothing for them.
-        if rows is not table:
-            raise
-        rows = _rows_by_key_text(table, thetas.elements, where, strict, doc.warnings)
-        hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
+    hypotheses = HypothesisClass(thetas, columns=x_set.elements, rows=rows)
     loss = LossSpec(block.get("loss", "zero_one"))
     return LearningSystem(x_set, y_set, hypotheses, loss, algorithm)
 
@@ -754,9 +747,10 @@ def _table_text(table: _Table, level: int | None) -> str:
 
 
 def _key_text(theta: Atom) -> str:
-    """A θ name as a JSON object key: a string as itself, else as the encoder converts it.
+    """A JSON object key's text: a string as itself, else as the encoder converts it.
 
     JSON keys are strings, so the table row of θ ``1`` is written and read under ``"1"``.
+    Every writer encodes a key through this text.
     """
     return theta if isinstance(theta, str) else _encoder(",", ":").encode({theta: 0})[2:-4]
 
@@ -825,8 +819,8 @@ def _lay_out(value: Any, level: int, chunks: list, slots: list[tuple], leaves: l
     for key, member in members:
         chunks.append(separator)
         separator = "," + inner
-        if opening == "{":  # a non-string key converted as the encoder converts it
-            chunks += (encode(key) if isinstance(key, str) else encode({key: 0})[1:-4], ": ")
+        if opening == "{":
+            chunks += (encode(key if isinstance(key, str) else _key_text(key)), ": ")
         if type(member) is str:
             chunks.append(encode(member))
         elif type(member) in _SCALARS:  # inlined: small reports are mostly scalar members
@@ -852,7 +846,7 @@ def _compact(value: Any, pieces: list[str]) -> None:
     encode = _encoder(",", ":").encode
     if isinstance(value, dict) and _holds_table(value):
         for i, (key, member) in enumerate(sorted(value.items())):
-            text = encode(key) if isinstance(key, str) else encode({key: 0})[1:-3]
+            text = encode(key if isinstance(key, str) else _key_text(key))
             pieces += ("," if i else "{", text, ":")
             _compact(member, pieces)
         pieces.append("}")

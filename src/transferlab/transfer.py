@@ -73,6 +73,8 @@ class Knowledge:
     parameters: tuple[Atom, ...] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.parameters, str):
+            raise ValidationError("knowledge parameters must be a sequence, not a string")
         if self.parameters is not None:
             object.__setattr__(self, "parameters", tuple(self.parameters))
         if self.instances is None and self.parameters is None:
@@ -393,27 +395,23 @@ def _posteriors_equal(p, q, tol: float) -> bool:
     return all(_measures_equal(p.row(x), q.row(x), tol) for x in p.given.elements)
 
 
-def classify_setting(
-    source: SystemPack,
-    target: SystemPack,
-    tol: float = MEASURE_EQUALITY_TOL,
-) -> SettingClassification:
+def classify_setting(source: SystemPack, target: SystemPack) -> SettingClassification:
     """Compare declared structure and behavior of a source/target pair.
 
     Structure compares the sample spaces exactly; behavior compares the
-    declared marginals and posteriors within ``tol``.  The label is
-    ``trivial`` when everything agrees, ``transductive`` when only the
-    input behavior differs, ``inductive`` when the output set or the
-    posterior differs, and ``both`` when the two kinds of difference
-    coincide.
+    declared marginals and posteriors within :data:`MEASURE_EQUALITY_TOL`.
+    The label is ``trivial`` when everything agrees, ``transductive``
+    when only the input behavior differs, ``inductive`` when the output
+    set or the posterior differs, and ``both`` when the two kinds of
+    difference coincide.
     """
     s_marg, s_post = source.measures()
     t_marg, t_post = target.measures()
 
     input_eq = source.system.x_set.same_elements(target.system.x_set)
     output_eq = source.system.y_set.same_elements(target.system.y_set)
-    marginal_eq = _measures_equal(s_marg, t_marg, tol)
-    posterior_eq = _posteriors_equal(s_post, t_post, tol)
+    marginal_eq = _measures_equal(s_marg, t_marg, MEASURE_EQUALITY_TOL)
+    posterior_eq = _posteriors_equal(s_post, t_post, MEASURE_EQUALITY_TOL)
 
     structural = "homogeneous" if (input_eq and output_eq) else "heterogeneous"
     transductive = not marginal_eq

@@ -58,9 +58,7 @@ TWIN = dataclasses.replace(UNIVERSE[1], tag="m1-twin")
 
 
 def structural(universe, role, epsilon_star):
-    return transferability(
-        PACK, universe, role, epsilon_star, mode="structural", size_bound=3
-    )
+    return transferability(PACK, universe, role, epsilon_star, mode="structural")
 
 
 @pytest.mark.parametrize("role, epsilon_star", CASES)
@@ -93,7 +91,7 @@ def scanned(pack, universe, role, epsilon_star, scan):
     """The structural scan, or the behavioral scan in ``distance`` or ``bound`` mode, at a
     threshold that admits some of the members it scores and not others."""
     if scan == "structural":
-        return transferability(pack, universe, role, epsilon_star, mode="structural", size_bound=3)
+        return transferability(pack, universe, role, epsilon_star, mode="structural")
     threshold = epsilon_star / 2 if scan == "distance" else epsilon_star + 0.9
     return behavioral_transferability(pack, universe, role, threshold, scan)
 
@@ -168,10 +166,11 @@ GOLDEN = Path(__file__).parent / "golden" / "transferability.json"
 def every_mode(role, epsilon_star, mode):
     # Role target keeps the distance mode the golden was recorded with: bound
     # mode skips member m2, which has no data to train as a source (next test).
-    return transferability(
-        PACK, UNIVERSE, role, epsilon_star, mode=mode, seeds=3, root_seed=11, size_bound=3,
-        behavioral_mode="bound" if role == "source" else "distance",
-    )
+    report = transferability(PACK, UNIVERSE, role, epsilon_star, mode=mode, seeds=3, root_seed=11)
+    if role == "source" or mode not in ("behavioral", "all"):
+        return report
+    distance = behavioral_transferability(PACK, UNIVERSE, role, epsilon_star, "distance")
+    return distance if mode == "behavioral" else {**report, "behavioral": distance}
 
 
 def test_every_mode_and_role_reports_its_golden():
@@ -191,9 +190,8 @@ def test_bound_mode_skips_a_source_it_cannot_train():
 
 @pytest.mark.parametrize("behavioral_mode", ["distance", "bound"])
 def test_behavioral_modes_skip_a_member_without_measures(behavioral_mode):
-    report = transferability(
-        PACK, (STRIPPED, *UNIVERSE[1:]), "source", 0.5,
-        mode="behavioral", behavioral_mode=behavioral_mode,
+    report = behavioral_transferability(
+        PACK, (STRIPPED, *UNIVERSE[1:]), "source", 0.5, behavioral_mode
     )
     assert report.skipped == (0, 3, 4)  # m3 and m4 are heterogeneous
     assert set(report.values) == {1, 2}
@@ -217,12 +215,13 @@ class Unread(list):
     "arguments, error, message",
     [
         ({"equivalence_mode": "classes"}, ValidationError, "unknown equivalence mode 'classes'"),
-        ({"mode": "structural", "size_bound": 5}, CapExceeded, "capped at 4-element carriers"),
-        ({"size_bound": 5}, CapExceeded, "capped at 4-element carriers"),
+        ({"call": structural_transferability, "size_bound": 5}, CapExceeded,
+         "capped at 4-element carriers"),
+        ({"mode": "structural", "seeds": SEED_CAP + 1}, CapExceeded, "seeds exceed the cap"),
         ({"mode": "all", "epsilon_star": "target-alone"}, ValidationError,
          "all mode cannot take the threshold 'target-alone'"),
         ({"epsilon_star": "half"}, ValidationError, "empirical mode cannot take the threshold 'half'"),
-        ({"mode": "all", "behavioral_mode": "sideways"}, ValidationError,
+        ({"call": behavioral_transferability, "mode": "sideways"}, ValidationError,
          "mode must be distance or bound, got 'sideways'"),
         ({"mode": "all", "seeds": SEED_CAP + 1}, CapExceeded, "seeds exceed the cap"),
         ({"approach": "osmosis"}, ValidationError, "unknown transfer approach 'osmosis'"),
@@ -234,8 +233,11 @@ class Unread(list):
     ],
 )
 def test_arguments_are_refused_before_any_member_is_judged(arguments, error, message):
+    # ``call`` is the scan to run: transferability, or a per-notion scan for its own setting.
+    arguments = {"call": transferability, "epsilon_star": 0.5, **arguments}
+    call, threshold = arguments.pop("call"), arguments.pop("epsilon_star")
     with pytest.raises(error, match=message):
-        transferability(PACK, Unread(UNIVERSE), "source", **{"epsilon_star": 0.5, **arguments})
+        call(PACK, Unread(UNIVERSE), "source", threshold, **arguments)
 
 
 @pytest.mark.parametrize(
@@ -365,9 +367,10 @@ def test_signature_classes_are_the_exact_signatures_in_any_order(data):
 
 @pytest.mark.parametrize("role, epsilon_star", CASES)
 def test_all_mode_is_the_three_single_mode_reports(role, epsilon_star):
-    assert every_mode(role, epsilon_star, "all") == {
-        mode: every_mode(role, epsilon_star, mode) for mode in MODES
-    }
+    def run(mode):
+        return transferability(PACK, UNIVERSE, role, epsilon_star, mode, seeds=3, root_seed=11)
+
+    assert run("all") == {mode: run(mode) for mode in MODES}
 
 
 def test_structural_mode_scores_against_an_explicit_threshold():

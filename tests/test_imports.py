@@ -3,7 +3,7 @@ private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one reads hypothesis
-table cells into codes, one enumerates morphisms, no function of the
+table cells into codes, none calls the morphism enumeration, no function of the
 document format decodes a table or reads a raw block value as a list but
 through ``_list``, and every defaulted parameter, a frozen dataclass's
 defaulted fields included, is passed by some call in the package or kept
@@ -229,25 +229,26 @@ def test_only_the_one_selection_calls_argmin():
     assert found == ARGMIN_CALLERS
 
 
-#: The one morphism enumeration: ``relations._morphisms`` builds a ``Morphism`` for
-#: every map pair it yields, so a second caller would enumerate witnesses it then
-#: throws away; the structure search tests its own candidates and builds one each.
-MORPHISM_ENUMERATORS = {("relations.py", "enumerate_morphisms")}
+#: The functions that may call the morphism enumeration: none.  ``enumerate_morphisms``
+#: builds a ``Morphism`` for every map pair it keeps, so a caller in the package would
+#: enumerate witnesses it then throws away; the structure search tests its own
+#: candidates and builds one each.
+MORPHISM_ENUMERATORS: set[tuple[str, str]] = set()
 
 
 def calls_morphisms(node: ast.AST) -> bool:
-    """A call of ``_morphisms``, bare or as an attribute."""
+    """A call of ``enumerate_morphisms``, bare or as an attribute."""
     return isinstance(node, ast.Call) and getattr(
         node.func, "id", getattr(node.func, "attr", None)
-    ) == "_morphisms"
+    ) == "enumerate_morphisms"
 
 
 def test_the_scan_sees_a_morphisms_call():
     source = (
-        "def f(s, t):\n    return tuple(_morphisms(s, t))\n"
-        "def g(s, t):\n    def first():\n        return next(relations._morphisms(s, t))\n"
-        "    return _morphisms\n"
-        "ms = list(_morphisms(a, b))\n"
+        "def f(s, t):\n    return enumerate_morphisms(s, t)\n"
+        "def g(s, t):\n    def first():\n        return relations.enumerate_morphisms(s, t)[0]\n"
+        "    return enumerate_morphisms\n"
+        "ms = list(enumerate_morphisms(a, b))\n"
     )
     assert owners(source, calls_morphisms) == ["f", "first", "<module>"]
 
@@ -441,25 +442,29 @@ def init_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
     return fields
 
 
-def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
-    """``module.function.parameter`` of each defaulted parameter, with each call that may pass
-    it: the called name and the parameter's position in that call (``None``: by keyword only).
+def defaulted_parameters(
+    module: str, tree: ast.Module
+) -> dict[str, tuple[ast.AST | None, list[tuple[str, int | None]]]]:
+    """``module.function.parameter`` of each defaulted parameter, with the function's definition
+    and each call that may pass it: the called name and the parameter's position in that
+    call (``None``: by keyword only).
 
     A method is named by its class and called by its own name, its
     position counted after ``self``; a constructor is named and called
     by its class.  A defaulted field of a frozen dataclass is a
-    constructor parameter, also passed by keyword to ``replace``.
+    constructor parameter, also passed by keyword to ``replace``; it has
+    no definition of its own (``None``).
     """
-    found: dict[str, list[tuple[str, int | None]]] = {}
+    found: dict[str, tuple[ast.AST | None, list[tuple[str, int | None]]]] = {}
 
     def visit(node: ast.AST, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 for position, (name, defaulted) in enumerate(init_fields(child)):
                     if defaulted:
-                        found[f"{module}.{child.name}.{name}"] = [
-                            (child.name, position), ("replace", None)
-                        ]
+                        found[f"{module}.{child.name}.{name}"] = (
+                            None, [(child.name, position), ("replace", None)]
+                        )
                 visit(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -472,10 +477,10 @@ def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, list[tuple[
             args = child.args.posonlyargs + child.args.args
             first = len(args) - len(child.args.defaults)
             for position, arg in enumerate(args[first:], first):
-                found[f"{owner}.{arg.arg}"] = [(called, position - skip)]
+                found[f"{owner}.{arg.arg}"] = (child, [(called, position - skip)])
             for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
                 if default is not None:
-                    found[f"{owner}.{arg.arg}"] = [(called, None)]
+                    found[f"{owner}.{arg.arg}"] = (child, [(called, None)])
             visit(child, None)
 
     visit(tree, None)
@@ -488,7 +493,9 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     Calls are matched by the called name alone, bare or as an attribute,
     so a same-named call elsewhere counts as passing: the scan may miss
     an unpassed parameter, but never flags a passed one.  A ``*args`` or
-    ``**kwargs`` in a call counts as passing everything.
+    ``**kwargs`` in a call counts as passing everything.  A call inside
+    the function's own body passes nothing: a recursion only hands on
+    what its caller chose.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     calls: dict[str, list[ast.Call]] = {}
@@ -505,26 +512,32 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
             return True
         return position is not None and len(call.args) > position
 
-    return [
-        name
-        for module, tree in trees.items()
-        for name, callers in defaulted_parameters(module, tree).items()
-        if not any(
+    def passed(name: str, function: ast.AST | None, callers) -> bool:
+        own = {id(node) for node in ast.walk(function)} if function else set()
+        return any(
             passes(c, name.rsplit(".", 1)[1], position)
             for called, position in callers
             for c in calls.get(called, [])
+            if id(c) not in own
         )
+
+    return [
+        name
+        for module, tree in trees.items()
+        for name, (function, callers) in defaulted_parameters(module, tree).items()
+        if not passed(name, function, callers)
     ]
 
 
 def test_the_scan_sees_an_unpassed_default():
     sources = {
         "a": "def f(x, y=1, *, z=2, w=3): pass\ndef h(q=0): pass\n"
+        "def r(n, k=0, j=1):\n    def go(): return r(n, k)\n    return r(n - 1, k, j)\n"
         "class C:\n    def __init__(self, u=0): pass\n    def m(self, v=0): pass\n"
         "    @staticmethod\n    def s(t=0): pass\n",
-        "b": "f(0, 1, z=2)\ng(w=3)\nh(**kw)\nC()\nc.m(1)\nC.s(*ts)\n",
+        "b": "f(0, 1, z=2)\ng(w=3)\nh(**kw)\nC()\nc.m(1)\nC.s(*ts)\nr(3, 1)\n",
     }
-    assert unpassed_defaults(sources) == ["a.f.w", "a.C.u"]
+    assert unpassed_defaults(sources) == ["a.f.w", "a.r.j", "a.C.u"]
 
 
 def test_the_scan_sees_an_unpassed_dataclass_field():

@@ -47,6 +47,12 @@ def two_theta_system():
     return LearningSystem(x, y, HypothesisClass(thetas, x.elements, rows))
 
 
+def test_a_string_is_refused_as_a_dataset_pair():
+    with pytest.raises(ValidationError, match="^dataset pairs: 'ab' is a string, not a pair$"):
+        Dataset([("x", "y"), "ab"])
+    assert Dataset([("x", "y"), ["a", "b"]]).pairs == (("x", "y"), ("a", "b"))
+
+
 class TestEmpiricalRisk:
     def test_perfect_hypothesis(self):
         sys = two_theta_system()

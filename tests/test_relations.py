@@ -21,7 +21,6 @@ from transferlab.relations import (
     FiniteSystem,
     GoalSeekingSpec,
     Morphism,
-    _morphisms,
     as_input_output,
     cascade,
     check_goal_seeking,
@@ -48,6 +47,12 @@ def test_same_elements_is_set_equality_whether_or_not_the_tuples_are_equal(left,
     a, b = FiniteSet("A", left), FiniteSet("B", right)
     assert a.same_elements(b) == b.same_elements(a) == same
     assert same == (frozenset(left) == frozenset(right))
+
+
+def test_a_string_is_refused_as_the_elements_of_a_set():
+    with pytest.raises(ValidationError, match="^set 's': elements must be a sequence, not a string$"):
+        FiniteSet("s", "abc")
+    assert FiniteSet("s", ("abc",)).elements == ("abc",)
 
 
 class TestMakeSystem:
@@ -479,8 +484,7 @@ def test_enumeration_matches_scalar_oracle_in_order(system, system_prime, reflec
 def test_enumeration_checks_run_at_the_call():
     s = io_system([("x1", "y1"), ("x2", "y2")])
     big = io_system([(f"x{i}", 0) for i in range(9)], ys=[0])
-    for call in (enumerate_morphisms, _morphisms):
-        with pytest.raises(CapExceeded):
-            call(big, big)
-        with pytest.raises(ValidationError, match="'onto'"):
-            call(s, s, require=("surjective", "onto"))
+    with pytest.raises(CapExceeded):
+        enumerate_morphisms(big, big)
+    with pytest.raises(ValidationError, match="'onto'"):
+        enumerate_morphisms(s, s, require=("surjective", "onto"))

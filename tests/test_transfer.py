@@ -95,6 +95,12 @@ class TestSelectKnowledge:
             select_knowledge(systems[0], None, None, "instance")
 
 
+def test_a_string_is_refused_as_the_parameters_of_knowledge():
+    with pytest.raises(ValidationError, match="^knowledge parameters must be a sequence, not a string$"):
+        Knowledge(parameters="h1")
+    assert Knowledge(parameters=("h1",)).parameters == ("h1",)
+
+
 class TestPoolData:
     def test_cardinality_additivity(self, systems, source_data, target_data):
         k = Knowledge(instances=source_data)
