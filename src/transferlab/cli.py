@@ -49,14 +49,7 @@ from .specio import (
     json_text,
     load_document,
 )
-from .structural import (
-    feature_runner,
-    homomorphic_structures,
-    transfer_roughness,
-    truth_graph,
-    useful_structures,
-    valid_structures,
-)
+from .structural import search_structures, transfer_roughness
 from .transfer import (
     MEASURE_EQUALITY_TOL, Knowledge, TransferSystem, classify_setting, run_transfer,
 )
@@ -159,17 +152,9 @@ def _run_analysis(doc: SpecDocument, kind: str, seed: int) -> dict:
             target_weight=target.marginal,
         )
     else:  # structures
-        source, target = config["source"], config["target"]
-        report = homomorphic_structures(
-            truth_graph(source),
-            truth_graph(target),
-            size_bound=config["size_bound"],
+        report = search_structures(
+            config["source"], config["target"], config["size_bound"], config["epsilon_star"]
         )
-        report = valid_structures(report, target.system.y_set)
-        if config["epsilon_star"] is not None and target.truth is not None:
-            report = useful_structures(
-                report, feature_runner(source, target), config["epsilon_star"]
-            )
         result = {
             "candidates": len(report.candidates),
             "structures": [

@@ -59,6 +59,7 @@ from .relations import (
     GoalSeekReport,
     _inductive_carrier,
     _seek_violations,
+    _sequence,
     cascade,
 )
 
@@ -71,11 +72,9 @@ class Dataset:
     source_tag: str = "data"
 
     def __post_init__(self) -> None:
-        given = tuple(self.pairs)
-        object.__setattr__(self, "pairs", tuple(map(tuple, given)))
-        for raw, p in zip(given, self.pairs):
-            if isinstance(raw, str):
-                raise ValidationError(f"dataset pairs: {raw!r} is a string, not a pair")
+        pairs = _sequence(self.pairs, "dataset pairs", "a dataset pair")
+        object.__setattr__(self, "pairs", pairs)
+        for p in pairs:
             if len(p) != 2:
                 raise ValidationError(f"dataset pair {p!r} is not a 2-tuple")
 

@@ -24,7 +24,7 @@ from .errors import (
     UnknownElement,
     ValidationError,
 )
-from .relations import Atom, FiniteSet
+from .relations import Atom, FiniteSet, _sequence
 
 NORMALIZATION_TOL = 1e-12
 
@@ -37,7 +37,7 @@ class EmpiricalMeasure:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(float(p) for p in _sequence(self.probs, "measure probabilities"))
         object.__setattr__(self, "probs", probs)
         if len(probs) != len(self.support):
             raise ValidationError(

@@ -39,6 +39,24 @@ Atom = Hashable
 DEFAULT_ENUMERATION_CAP = 8
 
 
+def _sequence(value, field: str, item: str | None = None) -> tuple:
+    """``tuple(value)``; a ``str`` or ``bytes``, whose items are characters
+    or byte values, is refused with a :class:`ValidationError` naming ``field``.
+    Given ``item``, each item is read the same way as the field ``item``;
+    only each distinct item type is tested, so long pair lists stay cheap.
+    """
+    if isinstance(value, (str, bytes)):
+        kind = "a string" if isinstance(value, str) else "bytes"
+        raise ValidationError(f"{field} must be a sequence, not {kind}")
+    if item is None:
+        return tuple(value)
+    value = tuple(value)
+    if any(issubclass(t, (str, bytes)) for t in set(map(type, value))):
+        for v in value:
+            _sequence(v, item)
+    return tuple(map(tuple, value))
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """A named, ordered, duplicate-free collection of atoms.
@@ -52,9 +70,8 @@ class FiniteSet:
     elements: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.elements, str):
-            raise ValidationError(f"set {self.name!r}: elements must be a sequence, not a string")
-        object.__setattr__(self, "elements", tuple(self.elements))
+        elements = _sequence(self.elements, f"set {self.name!r}: elements")
+        object.__setattr__(self, "elements", elements)
         if not self.elements:
             raise EmptyComponent(f"set {self.name!r} has no elements")
         try:
@@ -137,8 +154,7 @@ class FiniteSystem:
         indices = [comp._index for comp in components]
         # Each distinct tuple (the first of equal ones) -> its per-component indices.
         keys: dict[tuple[Atom, ...], tuple[int, ...]] = {}
-        for tup in self.tuples:
-            tup = tuple(tup)
+        for tup in _sequence(self.tuples, "relation tuples", "a relation tuple"):
             if len(tup) != arity:
                 raise ArityMismatch(
                     f"tuple {tup!r} has arity {len(tup)}, expected {arity}"
@@ -232,7 +248,7 @@ def make_system(
     tuples: Iterable[Sequence[Atom]],
 ) -> FiniteSystem:
     """Build a validated relation; duplicate tuples collapse."""
-    return FiniteSystem(tuple(components), tuple(tuple(t) for t in tuples))
+    return FiniteSystem(components, tuples)
 
 
 def as_input_output(system: FiniteSystem, input_indices: Iterable[int]) -> FiniteSystem:

@@ -213,38 +213,20 @@ def generate_pair(spec: ScenarioSpec) -> tuple[SystemPack, SystemPack, ScenarioF
     source_marginal = _shifted_marginal(source_x, spec.marginal_shift)
     target_marginal = EmpiricalMeasure.uniform(target_x)
 
-    n_source, n_target = spec.sample_sizes
-    source_data = sample_dataset(source_marginal, source_posterior, n_source, rng, "source")
-    target_data = sample_dataset(target_marginal, target_posterior, n_target, rng, "target")
-
     loss = LossSpec("zero_one")
-    source_pack = SystemPack(
-        LearningSystem(
-            source_x,
-            source_y,
-            full_function_class(source_x, source_y, max_size=spec.hypothesis_cap),
-            loss,
-            AlgorithmSpec("erm"),
-        ),
-        source_data,
-        source_marginal,
-        source_posterior,
-        source_truth,
-        tag="source",
+
+    def pack(tag, x_set, y_set, marginal, posterior, truth, size) -> SystemPack:
+        data = sample_dataset(marginal, posterior, size, rng, tag)
+        hypotheses = full_function_class(x_set, y_set, max_size=spec.hypothesis_cap)
+        system = LearningSystem(x_set, y_set, hypotheses, loss, AlgorithmSpec("erm"))
+        return SystemPack(system, data, marginal, posterior, truth, tag=tag)
+
+    n_source, n_target = spec.sample_sizes
+    source_pack = pack(
+        "source", source_x, source_y, source_marginal, source_posterior, source_truth, n_source
     )
-    target_pack = SystemPack(
-        LearningSystem(
-            target_x,
-            target_y,
-            full_function_class(target_x, target_y, max_size=spec.hypothesis_cap),
-            loss,
-            AlgorithmSpec("erm"),
-        ),
-        target_data,
-        target_marginal,
-        target_posterior,
-        target_truth,
-        tag="target",
+    target_pack = pack(
+        "target", target_x, target_y, target_marginal, target_posterior, target_truth, n_target
     )
 
     same_inputs = source_x.same_elements(target_x)

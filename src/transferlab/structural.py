@@ -5,7 +5,9 @@ relation; for a learning system in a pack, the relation is the graph of
 its declared truth function.  The operations quantify how roughly one
 structure maps onto another (quotients under a morphism), search for
 shared quotient structures of two systems, and keep the ones through
-which a transfer actually generalizes.
+which a transfer actually generalizes.  Between two packs these steps are
+one pipeline, :func:`search_structures`, which the CLI's ``structures``
+analysis and :func:`structural_transferability` both run.
 
 The shared-structure search works up to carrier renaming: a quotient of
 a carrier modulo renaming is exactly a set partition, so candidates are
@@ -596,6 +598,19 @@ def feature_runner(
     return run
 
 
+def search_structures(
+    source: SystemPack, target: SystemPack, size_bound: int, epsilon_star: float | None
+) -> StructureSearchReport:
+    """The homomorphic, then the valid, then, given a threshold, the useful structures
+    shared by two packs' truth graphs, the last measured by their :func:`feature_runner`.
+    """
+    report = homomorphic_structures(truth_graph(source), truth_graph(target), size_bound)
+    report = valid_structures(report, target.system.y_set)
+    if epsilon_star is None:
+        return report
+    return useful_structures(report, feature_runner(source, target), epsilon_star)
+
+
 # -- structural transferability ----------------------------------------------------
 
 def structural_transferability(
@@ -621,9 +636,7 @@ def structural_transferability(
     _check_threshold(epsilon_star)
 
     def judge(idx: int, src: SystemPack, tgt: SystemPack) -> tuple[float, bool] | None:
-        report = homomorphic_structures(truth_graph(src), truth_graph(tgt), size_bound)
-        report = valid_structures(report, tgt.system.y_set)
-        report = useful_structures(report, feature_runner(src, tgt), epsilon_star)
+        report = search_structures(src, tgt, size_bound, epsilon_star)
         return (report.useful[0].error, True) if report.useful else None
 
     criterion = {"epsilon_star": epsilon_star, "size_bound": size_bound}

@@ -34,7 +34,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     EmptyDataset,
     IncompatibleSupport,
     MissingSourceArtifact,
@@ -50,7 +49,7 @@ from .learning import (
     minimize,
     verify_decomposition,
 )
-from .relations import DEFAULT_ENUMERATION_CAP, Atom, FiniteSet
+from .relations import Atom, FiniteSet, _sequence
 
 #: What each approach consumes from the source: (instances, parameters).
 CONSUMES = {
@@ -67,16 +66,19 @@ MEASURE_EQUALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Knowledge:
-    """What the source contributes: data instances, parameters, or both."""
+    """What the source contributes: data instances, one trained parameter, or both."""
 
     instances: Dataset | None = None
     parameters: tuple[Atom, ...] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.parameters, str):
-            raise ValidationError("knowledge parameters must be a sequence, not a string")
         if self.parameters is not None:
-            object.__setattr__(self, "parameters", tuple(self.parameters))
+            parameters = _sequence(self.parameters, "knowledge parameters")
+            if len(parameters) != 1:
+                raise ValidationError(
+                    f"knowledge parameters hold one source parameter, not {len(parameters)}"
+                )
+            object.__setattr__(self, "parameters", parameters)
         if self.instances is None and self.parameters is None:
             raise ValidationError("knowledge must carry instances or parameters")
 
@@ -434,7 +436,6 @@ def classify_setting(source: SystemPack, target: SystemPack) -> SettingClassific
 def verify_transfer_is_learning_system(
     ts: TransferSystem,
     target_datasets: Sequence[Dataset],
-    cap: int = DEFAULT_ENUMERATION_CAP,
     functional_system=None,
     inductive_system=None,
 ) -> AxiomReport:
@@ -442,18 +443,13 @@ def verify_transfer_is_learning_system(
 
     The audited system is :attr:`TransferSystem.system_tr`, with
     :func:`transfer_fit` as its fit function; the checks over the sampled
-    target datasets are those of :func:`~transferlab.learning.verify_learning_axioms`.
+    target datasets are those of :func:`~transferlab.learning.verify_learning_axioms`,
+    by the same :func:`~transferlab.learning.verify_decomposition`.  Like
+    that audit it refuses no system and no dataset list for its size: it
+    fits each dataset twice and scans each selection's objective vector,
+    so its cost is linear in datasets × |Θ| × |X|.
     """
     system = ts.system_tr
-    for carrier, label in (
-        (system.x_set, "target inputs"),
-        (system.y_set, "target outputs"),
-        (system.theta_set, "transfer parameters"),
-    ):
-        if len(carrier) > cap:
-            raise CapExceeded(f"{label} carrier exceeds cap {cap}")
-    if len(target_datasets) > cap:
-        raise CapExceeded(f"more than {cap} sampled datasets")
     return verify_decomposition(
         system, target_datasets, lambda d: transfer_fit(ts, d), functional_system, inductive_system
     )

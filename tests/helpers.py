@@ -533,7 +533,7 @@ def scalar_learning_axioms(system, datasets, **overrides) -> AxiomReport:
 
 
 def scalar_transfer_axioms(ts, datasets, **overrides) -> AxiomReport:
-    """:func:`transferlab.transfer.verify_transfer_is_learning_system`, scalar, without caps."""
+    """:func:`transferlab.transfer.verify_transfer_is_learning_system`, scalar."""
     return scalar_verify_decomposition(
         ts.system_tr, datasets, lambda d: transfer_fit(ts, d)[0], lambda d: transfer_fit(ts, d)[1],
         **overrides,

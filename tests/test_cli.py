@@ -974,6 +974,17 @@ def test_a_weight_out_of_range_exits_invariant_violation(tmp_path, capsys, verb,
 def test_a_knowledge_piece_the_rule_does_not_consume_exits_invariant_violation(
     tmp_path, capsys, block, piece, message
 ):
+    assert_knowledge_refused(tmp_path, capsys, block, piece, message)
+
+
+@pytest.mark.parametrize("block", ["param", "both"])
+def test_knowledge_with_two_parameters_exits_invariant_violation(tmp_path, capsys, block):
+    message = "knowledge parameters hold one source parameter, not 2"
+    assert_knowledge_refused(tmp_path, capsys, block, {"parameters": ["a", "c"]}, message)
+
+
+def assert_knowledge_refused(tmp_path, capsys, block, piece, message):
+    """Both verbs exit 4 with ``message`` once ``piece`` joins the knowledge of ``block``."""
     transfer = TRANSFER_DOC["transfer"][block]
     knowledge = {**transfer["knowledge"], **piece}
     doc = {**TRANSFER_DOC, "analysis": {"transfer": {"system": block, "data": "target_data"}}}

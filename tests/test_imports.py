@@ -5,9 +5,10 @@ base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one reads hypothesis
 table cells into codes, none calls the morphism enumeration, no function of the
 document format decodes a table or reads a raw block value as a list but
-through ``_list``, and every defaulted parameter, a frozen dataclass's
+through ``_list``, every defaulted parameter, a frozen dataclass's
 defaulted fields included, is passed by some call in the package or kept
-on purpose.
+on purpose, and no parameter that the package's calls all pass with one
+literal is left but on purpose.
 
 No linter ships with the project, so these stdlib-``ast`` scans stand in
 for one.  ``__init__.py`` is left out of the import scan: its imports are
@@ -405,7 +406,6 @@ KEPT_DEFAULTS = {
         "tests pass corrupted relations",
     "transfer.verify_transfer_is_learning_system.inductive_system":
         "tests pass corrupted relations",
-    "transfer.verify_transfer_is_learning_system.cap": "tests audit carriers above the default",
     "relations.check_goal_seeking.system": "the decomposition check runs only when given one",
     "relations.enumerate_morphisms.require": "a flag of the public morphism enumeration",
     "relations.enumerate_morphisms.cap": "a flag of the public morphism enumeration",
@@ -419,9 +419,10 @@ def keyword(call: ast.AST, name: str):
     return next((k.value for k in keywords if k.arg == name), None)
 
 
-def init_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
-    """``(field, defaulted)`` for each parameter of the ``__init__`` a frozen dataclass generates;
-    empty for any other class, and for a dataclass that writes its own ``__init__``.
+def init_fields(cls: ast.ClassDef) -> list[tuple[str, ast.AST | None]]:
+    """``(field, default)`` for each parameter of the ``__init__`` a frozen dataclass generates
+    (``None``: no default); empty for any other class, and for a dataclass that writes its own
+    ``__init__``.
     """
     decorators = [d for d in cls.decorator_list if getattr(d, "func", None)]
     frozen = any(
@@ -438,33 +439,32 @@ def init_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
             continue
         if getattr(keyword(node.value, "init"), "value", True) is False:
             continue
-        fields.append((node.target.id, node.value is not None))
+        fields.append((node.target.id, node.value))
     return fields
 
 
-def defaulted_parameters(
+def parameters(
     module: str, tree: ast.Module
-) -> dict[str, tuple[ast.AST | None, list[tuple[str, int | None]]]]:
-    """``module.function.parameter`` of each defaulted parameter, with the function's definition
-    and each call that may pass it: the called name and the parameter's position in that
-    call (``None``: by keyword only).
+) -> dict[str, tuple[ast.AST | None, ast.AST | None, list[tuple[str, int | None]]]]:
+    """``module.function.parameter`` of each parameter, with the function's definition, the
+    parameter's default (``None``: none) and each call that may pass it: the called name and
+    the parameter's position in that call (``None``: by keyword only).
 
     A method is named by its class and called by its own name, its
     position counted after ``self``; a constructor is named and called
-    by its class.  A defaulted field of a frozen dataclass is a
-    constructor parameter, also passed by keyword to ``replace``; it has
-    no definition of its own (``None``).
+    by its class.  A field of a frozen dataclass is a constructor
+    parameter, also passed by keyword to ``replace``; it has no
+    definition of its own (``None``).
     """
-    found: dict[str, tuple[ast.AST | None, list[tuple[str, int | None]]]] = {}
+    found: dict[str, tuple[ast.AST | None, ast.AST | None, list[tuple[str, int | None]]]] = {}
 
     def visit(node: ast.AST, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                for position, (name, defaulted) in enumerate(init_fields(child)):
-                    if defaulted:
-                        found[f"{module}.{child.name}.{name}"] = (
-                            None, [(child.name, position), ("replace", None)]
-                        )
+                for position, (name, default) in enumerate(init_fields(child)):
+                    found[f"{module}.{child.name}.{name}"] = (
+                        None, default, [(child.name, position), ("replace", None)]
+                    )
                 visit(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -475,27 +475,26 @@ def defaulted_parameters(
             static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
             skip = 1 if cls is not None and not static else 0
             args = child.args.posonlyargs + child.args.args
-            first = len(args) - len(child.args.defaults)
-            for position, arg in enumerate(args[first:], first):
-                found[f"{owner}.{arg.arg}"] = (child, [(called, position - skip)])
+            defaults = [None] * (len(args) - len(child.args.defaults)) + child.args.defaults
+            for position, (arg, default) in enumerate(zip(args, defaults)):
+                if position >= skip:
+                    found[f"{owner}.{arg.arg}"] = (child, default, [(called, position - skip)])
             for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
-                if default is not None:
-                    found[f"{owner}.{arg.arg}"] = (child, [(called, None)])
+                found[f"{owner}.{arg.arg}"] = (child, default, [(called, None)])
             visit(child, None)
 
     visit(tree, None)
     return found
 
 
-def unpassed_defaults(sources: dict[str, str]) -> list[str]:
-    """Defaulted parameters of ``sources`` (module name → text) that no call there passes.
+def passed_values(sources: dict[str, str]) -> dict[str, tuple[ast.AST | None, list, list]]:
+    """Each parameter of ``sources`` (module name → text), with its default and what each
+    call there passes for it: the argument, the default when the call leaves it out, or
+    ``None`` when a ``*args`` or ``**kwargs`` in the call may hold it.  The calls inside
+    the function's own body, its recursions, come in a second list.
 
     Calls are matched by the called name alone, bare or as an attribute,
-    so a same-named call elsewhere counts as passing: the scan may miss
-    an unpassed parameter, but never flags a passed one.  A ``*args`` or
-    ``**kwargs`` in a call counts as passing everything.  A call inside
-    the function's own body passes nothing: a recursion only hands on
-    what its caller chose.
+    so a same-named call elsewhere counts too.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     calls: dict[str, list[ast.Call]] = {}
@@ -505,28 +504,72 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
 
-    def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
-        if any(k.arg in (parameter, None) for k in call.keywords):
-            return True
+    def argument(call: ast.Call, parameter: str, position: int | None, default):
+        if any(k.arg is None for k in call.keywords):
+            return None
         if any(isinstance(a, ast.Starred) for a in call.args):
-            return True
-        return position is not None and len(call.args) > position
+            return None
+        value = keyword(call, parameter)
+        if value is None and position is not None and len(call.args) > position:
+            value = call.args[position]
+        return default if value is None else value
 
-    def passed(name: str, function: ast.AST | None, callers) -> bool:
-        own = {id(node) for node in ast.walk(function)} if function else set()
-        return any(
-            passes(c, name.rsplit(".", 1)[1], position)
-            for called, position in callers
-            for c in calls.get(called, [])
-            if id(c) not in own
-        )
+    found = {}
+    for module, tree in trees.items():
+        for name, (function, default, callers) in parameters(module, tree).items():
+            own = {id(node) for node in ast.walk(function)} if function else set()
+            parameter = name.rsplit(".", 1)[1]
+            outside, inside = [], []
+            for called, position in callers:
+                for c in calls.get(called, []):
+                    value = argument(c, parameter, position, default)
+                    (inside if id(c) in own else outside).append(value)
+            found[name] = (default, outside, inside)
+    return found
 
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of ``sources`` (module name → text) that no call there passes.
+
+    A same-named call elsewhere counts as passing, as does a ``*args`` or
+    ``**kwargs`` in a call: the scan may miss an unpassed parameter, but
+    never flags a passed one.  A recursion passes nothing: it only hands
+    on what its caller chose.
+    """
     return [
         name
-        for module, tree in trees.items()
-        for name, (function, callers) in defaulted_parameters(module, tree).items()
-        if not passed(name, function, callers)
+        for name, (default, outside, _) in passed_values(sources).items()
+        if default is not None and all(value is default for value in outside)
     ]
+
+
+def one_constant_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters of ``sources`` (module name → text) that every call there passes with one
+    and the same literal, an omitted argument counting as its default.
+
+    A recursion that hands the parameter on by its own name is left out,
+    since it passes what its caller chose; any other value a recursion
+    passes counts.  Like :func:`unpassed_defaults` the scan may miss a
+    parameter, since a same-named call elsewhere counts, but it never
+    flags one that two calls pass differently.
+    """
+    def literal(node: ast.AST | None) -> str | None:
+        try:
+            ast.literal_eval(node)
+        except (ValueError, TypeError):
+            return None
+        return ast.dump(node)
+
+    found = []
+    for name, (_, outside, inside) in passed_values(sources).items():
+        parameter = name.rsplit(".", 1)[1]
+        values = outside + [
+            v for v in inside if not (isinstance(v, ast.Name) and v.id == parameter)
+        ]
+        texts = set(map(literal, values))
+        if len(texts) == 1 and None not in texts:
+            found.append(name)
+    return found
 
 
 def test_the_scan_sees_an_unpassed_default():
@@ -558,3 +601,33 @@ def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():
     found = set(unpassed_defaults(sources))
     assert sorted(found - KEPT_DEFAULTS.keys()) == []  # make each a constant, or keep it above
     assert sorted(KEPT_DEFAULTS.keys() - found) == []  # a call passes it now: drop it above
+
+
+def test_the_scan_sees_a_one_constant_parameter():
+    sources = {
+        "a": "def f(x, mode='a', n=1, *, k=0): pass\ndef g(x, y): pass\n"
+        "def r(d, depth=0, mode='b'):\n    return r(d, depth + 1, mode)\n"
+        "class C:\n    def m(self, v, w=2): pass\n"
+        "def s(t=0, u=3): pass\ndef h(q=1): pass\n",
+        "b": "f(0, 'a', 2)\nf(1, n=3)\ng(0, (1, 2))\ng(x, (1, 2))\nr(5)\nr(6, 0, 'b')\n"
+        "c.m(1, w=2)\nc.m(1)\ns(t=1)\ns(**kw)\nh(1.0)\nh()\n",
+    }
+    expected = ["a.f.mode", "a.f.k", "a.g.y", "a.r.mode", "a.C.m.v", "a.C.m.w"]
+    assert one_constant_parameters(sources) == expected
+
+
+#: Parameters that every call in ``src/transferlab`` passes with one literal, kept on
+#: purpose: each is a public setting that library callers and tests set directly.
+ONE_CONSTANT = {
+    "measures.estimate_measure.over": "a public estimator of the x, y, xy and y_given_x laws",
+    "relations.cascade.coupling": "composes any two systems; the axiom audit couples on Θ",
+    "behavioral.behavioral_transferability.mode": "a public choice of the distance or bound test",
+    "structural.structural_transferability.size_bound": "a public search bound of 1 to 4",
+}
+
+
+def test_every_parameter_takes_two_values_or_is_kept_on_purpose():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    found = set(one_constant_parameters(sources)) - KEPT_DEFAULTS.keys()
+    assert sorted(found - ONE_CONSTANT.keys()) == []  # make each a constant, or keep it above
+    assert sorted(ONE_CONSTANT.keys() - found) == []  # a call passes another value: drop it above

@@ -48,7 +48,7 @@ def two_theta_system():
 
 
 def test_a_string_is_refused_as_a_dataset_pair():
-    with pytest.raises(ValidationError, match="^dataset pairs: 'ab' is a string, not a pair$"):
+    with pytest.raises(ValidationError, match="^a dataset pair must be a sequence, not a string$"):
         Dataset([("x", "y"), "ab"])
     assert Dataset([("x", "y"), ["a", "b"]]).pairs == (("x", "y"), ("a", "b"))
 

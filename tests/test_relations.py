@@ -16,6 +16,8 @@ from transferlab.errors import (
     UnknownElement,
     ValidationError,
 )
+from transferlab.learning import Dataset
+from transferlab.measures import EmpiricalMeasure
 from transferlab.relations import (
     FiniteSet,
     FiniteSystem,
@@ -30,6 +32,7 @@ from transferlab.relations import (
     make_system,
     quotient,
 )
+from transferlab.transfer import Knowledge
 
 
 @pytest.mark.parametrize(
@@ -53,6 +56,31 @@ def test_a_string_is_refused_as_the_elements_of_a_set():
     with pytest.raises(ValidationError, match="^set 's': elements must be a sequence, not a string$"):
         FiniteSet("s", "abc")
     assert FiniteSet("s", ("abc",)).elements == ("abc",)
+
+
+AB = (FiniteSet("A", ("a", "b", 97, 98)), FiniteSet("B", ("a", "b", 97, 98)))
+#: Each constructor that takes a sequence, and the field it names, given a text.
+TEXT_FIELDS = [
+    pytest.param(lambda text: FiniteSet("s", text), "set 's': elements", id="FiniteSet"),
+    pytest.param(lambda text: FiniteSystem(AB, text), "relation tuples", id="FiniteSystem"),
+    pytest.param(lambda text: make_system(AB, [text]), "a relation tuple", id="make_system"),
+    pytest.param(lambda text: Dataset(text), "dataset pairs", id="Dataset"),
+    pytest.param(lambda text: Dataset([text]), "a dataset pair", id="Dataset-pair"),
+    pytest.param(
+        lambda text: Knowledge(parameters=text), "knowledge parameters", id="Knowledge"
+    ),
+    pytest.param(
+        lambda text: EmpiricalMeasure(AB[0], text), "measure probabilities", id="EmpiricalMeasure"
+    ),
+]
+
+
+@pytest.mark.parametrize("text, kind", [("ab", "a string"), (b"ab", "bytes")], ids=["str", "bytes"])
+@pytest.mark.parametrize("build, field", TEXT_FIELDS)
+def test_a_string_or_bytes_is_refused_where_a_sequence_belongs(build, field, text, kind):
+    # Iterated, "ab" reads as ('a', 'b') and b"ab" as (97, 98), the atoms of AB.
+    with pytest.raises(ValidationError, match=f"^{field} must be a sequence, not {kind}$"):
+        build(text)
 
 
 class TestMakeSystem:

@@ -101,6 +101,15 @@ def test_a_string_is_refused_as_the_parameters_of_knowledge():
     assert Knowledge(parameters=("h1",)).parameters == ("h1",)
 
 
+@pytest.mark.parametrize("parameters", [(), ("h0", "h3"), ("h0", "h0")])
+def test_parameter_knowledge_holds_exactly_one_parameter(parameters):
+    # Every rule that takes a parameter penalizes toward one anchor; a second one
+    # would be validated against the source and then never read.
+    message = f"^knowledge parameters hold one source parameter, not {len(parameters)}$"
+    with pytest.raises(ValidationError, match=message):
+        Knowledge(parameters=parameters)
+
+
 class TestPoolData:
     def test_cardinality_additivity(self, systems, source_data, target_data):
         k = Knowledge(instances=source_data)
@@ -396,7 +405,7 @@ class TestVerifyTransfer:
         ]
         datasets = [target_data, Dataset((("x1", 1),))]
         for ts in variants:
-            assert verify_transfer_is_learning_system(ts, datasets, cap=16).passed
+            assert verify_transfer_is_learning_system(ts, datasets).passed
 
     def test_corrupted_selection_fails_with_witness(self, systems, source_data, target_data):
         ts = TransferSystem(
@@ -409,9 +418,7 @@ class TestVerifyTransfer:
             (("d0", wrong),),
             ((0,), (1,)),
         )
-        report = verify_transfer_is_learning_system(
-            ts, [target_data], cap=16, inductive_system=corrupt
-        )
+        report = verify_transfer_is_learning_system(ts, [target_data], inductive_system=corrupt)
         assert not report.passed
 
 
