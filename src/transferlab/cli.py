@@ -62,6 +62,8 @@ EXIT_ANALYSIS = 5
 
 
 def _jsonable(obj: Any) -> Any:
+    if obj is None or isinstance(obj, (str, int, float, bool)):  # most values of a report
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
@@ -76,8 +78,6 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (frozenset, set)):
         return sorted((_jsonable(v) for v in obj), key=repr)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     return repr(obj)
 
 

@@ -11,23 +11,32 @@ once and selected from by :func:`minimize`, the one selection rule::
 
     (L(θ; C_t) + w·L(θ; C_s)) / (n_t + w·n_s) + λ·d(θ, a) / |X|
 
-The selection is the first minimizer of the float64 objective values in
-canonical order, or the anchor itself when there is no data term.
-:func:`fit` and :func:`transferlab.transfer.transfer_fit` call it for a
-learning and a transfer system, which is itself a learning system:
-:func:`generalization_error` scores the hypotheses of both.  Only the
-integer parts are exact: zero-one totals and the anchor distance are
-matrix–vector products of per-label 0/1 indicators with count columns,
-every term and partial sum an integer below 2**53, so float64 holds them
-exactly and the summation order cannot change them.  The divisions and weights that combine them
-round, so two θ whose exact objectives tie can differ in their values.
-Squared totals are summed per θ with ``math.fsum``.  Because every
-carrier is finite, the defining biconditionals of the construction are
-checkable by enumeration, which is what :func:`verify_learning_axioms`
-does.  Its goal-seeking check needs no goal table: the goal is the
-objective the selection minimized, so the biconditional can fail only
-off datasets × Θ or where the inductive relation and the selections
-differ, and only those points are visited.
+The selection scores a stack of count tables ``T[i, x, y]`` at once and
+picks, per table, the first minimizer of its float64 objective values in
+canonical order, or the anchor itself when the table has no data term.
+:func:`fit` and :func:`transferlab.transfer.transfer_fit` call it with
+one table, and :func:`fit_stack` and
+:func:`transferlab.transfer.transfer_fit_stack`, which the audits use,
+with many, for a learning and a transfer system, which is itself a
+learning system: :func:`generalization_error` scores the hypotheses of
+both.  Count tables come from one ``np.bincount`` per stack
+(:func:`count_tables`).  Only the integer parts are exact: zero-one
+totals are the pairs minus the hits, and the hits take |Y| − 1 products
+of a 0/1 indicator ``codes == y`` with the difference columns
+``T[:, :, y] − T[:, :, 0]``, laid side by side as one matrix product
+per stack; the anchor distance is a product of an indicator with a ones
+vector.  Every term and partial sum is an integer whose absolute value
+is at most the pairs counted, below 2**53, so float64 holds them
+exactly and the summation order cannot change them.  The divisions and
+weights that combine them round, so two θ whose exact objectives tie
+can differ in their values.  Squared totals are summed per θ with
+``math.fsum``.  Because every carrier is finite, the defining
+biconditionals of the construction are checkable by enumeration, which
+is what :func:`verify_learning_axioms` does.  Its goal-seeking check
+needs no goal table: the goal is the objective the selection minimized,
+so the biconditional can fail only off datasets × Θ or where the
+inductive relation and the selections differ, and only those points
+are visited.
 """
 
 from __future__ import annotations
@@ -35,9 +44,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -85,18 +93,40 @@ class Dataset:
         return iter(self.pairs)
 
     def validate_against(self, x_set: FiniteSet, y_set: FiniteSet) -> None:
+        xs, ys = x_set._index, y_set._index  # the look-ups of ``in x_set``, without the call
         for x, y in self.pairs:
-            if x not in x_set:
+            if x not in xs:
                 raise UnknownElement(f"data input {x!r} not in set {x_set.name!r}")
-            if y not in y_set:
+            if y not in ys:
                 raise UnknownElement(f"data output {y!r} not in set {y_set.name!r}")
 
     def counts(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
         """``C[x, y]``: how often each pair occurs; one outside X × Y raises."""
-        matrix = np.zeros((len(x_set), len(y_set)), dtype=np.int64)
-        for (x, y), c in Counter(self.pairs).items():
-            matrix[x_set.index(x), y_set.index(y)] += c
-        return matrix
+        return count_tables((self,), x_set, y_set)[0]
+
+
+def count_tables(datasets: Sequence[Dataset], x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
+    """``T[i, x, y]``: how often each pair occurs in the ``i``-th dataset, in one bincount.
+
+    A pair of dataset ``i`` counts in cell ``(i·|X| + x)·|Y| + y`` of one
+    flat table.  The first pair in order outside X × Y raises the
+    :class:`UnknownElement` that ``FiniteSet.index`` raises for it, its
+    input looked up first.
+    """
+    n_x, n_y = len(x_set), len(y_set)
+    rows, labels = x_set._index, y_set._index
+    try:
+        cells = [
+            (i * n_x + rows[x]) * n_y + labels[y]
+            for i, d in enumerate(datasets)
+            for x, y in d.pairs
+        ]
+    except KeyError:  # a look-up failed, so one of these raises
+        for x, y in itertools.chain(*(d.pairs for d in datasets)):
+            x_set.index(x)
+            y_set.index(y)
+    counts = np.bincount(cells, minlength=len(datasets) * n_x * n_y)
+    return counts.reshape(len(datasets), n_x, n_y)
 
 
 @dataclass(frozen=True)
@@ -471,99 +501,160 @@ def scan(
 
 # -- core operations -----------------------------------------------------------
 
-def _loss_totals(
-    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, counts: np.ndarray
-) -> np.ndarray:
-    """Per θ, the summed loss of ``H[θ]`` on the counted pairs, exactly.
+#: The most objective values one :func:`minimize` call may hold, m tables × |Θ|:
+#: 2**20 float64 values, 8 MiB, or 256 tables at the hypothesis cap of 4096.
+#: The audit feeds its datasets in stacks under it.
+VALUE_CELL_CAP = 2**20
 
-    Zero-one totals are error counts: the pairs minus the hits, where
-    the hits are one product per label ``y`` of the indicator
-    ``codes == y`` with the count column ``C[:, y]``, in float64.  Every
-    count, product and partial sum is an integer no larger than the
-    number of pairs, far below 2**53, so the totals are exact whatever
-    order the products sum in.  Squared totals are the ``math.fsum`` of
-    one ``count * loss`` term per occupied cell, per θ.
+
+def _loss_totals(
+    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, tables: np.ndarray
+) -> np.ndarray:
+    """Per table ``T[i]`` and θ, the summed loss of ``H[θ]`` on the counted pairs, exactly.
+
+    Zero-one totals are error counts: the pairs minus the hits.  Every
+    θ hits the label-0 pairs at the inputs it maps to label 0, so the
+    hits are ``Σ_x T[i, x, 0] + Σ_{y≥1} (codes == y) @ (T[i, :, y] −
+    T[i, :, 0])`` and the errors are the pairs not labelled 0 minus the
+    |Y| − 1 indicator products, laid side by side as one float64
+    indicator over the cells (x, y ≥ 1) times the stack of difference
+    columns (no cell when |Y| = 1).  A θ selects one label per input,
+    so every partial sum of a product is a sum of counts minus a sum of
+    counts of the same table: an integer whose absolute value is at
+    most the pairs counted in it, far below 2**53.  So float64 holds
+    the totals exactly whatever order the products sum in.  Squared
+    totals are the ``math.fsum`` of one ``count * loss`` term per
+    occupied cell, per table and θ.
     """
     if loss.kind == "zero_one":
-        hits = np.zeros(len(codes))
-        for y, column in enumerate(counts.T.astype(np.float64)):
-            hits += (codes == y) @ column
-        return counts.sum() - hits
+        m, n_x, n_y = tables.shape
+        # Labels as narrow as the codes, so the comparison casts no code to a wider type.
+        labels = np.arange(1, n_y, dtype=np.min_scalar_type(max(n_y - 1, 0)))
+        cells = n_x * len(labels)
+        indicator = (codes[:, :, None] == labels).reshape(len(codes), cells)
+        steps = (tables[:, :, 1:] - tables[:, :, :1]).reshape(m, cells)
+        unlabelled_0 = tables[:, :, 1:].sum(axis=(1, 2))
+        return unlabelled_0[:, None] - steps.astype(np.float64) @ indicator.T.astype(np.float64)
     labels = y_set.elements
     table = np.array([[loss.loss(y, prediction) for prediction in labels] for y in labels])
-    xs, ys = np.nonzero(counts)
-    terms = counts[xs, ys] * table[ys, codes[:, xs]]
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    totals = np.empty((len(tables), len(codes)))
+    for i, counts in enumerate(tables):
+        xs, ys = np.nonzero(counts)
+        terms = counts[xs, ys] * table[ys, codes[:, xs]]
+        totals[i] = [math.fsum(row) for row in terms.tolist()]
+    return totals
 
 
 def minimize(
     codes: np.ndarray,
     y_set: FiniteSet,
     loss: LossSpec,
-    counts: np.ndarray | None,
-    pooled: np.ndarray | None = None,
+    tables: np.ndarray,
+    pooled: tuple[np.ndarray, int] | None = None,
     pool_weight: float = 1.0,
     anchor: int | None = None,
     penalty_weight: float = 0.0,
-) -> tuple[int, np.ndarray]:
-    """The one selection rule: the chosen row θ of ``codes`` and every row's objective.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one selection rule, over a stack of count tables ``T[i, x, y]``.
 
-    The chosen row of ``H[θ, x]`` is the first minimizer in canonical
-    order or, with no risk term, the ``anchor`` itself.  ``L(θ; C)``
-    sums the loss of ``H[θ]`` over the pairs counted in ``C[x, y]``: the
-    target ``counts`` (``None``: no risk term) and the ``pooled`` source
-    counts, weighted by ``pool_weight``.  ``d(θ, a)`` counts the inputs
-    where ``H[θ]`` and row ``anchor`` differ (``None``: no penalty
-    term), as the product of the indicator ``codes != codes[anchor]``
-    with a ones vector.  Both counts are exact integers in float64 (see
-    :func:`_loss_totals`); the float operations after them follow the
-    formula's order, so each value equals the one computed for its θ
-    alone.
+    Returns the chosen row θ of ``H[θ, x]`` for each table, and the
+    m × |Θ| objective.  ``L(θ; C)`` sums the loss of ``H[θ]`` over the
+    pairs counted in ``C[x, y]``: each table ``T[i]`` and the pooled
+    source counts, whose loss totals per θ and pair count ``pooled``
+    holds, scored once by :func:`score_table`, and which are weighted
+    by ``pool_weight`` and added to every table's.  ``d(θ, a)``
+    counts the inputs where ``H[θ]`` and row ``anchor`` differ
+    (``None``: no penalty term), as the product of the indicator
+    ``codes != codes[anchor]`` with a ones vector.  A table that counts
+    no pair, with no pooled pair either, has no risk term: its
+    objective is the penalty and its choice the ``anchor`` itself, and
+    without an anchor it raises :class:`EmptyDataset`.  Any other table
+    chooses the first minimizer of its row of values in canonical order.
+
+    The zero-one error counts (|Y| − 1 indicator products per stack, see
+    :func:`_loss_totals`) and the distances are exact integers in
+    float64; the float operations after them follow the formula's order,
+    so each value equals the one computed for its table and θ alone.  A
+    stack of more than :data:`VALUE_CELL_CAP` values raises
+    :class:`CapExceeded` before any is computed.
     """
-    values = None
-    if counts is not None:
-        numerator = _loss_totals(codes, y_set, loss, counts)
-        denominator = int(counts.sum())
-        if pooled is not None:
-            numerator = numerator + pool_weight * _loss_totals(codes, y_set, loss, pooled)
-            denominator = denominator + pool_weight * int(pooled.sum())
-        values = numerator / denominator
-    if anchor is not None:
-        differing = (codes != codes[anchor]) @ np.ones(codes.shape[1])
-        penalty = penalty_weight * (differing / codes.shape[1])
-        values = penalty if values is None else values + penalty
-    if values is None:
-        raise EmptyDataset("an objective without an anchor needs data")
-    return (anchor if counts is None else int(np.argmin(values))), values
+    m = len(tables)
+    if m * len(codes) > VALUE_CELL_CAP:
+        raise CapExceeded(
+            f"{m} count tables × {len(codes)} parameters exceed the cap of "
+            f"{VALUE_CELL_CAP} objective values"
+        )
+    totals, pairs = _loss_totals(codes, y_set, loss, tables), tables.sum(axis=(1, 2))
+    if pooled is not None:
+        pooled_totals, pooled_pairs = pooled
+        totals = totals + pool_weight * pooled_totals
+        pairs = pairs + pool_weight * pooled_pairs
+    empty = None
+    if not pairs.all():
+        if anchor is None:
+            raise EmptyDataset("an objective without an anchor needs data")
+        empty = pairs == 0
+        pairs[empty] = 1  # so an empty table's zero totals give the risk 0
+    values = totals / pairs[:, None]
+    if anchor is None:
+        return values.argmin(axis=1), values
+    differing = (codes != codes[anchor]) @ np.ones(codes.shape[1])
+    penalty = penalty_weight * (differing / codes.shape[1])
+    values += penalty
+    rows = values.argmin(axis=1)
+    if empty is not None:  # no risk term: the penalty itself, as written, and the anchor
+        values[empty] = penalty
+        rows[empty] = anchor
+    return rows, values
 
 
-def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
-    """Mean loss of the hypothesis indexed by ``theta`` on the data."""
-    counts = data.counts(system.x_set, system.y_set) if len(data) else None
-    row = system.theta_set.index(theta)
-    codes = system.codes[row : row + 1]
-    return float(minimize(codes, system.y_set, system.loss, counts)[1][0])
+def score_table(
+    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, table: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """One count table's loss total per θ and its pair count, the ``pooled`` term of
+    :func:`minimize`."""
+    return _loss_totals(codes, y_set, loss, table[None])[0], int(table.sum())
+
+
+def fit_stack(
+    datasets: Sequence[Dataset], system: LearningSystem
+) -> tuple[list[Atom], np.ndarray]:
+    """The parameters the system's algorithm selects from each dataset, and the m × |Θ| objective.
+
+    One :func:`minimize` call scores every dataset.
+    """
+    algo = system.algorithm
+    tables = count_tables(datasets, system.x_set, system.y_set)
+    anchor = None if algo.kind == "erm" else system.theta_set.index(algo.anchor)
+    rows, values = minimize(
+        system.codes, system.y_set, system.loss, tables,
+        anchor=anchor, penalty_weight=algo.weight,
+    )
+    return list(map(system.theta_set.elements.__getitem__, rows.tolist())), values
 
 
 def fit(data: Dataset, system: LearningSystem) -> tuple[Atom, np.ndarray]:
     """The parameter the system's algorithm selects from the data, and its objective over Θ."""
-    algo = system.algorithm
-    counts = data.counts(system.x_set, system.y_set) if len(data) else None
-    anchor = None if algo.kind == "erm" else system.theta_set.index(algo.anchor)
-    row, values = minimize(
-        system.codes, system.y_set, system.loss, counts,
-        anchor=anchor, penalty_weight=algo.weight,
-    )
-    return system.theta_set.elements[row], values
+    (theta,), values = fit_stack((data,), system)
+    return theta, values[0]
+
+
+def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
+    """Mean loss of the hypothesis indexed by ``theta`` on the data."""
+    tables = count_tables((data,), system.x_set, system.y_set)
+    row = system.theta_set.index(theta)
+    codes = system.codes[row : row + 1]
+    return float(minimize(codes, system.y_set, system.loss, tables)[1][0, 0])
 
 
 def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
     """The first minimizer of the selection objective's float64 values over the parameter set.
 
-    The error counts and anchor distances behind the values are exact
-    integers, but the values combine them with rounding, so an exact tie
-    can be broken by it; equal values break toward the smallest
-    parameter index in canonical order.
+    The data is scored as a stack of one count table by
+    :func:`minimize`.  The error counts and anchor distances behind the
+    values are exact integers, but the values combine them with
+    rounding, so an exact tie can be broken by it; equal values break
+    toward the smallest parameter index in canonical order.
     With empty data a penalized algorithm returns its anchor; plain ERM
     raises :class:`EmptyDataset`.  Pairs outside the system's sample
     space raise :class:`UnknownElement`.
@@ -678,18 +769,19 @@ def _seeking(
 def verify_decomposition(
     system: LearningSystem,
     datasets: Sequence[Dataset],
-    fit_fn: Callable[[Dataset], tuple[Atom, np.ndarray]],
+    fit_fn: Callable[[Sequence[Dataset]], tuple[Sequence[Atom], np.ndarray]],
     functional_system: FiniteSystem | None = None,
     inductive_system: FiniteSystem | None = None,
 ) -> AxiomReport:
     """Check that selection plus hypothesis lookup form one coherent relation.
 
-    ``fit_fn`` gives, for one dataset, the selected parameter and the
-    objective of every parameter in the canonical order of the
-    system's parameter set, as :func:`fit` does; the system's own
-    algorithm is not read.  Each dataset is fitted once, and once
-    more for the determinism check.  Three checks run over the sampled
-    datasets:
+    ``fit_fn`` gives, for a stack of datasets, the selected parameters
+    and the m × |Θ| objective, each row in the canonical order of the
+    system's parameter set, as :func:`fit_stack` does; the system's own
+    algorithm is not read.  The datasets are fitted in one call, and in
+    a second call for the determinism check; a stack whose objective
+    would exceed :data:`VALUE_CELL_CAP` values is fed in chunks under
+    it, one call per chunk.  Three checks run over the sampled datasets:
 
     1. the composition of the inductive relation (data -> parameter)
        with the functional relation (parameter, input -> output) through
@@ -713,17 +805,30 @@ def verify_decomposition(
     relation holds only the rows of the parameters in Θ that the
     inductive relation's tuples couple: the cascade joins on the
     parameter, so no other row can reach the composed relation, which
-    is therefore the one the full Θ × X relation gives.
+    is therefore the one the full Θ × X relation gives.  Each coupled or
+    selected parameter's row of codes is decoded once.
     """
     if not datasets:
         raise EmptyDataset("axiom verification needs at least one sampled dataset")
-    x_set, theta_set, output = system.x_set, system.theta_set, system.hypotheses.output
-    fits = [fit_fn(d) for d in datasets]
-    names = tuple(f"d{i}" for i in range(len(fits)))
-    selected = {name: theta for name, (theta, _) in zip(names, fits)}
+    x_set, theta_set, hc = system.x_set, system.theta_set, system.hypotheses
+    chunk = max(VALUE_CELL_CAP // len(theta_set), 1)
+    stacks = [datasets[i : i + chunk] for i in range(0, len(datasets), chunk)]
+    fits = [fit_fn(stack) for stack in stacks]
+    names = tuple(f"d{i}" for i in range(len(datasets)))
+    selected = dict(zip(names, [theta for chosen, _ in fits for theta in chosen]))
     derived = FiniteSystem(
         (FiniteSet("datasets", names), theta_set), tuple(selected.items()), ((0,), (1,))
     )
+    codes = hc.codes_over(x_set.elements)
+
+    @cache
+    def outputs(theta: Atom) -> list[Atom]:
+        """θ's outputs over X; a θ outside Θ raises what :meth:`HypothesisClass.output`
+        raises."""
+        if theta not in theta_set:
+            return [hc.output(theta, x) for x in x_set.elements]
+        return list(map(hc.outputs.__getitem__, codes[theta_set.index(theta)].tolist()))
+
     if inductive_system is None:
         inductive_system = derived
     if functional_system is None:
@@ -732,29 +837,31 @@ def verify_decomposition(
         functional_system = FiniteSystem(
             (theta_set, x_set, system.y_set),
             tuple(
-                (theta, x, output(theta, x))
+                (theta, x, y)
                 for theta in sorted(coupled, key=theta_set.index)
-                for x in x_set.elements
+                for x, y in zip(x_set.elements, outputs(theta))
             ),
             ((0, 1), (2,)),
         )
 
     composed = cascade(inductive_system, functional_system, (1, 0))
     direct = frozenset(
-        (name, x, output(chosen, x))
+        (name, x, y)
         for name, chosen in selected.items()
-        for x in x_set.elements
+        for x, y in zip(x_set.elements, outputs(chosen))
     )
     cascade_violations = tuple(
         sorted(direct.symmetric_difference(composed.tuple_set), key=repr)
     )
     seeking = _seeking(inductive_system, theta_set, selected)
 
+    objectives = [objective for _, values in fits for objective in values]
+    refits = (theta for stack in stacks for theta in fit_fn(stack)[0])
     optimality: list[tuple[Atom, ...]] = []
-    for name, (chosen, objective), d in zip(selected, fits, datasets):
+    for (name, chosen), objective, again in zip(selected.items(), objectives, refits):
         better = np.flatnonzero(objective < objective[theta_set.index(chosen)])
         optimality.extend((name, theta_set.elements[i]) for i in better)
-        if fit_fn(d)[0] != chosen:
+        if again != chosen:
             optimality.append((name, "nondeterministic"))
 
     return AxiomReport(cascade_violations, seeking, tuple(optimality), tuple(selected))
@@ -768,5 +875,6 @@ def verify_learning_axioms(
 ) -> AxiomReport:
     """Run the decomposition checks on a learning system directly."""
     return verify_decomposition(
-        system, sample_datasets, lambda d: fit(d, system), functional_system, inductive_system
+        system, sample_datasets, partial(fit_stack, system=system), functional_system,
+        inductive_system,
     )

@@ -150,17 +150,27 @@ def sample_dataset(
     rng: np.random.Generator,
     tag: str = "sampled",
 ) -> Dataset:
-    """Draw (x, y) pairs: x from the marginal, y from its conditional row."""
+    """Draw (x, y) pairs: x from the marginal, y from its conditional row.
+
+    The inputs are one ``rng.choice`` draw and the labels one
+    ``rng.random(size)`` draw, each uniform picking its label from its
+    row's CDF built as ``Generator.choice`` builds it (cumulative sums
+    over their last, then ``searchsorted(side="right")``).  So the pairs
+    and the generator's state are those of one ``rng.choice(k, p=row)``
+    per pair after the inputs.
+    """
+    if size <= 0:
+        return Dataset((), tag)
     xs = marginal.support.elements
-    pairs = []
-    if size > 0:
-        idx = rng.choice(len(xs), size=size, p=marginal.probs)
-        for i in idx:
-            x = xs[int(i)]
-            row = posterior.row(x)
-            j = rng.choice(len(row.probs), p=row.probs)
-            pairs.append((x, row.support.elements[int(j)]))
-    return Dataset(tuple(pairs), tag)
+    idx = rng.choice(len(xs), size=size, p=marginal.probs).tolist()
+    uniforms = rng.random(size)
+    position = {i: k for k, i in enumerate(dict.fromkeys(idx))}  # first drawn first
+    cdf = np.cumsum([posterior.row(xs[i]).probs for i in position], axis=1)
+    cdf /= cdf[:, -1:]
+    # On a non-decreasing row, searchsorted(side="right") counts the entries <= u.
+    labels = (cdf[[position[i] for i in idx]] <= uniforms[:, None]).sum(axis=1).tolist()
+    ys = posterior.output_support.elements
+    return Dataset(tuple((xs[i], ys[j]) for i, j in zip(idx, labels)), tag)
 
 
 def resample_pack(pack: SystemPack, size: int, rng: np.random.Generator, tag: str) -> Dataset:

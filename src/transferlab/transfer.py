@@ -21,14 +21,14 @@ knowledge.  It is itself a learning system, :attr:`TransferSystem.system_tr`,
 whose hypotheses learning's own functions score.  The selection is
 deterministic, the first minimizer in canonical order, so that claim is
 checkable by enumeration (:func:`verify_transfer_is_learning_system`
-audits ``system_tr`` with :func:`transfer_fit` as its fit function).
+audits ``system_tr`` with :func:`transfer_fit_stack` as its fit function).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +46,9 @@ from .learning import (
     HypothesisClass,
     LearningSystem,
     SystemPack,
+    count_tables,
     minimize,
+    score_table,
     verify_decomposition,
 )
 from .relations import Atom, FiniteSet, _sequence
@@ -247,14 +249,29 @@ class TransferSystem:
         return self.system_tr.theta_set
 
     @cached_property
-    def source_counts(self) -> np.ndarray:
-        """``C_s[x, y]`` of the source instances over the target's sample space, counted once.
+    def source_scores(self) -> tuple[np.ndarray, int]:
+        """The source instances' loss total per target θ and their pair count, scored once.
 
-        Instances outside that space raise :class:`IncompatibleSupport`
-        on every read, so a run that pools them is refused.
+        Every fit of a pooling rule adds them, weighted, to its target
+        totals.  Instances outside the target's sample space raise
+        :class:`IncompatibleSupport` on every read, so a run that pools
+        them is refused.
         """
-        instances = _in_target_space(self.knowledge.instances, self.target)
-        return instances.counts(self.target.x_set, self.target.y_set)
+        target = self.target
+        instances = _in_target_space(self.knowledge.instances, target)
+        counts = instances.counts(target.x_set, target.y_set)
+        return score_table(target.codes, target.y_set, target.loss, counts)
+
+    @cached_property
+    def latent_source_counts(self) -> np.ndarray:
+        """``C_s[u, z]`` of the source instances through the source pair map, counted once.
+
+        The feature rule adds it to each target dataset's latent table.
+        """
+        spec, lat = self.latent, self.latent.latent_system
+        instances = self.knowledge.instances.pairs
+        mapped = Dataset(tuple(map(spec.pair_map_source.__getitem__, instances)))
+        return mapped.counts(lat.x_set, lat.y_set)
 
 
 def _in_target_space(instances: Dataset, target: LearningSystem) -> Dataset:
@@ -317,43 +334,50 @@ class TransferTrace:
         return dict(zip(self.system.theta_tr_set.elements, self.values.tolist()))
 
 
-def latent_dataset(ts: TransferSystem, target_data: Dataset) -> Dataset:
-    """Pooled data pushed through the latent pair maps."""
-    spec = ts.latent
-    mapped = [spec.pair_map_target[p] for p in target_data.pairs]
-    mapped += [spec.pair_map_source[p] for p in ts.knowledge.instances.pairs]
-    return Dataset(tuple(mapped), "latent")
+def transfer_fit_stack(
+    ts: TransferSystem, datasets: Sequence[Dataset]
+) -> tuple[list[Atom], np.ndarray]:
+    """The rule's selection from each target dataset and the m × ``theta_tr_set`` objective.
+
+    One :func:`~transferlab.learning.minimize` call scores every
+    dataset.  The source instances are counted once per transfer system:
+    the pooling rules score their table once, and the feature rule adds
+    their latent table to each dataset's.  Every dataset's pairs are
+    checked before any dataset is fitted.
+    """
+    target = ts.target
+    for d in datasets:
+        d.validate_against(target.x_set, target.y_set)
+    if ts.approach == "feature_representation":
+        if not (len(ts.knowledge.instances) or all(map(len, datasets))):
+            raise EmptyDataset("feature-representation transfer needs mapped data")
+        spec = ts.latent
+        lat = spec.latent_system
+        mapped = [Dataset(tuple(map(spec.pair_map_target.__getitem__, d.pairs))) for d in datasets]
+        tables = count_tables(mapped, lat.x_set, lat.y_set) + ts.latent_source_counts
+        rows, values = minimize(lat.codes, lat.y_set, lat.loss, tables)
+        return list(map(lat.theta_set.elements.__getitem__, rows.tolist())), values
+
+    tables = count_tables(datasets, target.x_set, target.y_set)
+    source = anchor = None
+    takes_instances, takes_parameters = CONSUMES[ts.approach]
+    if takes_instances:
+        source = ts.source_scores
+        if not (len(ts.knowledge.instances) or all(map(len, datasets))):
+            raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
+    if takes_parameters:
+        anchor = target.theta_set.index(ts.knowledge.parameters[0])
+    rows, values = minimize(
+        target.codes, target.y_set, target.loss, tables, source, ts.pool_weight,
+        anchor, ts.penalty_weight,
+    )
+    return list(map(target.theta_set.elements.__getitem__, rows.tolist())), values
 
 
 def transfer_fit(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, np.ndarray]:
     """The rule's selection and its objective over ``theta_tr_set``, as :func:`fit` returns them."""
-    target_data.validate_against(ts.target.x_set, ts.target.y_set)
-    if ts.approach == "feature_representation":
-        latent_d = latent_dataset(ts, target_data)
-        if len(latent_d) == 0:
-            raise EmptyDataset("feature-representation transfer needs mapped data")
-        lat = ts.latent.latent_system
-        counts = latent_d.counts(lat.x_set, lat.y_set)
-        row, values = minimize(lat.codes, lat.y_set, lat.loss, counts)
-        return lat.theta_set.elements[row], values
-
-    target = ts.target
-    counts = target_data.counts(target.x_set, target.y_set)
-    source = anchor = None
-    takes_instances, takes_parameters = CONSUMES[ts.approach]
-    if takes_instances:
-        source = ts.source_counts
-        if len(target_data) + len(ts.knowledge.instances) == 0:
-            raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
-    elif len(target_data) == 0:
-        counts = None  # zero-shot: the penalty alone
-    if takes_parameters:
-        anchor = target.theta_set.index(ts.knowledge.parameters[0])
-    row, values = minimize(
-        target.codes, target.y_set, target.loss, counts, source, ts.pool_weight,
-        anchor, ts.penalty_weight,
-    )
-    return target.theta_set.elements[row], values
+    (theta,), values = transfer_fit_stack(ts, (target_data,))
+    return theta, values[0]
 
 
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
@@ -442,14 +466,16 @@ def verify_transfer_is_learning_system(
     """Audit the transfer system as the learning system it is.
 
     The audited system is :attr:`TransferSystem.system_tr`, with
-    :func:`transfer_fit` as its fit function; the checks over the sampled
+    :func:`transfer_fit_stack` as its fit function; the checks over the sampled
     target datasets are those of :func:`~transferlab.learning.verify_learning_axioms`,
     by the same :func:`~transferlab.learning.verify_decomposition`.  Like
     that audit it refuses no system and no dataset list for its size: it
-    fits each dataset twice and scans each selection's objective vector,
-    so its cost is linear in datasets × |Θ| × |X|.
+    fits the datasets in two stacked calls, which pool the source
+    instances' scores of :attr:`TransferSystem.source_scores`, and scans
+    each selection's objective row, so
+    its cost is linear in datasets × |Θ| × |X|.
     """
-    system = ts.system_tr
     return verify_decomposition(
-        system, target_datasets, lambda d: transfer_fit(ts, d), functional_system, inductive_system
+        ts.system_tr, target_datasets, partial(transfer_fit_stack, ts), functional_system,
+        inductive_system,
     )

@@ -39,7 +39,7 @@ from transferlab.relations import (
     cascade,
 )
 from transferlab.structural import _set_partitions, _structure_system
-from transferlab.transfer import latent_dataset, pool_data, transfer_fit
+from transferlab.transfer import pool_data, transfer_fit
 
 
 def io_system(pairs, x_name="X", y_name="Y", xs=None, ys=None) -> FiniteSystem:
@@ -143,6 +143,30 @@ def pair_counts(pairs):
     return counts
 
 
+def scalar_count_table(pairs, x_set, y_set):
+    """``C[x, y]`` from :func:`pair_counts`, each distinct pair placed by two ``FiniteSet.index``
+    look-ups, input first, so the first pair outside X × Y raises what they raise."""
+    table = np.zeros((len(x_set), len(y_set)), dtype=np.int64)
+    for (x, y), c in pair_counts(pairs).items():
+        table[x_set.index(x), y_set.index(y)] += c
+    return table
+
+
+def scalar_loss_totals(system, counts):
+    """Per θ, the ``math.fsum`` of count × loss over the occupied cells of ``C[x, y]``."""
+    xs, ys = system.x_set.elements, system.y_set.elements
+    loss, h = system.loss.loss, system.hypotheses.output
+    cells = [
+        (x, y, int(counts[i, j]))
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+        if counts[i, j]
+    ]
+    return np.array(
+        [math.fsum(c * loss(y, h(t, x)) for x, y, c in cells) for t in system.theta_set]
+    )
+
+
 def scalar_risk(data, theta, system):
     """Mean loss of one hypothesis, summed with ``math.fsum`` over distinct pairs."""
     if len(data) == 0:
@@ -184,6 +208,14 @@ def _weighted_pool_objective(ts, target_data, theta):
     return num / (len(target_data) + w * len(ts.knowledge.instances))
 
 
+def latent_dataset(ts, target_data):
+    """Target data then source instances, pushed through the latent pair maps into one dataset."""
+    spec = ts.latent
+    mapped = [spec.pair_map_target[p] for p in target_data.pairs]
+    mapped += [spec.pair_map_source[p] for p in ts.knowledge.instances.pairs]
+    return Dataset(tuple(mapped), "latent")
+
+
 def transfer_objective(ts, target_data, theta):
     """The quantity the transfer rule minimizes over its parameter set."""
     system = ts.system_tr
@@ -209,8 +241,8 @@ def transfer_objective(ts, target_data, theta):
 
 
 # The dense core as first vectorized, one |Θ|×|X| gather or comparison
-# reduced along each row: the per-label products in transferlab.learning
-# must give the same zero-one totals and anchor distances.
+# reduced along each row: the |Y| − 1 indicator products of a stack in
+# transferlab.learning must give the same zero-one totals and anchor distances.
 
 def gather_loss_totals(codes, counts):
     """Zero-one error counts of every row θ of ``codes`` on the count table ``C[x, y]``."""
@@ -576,6 +608,20 @@ def scalar_estimate_measure(pairs, over, smoothing=0.0, support=None) -> Empiric
     return EmpiricalMeasure(
         support, tuple((counts[el] + smoothing) / total for el in support.elements)
     )
+
+
+def scalar_sample_dataset(marginal, posterior, size, rng, tag="sampled") -> Dataset:
+    """``scenarios.sample_dataset`` as first written: one ``rng.choice`` per label."""
+    xs = marginal.support.elements
+    pairs = []
+    if size > 0:
+        idx = rng.choice(len(xs), size=size, p=marginal.probs)
+        for i in idx:
+            x = xs[int(i)]
+            row = posterior.row(x)
+            j = rng.choice(len(row.probs), p=row.probs)
+            pairs.append((x, row.support.elements[int(j)]))
+    return Dataset(tuple(pairs), tag)
 
 
 def scalar_mmd(p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:

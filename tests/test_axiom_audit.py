@@ -36,6 +36,7 @@ from transferlab.learning import (
     HypothesisClass,
     LearningSystem,
     fit,
+    fit_stack,
     full_function_class,
     verify_decomposition,
     verify_learning_axioms,
@@ -292,7 +293,7 @@ def test_transfer_axioms_match_oracle(data):
     )
 
 
-# -- one fit per dataset, one more for determinism ---------------------------------------
+# -- one stacked fit of every dataset, one more for determinism ----------------------------
 
 def counted(fn, calls):
     """``fn``, appending the arguments of each call to ``calls``."""
@@ -307,18 +308,30 @@ ERM = LearningSystem(X2, Y2, full_function_class(X2, Y2))
 SAMPLES = [Dataset((("x0", 1),)), Dataset((("x0", 0), ("x1", 1), ("x0", 0))), Dataset((("x1", 0),))]
 
 
-def test_the_audit_calls_its_fit_twice_per_dataset():
+def test_the_audit_fits_its_datasets_in_one_call_and_refits_them_in_one_more():
     calls = []
-    fit_fn = counted(lambda d: fit(d, ERM), calls)
+    fit_fn = counted(lambda ds: fit_stack(ds, ERM), calls)
     assert verify_decomposition(ERM, SAMPLES, fit_fn).passed
-    assert calls == [(d,) for d in SAMPLES + SAMPLES]
+    assert calls == [(SAMPLES,), (SAMPLES,)]
+
+
+def test_a_stack_over_the_cap_is_fed_in_chunks_under_it(monkeypatch):
+    # Two datasets × 4 parameters fit under a cap of 8 values: SAMPLES goes as 2 + 1.
+    monkeypatch.setattr(learning, "VALUE_CELL_CAP", 2 * len(ERM.theta_set))
+    calls = []
+    fit_fn = counted(lambda ds: fit_stack(ds, ERM), calls)
+    report = verify_decomposition(ERM, SAMPLES, fit_fn)
+    assert calls == [(SAMPLES[:2],), (SAMPLES[2:],)] * 2
+    assert report == scalar_learning_axioms(ERM, SAMPLES)
+    ts = TransferSystem(ERM, ERM, Knowledge(instances=SAMPLES[0]), "instance")
+    assert verify_transfer_is_learning_system(ts, SAMPLES) == scalar_transfer_axioms(ts, SAMPLES)
 
 
 def test_a_choice_a_hair_above_the_minimum_is_flagged():
     # The scan compares the very vector the fit chose from, so it needs no slack:
     # a choice 1e-13 above the minimum is not optimal.
     values = np.array([0.5, 0.5 + 1e-13, 0.7, 0.9])
-    report = verify_decomposition(ERM, SAMPLES, lambda d: ("h1", values))
+    report = verify_decomposition(ERM, SAMPLES, lambda ds: (["h1"] * len(ds), [values] * len(ds)))
     assert report.optimality_violations == (("d0", "h0"), ("d1", "h0"), ("d2", "h0"))
     oracle = scalar_verify_decomposition(ERM, SAMPLES, lambda d: "h1", lambda d: values)
     assert report == oracle
@@ -397,11 +410,11 @@ def test_both_audits_compute_each_objective_twice(monkeypatch):
     for module in (learning, transfer):
         monkeypatch.setattr(module, "minimize", minimize)
     assert verify_learning_axioms(ERM, SAMPLES).passed
-    assert len(calls) == 2 * len(SAMPLES)
+    assert [len(args[3]) for args in calls] == [len(SAMPLES)] * 2  # each call a stack of 3 tables
     calls.clear()
     ts = TransferSystem(ERM, ERM, Knowledge(instances=SAMPLES[0]), "instance")
     assert verify_transfer_is_learning_system(ts, SAMPLES).passed
-    assert len(calls) == 2 * len(SAMPLES)
+    assert [len(args[3]) for args in calls] == [len(SAMPLES)] * 2
 
 
 # -- every small world, and a large one ---------------------------------------------

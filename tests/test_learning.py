@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     as_goal_seeking,
     hypothesis_table,
     random_dataset,
     random_learning_system,
+    scalar_count_table,
     scalar_prediction_error,
     selection_objective,
 )
@@ -20,6 +23,7 @@ from transferlab.learning import (
     HypothesisClass,
     LearningSystem,
     LossSpec,
+    count_tables,
     empirical_risk,
     evaluate,
     full_function_class,
@@ -107,8 +111,9 @@ class TestRunAlgorithm:
 
     @pytest.mark.parametrize("pair", [("x0", 5), ("zz", 0)])
     def test_pair_outside_sample_space_raises(self, pair):
-        with pytest.raises(UnknownElement):
-            run_algorithm(Dataset((pair,)), two_theta_system())
+        message = {"x0": "5 is not an element of set 'Y'", "zz": "'zz' is not an element of set 'X'"}
+        with pytest.raises(UnknownElement, match=f"^{re.escape(message[pair[0]])}$"):
+            run_algorithm(Dataset((("x1", 0), pair, ("zz", 5))), two_theta_system())
 
     def test_penalized_pulls_toward_anchor(self):
         base = two_theta_system()
@@ -119,6 +124,32 @@ class TestRunAlgorithm:
         d = Dataset((("x0", 0),))  # plain risk prefers t0, heavy penalty overrides
         assert run_algorithm(d, base) != run_algorithm(d, sys)
         assert run_algorithm(d, sys) == "t1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(XS + ("zz",)), st.sampled_from((0, 1, True, 5)))),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_count_tables_are_the_pair_count_tables_and_refuse_as_index_does(stack, inside):
+    """One bincount gives each dataset's ``pair_counts`` table; the first pair in order
+    outside X × Y raises the class and message of the look-up that refuses it."""
+    x_set, y_set = FiniteSet("X", XS), FiniteSet("Y", (0, 1))
+    if inside:
+        stack = [[(x, y) for x, y in pairs if x in x_set and y in y_set] for pairs in stack]
+    datasets = [Dataset(tuple(pairs)) for pairs in stack]
+    try:
+        expected = [scalar_count_table(d.pairs, x_set, y_set) for d in datasets]
+    except UnknownElement as exc:
+        with pytest.raises(UnknownElement, match=f"^{re.escape(str(exc))}$"):
+            count_tables(datasets, x_set, y_set)
+        return
+    tables = count_tables(datasets, x_set, y_set)
+    assert tables.dtype == np.int64 and tables.shape == (len(datasets), 3, 2)
+    assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
 
 
 class TestEncoding:

@@ -6,10 +6,17 @@ be repr-equal to the scalar oracle's per-θ values, the selected
 parameter must be the oracle's first minimizer, and both must raise the
 same errors.  On count tables with all-zero rows, and on the full class
 at |X| = 12 with up to 2**40 pairs per cell, the zero-one totals and
-anchor distances must be repr-equal to the gather oracle's.
+anchor distances must be repr-equal to the gather oracle's.  A stack of
+count tables must give each table the rows and values a one-table call
+and the oracles give it, and a stack over the cap is refused before any
+value is made.
 """
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +25,14 @@ from helpers import (
     gather_anchor_distance,
     gather_loss_totals,
     scalar_argmin,
+    scalar_loss_totals,
     selection_objective,
     table_class,
     transfer_objective,
 )
+from transferlab.errors import CapExceeded, EmptyDataset
 from transferlab.learning import (
+    VALUE_CELL_CAP,
     AlgorithmSpec,
     Dataset,
     LearningSystem,
@@ -32,6 +42,7 @@ from transferlab.learning import (
     full_function_class,
     minimize,
     run_algorithm,
+    score_table,
 )
 from transferlab.relations import FiniteSet
 from transferlab.transfer import (
@@ -185,20 +196,36 @@ def test_transfer_matches_oracle(data, loss):
 
 
 @st.composite
-def count_tables(draw, shape):
-    """``C[x, y]`` with small counts, where some inputs have an all-zero row."""
+def count_tables(draw, shape, cells=st.integers(0, 5)):
+    """``C[x, y]`` with counts drawn from ``cells``, where some inputs have an all-zero row."""
     n_x, n_y = shape
-    row = st.lists(st.integers(0, 5), min_size=n_y, max_size=n_y)
+    row = st.lists(cells, min_size=n_y, max_size=n_y)
     return np.array(
         [draw(row) if draw(st.booleans()) else [0] * n_y for _ in range(n_x)], dtype=np.int64
     )
 
 
+def oracle_objective(totals, codes, counts, pooled, pool_weight, anchor, penalty_weight):
+    """Every θ's objective from the oracle ``totals(C)``, in the core's float order.
+
+    ``pooled`` and ``anchor`` may be ``None``; a table that, pooled, counts
+    no pair gives the penalty alone (``None`` without an anchor).
+    """
+    numerator, denominator = totals(counts), int(counts.sum())
+    if pooled is not None:
+        numerator = numerator + pool_weight * totals(pooled)
+        denominator = denominator + pool_weight * int(pooled.sum())
+    risk = numerator / denominator if denominator else None
+    if anchor is None:
+        return risk
+    penalty = penalty_weight * (gather_anchor_distance(codes, anchor) / codes.shape[1])
+    return penalty if risk is None else risk + penalty
+
+
 def gather_objective(codes, counts, pooled, pool_weight, anchor, penalty_weight):
-    """The zero-one objective of every θ from the gather oracle, in the core's float order."""
-    numerator = gather_loss_totals(codes, counts) + pool_weight * gather_loss_totals(codes, pooled)
-    risk = numerator / (int(counts.sum()) + pool_weight * int(pooled.sum()))
-    return risk + penalty_weight * (gather_anchor_distance(codes, anchor) / codes.shape[1])
+    """The zero-one objective of every θ from the gather oracle."""
+    totals = partial(gather_loss_totals, codes)
+    return oracle_objective(totals, codes, counts, pooled, pool_weight, anchor, penalty_weight)
 
 
 @SETTINGS
@@ -210,11 +237,69 @@ def test_target_pool_and_anchor_match_gather_oracle(data, penalty_weight, pool_w
     assume(counts.sum() + pooled.sum() > 0)
     anchor = data.draw(st.integers(0, len(codes) - 1))
 
+    scored = score_table(codes, system.y_set, system.loss, pooled)
     _, values = minimize(
-        codes, system.y_set, system.loss, counts, pooled, pool_weight, anchor, penalty_weight
+        codes, system.y_set, system.loss, counts[None], scored, pool_weight, anchor, penalty_weight
     )
     expected = gather_objective(codes, counts, pooled, pool_weight, anchor, penalty_weight)
-    assert reprs(values.tolist()) == reprs(expected.tolist())
+    assert reprs(values[0].tolist()) == reprs(expected.tolist())
+
+
+@SETTINGS
+@given(st.data(), losses, st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans())
+def test_a_stack_scores_each_table_as_it_alone_and_the_oracles_do(
+    data, loss, m, n_y, pooled_in, anchored
+):
+    """m tables in one call: the rows and values of m one-table calls and of the oracles."""
+    system = data.draw(systems("", ys=LABELS[:n_y], loss=loss))
+    codes, shape, y_set = system.codes, (len(system.x_set), n_y), system.y_set
+    cells = st.sampled_from((0, 1, 3, 2**40))  # zero-one totals stay exact up to 2**53
+    tables = np.array([data.draw(count_tables(shape, cells)) for _ in range(m)])
+    pooled = data.draw(count_tables(shape, cells)) if pooled_in else None
+    anchor = data.draw(st.integers(0, len(codes) - 1)) if anchored else None
+    # A weight of -0.0 gives an empty table the penalty -0.0, as written, not 0.0 + -0.0.
+    terms = (pooled, 2.5, anchor, data.draw(st.sampled_from((0.7, -0.0))))
+    scored = None if pooled is None else score_table(codes, y_set, system.loss, pooled)
+    args = (scored, *terms[1:])
+
+    singles = outcome(lambda: [minimize(codes, y_set, system.loss, t[None], *args) for t in tables])
+    got = outcome(lambda: minimize(codes, y_set, system.loss, tables, *args))
+    if isinstance(singles, type):
+        assert got is singles is EmptyDataset  # a table without pairs and no anchor
+        return
+    rows, values = got
+    assert values.shape == (m, len(codes))
+    assert rows.tolist() == [int(row[0]) for row, _ in singles]
+    assert reprs(values.ravel().tolist()) == reprs([v for _, vs in singles for v in vs[0].tolist()])
+
+    if loss == "zero_one":
+        totals = partial(gather_loss_totals, codes)
+    else:
+        totals = partial(scalar_loss_totals, system)
+    for table, row, objective in zip(tables, rows.tolist(), values):
+        expected = oracle_objective(totals, codes, table, *terms)
+        assert reprs(objective.tolist()) == reprs(expected.tolist())
+        data_term = table.sum() + (0 if pooled is None else pooled.sum()) > 0
+        chosen = scalar_argmin(range(len(codes)), expected.__getitem__) if data_term else anchor
+        assert row == chosen
+
+
+def test_a_stack_over_the_cap_is_refused_before_any_value_is_made():
+    """The cap is checked first: a broadcast stack one table over it allocates nothing."""
+    x_set, y_set = FiniteSet("X", ("a", "b")), FiniteSet("Y", (0, 1))
+    codes = LearningSystem(x_set, y_set, full_function_class(x_set, y_set)).codes
+    m = VALUE_CELL_CAP // len(codes) + 1
+    tables = np.broadcast_to(np.ones((2, 2), np.int64), (m, 2, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"^{m} count tables × 4 parameters exceed the cap"):
+            minimize(codes, y_set, LossSpec(), tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    rows, values = minimize(codes, y_set, LossSpec(), tables[:64])
+    assert values.shape == (64, 4) and set(rows.tolist()) == {0}
 
 
 def test_full_class_at_the_cap_matches_gather_oracle():
@@ -228,14 +313,16 @@ def test_full_class_at_the_cap_matches_gather_oracle():
     pooled = np.full((12, 2), 2**40, dtype=np.int64)
     loss = LossSpec()
 
-    for table in (counts, pooled):
-        totals = _loss_totals(codes, y_set, loss, table)
-        assert reprs(totals.tolist()) == reprs(gather_loss_totals(codes, table).tolist())
+    totals = _loss_totals(codes, y_set, loss, np.array([counts, pooled]))
+    for table, row in zip((counts, pooled), totals):
+        assert reprs(row.tolist()) == reprs(gather_loss_totals(codes, table).tolist())
+    empty = np.zeros((1, 12, 2), dtype=np.int64)
     for anchor in (0, 1234, 4095):
-        row, distances = minimize(codes, y_set, loss, None, anchor=anchor, penalty_weight=1.0)
-        assert row == anchor
+        rows, distances = minimize(codes, y_set, loss, empty, anchor=anchor, penalty_weight=1.0)
+        assert rows.tolist() == [anchor]
         expected = gather_anchor_distance(codes, anchor) / 12
-        assert reprs(distances.tolist()) == reprs(expected.tolist())
-        _, values = minimize(codes, y_set, loss, counts, pooled, 2.5, anchor, 0.7)
+        assert reprs(distances[0].tolist()) == reprs(expected.tolist())
+        scored = score_table(codes, y_set, loss, pooled)
+        _, values = minimize(codes, y_set, loss, counts[None], scored, 2.5, anchor, 0.7)
         expected = gather_objective(codes, counts, pooled, 2.5, anchor, 0.7)
-        assert reprs(values.tolist()) == reprs(expected.tolist())
+        assert reprs(values[0].tolist()) == reprs(expected.tolist())
