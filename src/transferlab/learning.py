@@ -25,9 +25,14 @@ totals are the pairs minus the hits, and the hits take |Y| − 1 products
 of a 0/1 indicator ``codes == y`` with the difference columns
 ``T[:, :, y] − T[:, :, 0]``, laid side by side as one matrix product
 per stack; the anchor distance is a product of an indicator with a ones
-vector.  Every term and partial sum is an integer whose absolute value
-is at most the pairs counted, below 2**53, so float64 holds them
-exactly and the summation order cannot change them.  The divisions and
+vector.  Neither depends on the data, so neither is built per fit: a
+learning system holds its float64 indicator, the zero-one operand
+(:attr:`LearningSystem.zero_one_operand`), and whoever owns an anchor
+(a penalized system, a transfer system that consumes a parameter)
+holds its one distance vector.  Every term and partial sum is an
+integer whose absolute value is at most the pairs counted, below
+2**53, so float64 holds them exactly and the summation order cannot
+change them; a float32 operand would not.  The divisions and
 weights that combine them round, so two θ whose exact objectives tie
 can differ in their values.  Squared totals are summed per θ with
 ``math.fsum``.  Because every carrier is finite, the defining
@@ -111,7 +116,8 @@ def count_tables(datasets: Sequence[Dataset], x_set: FiniteSet, y_set: FiniteSet
     A pair of dataset ``i`` counts in cell ``(i·|X| + x)·|Y| + y`` of one
     flat table.  The first pair in order outside X × Y raises the
     :class:`UnknownElement` that ``FiniteSet.index`` raises for it, its
-    input looked up first.
+    input looked up first; a pair with an unhashable coordinate, which
+    no set holds, raises one that names the pair.
     """
     n_x, n_y = len(x_set), len(y_set)
     rows, labels = x_set._index, y_set._index
@@ -121,10 +127,13 @@ def count_tables(datasets: Sequence[Dataset], x_set: FiniteSet, y_set: FiniteSet
             for i, d in enumerate(datasets)
             for x, y in d.pairs
         ]
-    except KeyError:  # a look-up failed, so one of these raises
+    except (KeyError, TypeError):  # a look-up failed, so one of these raises
         for x, y in itertools.chain(*(d.pairs for d in datasets)):
-            x_set.index(x)
-            y_set.index(y)
+            try:
+                x_set.index(x)
+                y_set.index(y)
+            except TypeError:
+                raise UnknownElement(f"dataset pair {(x, y)!r} is not hashable") from None
     counts = np.bincount(cells, minlength=len(datasets) * n_x * n_y)
     return counts.reshape(len(datasets), n_x, n_y)
 
@@ -345,7 +354,14 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class LearningSystem:
-    """Finite input/output sets, a hypothesis table, a loss, an algorithm."""
+    """Finite input/output sets, a hypothesis table, a loss, an algorithm.
+
+    What every fit reads but no data changes is derived once, when first
+    read, and held: the encoded table :attr:`codes`, the zero-one operand
+    :attr:`zero_one_operand`, and a penalized algorithm's
+    :attr:`anchor_term`, none of them writable.  Packs over one sample
+    space may share one system, and with it all three.
+    """
 
     x_set: FiniteSet
     y_set: FiniteSet
@@ -369,6 +385,26 @@ class LearningSystem:
     def codes(self) -> np.ndarray:
         """The hypothesis table encoded as ``H[θ, x]`` over this system's sets."""
         return self.hypotheses.encode(self.x_set, self.y_set)
+
+    @cached_property
+    def zero_one_operand(self) -> np.ndarray:
+        """The float64 indicator of ``codes == y`` for each label y ≥ 1, built once.
+
+        Row ``x·(|Y| − 1) + y − 1`` holds every θ's hit of label y at
+        input x, C-contiguous over (|X|·(|Y| − 1)) × |Θ|, so each zero-one
+        fit is one product of its difference columns with it (see
+        :func:`_loss_totals`).  It stays float64: its products sum
+        integers below 2**53, which float64 holds exactly.
+        """
+        return _zero_one_operand(self.codes, len(self.y_set))
+
+    @cached_property
+    def anchor_term(self) -> tuple[int, np.ndarray] | None:
+        """A penalized algorithm's anchor row and every θ's distance to it, the ``anchor`` of
+        :func:`minimize`; ``None`` for ERM."""
+        if self.algorithm.kind == "erm":
+            return None
+        return _anchor_term(self.codes, self.theta_set.index(self.algorithm.anchor))
 
     def same_space(self, other: LearningSystem) -> bool:
         """Whether both systems have the same sample space X × Y, as sets of atoms."""
@@ -507,35 +543,57 @@ def scan(
 VALUE_CELL_CAP = 2**20
 
 
+def _zero_one_operand(codes: np.ndarray, n_labels: int) -> np.ndarray:
+    """``codes == y`` for the labels y ≥ 1 as float64 rows (x, y) over columns θ, C-contiguous.
+
+    Θ is the inner axis of the comparison, over a contiguous copy of
+    ``codes.T``, so it writes whole rows; with the labels inner, every
+    input's |Y| − 1 cells would be a short run.
+    """
+    # Labels as narrow as the codes, so the comparison casts no code to a wider type.
+    labels = np.arange(1, n_labels, dtype=np.min_scalar_type(max(n_labels - 1, 0)))
+    indicator = np.ascontiguousarray(codes.T)[:, None, :] == labels[:, None]
+    operand = indicator.reshape(-1, len(codes)).astype(np.float64, order="C")
+    operand.setflags(write=False)  # held by its system and read by every fit
+    return operand
+
+
+def _anchor_term(codes: np.ndarray, anchor: int) -> tuple[int, np.ndarray]:
+    """``anchor`` and ``d(θ, anchor)``, the inputs where each row θ differs from it, in float64."""
+    distances = (codes != codes[anchor]) @ np.ones(codes.shape[1])
+    distances.setflags(write=False)  # held by the anchor's owner and read by every fit
+    return anchor, distances
+
+
 def _loss_totals(
-    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, tables: np.ndarray
+    system: LearningSystem, tables: np.ndarray, rows: slice | list[int] = slice(None)
 ) -> np.ndarray:
-    """Per table ``T[i]`` and θ, the summed loss of ``H[θ]`` on the counted pairs, exactly.
+    """Per table ``T[i]`` and θ of ``rows`` (every θ by default), the summed loss of ``H[θ]``
+    on the counted pairs, exactly.
 
     Zero-one totals are error counts: the pairs minus the hits.  Every
     θ hits the label-0 pairs at the inputs it maps to label 0, so the
     hits are ``Σ_x T[i, x, 0] + Σ_{y≥1} (codes == y) @ (T[i, :, y] −
     T[i, :, 0])`` and the errors are the pairs not labelled 0 minus the
-    |Y| − 1 indicator products, laid side by side as one float64
-    indicator over the cells (x, y ≥ 1) times the stack of difference
-    columns (no cell when |Y| = 1).  A θ selects one label per input,
-    so every partial sum of a product is a sum of counts minus a sum of
-    counts of the same table: an integer whose absolute value is at
-    most the pairs counted in it, far below 2**53.  So float64 holds
-    the totals exactly whatever order the products sum in.  Squared
-    totals are the ``math.fsum`` of one ``count * loss`` term per
-    occupied cell, per table and θ.
+    |Y| − 1 indicator products, laid side by side as the stack of
+    difference columns over the cells (x, y ≥ 1) times the system's
+    :attr:`~LearningSystem.zero_one_operand`, which no fit rebuilds (no
+    cell when |Y| = 1).  A θ selects one label per input, so every
+    partial sum of a product is a sum of counts minus a sum of counts of
+    the same table: an integer whose absolute value is at most the pairs
+    counted in it, far below 2**53.  So float64 holds the totals exactly
+    whatever order the products sum in.  Squared totals are the
+    ``math.fsum`` of one ``count * loss`` term per occupied cell, per
+    table and θ.
     """
+    loss, codes = system.loss, system.codes[rows]
     if loss.kind == "zero_one":
         m, n_x, n_y = tables.shape
-        # Labels as narrow as the codes, so the comparison casts no code to a wider type.
-        labels = np.arange(1, n_y, dtype=np.min_scalar_type(max(n_y - 1, 0)))
-        cells = n_x * len(labels)
-        indicator = (codes[:, :, None] == labels).reshape(len(codes), cells)
-        steps = (tables[:, :, 1:] - tables[:, :, :1]).reshape(m, cells)
+        steps = (tables[:, :, 1:] - tables[:, :, :1]).reshape(m, n_x * (n_y - 1))
         unlabelled_0 = tables[:, :, 1:].sum(axis=(1, 2))
-        return unlabelled_0[:, None] - steps.astype(np.float64) @ indicator.T.astype(np.float64)
-    labels = y_set.elements
+        operand = system.zero_one_operand[:, rows]
+        return unlabelled_0[:, None] - steps.astype(np.float64) @ operand
+    labels = system.y_set.elements
     table = np.array([[loss.loss(y, prediction) for prediction in labels] for y in labels])
     totals = np.empty((len(tables), len(codes)))
     for i, counts in enumerate(tables):
@@ -546,31 +604,33 @@ def _loss_totals(
 
 
 def minimize(
-    codes: np.ndarray,
-    y_set: FiniteSet,
-    loss: LossSpec,
+    system: LearningSystem,
     tables: np.ndarray,
     pooled: tuple[np.ndarray, int] | None = None,
     pool_weight: float = 1.0,
-    anchor: int | None = None,
+    anchor: tuple[int, np.ndarray] | None = None,
     penalty_weight: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one selection rule, over a stack of count tables ``T[i, x, y]``.
+    """The one selection rule, over a stack of count tables ``T[i, x, y]`` of ``system``.
 
     Returns the chosen row θ of ``H[θ, x]`` for each table, and the
     m × |Θ| objective.  ``L(θ; C)`` sums the loss of ``H[θ]`` over the
     pairs counted in ``C[x, y]``: each table ``T[i]`` and the pooled
     source counts, whose loss totals per θ and pair count ``pooled``
     holds, scored once by :func:`score_table`, and which are weighted
-    by ``pool_weight`` and added to every table's.  ``d(θ, a)``
-    counts the inputs where ``H[θ]`` and row ``anchor`` differ
-    (``None``: no penalty term), as the product of the indicator
-    ``codes != codes[anchor]`` with a ones vector.  A table that counts
-    no pair, with no pooled pair either, has no risk term: its
-    objective is the penalty and its choice the ``anchor`` itself, and
-    without an anchor it raises :class:`EmptyDataset`.  Any other table
-    chooses the first minimizer of its row of values in canonical order.
+    by ``pool_weight`` and added to every table's.  ``anchor`` is the
+    anchor's row ``a`` and the distances ``d(θ, a)``, the inputs where
+    ``H[θ]`` and row ``a`` differ, as the owner of the anchor holds them
+    (:attr:`LearningSystem.anchor_term`,
+    :attr:`~transferlab.transfer.TransferSystem.anchor_term`); ``None``:
+    no penalty term.  A table that counts no pair, with no pooled pair
+    either, has no risk term: its objective is the penalty and its
+    choice the anchor itself, and without an anchor it raises
+    :class:`EmptyDataset`.  Any other table chooses the first minimizer
+    of its row of values in canonical order.
 
+    Nothing here depends on the data but what the tables count: the
+    zero-one operand and the distances are built once by their owners.
     The zero-one error counts (|Y| − 1 indicator products per stack, see
     :func:`_loss_totals`) and the distances are exact integers in
     float64; the float operations after them follow the formula's order,
@@ -578,13 +638,13 @@ def minimize(
     stack of more than :data:`VALUE_CELL_CAP` values raises
     :class:`CapExceeded` before any is computed.
     """
-    m = len(tables)
-    if m * len(codes) > VALUE_CELL_CAP:
+    m, n_theta = len(tables), len(system.theta_set)
+    if m * n_theta > VALUE_CELL_CAP:
         raise CapExceeded(
-            f"{m} count tables × {len(codes)} parameters exceed the cap of "
+            f"{m} count tables × {n_theta} parameters exceed the cap of "
             f"{VALUE_CELL_CAP} objective values"
         )
-    totals, pairs = _loss_totals(codes, y_set, loss, tables), tables.sum(axis=(1, 2))
+    totals, pairs = _loss_totals(system, tables), tables.sum(axis=(1, 2))
     if pooled is not None:
         pooled_totals, pooled_pairs = pooled
         totals = totals + pool_weight * pooled_totals
@@ -598,22 +658,20 @@ def minimize(
     values = totals / pairs[:, None]
     if anchor is None:
         return values.argmin(axis=1), values
-    differing = (codes != codes[anchor]) @ np.ones(codes.shape[1])
-    penalty = penalty_weight * (differing / codes.shape[1])
+    row, differing = anchor
+    penalty = penalty_weight * (differing / len(system.x_set))
     values += penalty
     rows = values.argmin(axis=1)
     if empty is not None:  # no risk term: the penalty itself, as written, and the anchor
         values[empty] = penalty
-        rows[empty] = anchor
+        rows[empty] = row
     return rows, values
 
 
-def score_table(
-    codes: np.ndarray, y_set: FiniteSet, loss: LossSpec, table: np.ndarray
-) -> tuple[np.ndarray, int]:
+def score_table(system: LearningSystem, table: np.ndarray) -> tuple[np.ndarray, int]:
     """One count table's loss total per θ and its pair count, the ``pooled`` term of
     :func:`minimize`."""
-    return _loss_totals(codes, y_set, loss, table[None])[0], int(table.sum())
+    return _loss_totals(system, table[None])[0], int(table.sum())
 
 
 def fit_stack(
@@ -623,12 +681,9 @@ def fit_stack(
 
     One :func:`minimize` call scores every dataset.
     """
-    algo = system.algorithm
     tables = count_tables(datasets, system.x_set, system.y_set)
-    anchor = None if algo.kind == "erm" else system.theta_set.index(algo.anchor)
     rows, values = minimize(
-        system.codes, system.y_set, system.loss, tables,
-        anchor=anchor, penalty_weight=algo.weight,
+        system, tables, anchor=system.anchor_term, penalty_weight=system.algorithm.weight
     )
     return list(map(system.theta_set.elements.__getitem__, rows.tolist())), values
 
@@ -640,11 +695,13 @@ def fit(data: Dataset, system: LearningSystem) -> tuple[Atom, np.ndarray]:
 
 
 def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
-    """Mean loss of the hypothesis indexed by ``theta`` on the data."""
+    """Mean loss of the hypothesis indexed by ``theta`` on the data, the value :func:`minimize`
+    gives it, from that θ's totals alone."""
     tables = count_tables((data,), system.x_set, system.y_set)
     row = system.theta_set.index(theta)
-    codes = system.codes[row : row + 1]
-    return float(minimize(codes, system.y_set, system.loss, tables)[1][0, 0])
+    if not len(data):
+        raise EmptyDataset("empirical risk needs at least one pair")
+    return float(_loss_totals(system, tables, [row])[0, 0] / len(data))
 
 
 def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:

@@ -184,7 +184,8 @@ def generate_pair(spec: ScenarioSpec) -> tuple[SystemPack, SystemPack, ScenarioF
     flipped) posterior; the target carries the uniform base marginal and
     the clean posterior.  Under a structural edit the target loses the
     last input component or the top label, and the source truth factors
-    through the corresponding collapse.
+    through the corresponding collapse.  Without one, both packs hold
+    the same learning system.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
@@ -223,20 +224,26 @@ def generate_pair(spec: ScenarioSpec) -> tuple[SystemPack, SystemPack, ScenarioF
     source_marginal = _shifted_marginal(source_x, spec.marginal_shift)
     target_marginal = EmpiricalMeasure.uniform(target_x)
 
-    loss = LossSpec("zero_one")
-
-    def pack(tag, x_set, y_set, marginal, posterior, truth, size) -> SystemPack:
-        data = sample_dataset(marginal, posterior, size, rng, tag)
+    def learner(x_set: FiniteSet, y_set: FiniteSet) -> LearningSystem:
         hypotheses = full_function_class(x_set, y_set, max_size=spec.hypothesis_cap)
-        system = LearningSystem(x_set, y_set, hypotheses, loss, AlgorithmSpec("erm"))
+        return LearningSystem(x_set, y_set, hypotheses, LossSpec("zero_one"), AlgorithmSpec("erm"))
+
+    # Without an edit both sides have one sample space, so one system, built and cached once.
+    source_system = learner(source_x, source_y)
+    target_system = source_system
+    if spec.structural_edit is not None:
+        target_system = learner(target_x, target_y)
+
+    def pack(tag, system, marginal, posterior, truth, size) -> SystemPack:
+        data = sample_dataset(marginal, posterior, size, rng, tag)
         return SystemPack(system, data, marginal, posterior, truth, tag=tag)
 
     n_source, n_target = spec.sample_sizes
     source_pack = pack(
-        "source", source_x, source_y, source_marginal, source_posterior, source_truth, n_source
+        "source", source_system, source_marginal, source_posterior, source_truth, n_source
     )
     target_pack = pack(
-        "target", target_x, target_y, target_marginal, target_posterior, target_truth, n_target
+        "target", target_system, target_marginal, target_posterior, target_truth, n_target
     )
 
     same_inputs = source_x.same_elements(target_x)

@@ -26,6 +26,7 @@ audits ``system_tr`` with :func:`transfer_fit_stack` as its fit function).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -46,6 +47,7 @@ from .learning import (
     HypothesisClass,
     LearningSystem,
     SystemPack,
+    _anchor_term,
     count_tables,
     minimize,
     score_table,
@@ -259,8 +261,39 @@ class TransferSystem:
         """
         target = self.target
         instances = _in_target_space(self.knowledge.instances, target)
-        counts = instances.counts(target.x_set, target.y_set)
-        return score_table(target.codes, target.y_set, target.loss, counts)
+        return score_table(target, instances.counts(target.x_set, target.y_set))
+
+    @cached_property
+    def anchor_term(self) -> tuple[int, np.ndarray] | None:
+        """The source parameter's row of the target table and every target θ's distance to it,
+        computed once; ``None`` when the rule consumes no parameter."""
+        if not CONSUMES[self.approach][1]:
+            return None
+        target = self.target
+        return _anchor_term(target.codes, target.theta_set.index(self.knowledge.parameters[0]))
+
+    @cached_property
+    def latent_cells(self) -> np.ndarray:
+        """``M[(x, y), (u, z)]``: 1 where the target pair map sends (x, y) to (u, z), else 0.
+
+        Rows and columns are flat cells ``x·|Y| + y`` of the target's and
+        ``u·|Z| + z`` of the latent sample space, so a stack of target
+        count tables times ``M`` is the stack of their latent tables.  The
+        pair map is total on the target's space and maps into the latent
+        one (checked at construction), so every row holds one 1 and the
+        integer product is exact.
+        """
+        spec, target = self.latent, self.target
+        lat = spec.latent_system
+        n_z = len(lat.y_set)
+        pairs = itertools.product(target.x_set, target.y_set)
+        images = [
+            lat.x_set.index(u) * n_z + lat.y_set.index(z)
+            for u, z in map(spec.pair_map_target.__getitem__, pairs)
+        ]
+        cells = np.zeros((len(images), len(lat.x_set) * n_z), np.int64)
+        cells[np.arange(len(images)), images] = 1
+        return cells
 
     @cached_property
     def latent_source_counts(self) -> np.ndarray:
@@ -340,36 +373,38 @@ def transfer_fit_stack(
     """The rule's selection from each target dataset and the m × ``theta_tr_set`` objective.
 
     One :func:`~transferlab.learning.minimize` call scores every
-    dataset.  The source instances are counted once per transfer system:
-    the pooling rules score their table once, and the feature rule adds
-    their latent table to each dataset's.  Every dataset's pairs are
-    checked before any dataset is fitted.
+    dataset.  What no target dataset changes is derived once per transfer
+    system: the pooling rules score the source instances once
+    (:attr:`TransferSystem.source_scores`), the parameter rules measure
+    the distances to their anchor once (:attr:`TransferSystem.anchor_term`),
+    and the feature rule counts the source instances' latent table once
+    and maps each target count table into the latent space through one
+    0/1 cell matrix (:attr:`TransferSystem.latent_cells`), with no
+    mapped dataset built.  Every dataset's pairs are checked before any
+    dataset is fitted.
     """
     target = ts.target
     for d in datasets:
         d.validate_against(target.x_set, target.y_set)
+    tables = count_tables(datasets, target.x_set, target.y_set)
     if ts.approach == "feature_representation":
         if not (len(ts.knowledge.instances) or all(map(len, datasets))):
             raise EmptyDataset("feature-representation transfer needs mapped data")
-        spec = ts.latent
-        lat = spec.latent_system
-        mapped = [Dataset(tuple(map(spec.pair_map_target.__getitem__, d.pairs))) for d in datasets]
-        tables = count_tables(mapped, lat.x_set, lat.y_set) + ts.latent_source_counts
-        rows, values = minimize(lat.codes, lat.y_set, lat.loss, tables)
+        lat = ts.latent.latent_system
+        cells = ts.latent_cells
+        latent = (tables.reshape(len(tables), len(cells)) @ cells).reshape(
+            len(tables), len(lat.x_set), len(lat.y_set)
+        )
+        rows, values = minimize(lat, latent + ts.latent_source_counts)
         return list(map(lat.theta_set.elements.__getitem__, rows.tolist())), values
 
-    tables = count_tables(datasets, target.x_set, target.y_set)
-    source = anchor = None
-    takes_instances, takes_parameters = CONSUMES[ts.approach]
-    if takes_instances:
+    source = None
+    if CONSUMES[ts.approach][0]:
         source = ts.source_scores
         if not (len(ts.knowledge.instances) or all(map(len, datasets))):
             raise EmptyDataset(f"{ts.approach} transfer needs pooled data")
-    if takes_parameters:
-        anchor = target.theta_set.index(ts.knowledge.parameters[0])
     rows, values = minimize(
-        target.codes, target.y_set, target.loss, tables, source, ts.pool_weight,
-        anchor, ts.penalty_weight,
+        target, tables, source, ts.pool_weight, ts.anchor_term, ts.penalty_weight
     )
     return list(map(target.theta_set.elements.__getitem__, rows.tolist())), values
 

@@ -410,11 +410,11 @@ def test_both_audits_compute_each_objective_twice(monkeypatch):
     for module in (learning, transfer):
         monkeypatch.setattr(module, "minimize", minimize)
     assert verify_learning_axioms(ERM, SAMPLES).passed
-    assert [len(args[3]) for args in calls] == [len(SAMPLES)] * 2  # each call a stack of 3 tables
+    assert [len(args[1]) for args in calls] == [len(SAMPLES)] * 2  # each call a stack of 3 tables
     calls.clear()
     ts = TransferSystem(ERM, ERM, Knowledge(instances=SAMPLES[0]), "instance")
     assert verify_transfer_is_learning_system(ts, SAMPLES).passed
-    assert [len(args[3]) for args in calls] == [len(SAMPLES)] * 2
+    assert [len(args[1]) for args in calls] == [len(SAMPLES)] * 2
 
 
 # -- every small world, and a large one ---------------------------------------------

@@ -242,6 +242,22 @@ def test_unhashable_reference_exits_analysis_error(tmp_path, capsys, kind, confi
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("pair", [[["a0"], 0], ["a0", [1]]])
+@pytest.mark.parametrize("argv", [["validate"], ["analyze", "--kind", "negative"]])
+def test_a_dataset_pair_with_a_list_coordinate_exits_parse_error(tmp_path, capsys, argv, pair):
+    """JSON reads a coordinate written as a list as a list, which no set holds: the pack that
+    holds the pair refuses it as malformed before anything is fitted."""
+    path, doc = emit(tmp_path, SMALL)
+    doc["datasets"]["target_data"]["pairs"][0] = pair
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "unhashable" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("universe", ["source", {"source": 1, "target": 2}, []])
 @pytest.mark.parametrize("kind", ["transferability", "generalist"])
 def test_universe_must_be_a_list_of_pack_names(tmp_path, capsys, kind, universe):

@@ -2,7 +2,8 @@
 private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
-loss (the selection's totals and the one error path), one reads hypothesis
+loss (the selection's totals and the one error path), one compares codes
+with labels (the zero-one operand's builder), one reads hypothesis
 table cells into codes, none calls the morphism enumeration, no function of the
 document format decodes a table or reads a raw block value as a list but
 through ``_list``, every defaulted parameter, a frozen dataclass's
@@ -394,6 +395,57 @@ def test_only_the_selection_totals_and_the_error_path_call_the_loss():
         for owner in owners(path.read_text(encoding="utf-8"), calls_loss)
     }
     assert found == LOSS_CALLERS
+
+
+#: Who compares a hypothesis table's codes with labels: the builder of the zero-one
+#: operand, which each learning system calls once.  A comparison anywhere else would
+#: rebuild the operand's indicator, likely once per fit.
+LABEL_COMPARERS = {("learning.py", "_zero_one_operand")}
+
+
+def mentions_codes(node: ast.AST) -> bool:
+    """Whether ``node`` reads a name or an attribute called ``codes``."""
+    return any(
+        getattr(n, "id", getattr(n, "attr", None)) == "codes"
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def compares_codes_with_labels(node: ast.AST) -> bool:
+    """An ``==`` or ``!=``, or a call of ``equal`` or ``not_equal``, with ``codes`` on one side
+    only: codes against something else, where codes against codes is a distance."""
+    if isinstance(node, ast.Compare):
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            return False
+        sides = [node.left, *node.comparators]
+    elif isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    ) in ("equal", "not_equal"):
+        sides = node.args
+    else:
+        return False
+    return len(set(map(mentions_codes, sides))) == 2
+
+
+def test_the_scan_sees_codes_compared_with_labels():
+    source = (
+        "def f(codes, labels):\n    return codes[:, :, None] == labels\n"
+        "def g(system, y):\n    def hits():\n        return np.equal(system.codes.T, y)\n"
+        "    return system.codes != system.codes[0], system.codes < y, hits\n"
+        "def h(hc, xs):\n    return hc.columns == xs, np.not_equal(hc.codes, hc.codes[1])\n"
+        "hit = y == table.codes[0]\n"
+    )
+    assert owners(source, compares_codes_with_labels) == ["f", "hits", "<module>"]
+
+
+def test_only_the_operand_builder_compares_codes_with_labels():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), compares_codes_with_labels)
+    }
+    assert found == LABEL_COMPARERS
 
 
 #: Defaulted parameters that no call in ``src/transferlab`` passes, kept on purpose.

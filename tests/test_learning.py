@@ -26,6 +26,7 @@ from transferlab.learning import (
     count_tables,
     empirical_risk,
     evaluate,
+    fit_stack,
     full_function_class,
     generalization_error,
     run_algorithm,
@@ -150,6 +151,26 @@ def test_count_tables_are_the_pair_count_tables_and_refuse_as_index_does(stack, 
     tables = count_tables(datasets, x_set, y_set)
     assert tables.dtype == np.int64 and tables.shape == (len(datasets), 3, 2)
     assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
+
+
+UNHASHABLE_PAIRS = [(["x0"], 0), ("x0", [1]), ({"x": 0}, 1)]
+FITS_OF_DATA = {
+    "run_algorithm": run_algorithm,
+    "fit_stack": lambda d, s: fit_stack([Dataset((("x1", 0),)), d], s),
+    "empirical_risk": lambda d, s: empirical_risk(d, "t0", s),
+    "verify_learning_axioms": lambda d, s: verify_learning_axioms(s, [d]),
+}
+
+
+@pytest.mark.parametrize("pair", UNHASHABLE_PAIRS, ids=repr)
+@pytest.mark.parametrize("call", FITS_OF_DATA.values(), ids=list(FITS_OF_DATA))
+def test_a_pair_with_an_unhashable_coordinate_is_an_unknown_element(call, pair):
+    """No set holds an unhashable atom: the fit refuses the pair by name, as the run_algorithm
+    docstring promises, not with a bare ``TypeError``."""
+    data = Dataset((("x0", 1), pair))
+    message = f"^dataset pair {re.escape(repr(pair))} is not hashable$"
+    with pytest.raises(UnknownElement, match=message):
+        call(data, two_theta_system())
 
 
 class TestEncoding:

@@ -55,3 +55,24 @@ def test_rows_with_zero_probability_labels_draw_as_the_oracle_does(data, n_x, si
 
     posterior = ConditionalMeasure(xs, {x: normalized(ys, weights(n_y)) for x in xs})
     same_draws(normalized(xs, weights(n_x)), posterior, size, seed)
+
+
+@pytest.mark.parametrize(
+    "edit, arity, shared",
+    [(None, 1, True), (None, 2, True), ("drop_input", 2, False), ("truncate_output", 1, False)],
+)
+def test_packs_share_one_system_exactly_when_no_edit_sets_them_apart(edit, arity, shared):
+    """Without an edit both packs hold one system, so its operands are built once for both;
+    an edit gives the target a system over its own sets."""
+    spec = ScenarioSpec(
+        grid_size=3 if arity == 1 else 2, grid_arity=arity, label_count=3, structural_edit=edit,
+        seed=2,
+    )
+    source, target, facts = generate_pair(spec)
+    assert (source.system is target.system) == shared
+    assert (facts.input_spaces_equal and facts.output_spaces_equal) == shared
+    for pack in (source, target):
+        system = pack.system
+        measures = (pack.marginal.support, pack.posterior.output_support)
+        assert (system.x_set, system.y_set) == measures
+        assert len(system.theta_set) == len(system.y_set) ** len(system.x_set)
