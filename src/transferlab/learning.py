@@ -14,13 +14,12 @@ once and selected from by :func:`minimize`, the one selection rule::
 The selection scores a stack of count tables ``T[i, x, y]`` at once and
 picks, per table, the first minimizer of its float64 objective values in
 canonical order, or the anchor itself when the table has no data term.
-:func:`fit` and :func:`transferlab.transfer.transfer_fit` call it with
-one table, and :func:`fit_stack` and
-:func:`transferlab.transfer.transfer_fit_stack`, which the audits use,
-with many, for a learning and a transfer system, which is itself a
-learning system: :func:`generalization_error` scores the hypotheses of
-both.  Count tables come from one ``np.bincount`` per stack
-(:func:`count_tables`).  Only the integer parts are exact: zero-one
+:func:`fit_stack` and :func:`transferlab.transfer.transfer_fit_stack`
+call it with one table per dataset, for a learning and a transfer
+system, which is itself a learning system: :func:`generalization_error`
+scores the hypotheses of both.  Count tables come from one
+``np.bincount`` per stack (:func:`count_tables`), the one look-up of
+data pairs in X × Y.  Only the integer parts are exact: zero-one
 totals are the pairs minus the hits, and the hits take |Y| − 1 products
 of a 0/1 indicator ``codes == y`` with the difference columns
 ``T[:, :, y] − T[:, :, 0]``, laid side by side as one matrix product
@@ -96,18 +95,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.pairs)
-
-    def validate_against(self, x_set: FiniteSet, y_set: FiniteSet) -> None:
-        xs, ys = x_set._index, y_set._index  # the look-ups of ``in x_set``, without the call
-        for x, y in self.pairs:
-            if x not in xs:
-                raise UnknownElement(f"data input {x!r} not in set {x_set.name!r}")
-            if y not in ys:
-                raise UnknownElement(f"data output {y!r} not in set {y_set.name!r}")
-
-    def counts(self, x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
-        """``C[x, y]``: how often each pair occurs; one outside X × Y raises."""
-        return count_tables((self,), x_set, y_set)[0]
 
 
 def count_tables(datasets: Sequence[Dataset], x_set: FiniteSet, y_set: FiniteSet) -> np.ndarray:
@@ -449,7 +436,7 @@ class SystemPack:
     tag: str = "pack"
 
     def __post_init__(self) -> None:
-        self.dataset.validate_against(self.system.x_set, self.system.y_set)
+        count_tables((self.dataset,), self.system.x_set, self.system.y_set)
         if self.truth is not None:
             truth = dict(self.truth)
             for x in self.system.x_set.elements:
@@ -688,12 +675,6 @@ def fit_stack(
     return list(map(system.theta_set.elements.__getitem__, rows.tolist())), values
 
 
-def fit(data: Dataset, system: LearningSystem) -> tuple[Atom, np.ndarray]:
-    """The parameter the system's algorithm selects from the data, and its objective over Θ."""
-    (theta,), values = fit_stack((data,), system)
-    return theta, values[0]
-
-
 def empirical_risk(data: Dataset, theta: Atom, system: LearningSystem) -> float:
     """Mean loss of the hypothesis indexed by ``theta`` on the data, the value :func:`minimize`
     gives it, from that θ's totals alone."""
@@ -713,10 +694,11 @@ def run_algorithm(data: Dataset, system: LearningSystem) -> Atom:
     rounding, so an exact tie can be broken by it; equal values break
     toward the smallest parameter index in canonical order.
     With empty data a penalized algorithm returns its anchor; plain ERM
-    raises :class:`EmptyDataset`.  Pairs outside the system's sample
-    space raise :class:`UnknownElement`.
+    raises :class:`EmptyDataset`.  A pair outside the sample space, an
+    unhashable one too, raises :class:`UnknownElement`; the selection's
+    mean loss on held-out pairs is its :func:`empirical_risk`.
     """
-    return fit(data, system)[0]
+    return fit_stack((data,), system)[0][0]
 
 
 def _predictor(system: LearningSystem, theta: Atom) -> Callable[[Atom], Atom]:
@@ -746,22 +728,22 @@ def generalization_error(
     """Expected loss of the hypothesis ``theta`` against the context.
 
     In truth-table mode the expectation runs over the system's inputs,
-    uniformly unless ``weight`` supplies a measure on them.  In hold-out
-    mode it is the mean loss over the held-out pairs and ``weight`` is
-    ignored.
+    uniformly unless ``weight`` supplies a measure on them; a truth value
+    outside the outputs raises :class:`UnknownElement`.  In hold-out mode
+    it is the :func:`empirical_risk` of the held-out pairs, which refuses
+    a pair outside the sample space, and ``weight`` is ignored.
     """
-    loss = system.loss
     if isinstance(ctx.truth, Dataset):
-        pairs = ctx.truth.pairs
-        if not pairs:
+        if not ctx.truth.pairs:
             raise EmptyDataset("hold-out evaluation needs at least one pair")
-        predict = _predictor(system, theta)
-        return math.fsum(loss.loss(y, predict(x)) for x, y in pairs) / len(pairs)
+        return empirical_risk(ctx.truth, theta, system)
 
     xs = system.x_set.elements
     for x in xs:
         if x not in ctx.truth:
             raise ValidationError(f"truth table undefined on {x!r}")
+        if _label_of(system.y_set, ctx.truth[x]) < 0:
+            raise UnknownElement(f"truth value {ctx.truth[x]!r} outside outputs")
     if weight is None:
         w = {x: 1.0 / len(xs) for x in xs}
     else:
@@ -769,7 +751,7 @@ def generalization_error(
             raise SupportMismatch("weight measure must live on the evaluated inputs")
         w = weight.as_dict()
     predict = _predictor(system, theta)
-    return math.fsum(w[x] * loss.loss(ctx.truth[x], predict(x)) for x in xs)
+    return math.fsum(w[x] * system.loss.loss(ctx.truth[x], predict(x)) for x in xs)
 
 
 # -- axiom verification ---------------------------------------------------------

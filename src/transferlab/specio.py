@@ -10,7 +10,8 @@ block's fields with the reader of each.  A number is a JSON number,
 never a bool or a string; probabilities may also travel as decimal
 strings, so fixtures stay diffable and bit-stable.  Vectors are aligned
 to the canonical order of the set they refer to, which keeps atom types
-(including integer labels) intact.
+(including integer labels) intact.  A dataset pair's coordinates are
+JSON scalars: a list or an object, which no set can hold, is malformed.
 
 Failures are staged: malformed structure raises :class:`ParseError`,
 dangling or unknown references raise :class:`ResolutionError`, and
@@ -272,6 +273,9 @@ def _write_conditional(c: ConditionalMeasure, refs) -> dict:
 
 def _read_dataset(doc: SpecDocument, name: str, where: str, block: dict, strict: bool):
     pairs = [_list(p, f"{where}.pairs") for p in _list(block["pairs"], f"{where}.pairs")]
+    for i, pair in enumerate(pairs):
+        if any(isinstance(value, (list, dict)) for value in pair):  # no set holds one
+            raise ParseError(f"{where}.pairs[{i}]: {pair!r} has an unhashable coordinate")
     return Dataset(pairs, _STRING(block.get("tag", "data"), f"{where}.tag"))
 
 

@@ -4,7 +4,7 @@ A transfer system carries knowledge selected from a source system
 (data instances, a trained parameter, or both) into the training of a
 target-facing hypothesis.  Four composition rules are built in; each
 only states its terms of the objective of :mod:`transferlab.learning`,
-and :func:`transfer_fit` selects with the one rule learning uses,
+and :func:`transfer_fit_stack` selects with the one rule learning uses,
 :func:`transferlab.learning.minimize`:
 
 * ``instance``: risk on the target data pooled with the source
@@ -107,7 +107,7 @@ def _check_knowledge(
     if needs_parameters and parameters is None:
         raise MissingSourceArtifact(f"{approach} transfer needs a source parameter")
     if instances is not None:
-        instances.validate_against(source.x_set, source.y_set)
+        count_tables((instances,), source.x_set, source.y_set)
     for theta in parameters or ():
         if theta not in source.theta_set:
             raise UnknownElement(f"{theta!r} is not a source parameter")
@@ -259,9 +259,7 @@ class TransferSystem:
         :class:`IncompatibleSupport` on every read, so a run that pools
         them is refused.
         """
-        target = self.target
-        instances = _in_target_space(self.knowledge.instances, target)
-        return score_table(target, instances.counts(target.x_set, target.y_set))
+        return score_table(self.target, _target_counts(self.knowledge.instances, self.target))
 
     @cached_property
     def anchor_term(self) -> tuple[int, np.ndarray] | None:
@@ -304,17 +302,16 @@ class TransferSystem:
         spec, lat = self.latent, self.latent.latent_system
         instances = self.knowledge.instances.pairs
         mapped = Dataset(tuple(map(spec.pair_map_source.__getitem__, instances)))
-        return mapped.counts(lat.x_set, lat.y_set)
+        return count_tables((mapped,), lat.x_set, lat.y_set)[0]
 
 
-def _in_target_space(instances: Dataset, target: LearningSystem) -> Dataset:
-    """``instances``; :class:`IncompatibleSupport` if a pair lies outside the target's space."""
-    for x, y in instances.pairs:
-        if x not in target.x_set or y not in target.y_set:
-            raise IncompatibleSupport(
-                f"source pair {(x, y)!r} lies outside the target sample space"
-            )
-    return instances
+def _target_counts(instances: Dataset, target: LearningSystem) -> np.ndarray:
+    """``C[x, y]`` of the source instances in the target's sample space, or
+    :class:`IncompatibleSupport` naming the first element outside it."""
+    try:
+        return count_tables((instances,), target.x_set, target.y_set)[0]
+    except UnknownElement as exc:
+        raise IncompatibleSupport(f"source pair outside the target sample space: {exc}") from None
 
 
 def pool_data(knowledge: Knowledge, target_data: Dataset, target: LearningSystem) -> Dataset:
@@ -325,7 +322,7 @@ def pool_data(knowledge: Knowledge, target_data: Dataset, target: LearningSystem
     """
     if knowledge.instances is None:
         raise MissingSourceArtifact("pooling needs instance knowledge")
-    _in_target_space(knowledge.instances, target)
+    _target_counts(knowledge.instances, target)
     tag = f"pooled({target_data.source_tag}+{knowledge.instances.source_tag})"
     return Dataset(target_data.pairs + knowledge.instances.pairs, tag)
 
@@ -334,8 +331,8 @@ def pool_data(knowledge: Knowledge, target_data: Dataset, target: LearningSystem
 class TransferTrace:
     """One transfer run: the system, the target data and the objective it selected from.
 
-    ``values`` is the objective over ``theta_tr_set`` as :func:`transfer_fit`
-    returns it; the objective as a mapping is built when first read.
+    ``values`` is the objective over ``theta_tr_set``, its row of what
+    :func:`transfer_fit_stack` returns; the mapping is built when first read.
     """
 
     system: TransferSystem
@@ -380,12 +377,10 @@ def transfer_fit_stack(
     and the feature rule counts the source instances' latent table once
     and maps each target count table into the latent space through one
     0/1 cell matrix (:attr:`TransferSystem.latent_cells`), with no
-    mapped dataset built.  Every dataset's pairs are checked before any
-    dataset is fitted.
+    mapped dataset built.  The first pair of the stack outside the
+    target's sample space is refused before any dataset is fitted.
     """
     target = ts.target
-    for d in datasets:
-        d.validate_against(target.x_set, target.y_set)
     tables = count_tables(datasets, target.x_set, target.y_set)
     if ts.approach == "feature_representation":
         if not (len(ts.knowledge.instances) or all(map(len, datasets))):
@@ -409,16 +404,10 @@ def transfer_fit_stack(
     return list(map(target.theta_set.elements.__getitem__, rows.tolist())), values
 
 
-def transfer_fit(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, np.ndarray]:
-    """The rule's selection and its objective over ``theta_tr_set``, as :func:`fit` returns them."""
-    (theta,), values = transfer_fit_stack(ts, (target_data,))
-    return theta, values[0]
-
-
 def run_transfer(ts: TransferSystem, target_data: Dataset) -> tuple[Atom, TransferTrace]:
     """Execute the transfer rule; the selection and the trace of the run."""
-    selected, values = transfer_fit(ts, target_data)
-    return selected, TransferTrace(ts, target_data, values)
+    (selected,), values = transfer_fit_stack(ts, (target_data,))
+    return selected, TransferTrace(ts, target_data, values[0])
 
 
 # -- classification -------------------------------------------------------------

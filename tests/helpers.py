@@ -25,7 +25,7 @@ from transferlab.learning import (
     LearningSystem,
     LossSpec,
     SystemPack,
-    fit,
+    fit_stack,
     full_function_class,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
@@ -39,7 +39,7 @@ from transferlab.relations import (
     cascade,
 )
 from transferlab.structural import _set_partitions, _structure_system
-from transferlab.transfer import pool_data, transfer_fit
+from transferlab.transfer import pool_data, transfer_fit_stack
 
 
 def io_system(pairs, x_name="X", y_name="Y", xs=None, ys=None) -> FiniteSystem:
@@ -89,6 +89,18 @@ def binary_pack(truths, marginal=None, data=(), tag="pack", y_elements=(0, 1)):
         system, Dataset(tuple(data), tag), marginal,
         ConditionalMeasure(x_set, rows), truths, tag,
     )
+
+
+def fit(data, system):
+    """The selection from one dataset and its objective over Θ: a stack fit of one table."""
+    (theta,), values = fit_stack((data,), system)
+    return theta, values[0]
+
+
+def transfer_fit(ts, target_data):
+    """The rule's selection from one target dataset and its objective over ``theta_tr_set``."""
+    (theta,), values = transfer_fit_stack(ts, (target_data,))
+    return theta, values[0]
 
 
 def table_class(theta_set: FiniteSet, table) -> HypothesisClass:
@@ -716,23 +728,30 @@ def as_goal_seeking(system, sample_datasets) -> tuple[FiniteSystem, GoalSeekingS
     return inductive, gs
 
 
-def scalar_prediction_error(predict, ctx, loss, x_set, weight=None):
+def scalar_prediction_error(predict, ctx, loss, x_set, y_set, weight=None):
     """Expected loss of an arbitrary predictor against a context, one input or pair at a time.
 
     The oracle of :func:`transferlab.learning.generalization_error`: in
     truth-table mode the expectation runs over ``x_set``, uniformly
-    unless ``weight`` supplies a measure on it; in hold-out mode it is
-    the mean loss over the held-out pairs and ``weight`` is ignored.
+    unless ``weight`` supplies a measure on it, and a truth value outside
+    ``y_set`` is refused; in hold-out mode it is the mean loss over the
+    held-out pairs, each looked up in ``x_set`` and ``y_set`` before any
+    is scored, and ``weight`` is ignored.
     """
     if isinstance(ctx.truth, Dataset):
         pairs = ctx.truth.pairs
         if not pairs:
             raise EmptyDataset("hold-out evaluation needs at least one pair")
+        for x, y in pairs:
+            x_set.index(x)
+            y_set.index(y)
         return math.fsum(loss.loss(y, predict(x)) for x, y in pairs) / len(pairs)
     xs = x_set.elements
     for x in xs:
         if x not in ctx.truth:
             raise ValidationError(f"truth table undefined on {x!r}")
+        if ctx.truth[x] not in y_set.elements:  # compared by ==, so a list is in no set
+            raise UnknownElement(f"truth value {ctx.truth[x]!r} outside outputs")
     if weight is None:
         w = {x: 1.0 / len(xs) for x in xs}
     else:

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    fit,
     rows_over,
     scalar_check_goal_seeking,
     scalar_verify_decomposition,
@@ -35,7 +36,6 @@ from transferlab.learning import (
     Dataset,
     HypothesisClass,
     LearningSystem,
-    fit,
     fit_stack,
     full_function_class,
     verify_decomposition,

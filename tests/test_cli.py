@@ -258,6 +258,29 @@ def test_a_dataset_pair_with_a_list_coordinate_exits_parse_error(tmp_path, capsy
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("coordinate", [["a0"], {"a": 0}], ids=["list", "object"])
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["analyze", "--kind", "transfer"]], ids=["unreferenced", "transfer"]
+)
+def test_a_loose_dataset_with_a_list_or_object_coordinate_exits_parse_error(
+    tmp_path, capsys, argv, coordinate
+):
+    """A dataset block that no pack holds is read as every block is: a coordinate that no set
+    can hold is malformed, whether a transfer analysis fits it or nothing refers to it."""
+    path, doc = emit(tmp_path, SMALL)
+    doc["datasets"]["extra"] = {"pairs": [["a1", 1], [coordinate, 0]], "tag": "extra"}
+    if argv[0] == "analyze":
+        doc["analysis"]["transfer"] = {"system": "tr", "data": "extra"}
+    write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "r.json")])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: datasets.extra.pairs[1]: {[coordinate, 0]!r} has an unhashable coordinate\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("universe", ["source", {"source": 1, "target": 2}, []])
 @pytest.mark.parametrize("kind", ["transferability", "generalist"])
 def test_universe_must_be_a_list_of_pack_names(tmp_path, capsys, kind, universe):

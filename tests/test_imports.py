@@ -3,10 +3,11 @@ private top-level name is used somewhere in the package, every public
 name is used there or exported from it, only three functions catch the
 base error, one function selects by ``argmin``, two call the per-pair
 loss (the selection's totals and the one error path), one compares codes
-with labels (the zero-one operand's builder), one reads hypothesis
-table cells into codes, none calls the morphism enumeration, no function of the
-document format decodes a table or reads a raw block value as a list but
-through ``_list``, every defaulted parameter, a frozen dataclass's
+with labels (the zero-one operand's builder), one looks data pairs up
+in X and Y (the count tables), one reads hypothesis table cells into
+codes, none calls the morphism enumeration, no function of the document
+format decodes a table or reads a raw block value as a list but through
+``_list``, every defaulted parameter, a frozen dataclass's
 defaulted fields included, is passed by some call in the package or kept
 on purpose, and no parameter that the package's calls all pass with one
 literal is left but on purpose.
@@ -395,6 +396,54 @@ def test_only_the_selection_totals_and_the_error_path_call_the_loss():
         for owner in owners(path.read_text(encoding="utf-8"), calls_loss)
     }
     assert found == LOSS_CALLERS
+
+
+#: Who looks a data pair up in X and Y: the count tables, which every fit, pack, knowledge
+#: check, pooling and hold-out score reads.  A second pair check would drift from its
+#: refusals, as the ones it replaced did on unhashable pairs.
+PAIR_CHECKERS = {("learning.py", "count_tables")}
+
+
+def checks_pairs(node: ast.AST) -> bool:
+    """A loop, statement or comprehension, over an attribute named ``pairs`` whose body tests
+    membership or subscripts a look-up (an index that is not a constant or a slice)."""
+    if isinstance(node, ast.For):
+        loops, body = [node], node.body
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        loops = node.generators
+        body = [getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
+        body += [test for loop in loops for test in loop.ifs]
+    else:
+        return False
+    if not any(getattr(n, "attr", None) == "pairs" for loop in loops for n in ast.walk(loop.iter)):
+        return False
+    inner = [n for part in body for n in ast.walk(part)]
+    return any(
+        isinstance(n, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)
+        or isinstance(n, ast.Subscript) and not isinstance(n.slice, (ast.Constant, ast.Slice))
+        for n in inner
+    )
+
+
+def test_the_scan_sees_a_pair_check():
+    source = (
+        "def f(d, xs):\n    for x, y in d.pairs:\n        if x not in xs:\n            raise E\n"
+        "def g(ds, rows):\n    return [rows[x] for d in ds for x, y in d.pairs]\n"
+        "def h(d):\n    for p in d.pairs:\n        print(p[0], p[1:])\n"
+        "def k(d, xs):\n    for x in xs:\n        assert x in d.pairs\n"
+        "def m(d, xs):\n    return {p: xs[p] for p in d}, sorted(d.pairs, key=xs.index)\n"
+        "bad = [p for p in D.pairs if p[0] in S]\n"
+    )
+    assert owners(source, checks_pairs) == ["f", "g", "<module>"]
+
+
+def test_only_the_count_tables_look_data_pairs_up():
+    found = {
+        (path.name, owner)
+        for path in MODULES
+        for owner in owners(path.read_text(encoding="utf-8"), checks_pairs)
+    }
+    assert found == PAIR_CHECKERS
 
 
 #: Who compares a hypothesis table's codes with labels: the builder of the zero-one

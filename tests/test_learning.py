@@ -255,10 +255,22 @@ class TestGeneralizationError:
             err = generalization_error(sys, theta, EvaluationContext(truth))
             assert 0.0 <= err <= 1.0
 
+    @pytest.mark.parametrize("value", [7, [0]], ids=["label outside Y", "unhashable"])
+    def test_a_truth_value_outside_the_outputs_is_refused(self, value):
+        """Refused as ``SystemPack`` refuses it, not scored as an error."""
+        x, y = FiniteSet("X", ("a", "b")), FiniteSet("Y", (0, 1))
+        sys = LearningSystem(x, y, full_function_class(x, y))
+        ctx = EvaluationContext({"a": value, "b": 0})
+        message = re.escape(f"truth value {value!r} outside outputs")
+        with pytest.raises(UnknownElement, match=message):
+            generalization_error(sys, sys.theta_set.elements[0], ctx)
+
     def test_reads_each_row_once_and_refuses_as_evaluate_does(self, monkeypatch):
-        """Equal, bit for bit, to the oracle that looks every cell up with ``evaluate``; a θ
-        outside Θ and an input outside X raise what ``evaluate`` raises, with its message,
-        and a θ of Θ is scored without a single cell look-up.
+        """Equal, bit for bit, to the oracle that looks every cell up with ``evaluate``, and a
+        θ of Θ is scored without a single cell look-up.  Against a truth table a θ outside Θ
+        raises what ``evaluate`` raises, with its message.  Hold-out error is empirical risk:
+        a pair outside X × Y is refused first, as ``count_tables`` refuses it, then a θ
+        outside Θ as Θ's ``index`` refuses it.
         """
 
         def outcome(fn):
@@ -283,8 +295,13 @@ class TestGeneralizationError:
             for theta in sys.theta_set.elements + ("not-a-theta",):
                 for ctx, w in contexts:
                     predict = lambda x: evaluate(sys, theta, x)
+                    if ctx.mode == "holdout":  # θ is looked up in Θ before it is scored
+                        index = sys.theta_set.index
+                        predict = lambda x: evaluate(sys, sys.theta_set.elements[index(theta)], x)
                     expected = outcome(
-                        lambda: scalar_prediction_error(predict, ctx, sys.loss, sys.x_set, w)
+                        lambda: scalar_prediction_error(
+                            predict, ctx, sys.loss, sys.x_set, sys.y_set, w
+                        )
                     )
                     assert outcome(lambda: generalization_error(sys, theta, ctx, w)) == expected
         monkeypatch.setattr(HypothesisClass, "output", None)  # a cell look-up would raise

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     as_goal_seeking,
+    fit,
     gather_anchor_distance,
     gather_loss_totals,
     latent_dataset,
@@ -36,6 +37,7 @@ from helpers import (
     scalar_risk,
     selection_objective,
     table_class,
+    transfer_fit,
     transfer_objective,
 )
 from transferlab import learning, transfer
@@ -51,7 +53,6 @@ from transferlab.learning import (
     _anchor_term,
     _loss_totals,
     empirical_risk,
-    fit,
     full_function_class,
     minimize,
     run_algorithm,
@@ -66,7 +67,6 @@ from transferlab.transfer import (
     Knowledge,
     TransferSystem,
     run_transfer,
-    transfer_fit,
     transfer_fit_stack,
     verify_transfer_is_learning_system,
 )

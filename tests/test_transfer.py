@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from helpers import (
     random_dataset,
     random_learning_system,
     scalar_prediction_error,
+    transfer_fit,
 )
 from transferlab import transfer
 from transferlab.errors import (
@@ -29,9 +32,11 @@ from transferlab.learning import (
     SystemPack,
     empirical_risk,
     evaluate,
+    fit_stack,
     full_function_class,
     generalization_error,
     run_algorithm,
+    verify_learning_axioms,
 )
 from transferlab.measures import ConditionalMeasure, EmpiricalMeasure
 from transferlab.relations import FiniteSet, FiniteSystem
@@ -46,7 +51,6 @@ from transferlab.transfer import (
     pool_data,
     run_transfer,
     select_knowledge,
-    transfer_fit,
     verify_transfer_is_learning_system,
 )
 
@@ -647,7 +651,9 @@ def test_transfer_error_is_the_prediction_error_of_the_transferred_hypothesis(
         predict = lambda x: latent_path_prediction(ts, theta, x)
     else:
         predict = lambda x: ts.target.hypotheses.output(theta, x)
-    by_hand = scalar_prediction_error(predict, ctx, ts.target.loss, ts.target.x_set, weight)
+    by_hand = scalar_prediction_error(
+        predict, ctx, ts.target.loss, ts.target.x_set, ts.target.y_set, weight
+    )
     error = generalization_error(ts.system_tr, theta, ctx, weight)
     assert error.hex() == by_hand.hex()
     assert 0 < by_hand < 1
@@ -672,3 +678,57 @@ def test_a_zero_penalty_weight_is_accepted(systems):
     assert AlgorithmSpec("penalized", anchor="h00", weight=0.0).weight == 0.0
     ts = TransferSystem(*systems, Knowledge(parameters=("h00",)), "parameter", penalty_weight=0.0)
     assert ts.penalty_weight == 0.0
+
+
+#: One bad pair of each kind, with what its refusal says of it.
+BAD_PAIRS = {
+    "input outside X": (("x9", 0), "'x9' is not an element of set 'X'"),
+    "label outside Y": (("x0", 7), "7 is not an element of set 'Y'"),
+    "unhashable": ((["x0"], 0), "dataset pair (['x0'], 0) is not hashable"),
+}
+def entry_points(systems, source_data, spaces):
+    """Each library entry point that reads data pairs, as a call on one dataset."""
+    source, target = systems
+    transfer_system = partial(identity_transfer, systems, source_data, spaces)
+    return {
+        "run_algorithm": lambda d: run_algorithm(d, target),
+        "empirical_risk": lambda d: empirical_risk(d, "h00", target),
+        "fit_stack": lambda d: fit_stack([source_data, d], target),
+        "verify_learning_axioms": lambda d: verify_learning_axioms(target, [source_data, d]),
+        "SystemPack": lambda d: SystemPack(target, d),
+        "select_knowledge": lambda d: select_knowledge(source, d, None, "instance"),
+        "TransferSystem": lambda d: TransferSystem(source, target, Knowledge(instances=d)),
+        **{
+            f"run_transfer[{approach}]": partial(
+                lambda approach, d: run_transfer(transfer_system(approach), d), approach
+            )
+            for approach in APPROACHES
+        },
+        "verify_transfer_is_learning_system": lambda d: verify_transfer_is_learning_system(
+            transfer_system("instance"), [source_data, d]
+        ),
+        "pool_data": lambda d: pool_data(Knowledge(instances=d), source_data, target),
+        "holdout generalization_error": lambda d: generalization_error(
+            target, "h00", EvaluationContext(d)
+        ),
+    }
+
+
+ENTRY_POINTS = [
+    "run_algorithm", "empirical_risk", "fit_stack", "verify_learning_axioms", "SystemPack",
+    "select_knowledge", "TransferSystem", *(f"run_transfer[{a}]" for a in APPROACHES),
+    "verify_transfer_is_learning_system", "pool_data", "holdout generalization_error",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS.values(), ids=list(BAD_PAIRS))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_a_bad_pair_by_name(systems, source_data, spaces, entry, bad):
+    """A pair outside X × Y, an unhashable one too, is refused by ``count_tables`` wherever it
+    enters: an ``UnknownElement`` naming it, or, for source instances pooled into a target,
+    an ``IncompatibleSupport``; never a bare ``TypeError``, and never scored."""
+    pair, named = bad
+    call = entry_points(systems, source_data, spaces)[entry]
+    error = IncompatibleSupport if entry == "pool_data" else UnknownElement
+    with pytest.raises(error, match=re.escape(named)):
+        call(Dataset((("x1", 1), pair)))
